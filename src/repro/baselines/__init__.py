@@ -17,12 +17,13 @@ that system's behaviour:
 """
 
 from .homomorphism import find_homomorphism, homomorphism_exists
-from .restricted_chase import RestrictedChaseEngine
+from .restricted_chase import ChaseLimitError, RestrictedChaseEngine
 from .skolem_chase import SkolemChaseEngine
 from .sql_recursion import RecursiveSqlEngine
 from .graph_engine import GraphTraversalEngine
 
 __all__ = [
+    "ChaseLimitError",
     "find_homomorphism",
     "homomorphism_exists",
     "RestrictedChaseEngine",

@@ -21,12 +21,22 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.aggregates import AggregateRegistry
 from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseConfig, ChaseEngine, ChaseLimitError
+from ..core.chase import ChaseConfig, ChaseEngine
 from ..core.expressions import ExpressionError
 from ..core.fact_store import FactStore
 from ..core.rules import Program
 from ..core.terms import NullFactory, Term, Variable
 from .homomorphism import find_homomorphism
+
+
+class ChaseLimitError(Exception):
+    """Divergence guard of the comparison engines: rounds/facts ceiling hit.
+
+    The Skolem and restricted chase and recursive SQL genuinely may not
+    terminate on warded programs, so their ``max_rounds``/``max_facts``
+    ceilings raise.  The warded engines never raise on a limit: they end
+    with a structured status (:class:`repro.core.limits.ExecutionBudget`).
+    """
 
 
 @dataclass

@@ -20,13 +20,13 @@ from typing import Dict, Iterable, List, Optional
 
 from ..core.aggregates import AggregateRegistry
 from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseConfig, ChaseEngine, ChaseLimitError
+from ..core.chase import ChaseConfig, ChaseEngine
 from ..core.expressions import ExpressionError
 from ..core.fact_store import FactStore
 from ..core.rules import Program
 from ..core.skolem import SkolemFactory, skolem_name
 from ..core.terms import NullFactory, Term, Variable
-from .restricted_chase import BaselineResult
+from .restricted_chase import BaselineResult, ChaseLimitError
 
 
 class SkolemChaseEngine:

@@ -18,10 +18,9 @@ import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseLimitError
 from ..core.rules import Program
 from ..core.terms import Constant, Variable
-from .restricted_chase import BaselineResult
+from .restricted_chase import BaselineResult, ChaseLimitError
 
 
 class UnsupportedSqlFeature(Exception):

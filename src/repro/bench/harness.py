@@ -32,7 +32,7 @@ from ..baselines.graph_engine import GraphTraversalEngine
 from ..baselines.restricted_chase import RestrictedChaseEngine
 from ..baselines.skolem_chase import SkolemChaseEngine
 from ..baselines.sql_recursion import RecursiveSqlEngine
-from ..core.chase import ChaseConfig
+from ..core.limits import STATUS_COMPLETE, ExecutionBudget
 from ..engine.reasoner import VadalogReasoner
 from ..workloads.scenario import Scenario
 
@@ -73,13 +73,18 @@ class BenchmarkRow:
 
 def _run_vadalog(scenario: Scenario, strategy: str) -> BenchmarkRow:
     started = time.perf_counter()
-    reasoner = VadalogReasoner(
-        scenario.program.copy(),
-        strategy=strategy,
-        chase_config=ChaseConfig(max_rounds=5000),
+    reasoner = VadalogReasoner(scenario.program.copy(), strategy=strategy)
+    result = reasoner.reason(
+        database=scenario.database,
+        outputs=scenario.outputs,
+        budget=ExecutionBudget(max_rounds=5000),
     )
-    result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
     elapsed = time.perf_counter() - started
+    if result.status != STATUS_COMPLETE:
+        # A budget stop is a partial run: never record it as a (fast) row.
+        raise RuntimeError(
+            f"{scenario.name}: vadalog run ended {result.status} ({result.stop_reason})"
+        )
     output_facts = sum(len(result.answers.facts(p)) for p in scenario.outputs)
     return BenchmarkRow(
         scenario=scenario.name,

@@ -11,6 +11,16 @@ deterministic for a fixed program and database.
 Every derived fact is wrapped in a :class:`~repro.core.forests.ChaseNode`
 carrying the linear-forest / warded-forest metadata needed by Algorithm 1
 (:mod:`repro.core.termination`).
+
+There is one chase step, reached two ways: :meth:`ChaseEngine.fire_slots`
+takes a full match in a compiled plan's slot array (the sequential,
+parallel and streaming drivers all call it) and
+:meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
+of ``fire_slots`` and the naive reference matcher).  There is one limit
+mechanism: the run's :class:`~repro.core.limits.ExecutionBudget` /
+:class:`~repro.core.limits.CancellationToken`, which end a run with a
+structured status and a sound partial result — the engine never raises on
+a ceiling.
 """
 
 from __future__ import annotations
@@ -43,10 +53,6 @@ class InconsistencyError(Exception):
     """Raised when a negative constraint or EGD is violated (fail-fast mode)."""
 
 
-class ChaseLimitError(Exception):
-    """Raised when a configured safety limit (facts/iterations) is exceeded."""
-
-
 @dataclass(frozen=True)
 class Violation:
     """A violated constraint together with the facts witnessing the violation."""
@@ -63,17 +69,14 @@ class Violation:
 
 @dataclass
 class ChaseConfig:
-    """Safety limits and behaviour switches of a chase run."""
+    """Behaviour switches and resource bounds of a chase run."""
 
-    max_rounds: Optional[int] = None
-    max_facts: Optional[int] = None
     fail_on_violation: bool = False
     check_constraints: bool = True
     apply_egds: bool = True
-    #: Resource budget for the run.  Unlike ``max_rounds``/``max_facts``
-    #: (hard safety limits that *raise* :class:`ChaseLimitError`), exhausting
-    #: the budget ends the run gracefully with a structured non-``complete``
-    #: status and the sound partial materialisation derived so far.
+    #: Resource budget for the run — the one limit mechanism: exhausting it
+    #: ends the run gracefully with a structured non-``complete`` status and
+    #: the sound partial materialisation derived so far (never an exception).
     budget: Optional[ExecutionBudget] = None
     #: Cooperative cancellation token checked at governed checkpoints.
     cancel: Optional[CancellationToken] = None
@@ -254,7 +257,7 @@ class ChaseEngine:
 
     # -------------------------------------------------------------------- run
     def run(self) -> ChaseResult:
-        """Run the chase to completion (or until a safety limit triggers)."""
+        """Run the chase to completion (or until the budget/cancel stops it)."""
         started = time.perf_counter()
         store = FactStore()
         nodes: List[ChaseNode] = []
@@ -307,10 +310,6 @@ class ChaseEngine:
                         result.status, result.stop_reason = stop
                         break
                 round_index += 1
-                if self.config.max_rounds is not None and round_index > self.config.max_rounds:
-                    raise ChaseLimitError(
-                        f"chase exceeded the configured maximum of {self.config.max_rounds} rounds"
-                    )
                 if tracer is None:
                     delta = self._evaluate_round(store, node_of, delta, round_index, result)
                 else:
@@ -389,10 +388,6 @@ class ChaseEngine:
         first_restriction = rules
         while delta:
             round_index += 1
-            if self.config.max_rounds is not None and round_index > self.config.max_rounds:
-                raise ChaseLimitError(
-                    f"chase exceeded the configured maximum of {self.config.max_rounds} rounds"
-                )
             self._full_join_round = first_restriction is not None
             try:
                 delta = self._evaluate_round(
@@ -444,10 +439,6 @@ class ChaseEngine:
                     tracer, rule, store, node_of, delta_by_predicate, round_index, result
                 )
             new_nodes.extend(produced)
-            if self.config.max_facts is not None and len(store) > self.config.max_facts:
-                raise ChaseLimitError(
-                    f"chase exceeded the configured maximum of {self.config.max_facts} facts"
-                )
         return new_nodes
 
     def _apply_rule_traced(
@@ -502,7 +493,6 @@ class ChaseEngine:
             return self._apply_rule_compiled(
                 rule, executor, store, node_of, round_index, result
             )
-        analysis = self._rule_analyses[id(rule)]
         produced: List[ChaseNode] = []
         body = rule.relational_body
         governor = self._governor
@@ -515,15 +505,8 @@ class ChaseEngine:
                 if tick is not None:
                     tick()
                 produced.extend(
-                    self._fire(
-                        rule,
-                        analysis,
-                        binding,
-                        used_facts,
-                        store,
-                        node_of,
-                        round_index,
-                        result,
+                    self.fire_binding(
+                        rule, binding, used_facts, store, node_of, round_index, result
                     )
                 )
         return produced
@@ -540,12 +523,8 @@ class ChaseEngine:
         """Hot path: evaluate the rule body through its compiled join plan.
 
         The executor already evaluated every comparison that only needs body
-        slots.  Rules without computed values or final guards fire straight
-        from the slot array (:meth:`_fire_compiled`); the rest build a dict
-        binding, re-check ``Dom`` guards / residual conditions and go through
-        the generic :meth:`_fire`.
+        slots; each full match goes straight to :meth:`fire_slots`.
         """
-        analysis = self._rule_analyses[id(rule)]
         plan = executor.plan
         produced: List[ChaseNode] = []
         governor = self._governor
@@ -558,74 +537,70 @@ class ChaseEngine:
             seed_lists = [()] * len(plan.seed_plans)
             # Copied: the store's bucket grows as the round admits facts.
             seed_lists[0] = list(store.by_predicate(plan.seed_plans[0].seed.predicate))
-        if plan.simple_fire:
-            fire = self._fire_compiled
-            for slots, used_facts in executor.matches(store, round_index, seed_lists):
-                if tick is not None:
-                    tick()
-                fire(
-                    rule, analysis, plan, slots, used_facts,
-                    store, node_of, round_index, result, produced,
-                )
-            return produced
-        residual = plan.residual_conditions
-        for binding, used_facts in executor.bindings(store, round_index, seed_lists):
+        fire = self.fire_slots
+        for slots, used_facts in executor.matches(store, round_index, seed_lists):
             if tick is not None:
                 tick()
-            if residual and not all(c.holds(binding) for c in residual):
-                continue
-            if not self._dom_guards_hold(rule, binding, store):
-                continue
-            produced.extend(
-                self._fire(
-                    rule,
-                    analysis,
-                    binding,
-                    used_facts,
-                    store,
-                    node_of,
-                    round_index,
-                    result,
-                )
-            )
+            fire(rule, plan, slots, used_facts, store, node_of, round_index, result, produced)
         return produced
 
-    def _fire_compiled(
+    def fire_slots(
         self,
         rule: Rule,
-        analysis: RuleAnalysis,
         plan,
         slots: List[Term],
         used_facts: List[Fact],
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
-        round_index: int,
+        step: int,
         result: ChaseResult,
         produced: List[ChaseNode],
         sink=None,
         admit=None,
     ) -> None:
-        """Slot-based firing: instantiate heads positionally, no dict binding.
+        """Fire ``rule`` on one full body match held in a slot array.
 
-        Only used for rules whose plan has head templates (no assignments,
-        aggregation, post conditions, ``Dom`` guards or residual conditions);
-        semantically identical to :meth:`_fire` on those rules, including the
-        fresh-null generation order.  ``sink`` is the write target — the
-        live store by default, a :class:`~repro.core.fact_store.WriteBatch`
-        in the parallel admission stage.
+        The one slots→fire kernel shared by the compiled, parallel and
+        streaming drivers; admitted nodes are appended to ``produced``.
+        Rules whose plan has head templates (no assignments, aggregation,
+        post conditions, ``Dom`` guards or residual conditions) instantiate
+        their heads positionally, without a dict binding; the rest build the
+        binding once, check the residual conditions and ``Dom`` guards and go
+        through :meth:`fire_binding`.  Both branches draw fresh nulls in the
+        same order.  ``slots``/``used_facts`` may be the matcher's live
+        arrays: they are only read before this call returns.  ``sink`` is
+        the write target — the live store by default, a
+        :class:`~repro.core.fact_store.WriteBatch` in the parallel admission
+        stage; ``admit`` overrides the termination oracle (the pipeline
+        passes its per-filter wrapper).
         """
         if sink is None:
             sink = store
+        head_templates = plan.head_templates
+        if head_templates is None:  # not plan.simple_fire
+            variables = plan.variables
+            binding = {variables[i]: slots[i] for i in range(len(variables))}
+            residual = plan.residual_conditions
+            if residual and not all(c.holds(binding) for c in residual):
+                return
+            if not self._dom_guards_hold(rule, binding, sink):
+                return
+            produced.extend(
+                self.fire_binding(
+                    rule, binding, used_facts, store, node_of, step, result,
+                    admit=admit, sink=sink,
+                )
+            )
+            return
         if admit is None:
             admit = self.strategy.admit
         if plan.existentials:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
             nulls = ()
-        parents = None
-        ward_parent = None
+        analysis = parents = ward_parent = None
         contains_row = sink.contains_row
-        for predicate, entries in plan.head_templates:
+        for predicate, entries in head_templates:
             result.candidate_facts += 1
             # Entry kinds from repro.engine.plan: 1 = HEAD_SLOT, 2 = HEAD_NULL,
             # 0 = HEAD_GROUND (payload is the term itself).
@@ -641,6 +616,7 @@ class ChaseEngine:
                 continue
             head_fact = Fact.from_ground(predicate, terms)
             if parents is None:
+                analysis = self._rule_analyses[id(rule)]
                 parents = [node_of[f] for f in used_facts if f in node_of]
                 ward_parent = self._ward_parent(rule, analysis, used_facts, node_of)
             node = derived_node(
@@ -649,7 +625,7 @@ class ChaseEngine:
                 rule_label=rule.label or "rule",
                 parents=parents,
                 ward_parent=ward_parent,
-                step=round_index,
+                step=step,
             )
             if not admit(node):
                 continue
@@ -809,56 +785,16 @@ class ChaseEngine:
         admit=None,
         sink=None,
     ) -> List[ChaseNode]:
-        """Fire ``rule`` on a full body ``binding`` against an external store.
+        """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
 
-        This is the reusable chase-step kernel: assignments, aggregations,
-        post conditions, fresh-null generation, forest metadata and the
-        termination check all happen here.  The streaming pipeline executor
-        (:mod:`repro.engine.pipeline`) matches rule bodies itself and funnels
-        every match through this method so both executors share one firing
-        semantics.  ``admit`` overrides the termination oracle (the pipeline
-        passes its per-filter :class:`~repro.engine.wrappers.TerminationWrapper`).
+        This is the one dict-binding chase-step kernel: assignments,
+        aggregations, post conditions, fresh-null generation, forest
+        metadata and the termination check all happen here.  The naive
+        reference matcher calls it directly; every compiled-plan driver
+        reaches it through :meth:`fire_slots`, so all executors share one
+        firing semantics.  ``admit`` overrides the termination oracle and
+        ``sink`` the write target, as in :meth:`fire_slots`.
         """
-        analysis = self._rule_analyses[id(rule)]
-        return self._fire(
-            rule,
-            analysis,
-            binding,
-            used_facts,
-            store,
-            node_of,
-            step,
-            result,
-            admit=admit,
-            sink=sink,
-        )
-
-    def dom_guards_hold(
-        self, rule: Rule, binding: Dict[Variable, Term], store: FactStore
-    ) -> bool:
-        """Public alias of the ``Dom`` active-domain guard check."""
-        return self._dom_guards_hold(rule, binding, store)
-
-    def check_violations(self, result: ChaseResult) -> None:
-        """Run the deferred EGD and negative-constraint checks on ``result``."""
-        if self.config.apply_egds and self.program.egds:
-            self._apply_egds(result)
-        if self.config.check_constraints and self.program.constraints:
-            self._check_constraints(result)
-
-    def _fire(
-        self,
-        rule: Rule,
-        analysis: RuleAnalysis,
-        binding: Dict[Variable, Term],
-        used_facts: List[Fact],
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
-        round_index: int,
-        result: ChaseResult,
-        admit=None,
-        sink=None,
-    ) -> List[ChaseNode]:
         if sink is None:
             sink = store
         full_binding = dict(binding)
@@ -881,6 +817,7 @@ class ChaseEngine:
 
         if admit is None:
             admit = self.strategy.admit
+        analysis = self._rule_analyses[id(rule)]
         produced: List[ChaseNode] = []
         parents = [node_of[f] for f in used_facts if f in node_of]
         ward_parent = self._ward_parent(rule, analysis, used_facts, node_of)
@@ -896,7 +833,7 @@ class ChaseEngine:
                 rule_label=rule.label or "rule",
                 parents=parents,
                 ward_parent=ward_parent,
-                step=round_index,
+                step=step,
             )
             if not admit(node):
                 continue
@@ -906,6 +843,13 @@ class ChaseEngine:
             result.chase_steps += 1
             produced.append(node)
         return produced
+
+    def check_violations(self, result: ChaseResult) -> None:
+        """Run the deferred EGD and negative-constraint checks on ``result``."""
+        if self.config.apply_egds and self.program.egds:
+            self._apply_egds(result)
+        if self.config.check_constraints and self.program.constraints:
+            self._check_constraints(result)
 
     def _instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
         terms: List[Term] = []

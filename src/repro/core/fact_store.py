@@ -486,7 +486,7 @@ class WriteBatch:
         return self._store.in_active_domain(value) or value in self._staged_constants
 
     def __len__(self) -> int:
-        """Store size as if the batch were already applied (safety limits)."""
+        """Store size as if the batch were already applied."""
         return len(self._store) + len(self._staged)
 
     @property

@@ -353,14 +353,6 @@ class CompiledRuleExecutor:
                 for _pos, slot in seed_writes:
                     slots[slot] = None
 
-    def bindings(
-        self, store, round_index: int, seed_lists: Optional[Sequence[Sequence[Fact]]] = None
-    ) -> Iterator[Tuple[Dict, List[Fact]]]:
-        """Like :meth:`matches` but yielding fresh dict bindings (slow path)."""
-        variables = self.plan.variables
-        for slots, used in self.matches(store, round_index, seed_lists):
-            yield {variables[i]: slots[i] for i in range(len(variables))}, list(used)
-
 
 def hash_join(
     left: Iterable[Fact],

@@ -46,14 +46,13 @@ import time
 import zlib
 from concurrent.futures import (
     BrokenExecutor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Fact
-from ..core.chase import ChaseConfig, ChaseEngine, ChaseLimitError, ChaseResult
+from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
 from ..core.fact_store import FactStore
 from ..core.forests import ChaseNode
 from ..core.limits import ExecutionStopped
@@ -64,6 +63,9 @@ from ..core.wardedness import ProgramAnalysis
 from ..testing.faults import fault_point
 from .joins import CompiledRuleExecutor
 from .plan import seed_partition_positions
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 PARALLEL_BACKENDS = ("threads", "fork")
 
@@ -489,10 +491,6 @@ class ParallelChaseEngine(ChaseEngine):
                     rule_span.counters["deduped"] = candidates - fires
                     tracer.end(rule_span)
                 new_nodes.extend(produced)
-                if self.config.max_facts is not None and len(batch) > self.config.max_facts:
-                    raise ChaseLimitError(
-                        f"chase exceeded the configured maximum of {self.config.max_facts} facts"
-                    )
         except ExecutionStopped:
             # Commit what was admitted before the stop: result.nodes and
             # node_of already reference the staged facts, so the store must
@@ -540,7 +538,7 @@ class ParallelChaseEngine(ChaseEngine):
                 matched, record = _match_entries(
                     entries, snapshot, round_index, 0, encode=False, traced=traced
                 )
-            except (ExecutionStopped, ChaseLimitError):
+            except ExecutionStopped:
                 raise
             except Exception as exc:
                 # Same one-retry discipline as pooled shards; a second
@@ -562,7 +560,7 @@ class ParallelChaseEngine(ChaseEngine):
         for shard, future in enumerate(futures):
             try:
                 matched, record = future.result(timeout=self.worker_timeout)
-            except (ExecutionStopped, ChaseLimitError):
+            except ExecutionStopped:
                 raise
             except Exception as exc:
                 if isinstance(exc, (TimeoutError, FuturesTimeoutError)):
@@ -586,7 +584,7 @@ class ParallelChaseEngine(ChaseEngine):
                 _match_entries, entries, reader, round_index, shard, False, traced
             )
             return future.result(timeout=self.worker_timeout)
-        except (ExecutionStopped, ChaseLimitError):
+        except ExecutionStopped:
             raise
         except Exception as retry_exc:
             if isinstance(retry_exc, (TimeoutError, FuturesTimeoutError)):
@@ -610,6 +608,11 @@ class ParallelChaseEngine(ChaseEngine):
         down on *every* exit path — including KeyboardInterrupt and crashed
         workers — so no child process is ever orphaned.
         """
+        # Imported here: the process-pool machinery (multiprocessing queues,
+        # connections) is only needed by this backend and costs every other
+        # ``import repro`` ~5 % of its start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         context = multiprocessing.get_context("fork")
         token = next(_FORK_TOKENS)
         _FORK_STATE[token] = (entries, snapshot, round_index, traced)
@@ -625,7 +628,7 @@ class ParallelChaseEngine(ChaseEngine):
             for shard, future in enumerate(futures):
                 try:
                     matched, record = future.result(timeout=self.worker_timeout)
-                except (ExecutionStopped, ChaseLimitError):
+                except ExecutionStopped:
                     raise
                 except Exception as exc:
                     matched, record = self._recover_fork_shard(
@@ -656,7 +659,7 @@ class ParallelChaseEngine(ChaseEngine):
                 return pool.submit(_fork_match_shard, (token, shard)).result(
                     timeout=self.worker_timeout
                 )
-            except (ExecutionStopped, ChaseLimitError):
+            except ExecutionStopped:
                 raise
             except Exception as retry_exc:
                 exc = retry_exc
@@ -700,17 +703,14 @@ class ParallelChaseEngine(ChaseEngine):
         result: ChaseResult,
         match_counts: List[int],
     ) -> List[ChaseNode]:
-        """Fire one rule's collected matches through the standard chase paths."""
-        analysis = self._rule_analyses[id(rule)]
+        """Fire one rule's collected matches through :meth:`fire_slots`."""
         plan = self._compiled[id(rule)].plan
         rebind = self._rebind[id(rule)]
         n_slots = len(plan.variables)
         decode = self.backend == "fork" and self.parallelism > 1
         fact_at = store.fact_at
         produced: List[ChaseNode] = []
-        simple = plan.simple_fire
-        residual = plan.residual_conditions
-        variables = plan.variables
+        fire = self.fire_slots
         governor = self._governor
         tick = governor.tick if governor is not None else None
         for shard, matches in enumerate(rule_matches):
@@ -718,32 +718,15 @@ class ParallelChaseEngine(ChaseEngine):
             for used in matches:
                 if tick is not None:
                     tick()
-                if decode:
-                    used_facts = [fact_at(index) for index in used]
-                else:
-                    used_facts = list(used)
+                used_facts = [fact_at(index) for index in used] if decode else used
                 slots: List[Optional[Term]] = [None] * n_slots
                 for atom_index, writes in rebind:
                     terms = used_facts[atom_index].terms
                     for pos, slot in writes:
                         slots[slot] = terms[pos]
-                if simple:
-                    self._fire_compiled(
-                        rule, analysis, plan, slots, used_facts,
-                        store, node_of, round_index, result, produced,
-                        sink=batch,
-                    )
-                    continue
-                binding = {variables[i]: slots[i] for i in range(n_slots)}
-                if residual and not all(c.holds(binding) for c in residual):
-                    continue
-                if not self._dom_guards_hold(rule, binding, batch):
-                    continue
-                produced.extend(
-                    self._fire(
-                        rule, analysis, binding, used_facts,
-                        store, node_of, round_index, result,
-                        sink=batch,
-                    )
+                fire(
+                    rule, plan, slots, used_facts,
+                    store, node_of, round_index, result, produced,
+                    sink=batch,
                 )
         return produced

@@ -39,19 +39,21 @@ remaining atoms.  Duplicate derivations across pulls are avoided with a
 arrived strictly before the seed fact (or the seed fact itself at a later
 body position), so every body combination is enumerated exactly once — when
 its newest member is pulled.  Firing itself is delegated to the chase
-kernel (:meth:`repro.core.chase.ChaseEngine.fire_binding`), so assignments,
+kernel (:meth:`repro.core.chase.ChaseEngine.fire_slots`, the same entry the
+compiled and parallel drivers call), so head templates, assignments,
 aggregations, ``Dom`` guards, fresh nulls and forest metadata behave
 identically across executors.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Fact
-from ..core.chase import ChaseConfig, ChaseEngine, ChaseLimitError, ChaseResult
+from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
 from ..core.fact_store import FactStore
 from ..core.forests import ChaseNode, input_node
 from ..core.limits import (
@@ -122,7 +124,6 @@ class _Context:
         engine: ChaseEngine,
         result: ChaseResult,
         buffers: BufferCache,
-        config: ChaseConfig,
         stats: PipelineStats,
         tracer=None,
     ) -> None:
@@ -133,7 +134,6 @@ class _Context:
         self.node_of: Dict[Fact, ChaseNode] = {}
         self.seq_of: Dict[Fact, int] = {}
         self.buffers = buffers
-        self.config = config
         self.stats = stats
         #: Monotone counter of *any* observable work (cursor advances, fact
         #: admissions).  A full driver sweep that leaves it unchanged proves
@@ -163,13 +163,6 @@ class _Context:
         resident = self.buffers.resident_items()
         if resident > self.stats.peak_resident_buffer_items:
             self.stats.peak_resident_buffer_items = resident
-        if (
-            self.config.max_facts is not None
-            and len(self.store) > self.config.max_facts
-        ):
-            raise ChaseLimitError(
-                f"pipeline exceeded the configured maximum of {self.config.max_facts} facts"
-            )
 
     def note_answer(self, fact: Fact) -> None:
         self.stats.answers_produced += 1
@@ -433,25 +426,17 @@ class RuleFilterNode(PipelineNode):
     def _fire(self, slots: List, used: List) -> None:
         """Fire the rule on a full match, emitting wrapper-admitted facts."""
         ctx = self.ctx
-        plan = self.plan
-        variables = plan.variables
-        binding = {variables[i]: slots[i] for i in range(len(variables))}
-        if plan.residual_conditions and not all(
-            c.holds(binding) for c in plan.residual_conditions
-        ):
-            return
-        if self.rule.dom_guards and not ctx.engine.dom_guards_hold(
-            self.rule, binding, ctx.store
-        ):
-            return
-        produced = ctx.engine.fire_binding(
+        produced: List[ChaseNode] = []
+        ctx.engine.fire_slots(
             self.rule,
-            binding,
-            list(used),
+            self.plan,
+            slots,
+            used,
             ctx.store,
             ctx.node_of,
             ctx.sweep,
             ctx.result,
+            produced,
             admit=self.wrapper.check_termination,
         )
         for node in produced:
@@ -576,9 +561,7 @@ class PipelineExecutor:
             policy=eviction_policy,
         )
         self.buffers = buffers
-        self.ctx = _Context(
-            engine, self.result, buffers, self.config, self.stats, tracer=tracer
-        )
+        self.ctx = _Context(engine, self.result, buffers, self.stats, tracer=tracer)
         self.registry = WrapperRegistry(strategy)
 
         # ---- query-driven relevance pruning --------------------------------
@@ -665,6 +648,15 @@ class PipelineExecutor:
     def _ensure_started(self) -> None:
         if self.ctx.started_at is None:
             self.ctx.started_at = time.perf_counter()
+            # ``next()`` propagates backwards by recursion (produce →
+            # pull_one → produce), two frames per pipeline level.  A node on
+            # the invocation stack answers a cyclic miss instead of being
+            # re-entered, so the node count bounds the depth: give a deep
+            # chain of filters the frames it needs (raise-only; the default
+            # limit stays available to the caller and the firing kernel).
+            needed = 1000 + 3 * (len(self.filters) + 2)
+            if sys.getrecursionlimit() < needed:
+                sys.setrecursionlimit(needed)
             # The deadline clock starts at the first pull, not at pipeline
             # construction — streaming runs are lazy by design.
             governor = ExecutionGovernor.for_config(self.config)

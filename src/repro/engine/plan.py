@@ -20,7 +20,7 @@ The plan is used by the reasoner to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.conditions import Comparison
 from ..core.rules import Program, Rule
@@ -48,24 +48,35 @@ class ReasoningAccessPlan:
     nodes: List[PlanNode] = field(default_factory=list)
     edges: List[Tuple[str, str]] = field(default_factory=list)
     node_by_name: Dict[str, PlanNode] = field(default_factory=dict)
+    # Adjacency in edge-insertion order (dicts double as ordered sets), so
+    # every traversal visits neighbours exactly as a scan of ``edges`` would.
+    _successors: Dict[str, Dict[str, None]] = field(default_factory=dict, repr=False)
+    _predecessors: Dict[str, List[str]] = field(default_factory=dict, repr=False)
+    # Memoized SCCs; any structural change resets them.
+    _components: Optional[List[List[str]]] = field(default=None, repr=False)
 
     def add_node(self, node: PlanNode) -> None:
         if node.name in self.node_by_name:
             return
         self.nodes.append(node)
         self.node_by_name[node.name] = node
+        self._components = None
 
     def add_edge(self, source: str, target: str) -> None:
-        edge = (source, target)
-        if edge not in self.edges:
-            self.edges.append(edge)
+        targets = self._successors.setdefault(source, {})
+        if target in targets:
+            return
+        targets[target] = None
+        self._predecessors.setdefault(target, []).append(source)
+        self.edges.append((source, target))
+        self._components = None
 
     # -- structure ---------------------------------------------------------------
     def successors(self, name: str) -> List[str]:
-        return [t for s, t in self.edges if s == name]
+        return list(self._successors.get(name, ()))
 
     def predecessors(self, name: str) -> List[str]:
-        return [s for s, t in self.edges if t == name]
+        return list(self._predecessors.get(name, ()))
 
     def sources(self) -> List[PlanNode]:
         return [n for n in self.nodes if n.kind == "source"]
@@ -77,50 +88,65 @@ class ReasoningAccessPlan:
         return [n for n in self.nodes if n.kind == "rule"]
 
     def strongly_connected_components(self) -> List[List[str]]:
-        """Tarjan's algorithm; components are returned in reverse topological order."""
-        index_counter = [0]
-        stack: List[str] = []
-        lowlinks: Dict[str, int] = {}
+        """Tarjan's algorithm; components are returned in reverse topological order.
+
+        Iterative (an explicit frame stack replaces the call stack, so a
+        thousand-rule chain cannot hit the recursion limit) with the same
+        visiting order as the textbook recursion.  Computed once per plan
+        shape and shared by every caller: treat the result as read-only.
+        """
+        if self._components is not None:
+            return self._components
         index: Dict[str, int] = {}
+        lowlinks: Dict[str, int] = {}
+        stack: List[str] = []
         on_stack: Set[str] = set()
         components: List[List[str]] = []
+        frames: List[Tuple[str, Iterator[str]]] = []  # the explicit call stack
 
-        def strongconnect(node: str) -> None:
-            index[node] = index_counter[0]
-            lowlinks[node] = index_counter[0]
-            index_counter[0] += 1
+        def enter(node: str) -> None:
+            index[node] = lowlinks[node] = len(index)
             stack.append(node)
             on_stack.add(node)
-            for successor in self.successors(node):
-                if successor not in index:
-                    strongconnect(successor)
-                    lowlinks[node] = min(lowlinks[node], lowlinks[successor])
-                elif successor in on_stack:
-                    lowlinks[node] = min(lowlinks[node], index[successor])
-            if lowlinks[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
+            frames.append((node, iter(self._successors.get(node, ()))))
 
-        for node in self.node_by_name:
-            if node not in index:
-                strongconnect(node)
+        for root in self.node_by_name:
+            if root in index:
+                continue
+            enter(root)
+            while frames:
+                node, pending = frames[-1]
+                for successor in pending:
+                    if successor not in index:
+                        enter(successor)
+                        break
+                    if successor in on_stack:
+                        lowlinks[node] = min(lowlinks[node], index[successor])
+                else:  # every successor visited: "return" from node
+                    frames.pop()
+                    if frames:
+                        parent = frames[-1][0]
+                        lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+                    if lowlinks[node] == index[node]:
+                        component: List[str] = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.append(member)
+                            if member == node:
+                                break
+                        components.append(component)
+        self._components = components
         return components
 
     def recursive_components(self) -> List[List[str]]:
         """Components containing a cycle (≥ 2 nodes, or a self-loop)."""
-        recursive = []
-        for component in self.strongly_connected_components():
-            if len(component) > 1:
-                recursive.append(component)
-            elif (component[0], component[0]) in self.edges:
-                recursive.append(component)
-        return recursive
+        return [
+            component
+            for component in self.strongly_connected_components()
+            if len(component) > 1
+            or component[0] in self._successors.get(component[0], ())
+        ]
 
     def has_cycles(self) -> bool:
         return bool(self.recursive_components())
@@ -132,18 +158,17 @@ class ReasoningAccessPlan:
         component by component in topological order, preserving the original
         program order inside each (possibly recursive) component.
         """
-        components = self.strongly_connected_components()  # reverse topological
         component_of: Dict[str, int] = {}
-        for position, component in enumerate(components):
-            for name in component:
+        for position, component in enumerate(self.strongly_connected_components()):
+            for name in component:  # components come in reverse topological order
                 component_of[name] = position
         rules_by_label = {rule.label: rule for rule in program.rules}
-        labelled_nodes = [n for n in self.nodes if n.kind == "rule"]
+        position_of = {rule.label: position for position, rule in enumerate(program.rules)}
         ordered_nodes = sorted(
-            labelled_nodes,
-            key=lambda n: (-component_of.get(n.name, 0), program.rules.index(rules_by_label[n.rule_label])),
+            (n for n in self.nodes if n.kind == "rule" and n.rule_label in rules_by_label),
+            key=lambda n: (-component_of.get(n.name, 0), position_of[n.rule_label]),
         )
-        return [rules_by_label[n.rule_label] for n in ordered_nodes if n.rule_label in rules_by_label]
+        return [rules_by_label[n.rule_label] for n in ordered_nodes]
 
     def describe(self) -> str:
         """Human-readable description used by ``VadalogReasoner.explain``."""

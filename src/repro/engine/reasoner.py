@@ -304,10 +304,7 @@ class VadalogReasoner:
 
         self.program = self._optimize(self.original_program)
         self.analysis = analyse_program(self.program)
-        self.plan = compile_plan(self.program)
-        self.scheduler = RoundRobinScheduler(self.plan, self.program)
-        self.scheduler_report = self.scheduler.schedule()
-        self._order_rules(self.scheduler_report)
+        self.plan, self.scheduler_report = _plan_and_order(self.program)
         # Step 4a (query compiler): compile every rule body into its
         # slot-machine join plan once; reasoning runs reuse the plans.  The
         # streaming pipeline executes the same plans incrementally.
@@ -338,11 +335,6 @@ class VadalogReasoner:
         if self.normalize:
             optimized = normalize_for_chase(optimized)
         return optimized
-
-    def _order_rules(self, report: SchedulerReport) -> None:
-        """Step 3: the execution optimizer fixes the round-robin rule order."""
-        if report.rule_order and len(report.rule_order) == len(self.program.rules):
-            self.program.rules = list(report.rule_order)
 
     def _make_strategy(self) -> TerminationStrategy:
         if isinstance(self._strategy_spec, TerminationStrategy):
@@ -723,10 +715,7 @@ class VadalogReasoner:
         base.rewriting = rewriting
         if rewriting.changed:
             program = rewriting.program
-            plan = compile_plan(program)
-            report = RoundRobinScheduler(plan, program).schedule()
-            if report.rule_order and len(report.rule_order) == len(program.rules):
-                program.rules = list(report.rule_order)
+            _plan_and_order(program)
             base = _RunSpec(
                 program=program,
                 analysis=analyse_program(program),
@@ -897,11 +886,21 @@ class VadalogReasoner:
         for warning in self.warnings:
             lines.append(f"  warning: {warning}")
         lines.append(self.plan.describe())
-        lines.append(
-            "Scheduler: "
-            + ", ".join(f"{k}={v}" for k, v in self.scheduler_report.stats().items())
-        )
         return "\n".join(lines)
+
+
+def _plan_and_order(program: Program) -> Tuple[ReasoningAccessPlan, SchedulerReport]:
+    """Steps 2 and 3: compile the access plan, then fix the rule order.
+
+    The execution optimizer's round-robin order replaces ``program.rules``
+    in place when it covers every rule (duplicate labels collapse plan
+    nodes; such a program keeps its textual order).
+    """
+    plan = compile_plan(program)
+    report = RoundRobinScheduler(plan, program).schedule()
+    if len(report.rule_order) == len(program.rules):
+        program.rules = list(report.rule_order)
+    return plan, report
 
 
 def _filter_answers(answers: AnswerSet, query_atom: Atom) -> AnswerSet:

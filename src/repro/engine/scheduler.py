@@ -12,16 +12,17 @@ rules.  Recursion induces two kinds of cycles:
   ``real miss``);
 * *non-terminating sequences* — handled by the termination wrappers.
 
-Two schedulers live here:
+One compile-time pass and one runtime driver live here:
 
-* :class:`RoundRobinScheduler` — the compile-time scheduler: fixes the
-  round-robin rule order used by the materializing chase engine and records
-  the invocation-cycle events one pull sweep *would* produce (a static
-  simulation used by ``explain()`` and the architecture tests);
+* :class:`RoundRobinScheduler` — the execution optimizer's ordering pass:
+  fixes, once per compiled program, the round-robin rule order every
+  executor applies (producers before consumers, recursive groups kept
+  together) and counts the plan's recursive components;
 * :class:`PullScheduler` — the runtime driver of the streaming pipeline
   executor (:mod:`repro.engine.pipeline`): it owns the live invocation
   stack, classifies every pull as a hit, a cyclic miss (``notifyCycle``) or
-  a real miss, and keeps the protocol counters the pipeline reports.
+  a real miss, and keeps the protocol counters the pipeline reports — the
+  only source of pull-protocol numbers in the system.
 """
 
 from __future__ import annotations
@@ -44,87 +45,29 @@ class PullEvent:
 
 @dataclass
 class SchedulerReport:
-    """Outcome of a scheduling pass over the plan."""
+    """Outcome of the compile-time ordering pass over the plan."""
 
     rule_order: List[Rule] = field(default_factory=list)
-    events: List[PullEvent] = field(default_factory=list)
-    cyclic_misses: int = 0
-    real_misses: int = 0
     recursive_components: int = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "rules": len(self.rule_order),
-            "pull_events": len(self.events),
-            "cyclic_misses": self.cyclic_misses,
-            "real_misses": self.real_misses,
-            "recursive_components": self.recursive_components,
-        }
 
 
 class RoundRobinScheduler:
-    """Derives the rule application order and simulates the pull protocol."""
+    """Derives the round-robin rule application order from the plan."""
 
     def __init__(self, plan: ReasoningAccessPlan, program: Program) -> None:
         self.plan = plan
         self.program = program
 
     def schedule(self) -> SchedulerReport:
-        """Compute the round-robin rule order and trace one pull sweep."""
-        report = SchedulerReport()
-        report.rule_order = self.plan.topological_rule_order(self.program)
-        report.recursive_components = len(self.plan.recursive_components())
-        self._trace_pull(report)
-        return report
+        """Order the rules and count the recursive components.
 
-    # ------------------------------------------------------------------ tracing
-    def _trace_pull(self, report: SchedulerReport) -> None:
-        """Simulate one ``next()`` sweep initiated by every sink.
-
-        Each node pulls from its predecessors in round-robin (plan) order.  A
-        predecessor already on the current invocation stack answers with a
-        cyclic miss (``notifyCycle``); a source node always answers
-        positively; a node none of whose predecessors could answer reports a
-        real miss.
+        Both read the plan's strongly connected components, which the plan
+        computes once.
         """
-        for sink in self.plan.sinks():
-            self._pull(sink.name, [], report, set())
-
-    def _pull(
-        self,
-        node_name: str,
-        stack: List[str],
-        report: SchedulerReport,
-        satisfied: Set[str],
-    ) -> bool:
-        node = self.plan.node_by_name[node_name]
-        if node.kind == "source":
-            return True
-        if node_name in satisfied:
-            return True
-        predecessors = self.plan.predecessors(node_name)
-        if not predecessors:
-            report.real_misses += 1
-            return False
-        any_answer = False
-        for predecessor in predecessors:
-            if predecessor in stack:
-                report.events.append(PullEvent(node_name, predecessor, "cyclic-miss"))
-                report.cyclic_misses += 1
-                continue
-            report.events.append(PullEvent(node_name, predecessor, "next"))
-            answered = self._pull(predecessor, stack + [node_name], report, satisfied)
-            any_answer = any_answer or answered
-        if any_answer:
-            satisfied.add(node_name)
-        else:
-            report.events.append(PullEvent(node_name, node_name, "real-miss"))
-            report.real_misses += 1
-        return any_answer
-
-    def rule_order(self) -> List[Rule]:
-        """Just the round-robin rule order (producers before consumers)."""
-        return self.plan.topological_rule_order(self.program)
+        return SchedulerReport(
+            rule_order=self.plan.topological_rule_order(self.program),
+            recursive_components=len(self.plan.recursive_components()),
+        )
 
 
 class PullScheduler:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.chase import ChaseConfig, ChaseLimitError, run_chase
+from repro.core.chase import ChaseConfig, run_chase
+from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 from repro.core.forests import LinearForest, WardedForest
 from repro.core.parser import parse_program
 from repro.core.atoms import fact
@@ -67,10 +68,15 @@ class TestDatalogChase:
         result = run_chase(program, [fact("Edge", "a", "hub"), fact("Edge", "b", "other")])
         assert {f.values() for f in result.facts("Special")} == {("a",)}
 
-    def test_round_limit_enforced(self):
+    @pytest.mark.parametrize("executor", ["compiled", "naive", "parallel"])
+    def test_round_limit_enforced(self, executor):
         program = parse_program(TRANSITIVE)
-        with pytest.raises(ChaseLimitError):
-            run_chase(program, chain_edges(30), config=ChaseConfig(max_rounds=3))
+        complete = set(run_chase(program, chain_edges(30)).facts())
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=3))
+        result = run_chase(program, chain_edges(30), config=config, executor=executor)
+        assert result.status == STATUS_BUDGET
+        assert result.rounds == 3
+        assert set(result.facts()) < complete
 
 
 class TestExistentialChase:

@@ -5,8 +5,9 @@ four executors: every budget axis (deadline, derived facts, rounds,
 resident facts) ends the run with a structured status and a *sound partial
 materialisation* (a subset of the fault-free fixpoint) instead of raising;
 a :class:`CancellationToken` tripped before or during a run yields
-``"cancelled"``; the legacy hard limits (``ChaseConfig.max_rounds`` /
-``max_facts``) still raise :class:`ChaseLimitError` unchanged.
+``"cancelled"``.  The budget is the only limit mechanism: ceilings carried
+by the reasoner's ``ChaseConfig`` end runs with the same statuses (the
+former raising ``ChaseConfig.max_rounds`` / ``max_facts`` are gone).
 """
 
 import threading
@@ -23,7 +24,6 @@ from repro import (
     reason,
     run_chase,
 )
-from repro.core.chase import ChaseLimitError
 from repro.core.limits import (
     RUN_STATUSES,
     STATUS_BUDGET,
@@ -216,11 +216,32 @@ class TestMidRunCancellation:
 
 
 class TestConfigPlumbing:
-    def test_budget_via_chase_config(self):
-        config = ChaseConfig(budget=ExecutionBudget(max_rounds=1))
-        reasoner = VadalogReasoner(TC_PROGRAM, chase_config=config)
-        result = reasoner.reason(database=CHAIN_DB)
+    # A ceiling fixed at construction (``chase_config=``) rather than per
+    # call: what ``ChaseConfig(max_rounds=…)`` / ``(max_facts=…)`` used to
+    # enforce by raising now ends the run with a status and a sound subset.
+    @pytest.mark.parametrize(
+        "executor, rounds",
+        # A streaming "round" is a sweep and one sweep can reach the
+        # fixpoint, so only a zero bound is guaranteed to stop it.
+        [("compiled", 1), ("naive", 1), ("parallel", 1), ("streaming", 0)],
+    )
+    def test_config_round_ceiling_ends_with_status(self, executor, rounds, full_tuples):
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=rounds))
+        result = chain_reasoner(executor, chase_config=config).reason(database=CHAIN_DB)
         assert result.status == STATUS_BUDGET
+        assert "round budget" in result.stop_reason
+        assert set(result.ground_tuples("T")) < full_tuples
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_config_fact_ceiling_ends_with_status(self, executor, full_tuples):
+        config = ChaseConfig(budget=ExecutionBudget(max_resident_facts=35))
+        result = chain_reasoner(executor, chase_config=config).reason(database=CHAIN_DB)
+        assert result.status == STATUS_BUDGET
+        assert "resident-fact ceiling" in result.stop_reason
+        assert set(result.ground_tuples("T")) < full_tuples
+        # Checked at round/admission granularity: the overshoot is bounded
+        # by one round's derivations, far from the 465-tuple fixpoint.
+        assert len(result.chase.store) < len(full_tuples)
 
     def test_deadline_argument_overrides_budget_deadline(self):
         # An explicit deadline= merges over the budget's own deadline axis.
@@ -241,17 +262,11 @@ class TestConfigPlumbing:
         again = reasoner.reason(database=CHAIN_DB)
         assert again.status == STATUS_COMPLETE
 
-    def test_legacy_max_rounds_still_raises(self):
-        config = ChaseConfig(max_rounds=1)
-        reasoner = VadalogReasoner(TC_PROGRAM, chase_config=config)
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=CHAIN_DB)
-
-    def test_legacy_max_facts_still_raises(self):
-        config = ChaseConfig(max_facts=5)
-        reasoner = VadalogReasoner(TC_PROGRAM, chase_config=config)
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=CHAIN_DB)
+    def test_chase_config_has_no_raising_limits(self):
+        with pytest.raises(TypeError):
+            ChaseConfig(max_rounds=1)
+        with pytest.raises(TypeError):
+            ChaseConfig(max_facts=5)
 
     def test_peak_resident_facts_in_stats(self):
         result = reason(TC_PROGRAM, database=CHAIN_DB)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.atoms import fact
-from repro.core.chase import ChaseConfig, ChaseLimitError
+from repro.core.chase import ChaseConfig
+from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 from repro.core.parser import parse_program
 from repro.core.termination import strategy_by_name
 from repro.engine.pipeline import PipelineExecutor
@@ -215,14 +216,22 @@ class TestTerminationWrappers:
 
 
 class TestLimitsAndErrors:
-    def test_max_facts_limit_enforced(self):
+    def test_resident_fact_ceiling_enforced_per_admission(self):
+        # Streaming admits many facts per sweep, so the ceiling is enforced
+        # on every admission: the run stops a fact or two past the bound
+        # with a status and sound partial answers, never an exception.
+        database = chain_edges(30)
+        complete = set(reason(TC_PROGRAM, database=database).ground_tuples("T"))
         reasoner = VadalogReasoner(
             TC_PROGRAM,
             executor="streaming",
-            chase_config=ChaseConfig(max_facts=10),
+            chase_config=ChaseConfig(budget=ExecutionBudget(max_resident_facts=10)),
         )
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=chain_edges(30))
+        result = reasoner.reason(database=database)
+        assert result.status == STATUS_BUDGET
+        assert "resident-fact ceiling" in result.stop_reason
+        assert set(result.ground_tuples("T")) < complete
+        assert len(result.chase.store) <= 12
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, VadalogReasoner, reason
+from repro import Database, ExecutionBudget, VadalogReasoner, reason
 from repro.core.chase import ChaseConfig
 from repro.engine.annotations import AnnotationError, collect_bindings
 from repro.core.parser import parse_program
@@ -151,18 +151,24 @@ class TestReasonerInterface:
         assert any("harmful-join elimination skipped" in w for w in result.warnings)
         assert result.chase.rounds > 0
 
-    def test_chase_config_limits_respected(self):
-        from repro.core.chase import ChaseLimitError
-
+    @pytest.mark.parametrize("executor", ["compiled", "naive", "parallel"])
+    def test_chase_config_limits_respected(self, executor):
         program = """
         @output("T").
         T(X, Y) :- E(X, Y).
         T(X, Z) :- T(X, Y), E(Y, Z).
         """
         edges = {"E": [(f"n{i}", f"n{i+1}") for i in range(40)]}
-        reasoner = VadalogReasoner(program, chase_config=ChaseConfig(max_rounds=2))
-        with pytest.raises(ChaseLimitError):
-            reasoner.reason(database=edges)
+        complete = set(reason(program, database=edges).ground_tuples("T"))
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=2))
+        reasoner = VadalogReasoner(program, chase_config=config, executor=executor)
+        result = reasoner.reason(database=edges)
+        assert result.status == "budget_exceeded"
+        assert result.chase.rounds == 2
+        partial = set(result.ground_tuples("T"))
+        # Two rounds derive paths of length ≤ 2 and nothing else.
+        assert partial < complete
+        assert len(partial) == 40 + 39
 
     def test_timings_and_stats_exposed(self):
         result = reason(EXAMPLE_2, database={"Own": [("a", "b", 0.9)]})

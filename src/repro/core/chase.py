@@ -258,6 +258,12 @@ class ChaseEngine:
     # -------------------------------------------------------------------- run
     def run(self) -> ChaseResult:
         """Run the chase to completion (or until the budget/cancel stops it)."""
+        tracer = self.tracer
+        chase_span = None
+        if tracer is not None:
+            chase_span = tracer.begin(
+                "chase", f"chase:{self.executor}", executor=self.executor
+            )
         started = time.perf_counter()
         store = FactStore()
         nodes: List[ChaseNode] = []
@@ -287,15 +293,9 @@ class ChaseEngine:
         governor = ExecutionGovernor.for_config(self.config)
         self._governor = governor
         result.peak_resident_facts = len(store)
-
-        tracer = self.tracer
-        chase_span = None
         if tracer is not None:
             if governor is not None:
                 governor.tracer = tracer
-            chase_span = tracer.begin(
-                "chase", f"chase:{self.executor}", executor=self.executor
-            )
             chase_span.counters["input_facts"] = len(store)
 
         round_index = 0
@@ -343,8 +343,9 @@ class ChaseEngine:
                 f"chase stopped early ({result.status}): {result.stop_reason}; "
                 "the materialisation is a sound subset of the complete result"
             )
-        result.elapsed_seconds = time.perf_counter() - started
-        if tracer is not None:
+        if tracer is None:
+            result.elapsed_seconds = time.perf_counter() - started
+        else:
             tracer.unwind(chase_span)
             chase_span.counters["facts"] = len(store)
             chase_span.counters["derived"] = result.chase_steps
@@ -355,6 +356,8 @@ class ChaseEngine:
             if result.stop_reason:
                 chase_span.attrs["stop_reason"] = result.stop_reason
             tracer.end(chase_span)
+            # One measurement: the span's bounds are the run's clock.
+            result.elapsed_seconds = chase_span.duration
             tracer.metrics.gauge("chase.peak_resident_facts").set_max(
                 result.peak_resident_facts
             )
@@ -431,51 +434,33 @@ class ChaseEngine:
         tracer = self.tracer
         for rule in (self.program.rules if rules is None else rules):
             if tracer is None:
+                new_nodes.extend(
+                    self._apply_rule(
+                        rule, store, node_of, delta_by_predicate, round_index, result
+                    )
+                )
+                continue
+            # One span per (round, rule).  Counters are set in bulk once the
+            # rule has finished, never per fire: ``candidates`` is every head
+            # instantiation attempted, ``fires`` the admitted subset,
+            # ``deduped`` the rest (already present or termination-rejected).
+            label = rule.label or "rule"
+            span = tracer.begin("rule", f"rule:{label}", rule=label, round=round_index)
+            candidates_before = result.candidate_facts
+            try:
                 produced = self._apply_rule(
                     rule, store, node_of, delta_by_predicate, round_index, result
                 )
-            else:
-                produced = self._apply_rule_traced(
-                    tracer, rule, store, node_of, delta_by_predicate, round_index, result
-                )
+            except BaseException as exc:
+                tracer.end(span, status="error", error=repr(exc))
+                raise
+            candidates = result.candidate_facts - candidates_before
+            span.counters["fires"] = len(produced)
+            span.counters["candidates"] = candidates
+            span.counters["deduped"] = candidates - len(produced)
+            tracer.end(span)
             new_nodes.extend(produced)
         return new_nodes
-
-    def _apply_rule_traced(
-        self,
-        tracer,
-        rule: Rule,
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
-        delta_by_predicate: Dict[str, List[Fact]],
-        round_index: int,
-        result: ChaseResult,
-    ) -> List[ChaseNode]:
-        """Wrap :meth:`_apply_rule` in a per-(round, rule) span.
-
-        Counters are bumped in bulk after the rule finishes (never per
-        fire), keeping the traced path within the ≤2% overhead target:
-        ``candidates`` is every head instantiation attempted, ``fires`` the
-        admitted subset, ``deduped`` the difference (already-present or
-        termination-rejected candidates).
-        """
-        label = rule.label or "rule"
-        span = tracer.begin("rule", f"rule:{label}", rule=label, round=round_index)
-        candidates_before = result.candidate_facts
-        try:
-            produced = self._apply_rule(
-                rule, store, node_of, delta_by_predicate, round_index, result
-            )
-        except BaseException as exc:
-            tracer.end(span, status="error", error=repr(exc))
-            raise
-        fires = len(produced)
-        candidates = result.candidate_facts - candidates_before
-        span.counters["fires"] = fires
-        span.counters["candidates"] = candidates
-        span.counters["deduped"] = candidates - fires
-        tracer.end(span)
-        return produced
 
     # ---------------------------------------------------------- rule matching
     def _apply_rule(

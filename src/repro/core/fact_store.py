@@ -443,11 +443,11 @@ class WriteBatch:
 
     A batch exposes the same duck interface as the store's own mutation
     entry points — ``add`` returning ``False`` on duplicates,
-    ``contains_row``, ``__contains__``, ``in_active_domain``, ``__len__`` —
-    so the chase fire paths can write to either without branching.  Staged
-    facts are visible to the batch's *own* duplicate and active-domain
-    checks immediately (the admission stage must not admit the same head
-    twice within a round) but reach the store's indexes only on
+    ``contains_row``, ``__contains__``, ``in_active_domain`` — so the chase
+    fire paths can write to either without branching.  Staged facts are
+    visible to the batch's *own* duplicate and active-domain checks
+    immediately (the admission stage must not admit the same head twice
+    within a round) but reach the store's indexes only on
     :meth:`apply`, which commits in staging order through
     :meth:`FactStore.add`.  Until then, concurrent readers of the store —
     and any :class:`StoreSnapshot` taken before the batch — observe a
@@ -484,10 +484,6 @@ class WriteBatch:
 
     def in_active_domain(self, value: Hashable) -> bool:
         return self._store.in_active_domain(value) or value in self._staged_constants
-
-    def __len__(self) -> int:
-        """Store size as if the batch were already applied."""
-        return len(self._store) + len(self._staged)
 
     @property
     def pending(self) -> int:

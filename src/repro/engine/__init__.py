@@ -7,7 +7,7 @@ from .annotations import (
     write_output_bindings,
 )
 from .buffer import BufferCache, BufferSegment
-from .joins import CompiledRuleExecutor, JoinInput, SlotMachineJoin, hash_join
+from .joins import CompiledRuleExecutor
 from .partition import (
     ParallelChaseEngine,
     RoundPartitioner,
@@ -39,11 +39,9 @@ from .incremental import ResidentError, ResidentReasoner
 from .reasoner import ReasoningResult, VadalogReasoner, reason
 from .service import ReasoningService, predicate_dependencies
 from .record_managers import (
-    CsvRecordManager,
     DatabaseRecordManager,
     DataSourceRecordManager,
     FactsRecordManager,
-    InMemoryRecordManager,
     RecordManager,
     managers_for_database,
     managers_for_facts,
@@ -59,9 +57,6 @@ __all__ = [
     "BufferCache",
     "BufferSegment",
     "CompiledRuleExecutor",
-    "JoinInput",
-    "SlotMachineJoin",
-    "hash_join",
     "ParallelChaseEngine",
     "RoundPartitioner",
     "partition_facts",
@@ -90,11 +85,9 @@ __all__ = [
     "predicate_dependencies",
     "VadalogReasoner",
     "reason",
-    "CsvRecordManager",
     "DatabaseRecordManager",
     "DataSourceRecordManager",
     "FactsRecordManager",
-    "InMemoryRecordManager",
     "RecordManager",
     "managers_for_database",
     "managers_for_facts",

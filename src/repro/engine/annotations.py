@@ -255,9 +255,8 @@ def _term_sort_key(term) -> Tuple[int, str, object]:
 def apply_post_directives(answers: AnswerSet, directives: Sequence[PostDirective]) -> AnswerSet:
     """Apply post-processing directives to an answer set (in place, returned).
 
-    All executors (compiled, naive and streaming) funnel their extracted
-    answers through here — ``reason()`` directly, streaming runs when
-    ``complete()`` finalizes the lazy result.
+    Called from the one answer step every run and every resident query
+    ends in (:func:`repro.engine.reasoner._answer_step`).
     """
     for directive in directives:
         facts = answers.facts_by_predicate.get(directive.predicate)

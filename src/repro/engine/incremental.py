@@ -75,11 +75,11 @@ from ..core.forests import ChaseNode, input_node
 from ..core.limits import STATUS_COMPLETE
 from ..core.parser import parse_atom
 from ..core.provenance import DerivationIndex
-from ..core.query import AnswerSet, Query, extract_answers
+from ..core.query import AnswerSet
 from ..core.rules import Program
 from ..core.termination import TrivialIsomorphismStrategy, WardedTerminationStrategy
-from .annotations import apply_post_directives, load_bound_facts
-from .reasoner import DatabaseLike, VadalogReasoner, _filter_answers
+from .annotations import load_bound_facts
+from .reasoner import DatabaseLike, VadalogReasoner, _answer_step
 
 #: Executors able to maintain a warm store in-process (the parallel and
 #: streaming executors own their stores per run).
@@ -436,7 +436,7 @@ class ResidentReasoner:
         """Answer a point query (or extract the declared outputs) — no chase.
 
         The warm materialisation already holds the fixpoint, so a query is a
-        filter over the store: the same answer extraction as ``reason()``
+        filter over the store: the answer step ``reason()`` finishes with
         (isomorphic deduplication, aggregate reduction, post directives,
         query-atom filtering) without re-deriving anything.  ``snapshot``
         lets the service layer read through an epoch-guarded
@@ -463,16 +463,14 @@ class ResidentReasoner:
                 if outputs is not None
                 else self._reasoner._output_predicates(None)
             )
-        cache_key = (tuple(predicates), certain)
-        answers = self._extract_cache.get(cache_key)
-        if answers is None:
-            answers = extract_answers(view, Query(tuple(predicates), certain=certain))
-            if self._post_directives:
-                answers = apply_post_directives(answers, self._post_directives)
-            self._extract_cache[cache_key] = answers
-        if query_atom is not None:
-            answers = _filter_answers(answers, query_atom)
-        return answers
+        return _answer_step(
+            view,
+            predicates,
+            certain,
+            self._post_directives,
+            query_atom,
+            memo=self._extract_cache,
+        )
 
     def answers(
         self, outputs: Optional[Iterable[str]] = None, certain: bool = False

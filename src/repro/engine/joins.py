@@ -2,35 +2,21 @@
 
 The join technique of the paper is an indexed nested-loop join over a set of
 iterators, one per joined predicate, enhanced with **dynamic in-memory
-indexing**: while an iterator is scanned, a hash index keyed by the join
-attribute is built on the fly; later probes first try the (possibly
-incomplete) index optimistically and fall back to continuing the scan only
-on an index miss.  With hash indexes the cost of the join tends to the
-number of facts of the first predicate.
+indexing**: hash indexes keyed by the join attributes are built as the facts
+arrive, and probes go through them.  With hash indexes the cost of the join
+tends to the number of facts of the first predicate.
 
-The implementation below works over arbitrary arity by specifying, for each
-input, which positions form the join key.
+:class:`CompiledRuleExecutor` is that join: the indexes are the fact store's
+per-position dictionaries, maintained on every insert, and the iterators are
+the steps of a compiled :class:`~repro.engine.plan.RuleJoinPlan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Fact
-from ..storage.index import HashIndex
-
-
-@dataclass
-class JoinInput:
-    """One side of a slot-machine join: a fact iterator plus its key positions."""
-
-    name: str
-    facts: Iterable[Fact]
-    key_positions: Tuple[int, ...]
-
-    def key_of(self, fact: Fact) -> Hashable:
-        return tuple(fact.terms[i] for i in self.key_positions)
 
 
 @dataclass
@@ -53,90 +39,18 @@ class JoinStats:
         }
 
 
-class _IndexedIterator:
-    """Wraps a fact iterator with a dynamically built hash index on the key."""
-
-    def __init__(self, join_input: JoinInput) -> None:
-        self._input = join_input
-        self._iterator = iter(join_input.facts)
-        self._index: HashIndex[Fact] = HashIndex()
-        self._exhausted = False
-
-    def probe(self, key: Hashable, stats: JoinStats) -> List[Fact]:
-        """Facts whose key equals ``key``, advancing the scan only when needed."""
-        stats.probes += 1
-        cached = self._index.get(key)
-        if cached is not None:
-            stats.index_hits += 1
-            return cached
-        stats.index_misses += 1
-        matches: List[Fact] = []
-        while not self._exhausted:
-            try:
-                fact = next(self._iterator)
-            except StopIteration:
-                self._exhausted = True
-                self._index.mark_complete()
-                break
-            stats.scanned_facts += 1
-            fact_key = self._input.key_of(fact)
-            self._index.insert(fact_key, fact)
-            if fact_key == key:
-                matches.append(fact)
-        return matches
-
-    @property
-    def index(self) -> HashIndex:
-        return self._index
-
-
-class SlotMachineJoin:
-    """N-way join driven by the first input, probing the others via dynamic indexes."""
-
-    def __init__(self, inputs: Sequence[JoinInput]) -> None:
-        if len(inputs) < 2:
-            raise ValueError("a join needs at least two inputs")
-        key_len = len(inputs[0].key_positions)
-        if any(len(i.key_positions) != key_len for i in inputs):
-            raise ValueError("all join inputs must use the same key length")
-        self.inputs = list(inputs)
-        self.stats = JoinStats()
-        self._indexed = [_IndexedIterator(i) for i in self.inputs[1:]]
-
-    def __iter__(self) -> Iterator[Tuple[Fact, ...]]:
-        return self.execute()
-
-    def execute(self) -> Iterator[Tuple[Fact, ...]]:
-        """Yield one tuple of facts (one per input) for every join match."""
-        driver = self.inputs[0]
-        for fact in driver.facts:
-            self.stats.scanned_facts += 1
-            yield from self._probe_rest(0, (fact,), driver.key_of(fact))
-
-    def _probe_rest(
-        self, position: int, prefix: Tuple[Fact, ...], key: Hashable
-    ) -> Iterator[Tuple[Fact, ...]]:
-        if position == len(self._indexed):
-            self.stats.output_tuples += 1
-            yield prefix
-            return
-        for match in self._indexed[position].probe(key, self.stats):
-            yield from self._probe_rest(position + 1, prefix + (match,), key)
-
-    def index_stats(self) -> List[Dict[str, int]]:
-        return [indexed.index.stats.as_dict() for indexed in self._indexed]
-
-
 class CompiledRuleExecutor:
     """Executes a compiled :class:`~repro.engine.plan.RuleJoinPlan` against a store.
 
-    This is the slot-machine join wired into the chase hot path: the seed
-    step scans (or index-probes) the current semi-naive delta, every further
-    step probes the store's dynamic per-position indexes — choosing the most
-    selective bound position, i.e. the smallest bucket — and variable
-    bindings live in a single mutable slot array written and un-written by
-    tuple position.  The dict binding handed to the chase is built once per
-    full body match, not once per candidate fact.
+    This is the slot-machine join, on the chase hot path of every executor
+    (the streaming filters drive its probe and admission steps one pulled
+    fact at a time): the seed step scans (or index-probes) the current
+    semi-naive delta, every further step probes the store's dynamic
+    per-position indexes — choosing the most selective bound position, i.e.
+    the smallest bucket — and variable bindings live in a single mutable
+    slot array written and un-written by tuple position.  The dict binding
+    handed to the chase is built once per full body match, not once per
+    candidate fact.
     """
 
     def __init__(self, plan) -> None:
@@ -352,19 +266,3 @@ class CompiledRuleExecutor:
                 used[seed_index] = None
                 for _pos, slot in seed_writes:
                     slots[slot] = None
-
-
-def hash_join(
-    left: Iterable[Fact],
-    right: Iterable[Fact],
-    left_positions: Tuple[int, ...],
-    right_positions: Tuple[int, ...],
-) -> List[Tuple[Fact, Fact]]:
-    """Simple two-way slot-machine join returning materialised pairs."""
-    join = SlotMachineJoin(
-        [
-            JoinInput("left", left, left_positions),
-            JoinInput("right", right, right_positions),
-        ]
-    )
-    return [(pair[0], pair[1]) for pair in join.execute()]

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -72,6 +73,8 @@ from .plan import RuleJoinPlan, backward_slice, compile_rule_join_plan
 from .record_managers import RecordManager
 from .scheduler import PullScheduler
 from .wrappers import WrapperRegistry
+
+_UNTRACED = nullcontext()
 
 
 @dataclass
@@ -336,10 +339,7 @@ class RuleFilterNode(PipelineNode):
                     if fact is None:
                         continue
                     pulled_any = True
-                    if ctx.tracer is None:
-                        self._consume(fact)
-                    else:
-                        self._consume_traced(fact)
+                    self._consume(fact)
                     if len(self.buffer) > emitted_mark:
                         return True
                 if not pulled_any:
@@ -351,41 +351,43 @@ class RuleFilterNode(PipelineNode):
         finally:
             sched.leave(self.name)
 
-    def _consume_traced(self, fact: Fact) -> None:
-        """Traced wrapper of :meth:`_consume`: accumulate busy time and the
-        candidate/fire deltas (bulk, never per match) for the summary span."""
-        result = self.ctx.result
-        candidates_before = result.candidate_facts
-        steps_before = result.chase_steps
-        t0 = time.perf_counter()
-        try:
-            self._consume(fact)
-        finally:
-            t1 = time.perf_counter()
-            self.busy_seconds += t1 - t0
-            self.consumed += 1
-            self.candidates += result.candidate_facts - candidates_before
-            self.fires += result.chase_steps - steps_before
-            if self.t_first is None:
-                self.t_first = t0
-            self.t_last = t1
-
     # -- incremental evaluation ------------------------------------------------
     def _consume(self, fact: Fact) -> None:
-        """Use ``fact`` as the semi-naive seed of every matching body atom."""
-        seed_plans = self._seeds_by_predicate.get(fact.predicate)
-        if not seed_plans:
-            return
-        seq_fact = self.ctx.seq_of[fact]
-        n_slots = len(self.plan.variables)
-        for seed_plan in seed_plans:
-            slots: List[Optional[object]] = [None] * n_slots
-            seed = seed_plan.seed
-            if not CompiledRuleExecutor._admit(seed, fact, slots):
-                continue
-            used: List[Optional[Fact]] = [None] * self.plan.body_length
-            used[seed.atom_index] = fact
-            self._walk(seed_plan.probes, 0, slots, used, seq_fact, seed.atom_index)
+        """Use ``fact`` as the semi-naive seed of every matching body atom.
+
+        Traced, it also accumulates the filter's busy time and its
+        candidate/fire deltas (in bulk, never per match) for the summary span.
+        """
+        traced = self.ctx.tracer is not None
+        if traced:
+            result = self.ctx.result
+            candidates_before = result.candidate_facts
+            steps_before = result.chase_steps
+            t0 = time.perf_counter()
+        try:
+            seed_plans = self._seeds_by_predicate.get(fact.predicate)
+            if not seed_plans:
+                return
+            seq_fact = self.ctx.seq_of[fact]
+            n_slots = len(self.plan.variables)
+            for seed_plan in seed_plans:
+                slots: List[Optional[object]] = [None] * n_slots
+                seed = seed_plan.seed
+                if not CompiledRuleExecutor._admit(seed, fact, slots):
+                    continue
+                used: List[Optional[Fact]] = [None] * self.plan.body_length
+                used[seed.atom_index] = fact
+                self._walk(seed_plan.probes, 0, slots, used, seq_fact, seed.atom_index)
+        finally:
+            if traced:
+                t1 = time.perf_counter()
+                self.busy_seconds += t1 - t0
+                self.consumed += 1
+                self.candidates += result.candidate_facts - candidates_before
+                self.fires += result.chase_steps - steps_before
+                if self.t_first is None:
+                    self.t_first = t0
+                self.t_last = t1
 
     def _walk(
         self,
@@ -647,7 +649,19 @@ class PipelineExecutor:
     # ------------------------------------------------------------------ driving
     def _ensure_started(self) -> None:
         if self.ctx.started_at is None:
-            self.ctx.started_at = time.perf_counter()
+            tracer = self.tracer
+            if tracer is None:
+                self.ctx.started_at = time.perf_counter()
+            else:
+                # The chase span's start *is* the first-pull clock, so
+                # ``elapsed_seconds`` and the span are one measurement.
+                span = self._chase_span = tracer.begin(
+                    "chase",
+                    "chase:streaming",
+                    executor="streaming",
+                    t_create=self.created_at,
+                )
+                self.ctx.started_at = span.attrs["t_first_pull"] = span.t_start
             # ``next()`` propagates backwards by recursion (produce →
             # pull_one → produce), two frames per pipeline level.  A node on
             # the invocation stack answers a cyclic miss instead of being
@@ -662,17 +676,8 @@ class PipelineExecutor:
             governor = ExecutionGovernor.for_config(self.config)
             self.ctx.governor = governor
             self.sched.governor = governor
-            tracer = self.tracer
-            if tracer is not None:
-                if governor is not None:
-                    governor.tracer = tracer
-                self._chase_span = tracer.begin(
-                    "chase",
-                    "chase:streaming",
-                    executor="streaming",
-                    t_create=self.created_at,
-                    t_first_pull=self.ctx.started_at,
-                )
+            if tracer is not None and governor is not None:
+                governor.tracer = tracer
 
     def _check_budget(self) -> bool:
         """Sweep-boundary budget check; True when the run must stop."""
@@ -697,34 +702,39 @@ class PipelineExecutor:
         )
         self._finish()
 
-    def _drive_once(self) -> bool:
-        """One driver sweep: give every sink a pull; False at the fixpoint."""
-        if self.tracer is None:
-            return self._drive_once_inner()
-        # Activate the tracer around the sweep so lazily-evaluated datasource
-        # scan generators (which outlive any single phase span) can find it.
-        with activate(self.tracer):
-            return self._drive_once_inner()
+    def _drive_once(self, drain: bool = False) -> bool:
+        """One driver sweep; False once the run has finished.
 
-    def _drive_once_inner(self) -> bool:
-        self._ensure_started()
-        if self._check_budget():
-            return False
-        self.ctx.sweep += 1
-        self.stats.sweeps += 1
-        self.ctx.store.current_round = self.ctx.sweep
-        before = self.ctx.progress
-        try:
-            for sink in self.all_sinks:
-                if sink.produce(self.sched):
-                    return True
-        except ExecutionStopped as stop:
-            self._stop(stop.status, stop.detail)
-            return False
-        if self.ctx.progress == before:
-            self._finish()
-            return False
-        return True
+        Every sink gets a pull and the sweep returns at the first one that
+        produces; ``drain`` pulls each sink dry instead.  A sweep in which
+        nothing moved proves the fixpoint.
+        """
+        tracer = self.tracer
+        # Traced sweeps run with the tracer active: lazily evaluated
+        # datasource scan generators outlive any phase span and look the
+        # tracer up when they are iterated.
+        with activate(tracer) if tracer is not None else _UNTRACED:
+            self._ensure_started()
+            if self._check_budget():
+                return False
+            self.ctx.sweep += 1
+            self.stats.sweeps += 1
+            self.ctx.store.current_round = self.ctx.sweep
+            before = self.ctx.progress
+            try:
+                for sink in self.all_sinks:
+                    if drain:
+                        while sink.produce(self.sched):
+                            pass
+                    elif sink.produce(self.sched):
+                        return True
+            except ExecutionStopped as stop:
+                self._stop(stop.status, stop.detail)
+                return False
+            if self.ctx.progress == before:
+                self._finish()
+                return False
+            return True
 
     def _finish(self) -> None:
         if self.finished:
@@ -733,8 +743,6 @@ class PipelineExecutor:
         if self.result.status == STATUS_COMPLETE:
             self.ctx.engine.check_violations(self.result)
         self.result.rounds = self.stats.sweeps
-        if self.ctx.started_at is not None:
-            self.result.elapsed_seconds = time.perf_counter() - self.ctx.started_at
         extra = self.stats.as_dict()
         extra["pull_protocol"] = self.sched.stats()
         extra["buffer_evictions"] = self.buffers.total_evictions()
@@ -742,7 +750,9 @@ class PipelineExecutor:
         if len(self.ctx.store) > self.result.peak_resident_facts:
             self.result.peak_resident_facts = len(self.ctx.store)
         tracer = self.tracer
-        if tracer is not None and self._chase_span is not None:
+        if tracer is None:
+            self.result.elapsed_seconds = time.perf_counter() - self.ctx.started_at
+        else:
             chase_span = self._chase_span
             # One summary "rule" span per active filter, spanning its
             # [first, last] activity window; the accumulated busy time rides
@@ -786,6 +796,7 @@ class PipelineExecutor:
                 chase_span.attrs["stop_reason"] = self.result.stop_reason
             tracer.unwind(chase_span)
             tracer.end(chase_span)
+            self.result.elapsed_seconds = chase_span.duration
 
     # ------------------------------------------------------------------ answers
     def first_answer(self) -> Optional[Fact]:
@@ -819,29 +830,8 @@ class PipelineExecutor:
 
     def run_to_completion(self) -> ChaseResult:
         """Drain the pipeline to the fixpoint and return the chase result."""
-        if self.tracer is None:
-            return self._run_to_completion_inner()
-        with activate(self.tracer):
-            return self._run_to_completion_inner()
-
-    def _run_to_completion_inner(self) -> ChaseResult:
-        self._ensure_started()
         while not self.finished:
-            if self._check_budget():
-                break
-            before = self.ctx.progress
-            self.ctx.sweep += 1
-            self.stats.sweeps += 1
-            self.ctx.store.current_round = self.ctx.sweep
-            try:
-                for sink in self.all_sinks:
-                    while sink.produce(self.sched):
-                        pass
-            except ExecutionStopped as stop:
-                self._stop(stop.status, stop.detail)
-                break
-            if self.ctx.progress == before:
-                self._finish()
+            self._drive_once(drain=True)
         return self.result
 
     # -------------------------------------------------------------- diagnostics

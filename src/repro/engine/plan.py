@@ -20,7 +20,18 @@ The plan is used by the reasoner to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.conditions import Comparison
 from ..core.rules import Program, Rule
@@ -39,6 +50,59 @@ class PlanNode:
     def __str__(self) -> str:
         detail = self.rule_label or self.predicate
         return f"{self.kind}:{detail or self.name}"
+
+
+def tarjan_components(
+    roots: Iterable[str], successors: Mapping[str, Iterable[str]]
+) -> List[List[str]]:
+    """Tarjan's algorithm over a successor mapping.
+
+    Components are returned in reverse topological order: a component closes
+    only after every component it can reach has.  Nodes that appear only as
+    successors are visited too.  Iterative (an explicit frame stack replaces
+    the call stack, so a thousand-rule chain cannot hit the recursion limit)
+    with the same visiting order as the textbook recursion.
+    """
+    index: Dict[str, int] = {}
+    lowlinks: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
+    components: List[List[str]] = []
+    frames: List[Tuple[str, Iterator[str]]] = []  # the explicit call stack
+
+    def enter(node: str) -> None:
+        index[node] = lowlinks[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        frames.append((node, iter(successors.get(node, ()))))
+
+    for root in roots:
+        if root in index:
+            continue
+        enter(root)
+        while frames:
+            node, pending = frames[-1]
+            for successor in pending:
+                if successor not in index:
+                    enter(successor)
+                    break
+                if successor in on_stack:
+                    lowlinks[node] = min(lowlinks[node], index[successor])
+            else:  # every successor visited: "return" from node
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+                if lowlinks[node] == index[node]:
+                    component: List[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 @dataclass
@@ -88,56 +152,14 @@ class ReasoningAccessPlan:
         return [n for n in self.nodes if n.kind == "rule"]
 
     def strongly_connected_components(self) -> List[List[str]]:
-        """Tarjan's algorithm; components are returned in reverse topological order.
+        """The plan's SCCs, in reverse topological order.
 
-        Iterative (an explicit frame stack replaces the call stack, so a
-        thousand-rule chain cannot hit the recursion limit) with the same
-        visiting order as the textbook recursion.  Computed once per plan
-        shape and shared by every caller: treat the result as read-only.
+        Computed once per plan shape and shared by every caller: treat the
+        result as read-only.
         """
-        if self._components is not None:
-            return self._components
-        index: Dict[str, int] = {}
-        lowlinks: Dict[str, int] = {}
-        stack: List[str] = []
-        on_stack: Set[str] = set()
-        components: List[List[str]] = []
-        frames: List[Tuple[str, Iterator[str]]] = []  # the explicit call stack
-
-        def enter(node: str) -> None:
-            index[node] = lowlinks[node] = len(index)
-            stack.append(node)
-            on_stack.add(node)
-            frames.append((node, iter(self._successors.get(node, ()))))
-
-        for root in self.node_by_name:
-            if root in index:
-                continue
-            enter(root)
-            while frames:
-                node, pending = frames[-1]
-                for successor in pending:
-                    if successor not in index:
-                        enter(successor)
-                        break
-                    if successor in on_stack:
-                        lowlinks[node] = min(lowlinks[node], index[successor])
-                else:  # every successor visited: "return" from node
-                    frames.pop()
-                    if frames:
-                        parent = frames[-1][0]
-                        lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-                    if lowlinks[node] == index[node]:
-                        component: List[str] = []
-                        while True:
-                            member = stack.pop()
-                            on_stack.discard(member)
-                            component.append(member)
-                            if member == node:
-                                break
-                        components.append(component)
-        self._components = components
-        return components
+        if self._components is None:
+            self._components = tarjan_components(self.node_by_name, self._successors)
+        return self._components
 
     def recursive_components(self) -> List[List[str]]:
         """Components containing a cycle (≥ 2 nodes, or a self-loop)."""

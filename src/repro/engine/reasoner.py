@@ -42,8 +42,9 @@ Typical usage::
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
 from ..core.limits import STATUS_COMPLETE, CancellationToken, ExecutionBudget
@@ -92,7 +93,6 @@ from .record_managers import (
     managers_for_facts,
 )
 from .scheduler import RoundRobinScheduler, SchedulerReport
-from .wrappers import WrapperRegistry
 
 EXECUTORS = ("compiled", "naive", "streaming", "parallel")
 
@@ -103,12 +103,13 @@ DatabaseLike = Union[Database, Mapping[str, Iterable[Sequence[object]]], Iterabl
 class ReasoningResult:
     """Everything produced by one reasoning run.
 
-    Eager runs (``reason()``) arrive with :attr:`answers` fully populated.
-    Streaming runs created by :meth:`VadalogReasoner.stream` additionally
-    carry a live :attr:`pipeline`; :meth:`first_answer` and
-    :meth:`iter_answers` then pull the pipeline on demand, and
-    :meth:`complete` drains it and fills :attr:`answers` (post-processing
-    directives included) exactly like an eager run.
+    Every run goes through one lifecycle — start, drive, finish (see
+    ARCHITECTURE.md, "Run lifecycle").  ``reason()`` returns after the
+    finish step, with :attr:`answers` populated.  A lazy result from
+    :meth:`VadalogReasoner.stream` has only been started: it carries a live
+    :attr:`pipeline`, :meth:`first_answer` and :meth:`iter_answers` pull it
+    on demand, and :meth:`complete` (or a drained :meth:`iter_answers`)
+    runs the same finish step ``reason()`` does, once.
     """
 
     answers: AnswerSet
@@ -118,12 +119,17 @@ class ReasoningResult:
     scheduler: SchedulerReport
     harmful_join_rewriting: Optional[HarmfulJoinEliminationResult]
     warnings: List[str] = field(default_factory=list)
-    #: Coarse per-phase wall-clock seconds (``rewrite``/``load``/``chase``/
-    #: ``answers``/``total``).  Streaming runs measure ``chase`` from the
-    #: *first pull* (the pipeline is lazy — nothing runs at build time);
-    #: the trace's chase span records both clocks as ``t_create`` and
-    #: ``t_first_pull`` attrs.  Thin legacy view: traced runs carry the same
-    #: phases as spans on :attr:`trace` — prefer :meth:`run_report`.
+    #: Wall-clock seconds per lifecycle phase — ``rewrite``, ``load``,
+    #: ``chase``, ``answers`` — and ``total``, plus ``first_answer`` on
+    #: pipeline runs: the same keys from ``reason()`` and from a drained
+    #: ``stream()``.  Each phase is its own duration (``load`` covers the
+    #: bindings, the input facts and building the driver, not the rewrite
+    #: before it), taken once: on a traced run ``timings[p]`` is the
+    #: duration of the ``p`` span on :attr:`trace` and ``total`` that of the
+    #: run span.  Pipeline runs measure ``chase`` and ``first_answer`` from
+    #: the *first pull* (nothing runs at build time; the chase span keeps
+    #: the build clock as its ``t_create`` attr), and a lazy run's ``total``
+    #: includes the time the caller held the result between pulls.
     timings: Dict[str, float] = field(default_factory=dict)
     #: The live streaming pipeline (lazy runs and eager streaming runs).
     pipeline: Optional[PipelineExecutor] = None
@@ -146,7 +152,8 @@ class ReasoningResult:
     #: rewrite="magic")``), including guard/fallback/seed counters; ``None``
     #: on runs without a query or with ``rewrite="none"``.
     magic_rewriting: Optional[MagicRewriteResult] = None
-    _finalizer: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The started run still to be finished; ``None`` once it has been.
+    _run: Optional["_Run"] = field(default=None, repr=False, compare=False)
 
     @property
     def status(self) -> str:
@@ -192,29 +199,69 @@ class ReasoningResult:
         return None
 
     def iter_answers(self):
-        """Lazily iterate answer facts; finalizes :attr:`answers` when drained.
+        """Lazily iterate answer facts; finishes the run when drained.
 
         Streamed facts are the raw sink output (universal answers, before
         isomorphic deduplication and monotonic-aggregate reduction); the
-        post-processed view is in :attr:`answers` after :meth:`complete`.
+        post-processed view is in :attr:`answers` after the finish step.
         """
         if self.pipeline is None:
             yield from self.answers.facts()
             return
         yield from self.pipeline.answers()
-        self._finalize()
+        self.complete()
 
     def complete(self) -> "ReasoningResult":
-        """Drain a lazy streaming run and populate :attr:`answers`."""
-        if self.pipeline is not None:
-            self.pipeline.run_to_completion()
-            self._finalize()
+        """Drive what is left of the run and finish it (a no-op once finished)."""
+        if self._run is not None:
+            self._finish()
         return self
 
-    def _finalize(self) -> None:
-        if self._finalizer is not None:
-            finalizer, self._finalizer = self._finalizer, None
-            finalizer(self)
+    def _finish(self) -> None:
+        """The drive and finish steps of the run lifecycle; runs once per run.
+
+        Drive the driver to its end (nothing is left after a drained
+        ``iter_answers()``), then finish: extract → post directives → query
+        filter, or ``@output`` writeback on a run without a query →
+        warnings, ``source_stats``, ``shard_balance`` → close the run span.
+        """
+        run = self._run
+        with run.guard():
+            chase = self.chase = run.drive()
+            spec, bindings = run.spec, run.bindings
+            run.timings["chase"] = chase.elapsed_seconds
+            mark = run.begin("answers")
+            self.answers = _answer_step(
+                chase, spec.outputs, run.certain, bindings.post_directives, spec.query_atom
+            )
+            if spec.query_atom is None:
+                write_output_bindings(bindings, self.answers, spec.outputs)
+            if run.tracer is not None:
+                mark.counters["answers"] = sum(
+                    len(facts) for facts in self.answers.facts_by_predicate.values()
+                )
+            run.end("answers", mark)
+            if chase.first_answer_seconds is not None:
+                run.timings["first_answer"] = chase.first_answer_seconds
+            self.warnings.extend(chase.warnings)
+            self.source_stats = bindings.source_stats()
+            self.shard_balance = list(
+                chase.extra_stats.get("parallel_shard_balance", ())
+            )
+            if run.tracer is not None:
+                run.mark.counters.update(
+                    facts=len(chase.store),
+                    derived=chase.chase_steps,
+                    rounds=chase.rounds,
+                    peak_resident_facts=chase.peak_resident_facts,
+                )
+                run.mark.attrs["status"] = chase.status
+                if chase.stop_reason is not None:
+                    run.mark.attrs["stop_reason"] = chase.stop_reason
+            run.end("total", run.mark)
+            if run.tracer is not None:
+                run.tracer.finish()
+        self._run = None
 
     def stats(self) -> Dict[str, object]:
         data = dict(self.chase.stats())
@@ -252,6 +299,56 @@ class _RunSpec:
     seeds: List[Fact] = field(default_factory=list)
     query_atom: Optional[Atom] = None
     rewriting: Optional[MagicRewriteResult] = None
+
+
+@dataclass
+class _Run:
+    """A started run: what the finish step needs, and the run's one clock.
+
+    :meth:`begin`/:meth:`end` take each phase boundary once and feed
+    ``timings`` and — on a traced run — the phase span from that one
+    reading.  An untraced run has ``tracer=None`` and allocates no span.
+    """
+
+    tracer: Optional[Tracer]
+    certain: bool
+    timings: Dict[str, float] = field(default_factory=dict)
+    #: The open ``run`` phase (closed by the finish step as ``total``).
+    mark: object = None
+    spec: Optional[_RunSpec] = None
+    bindings: Optional[BindingSet] = None
+    #: Runs the driver to its end: ``ChaseEngine.run`` (sequential or
+    #: parallel) or ``PipelineExecutor.run_to_completion``.
+    drive: Optional[Callable[[], ChaseResult]] = None
+
+    def begin(self, kind: str, name: Optional[str] = None, **attrs: object):
+        """Open a phase: its span when traced, a clock reading otherwise."""
+        if self.tracer is None:
+            return time.perf_counter()
+        return self.tracer.begin(kind, name or kind, **attrs)
+
+    def end(self, key: str, mark) -> None:
+        """Close a phase; ``timings[key]`` is the span's own duration."""
+        if self.tracer is None:
+            self.timings[key] = time.perf_counter() - mark
+        else:
+            self.tracer.end(mark)
+            self.timings[key] = mark.duration
+
+    @contextmanager
+    def guard(self):
+        """Make the tracer active for the block (datasource scans look it
+        up); an exception closes the run span as an error and re-raises."""
+        if self.tracer is None:
+            yield
+            return
+        try:
+            with activate(self.tracer):
+                yield
+        except BaseException as exc:
+            self.tracer.end(self.mark, status="error", error=repr(exc))
+            self.tracer.finish()
+            raise
 
 
 class VadalogReasoner:
@@ -387,161 +484,10 @@ class VadalogReasoner:
         ``None`` is the zero-overhead null tracer — the run is bit-identical
         to an untraced one.
         """
-        tracer = as_tracer(trace)
-        if tracer is None:
-            return self._reason_impl(
-                database, outputs, certain, strategy, query, rewrite,
-                deadline, budget, cancel, tracer=None,
-            )
-        run_span = tracer.begin(
-            "run",
-            f"reason:{self.executor}",
-            executor=self.executor,
-            query=str(query) if query is not None else None,
-        )
-        try:
-            with activate(tracer):
-                result = self._reason_impl(
-                    database, outputs, certain, strategy, query, rewrite,
-                    deadline, budget, cancel, tracer=tracer,
-                )
-        except BaseException as exc:
-            tracer.end(run_span, status="error", error=repr(exc))
-            tracer.finish()
-            raise
-        chase = result.chase
-        run_span.counters["facts"] = len(chase.store)
-        run_span.counters["derived"] = chase.chase_steps
-        run_span.counters["rounds"] = chase.rounds
-        run_span.counters["peak_resident_facts"] = chase.peak_resident_facts
-        run_span.attrs["status"] = chase.status
-        if chase.stop_reason is not None:
-            run_span.attrs["stop_reason"] = chase.stop_reason
-        tracer.end(run_span)
-        tracer.finish()
-        result.trace = tracer
-        return result
-
-    def _reason_impl(
-        self,
-        database: DatabaseLike,
-        outputs: Optional[Iterable[str]],
-        certain: bool,
-        strategy: Union[str, TerminationStrategy, None],
-        query: Union[str, Atom, None],
-        rewrite: Optional[str],
-        deadline: Optional[float],
-        budget: Optional[ExecutionBudget],
-        cancel: Optional[CancellationToken],
-        tracer: Optional[Tracer],
-    ) -> ReasoningResult:
-        timings: Dict[str, float] = {}
-        started = time.perf_counter()
-        chosen = self._resolve_strategy(strategy)
-        config = self._effective_config(deadline, budget, cancel)
-        rewrite_span = tracer.begin("rewrite", "rewrite") if tracer is not None else None
-        spec = self._prepare_run(outputs, query, rewrite)
-        if rewrite_span is not None:
-            rewrite_span.attrs["magic"] = bool(
-                spec.rewriting is not None and spec.rewriting.changed
-            )
-            tracer.end(rewrite_span)
-        timings["rewrite"] = time.perf_counter() - started
-        output_predicates = spec.outputs
-        bindings = self._collect_bindings(output_predicates)
-
-        if self.executor == "streaming":
-            load_span = tracer.begin("load", "load") if tracer is not None else None
-            pipeline = self._build_pipeline(
-                database, bindings, chosen, output_predicates, spec, config=config,
-                tracer=tracer,
-            )
-            if load_span is not None:
-                tracer.end(load_span)
-            timings["load"] = time.perf_counter() - started
-            chase_started = time.perf_counter()
-            chase_result = pipeline.run_to_completion()
-            timings["chase"] = time.perf_counter() - chase_started
-        else:
-            pipeline = None
-            load_span = tracer.begin("load", "load") if tracer is not None else None
-            facts = list(self._database_facts(database))
-            facts.extend(load_bound_facts(bindings))
-            facts.extend(spec.seeds)
-            if load_span is not None:
-                load_span.counters["facts"] = len(facts)
-                tracer.end(load_span)
-            timings["load"] = time.perf_counter() - started
-
-            registry = WrapperRegistry(chosen)
-            for rule in spec.program.rules:
-                registry.wrapper_for(f"rule:{rule.label}")
-
-            chase_started = time.perf_counter()
-            if self.executor == "parallel":
-                from .partition import ParallelChaseEngine
-
-                engine: ChaseEngine = ParallelChaseEngine(
-                    spec.program,
-                    facts,
-                    strategy=chosen,
-                    analysis=spec.analysis,
-                    config=config,
-                    join_plans=spec.join_plans,
-                    parallelism=self.parallelism,
-                    backend=self.parallel_backend,
-                    worker_timeout=self.parallel_worker_timeout,
-                    tracer=tracer,
-                )
-            else:
-                engine = ChaseEngine(
-                    spec.program,
-                    facts,
-                    strategy=chosen,
-                    analysis=spec.analysis,
-                    config=config,
-                    executor=self.executor,
-                    join_plans=spec.join_plans,
-                    tracer=tracer,
-                )
-            chase_result = engine.run()
-            timings["chase"] = time.perf_counter() - chase_started
-
-        answer_started = time.perf_counter()
-        answers_span = tracer.begin("answers", "answers") if tracer is not None else None
-        query_spec = Query(tuple(output_predicates), certain=certain)
-        answers = extract_answers(chase_result, query_spec)
-        answers = apply_post_directives(answers, bindings.post_directives)
-        if spec.query_atom is not None:
-            answers = _filter_answers(answers, spec.query_atom)
-        else:
-            write_output_bindings(bindings, answers, output_predicates)
-        if answers_span is not None:
-            answers_span.counters["answers"] = sum(
-                len(facts) for facts in answers.facts_by_predicate.values()
-            )
-            tracer.end(answers_span)
-        timings["answers"] = time.perf_counter() - answer_started
-        if chase_result.first_answer_seconds is not None:
-            timings["first_answer"] = chase_result.first_answer_seconds
-        timings["total"] = time.perf_counter() - started
-
-        return ReasoningResult(
-            answers=answers,
-            chase=chase_result,
-            analysis=spec.analysis,
-            plan=self.plan,
-            scheduler=self.scheduler_report,
-            harmful_join_rewriting=self.harmful_join_rewriting,
-            warnings=list(self.warnings) + list(chase_result.warnings),
-            timings=timings,
-            pipeline=pipeline,
-            source_stats=bindings.source_stats(),
-            shard_balance=list(
-                chase_result.extra_stats.get("parallel_shard_balance", ())
-            ),
-            magic_rewriting=spec.rewriting,
-        )
+        return self._start(
+            "reason", self.executor, database, outputs, certain, strategy,
+            query, rewrite, deadline, budget, cancel, trace,
+        ).complete()
 
     def stream(
         self,
@@ -560,8 +506,9 @@ class VadalogReasoner:
 
         The returned result exposes ``first_answer()`` (pull until one answer
         fact is produced, then stop), ``iter_answers()`` (a lazy answer
-        iterator) and ``complete()`` (drain to the fixpoint and populate
-        ``answers`` exactly like ``reason()``).  Available on every reasoner
+        iterator) and ``complete()`` (drain to the fixpoint, then the finish
+        step ``reason()`` runs: ``answers``, writeback, ``warnings``,
+        ``source_stats`` and ``timings``).  Available on every reasoner
         regardless of its default ``executor``.  ``query``/``rewrite``
         behave as in :meth:`reason`; with ``rewrite="magic"`` the pipeline
         pulls through the rewritten program, so a bound first answer touches
@@ -573,70 +520,105 @@ class VadalogReasoner:
         span records both the build and the first-pull clock (``t_create``
         and ``t_first_pull`` attrs).
         """
-        tracer = as_tracer(trace)
-        run_span = (
-            tracer.begin("run", "stream:streaming", executor="streaming",
-                         query=str(query) if query is not None else None)
-            if tracer is not None
-            else None
+        return self._start(
+            "stream", "streaming", database, outputs, certain, strategy,
+            query, rewrite, deadline, budget, cancel, trace,
         )
-        chosen = self._resolve_strategy(strategy)
-        config = self._effective_config(deadline, budget, cancel)
-        rewrite_span = tracer.begin("rewrite", "rewrite") if tracer is not None else None
-        spec = self._prepare_run(outputs, query, rewrite)
-        if rewrite_span is not None:
-            tracer.end(rewrite_span)
-        output_predicates = spec.outputs
-        bindings = self._collect_bindings(output_predicates)
-        load_span = tracer.begin("load", "load") if tracer is not None else None
-        pipeline = self._build_pipeline(
-            database, bindings, chosen, output_predicates, spec, config=config,
-            tracer=tracer,
-        )
-        if load_span is not None:
-            tracer.end(load_span)
 
-        def finalize(result: ReasoningResult) -> None:
-            query_spec = Query(tuple(output_predicates), certain=certain)
-            answers = extract_answers(pipeline.result, query_spec)
-            answers = apply_post_directives(answers, bindings.post_directives)
-            if spec.query_atom is not None:
-                answers = _filter_answers(answers, spec.query_atom)
+    def _start(
+        self,
+        entry: str,
+        executor: str,
+        database: DatabaseLike,
+        outputs: Optional[Iterable[str]],
+        certain: bool,
+        strategy: Union[str, TerminationStrategy, None],
+        query: Union[str, Atom, None],
+        rewrite: Optional[str],
+        deadline: Optional[float],
+        budget: Optional[ExecutionBudget],
+        cancel: Optional[CancellationToken],
+        trace: object,
+    ) -> ReasoningResult:
+        """The start step of the run lifecycle: everything before the chase.
+
+        Resolves strategy and config, the run spec (``rewrite`` phase), then
+        the bindings, the input facts and the driver (``load`` phase), and
+        returns the result with the run pending on it: nothing is derived
+        until ``complete()`` (which ``reason()`` calls at once) or a pull.
+        """
+        run = _Run(as_tracer(trace), certain)
+        tracer = run.tracer
+        run.mark = run.begin(
+            "run",
+            f"{entry}:{executor}",
+            executor=executor,
+            query=str(query) if query is not None else None,
+        )
+        with run.guard():
+            chosen = self._resolve_strategy(strategy)
+            config = self._effective_config(deadline, budget, cancel)
+            mark = run.begin("rewrite")
+            spec = run.spec = self._prepare_run(outputs, query, rewrite)
+            if tracer is not None:
+                mark.attrs["magic"] = bool(
+                    spec.rewriting is not None and spec.rewriting.changed
+                )
+            run.end("rewrite", mark)
+
+            mark = run.begin("load")
+            bindings = run.bindings = self._collect_bindings(spec.outputs)
+            pipeline = None
+            if executor == "streaming":
+                pipeline = self._build_pipeline(
+                    database, bindings, chosen, spec, config, tracer
+                )
+                run.drive = pipeline.run_to_completion
             else:
-                write_output_bindings(bindings, answers, output_predicates)
-            result.answers = answers
-            result.source_stats = bindings.source_stats()
-            for warning in pipeline.result.warnings:
-                if warning not in result.warnings:
-                    result.warnings.append(warning)
-            if pipeline.result.first_answer_seconds is not None:
-                result.timings["first_answer"] = pipeline.result.first_answer_seconds
-            result.timings["total"] = pipeline.result.elapsed_seconds
-            if tracer is not None and run_span is not None:
-                chase = pipeline.result
-                run_span.counters["facts"] = len(chase.store)
-                run_span.counters["derived"] = chase.chase_steps
-                run_span.counters["rounds"] = chase.rounds
-                run_span.counters["peak_resident_facts"] = chase.peak_resident_facts
-                run_span.attrs["status"] = chase.status
-                if chase.stop_reason is not None:
-                    run_span.attrs["stop_reason"] = chase.stop_reason
-                tracer.end(run_span)
-                tracer.finish()
+                facts = list(self._database_facts(database))
+                facts.extend(load_bound_facts(bindings))
+                facts.extend(spec.seeds)
+                if tracer is not None:
+                    mark.counters["facts"] = len(facts)
+                common = dict(
+                    strategy=chosen,
+                    analysis=spec.analysis,
+                    config=config,
+                    join_plans=spec.join_plans,
+                    tracer=tracer,
+                )
+                if executor == "parallel":
+                    from .partition import ParallelChaseEngine
 
+                    engine: ChaseEngine = ParallelChaseEngine(
+                        spec.program,
+                        facts,
+                        parallelism=self.parallelism,
+                        backend=self.parallel_backend,
+                        worker_timeout=self.parallel_worker_timeout,
+                        **common,
+                    )
+                else:
+                    engine = ChaseEngine(
+                        spec.program, facts, executor=executor, **common
+                    )
+                run.drive = engine.run
+            run.end("load", mark)
         return ReasoningResult(
             answers=AnswerSet(),
-            chase=pipeline.result,
+            # The sequential and parallel engines have no result before
+            # they run; ``reason()`` completes the run before returning it.
+            chase=pipeline.result if pipeline is not None else None,
             analysis=spec.analysis,
             plan=self.plan,
             scheduler=self.scheduler_report,
             harmful_join_rewriting=self.harmful_join_rewriting,
             warnings=list(self.warnings),
-            timings={},
+            timings=run.timings,
             pipeline=pipeline,
-            magic_rewriting=spec.rewriting,
             trace=tracer,
-            _finalizer=finalize,
+            magic_rewriting=spec.rewriting,
+            _run=run,
         )
 
     def _effective_config(
@@ -772,10 +754,9 @@ class VadalogReasoner:
         database: DatabaseLike,
         bindings: BindingSet,
         strategy: TerminationStrategy,
-        output_predicates: Sequence[str],
-        spec: Optional[_RunSpec] = None,
-        config: Optional[ChaseConfig] = None,
-        tracer: Optional[Tracer] = None,
+        spec: _RunSpec,
+        config: ChaseConfig,
+        tracer: Optional[Tracer],
     ) -> PipelineExecutor:
         """Assemble the streaming pipeline for one run.
 
@@ -783,10 +764,9 @@ class VadalogReasoner:
         record managers (their relations are only read when the backward
         slice actually pulls them); loose fact lists/mappings, program facts
         and magic seed facts are wrapped in :class:`FactsRecordManager`
-        sources.  ``spec`` overrides the program/plans for query runs.
+        sources.
         """
-        program = spec.program if spec is not None else self.program
-        analysis = spec.analysis if spec is not None else self.analysis
+        program = spec.program
         managers: Dict[str, RecordManager] = {}
         if isinstance(database, Database):
             managers.update(managers_for_database(database))
@@ -794,24 +774,23 @@ class VadalogReasoner:
         else:
             loose = list(self._database_facts(database))
         loose.extend(program.facts)
-        if spec is not None:
-            loose.extend(spec.seeds)
+        loose.extend(spec.seeds)
         for predicate, manager in managers_for_facts(loose).items():
             managers[predicate] = self._merge_managers(managers.get(predicate), manager)
         for predicate, manager in bindings.record_managers.items():
             managers[predicate] = self._merge_managers(managers.get(predicate), manager)
-        join_plans = spec.join_plans if spec is not None else self.join_plans
+        join_plans = spec.join_plans
         if not join_plans and program is self.program:
             # A reasoner built with executor="naive" has no plans yet; the
             # pipeline needs them, so compile (and cache) on first use.
             self.join_plans = join_plans = compile_join_plans(self.program)
         return PipelineExecutor(
             program,
-            outputs=list(output_predicates),
+            outputs=list(spec.outputs),
             input_managers=managers,
             strategy=strategy,
-            analysis=analysis,
-            config=config if config is not None else self.chase_config,
+            analysis=spec.analysis,
+            config=config,
             join_plans=join_plans,
             tracer=tracer,
         )
@@ -901,6 +880,35 @@ def _plan_and_order(program: Program) -> Tuple[ReasoningAccessPlan, SchedulerRep
     if len(report.rule_order) == len(program.rules):
         program.rules = list(report.rule_order)
     return plan, report
+
+
+def _answer_step(
+    view,
+    predicates: Sequence[str],
+    certain: bool,
+    post_directives: Sequence,
+    query_atom: Optional[Atom] = None,
+    memo: Optional[Dict[Tuple, AnswerSet]] = None,
+) -> AnswerSet:
+    """The one answer step: extract → post directives → query-atom filter.
+
+    ``view`` is a chase result, or anything else with its ``store`` and
+    ``aggregates`` (the resident reasoner's snapshot view).  ``memo`` keeps
+    the extracted, post-processed set per ``(predicates, certain)``: the
+    resident reasoner's point queries on one predicate share an extraction
+    and pay only the filter, which never mutates its input.
+    """
+    key = (tuple(predicates), certain)
+    answers = memo.get(key) if memo is not None else None
+    if answers is None:
+        answers = apply_post_directives(
+            extract_answers(view, Query(key[0], certain=certain)), post_directives
+        )
+        if memo is not None:
+            memo[key] = answers
+    if query_atom is not None:
+        answers = _filter_answers(answers, query_atom)
+    return answers
 
 
 def _filter_answers(answers: AnswerSet, query_atom: Atom) -> AnswerSet:

@@ -3,8 +3,8 @@
 In the paper's architecture the initial data sources of the pipeline use
 *record managers*, components that adapt external sources (CSV archives,
 relational databases, APIs) and turn streaming input data into facts
-(Section 4, "Execution model").  Besides the in-memory adapters used by
-tests and the workload generators, :class:`DataSourceRecordManager` bridges
+(Section 4, "Execution model").  Besides the in-memory adapters for
+databases and loose facts, :class:`DataSourceRecordManager` bridges
 to the pluggable datasource layer of
 :mod:`repro.storage.datasources` (SQLite/CSV/JSONL behind ``@bind``): it
 streams lazily from the source's cursor — no *rows* are read until the
@@ -16,12 +16,10 @@ peek at resolution time) — and carries the predicate's compiled
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Union
+from typing import Dict, Iterable, Iterator, List
 
 from ..core.atoms import Fact
 from ..core.terms import Constant
-from ..storage.csv_io import load_relation_csv
 from ..storage.database import Database
 
 
@@ -35,35 +33,6 @@ class RecordManager:
 
     def facts(self) -> List[Fact]:
         return list(self.stream())
-
-
-class InMemoryRecordManager(RecordManager):
-    """Serves facts from an in-memory relation or list of tuples."""
-
-    def __init__(self, predicate: str, rows: Iterable[Sequence[object]]) -> None:
-        self.predicate = predicate
-        self._rows = [tuple(row) for row in rows]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def stream(self) -> Iterator[Fact]:
-        for row in self._rows:
-            yield Fact(self.predicate, [Constant(v) for v in row])
-
-
-class CsvRecordManager(RecordManager):
-    """Serves facts from a CSV archive, one tuple per line."""
-
-    def __init__(self, predicate: str, path: Union[str, Path], has_header: bool = False) -> None:
-        self.predicate = predicate
-        self.path = Path(path)
-        self.has_header = has_header
-
-    def stream(self) -> Iterator[Fact]:
-        relation = load_relation_csv(self.path, name=self.predicate, has_header=self.has_header)
-        for row in relation.tuples:
-            yield Fact(self.predicate, [Constant(v) for v in row])
 
 
 class DataSourceRecordManager(RecordManager):

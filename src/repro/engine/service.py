@@ -29,13 +29,14 @@ import asyncio
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
 
 from ..core.atoms import Atom
 from ..core.parser import parse_atom
 from ..core.query import AnswerSet
 from ..core.rules import Program
 from .incremental import ResidentReasoner
+from .plan import tarjan_components
 from .reasoner import DatabaseLike, VadalogReasoner
 
 
@@ -103,68 +104,23 @@ def predicate_dependencies(program: Program) -> Dict[str, FrozenSet[str]]:
         body_predicates = {atom.predicate for atom in rule.body}
         for head in rule.head:
             direct.setdefault(head.predicate, set()).update(body_predicates)
-    # Closures are computed per strongly-connected component (iterative
-    # Tarjan): every member of an SCC shares one closure — the component
-    # itself plus the closures of its successor components.  Tarjan
-    # completes components in reverse-topological order, so by the time a
-    # component closes, every cross-edge successor already has its full
-    # closure; same-component successors fall back to ``{succ}``, already
-    # covered by the component set.  (A per-predicate memo cannot do this:
-    # inside a cycle it caches whichever partial set the traversal order
-    # happened to produce.)
+    # Closures are computed per strongly-connected component: every member
+    # of an SCC shares one closure — the component itself plus the closures
+    # of its successor components.  Components arrive in reverse-topological
+    # order, so by the time one closes, every cross-edge successor already
+    # has its full closure; same-component successors fall back to
+    # ``{succ}``, already covered by the component set.  (A per-predicate
+    # memo cannot do this: inside a cycle it caches whichever partial set
+    # the traversal order happened to produce.)
     closure: Dict[str, FrozenSet[str]] = {}
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = 0
-
-    def visit(root: str) -> None:
-        nonlocal counter
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(direct.get(root, ())))]
-        while work:
-            node, successors = work[-1]
-            descended = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(direct.get(succ, ()))))
-                    descended = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                deps: Set[str] = set(component)
-                for member in component:
-                    for succ in direct.get(member, ()):
-                        deps.update(closure.get(succ, (succ,)))
-                shared = frozenset(deps)
-                for member in component:
-                    closure[member] = shared
-
-    for predicate in direct:
-        if predicate not in index:
-            visit(predicate)
+    for component in tarjan_components(direct, direct):
+        deps: Set[str] = set(component)
+        for member in component:
+            for succ in direct.get(member, ()):
+                deps.update(closure.get(succ, (succ,)))
+        shared = frozenset(deps)
+        for member in component:
+            closure[member] = shared
     return closure
 
 

@@ -9,7 +9,7 @@ helpers also accept a :class:`repro.obs.export.TraceDump`, so
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .export import TraceDump
 from .trace import Span, Tracer
@@ -138,12 +138,15 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List
     return lines
 
 
-def _phase_line(spans: List[Span]) -> Optional[str]:
-    parts = []
-    for kind in ("rewrite", "load", "chase", "answers"):
-        matching = [span for span in spans if span.kind == kind]
-        if matching:
-            parts.append(f"{kind}={sum(s.duration for s in matching):.4f}s")
+PHASES = ("rewrite", "load", "chase", "answers")
+
+
+def _phase_line(seconds: Mapping[str, float]) -> Optional[str]:
+    """``phases:`` line from name → seconds: the lifecycle phases in order,
+    then whatever else ``timings`` carries (``first_answer``, ``total``)."""
+    keys = [kind for kind in PHASES if kind in seconds]
+    keys += sorted(key for key in seconds if key not in PHASES)
+    parts = [f"{key}={seconds[key]:.4f}s" for key in keys]
     return "phases: " + " ".join(parts) if parts else None
 
 
@@ -165,7 +168,11 @@ def render_trace(source: SpanSource, *, limit: int = 5) -> str:
         lines.append(" ".join(header))
     else:
         lines.append("== reasoning run report (partial trace) ==")
-    phase = _phase_line(spans)
+    seconds: Dict[str, float] = {}
+    for span in spans:
+        if span.kind in PHASES:
+            seconds[span.kind] = seconds.get(span.kind, 0.0) + span.duration
+    phase = _phase_line(seconds)
     if phase:
         lines.append(phase)
 
@@ -251,12 +258,10 @@ def render_report(result: Any, *, limit: int = 5) -> str:
             header.append(f"{key}={stats[key]}")
     if header:
         lines.append(" ".join(header))
-    timings = getattr(result, "timings", None) or {}
-    if timings:
-        lines.append(
-            "phases: "
-            + " ".join(f"{key}={value:.4f}s" for key, value in sorted(timings.items()))
-        )
+    # ``timings`` holds the same per-phase measurements a trace's spans do.
+    phase = _phase_line(getattr(result, "timings", None) or {})
+    if phase:
+        lines.append(phase)
     lines.append("(re-run with trace=True for per-rule / per-round detail)")
     return "\n".join(lines)
 

@@ -1,8 +1,7 @@
-"""Storage substrate: databases, indexes, and the pluggable datasource layer.
+"""Storage substrate: databases and the pluggable datasource layer.
 
-Besides the in-memory :class:`Database` and the fact-store indexes, this
-package hosts the multi-backend datasource registry of
-:mod:`repro.storage.datasources` — SQLite/CSV/JSONL sources resolved from
+Besides the in-memory :class:`Database`, this package hosts the
+multi-backend datasource registry of :mod:`repro.storage.datasources` — SQLite/CSV/JSONL sources resolved from
 ``@bind`` annotations, with selection/projection pushdown and per-source
 LRU page caching.
 """
@@ -26,13 +25,11 @@ from .datasources import (
     register_datasource,
     save_database_sqlite,
 )
-from .index import HashIndex
 from .csv_io import load_relation_csv, save_relation_csv
 
 __all__ = [
     "Database",
     "Relation",
-    "HashIndex",
     "load_relation_csv",
     "save_relation_csv",
     "CsvDataSource",

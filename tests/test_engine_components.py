@@ -15,11 +15,9 @@ from repro.core.parser import parse_program
 from repro.core.terms import Constant
 from repro.core.termination import TrivialIsomorphismStrategy
 from repro.engine.buffer import BufferCache, BufferSegment
-from repro.engine.joins import JoinInput, SlotMachineJoin, hash_join
 from repro.engine.plan import compile_plan
 from repro.engine.scheduler import RoundRobinScheduler
 from repro.engine.wrappers import TerminationWrapper, WrapperRegistry
-from repro.storage.index import HashIndex
 
 RECURSIVE_PROGRAM = parse_program(
     """
@@ -205,64 +203,6 @@ class TestFireSlotsKernel:
             )
             got = {p: self.patterns(result, p) for p in self.OUTPUTS}
             assert got == expected, executor
-
-
-class TestSlotMachineJoin:
-    def make_facts(self, name, pairs):
-        return [fact(name, a, b) for a, b in pairs]
-
-    def test_two_way_join(self):
-        left = self.make_facts("L", [("a", 1), ("b", 2)])
-        right = self.make_facts("R", [("a", 10), ("a", 11), ("c", 12)])
-        pairs = hash_join(left, right, (0,), (0,))
-        assert len(pairs) == 2
-        assert all(l.terms[0] == r.terms[0] for l, r in pairs)
-
-    def test_three_way_join(self):
-        a = self.make_facts("A", [("k", 1), ("j", 2)])
-        b = self.make_facts("B", [("k", 3)])
-        c = self.make_facts("C", [("k", 4)])
-        join = SlotMachineJoin(
-            [JoinInput("A", a, (0,)), JoinInput("B", b, (0,)), JoinInput("C", c, (0,))]
-        )
-        results = list(join.execute())
-        assert len(results) == 1
-        assert join.stats.output_tuples == 1
-
-    def test_dynamic_index_reused_on_repeated_keys(self):
-        left = self.make_facts("L", [("a", 1), ("a", 2), ("a", 3)])
-        right = self.make_facts("R", [("a", 10), ("b", 11)])
-        join = SlotMachineJoin([JoinInput("L", left, (0,)), JoinInput("R", right, (0,))])
-        list(join.execute())
-        # After the first probe scanned the input, later probes hit the index.
-        assert join.stats.index_hits >= 1
-
-    def test_join_requires_two_inputs_and_same_key_length(self):
-        with pytest.raises(ValueError):
-            SlotMachineJoin([JoinInput("L", [], (0,))])
-        with pytest.raises(ValueError):
-            SlotMachineJoin([JoinInput("L", [], (0,)), JoinInput("R", [], (0, 1))])
-
-
-class TestHashIndex:
-    def test_incomplete_index_miss_returns_none(self):
-        index = HashIndex()
-        index.insert("a", 1)
-        assert index.get("a") == [1]
-        assert index.get("missing") is None
-
-    def test_complete_index_miss_returns_empty(self):
-        index = HashIndex()
-        index.insert("a", 1)
-        index.mark_complete()
-        assert index.get("missing") == []
-
-    def test_bulk_load(self):
-        index = HashIndex()
-        index.bulk_load([("a", 1), ("a", 2), ("b", 3)])
-        assert index.complete
-        assert sorted(index.get("a")) == [1, 2]
-        assert len(index) == 3
 
 
 class TestBufferCache:

@@ -289,7 +289,7 @@ class TestSnapshotAndBatch:
         assert not batch.add(fact("P", "a"))  # duplicate against the store
         assert batch.contains_row("P", fact("P", "b").terms)
         assert len(store) == 1  # nothing committed yet
-        assert len(batch) == 2  # store + staged
+        assert batch.pending == 1
         assert batch.in_active_domain("b")
         committed = batch.apply()
         assert [f.predicate for f in committed] == ["P"]

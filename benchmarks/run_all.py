@@ -277,9 +277,10 @@ def _run_service_resident(scenario, operations) -> dict:
 def _run_service_scratch(scenario, operations) -> dict:
     """The from-scratch baseline: re-chase on the first query after a write.
 
-    This is the honest non-resident service: answers are memoized between
-    writes (anything less would strawman the baseline), but every write
-    invalidates the materialisation and the next query pays a full chase.
+    This is the honest non-resident service: answers — and the point-query
+    index over them — are memoized between writes (anything less would
+    strawman the baseline), but every write invalidates the materialisation
+    and the next query pays a full chase.
     """
     from repro.engine.reasoner import _filter_answers
     from repro.core.parser import parse_atom
@@ -305,9 +306,10 @@ def _run_service_scratch(scenario, operations) -> dict:
                     database={"Edge": sorted(edges), "Source": sources},
                     outputs=scenario.outputs,
                 )
+                index = {}  # the point-query index lives as long as the answers
             answers = result.answers
             if payload is not None:
-                answers = _filter_answers(answers, parse_atom(payload))
+                answers = _filter_answers(answers, parse_atom(payload), index)
             latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - started
     final = reasoner.reason(
@@ -332,7 +334,11 @@ def run_service_throughput(smoke: bool, ratios=SERVICE_DEFAULT_RATIOS) -> dict:
     relation (the ground differential check of the workload).
     """
     n_nodes = 30 if smoke else 50
-    n_ops = 150 if smoke else 400
+    # The smoke stream is what ``tools/check_bench.py --service-throughput``
+    # gates, and that gate ignores elapsed gaps under 50 ms: since point
+    # queries probe an index (PR 14) 150 operations replay in ~35 ms and
+    # even a 2x slowdown hid under the floor.  600 take ~150 ms.
+    n_ops = 600 if smoke else 400
     section = {
         "speedup_target": SERVICE_SPEEDUP_TARGET,
         "n_nodes": n_nodes,

@@ -36,6 +36,7 @@ write-batch** protocol shared by all executors:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom, Fact
@@ -49,7 +50,18 @@ class StaleSnapshotError(RuntimeError):
 
 
 class FactStore:
-    """A set of facts with per-position hash indexes and insertion order."""
+    """A set of facts with per-position hash indexes and insertion order.
+
+    **Bucket invariant.**  A fact's *slot* is its position in the insertion
+    sequence (what :meth:`index_of_row` returns); slots are never reused.
+    Every bucket — a predicate's extent, each per-position ``{term: [facts]}``
+    entry, each per-round delta list — is a plain list that is only ever
+    appended to, in insertion order, so it is sorted by slot.  That is what
+    lets :meth:`remove` find its victim by binary search while buckets stay
+    lists: the compiled probe loop iterates a live bucket while the fire path
+    appends to it, and the order-sensitive null witnesses depend on
+    insertion order.
+    """
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
         self._facts: List[Fact] = []
@@ -131,45 +143,58 @@ class FactStore:
         surviving facts; iteration and :meth:`facts` skip tombstones.  Every
         removal bumps the mutation epoch, so snapshots taken before it go
         stale exactly like they do for inserts.
+
+        Every bucket the fact sits in is sorted by slot (see the class
+        docstring), so each is edited by binary search: a removal costs
+        O(arity · log n) slot lookups and no fact comparison.  A predicate
+        whose last fact leaves is forgotten, as if it had never been added.
         """
         key = (fact.predicate, fact.terms)
-        index = self._rows.pop(key, None)
-        if index is None:
+        slot = self._rows.get(key)
+        if slot is None:
             return False
         self._epoch += 1
-        stored = self._facts[index]
-        self._facts[index] = None
+        stored = self._facts[slot]
+        predicate = stored.predicate
+        bucket = self._by_predicate[predicate]
+        self._drop(bucket, slot)
+        position_dicts = self._position_index[predicate]
+        for position, term in enumerate(stored.terms):
+            entries = position_dicts[position][term]
+            self._drop(entries, slot)
+            if not entries:
+                del position_dicts[position][term]
+            if isinstance(term, Constant):
+                count = self._domain_counts[term.value] - 1
+                if count:
+                    self._domain_counts[term.value] = count
+                else:
+                    del self._domain_counts[term.value]
+                    self._active_domain.discard(term.value)
+        if not bucket:
+            del self._by_predicate[predicate]
+            del self._position_index[predicate]
+        delta_bucket = self._delta_by_predicate.get(predicate)
+        if delta_bucket and self._drop(delta_bucket, slot):
+            self._delta_index.pop(predicate, None)
+        # The slot lookups above resolve the victim too: forget it last.
+        del self._rows[key]
+        self._facts[slot] = None
         self._facts_cache = None
         self._live -= 1
         self._round_of.pop(stored, None)
-        bucket = self._by_predicate.get(stored.predicate)
-        if bucket is not None:
-            try:
-                bucket.remove(stored)
-            except ValueError:  # pragma: no cover - index kept in lockstep
-                pass
-        position_dicts = self._position_index.get(stored.predicate)
-        for position, term in enumerate(stored.terms):
-            if position_dicts is not None and position < len(position_dicts):
-                entries = position_dicts[position].get(term)
-                if entries is not None:
-                    try:
-                        entries.remove(stored)
-                    except ValueError:  # pragma: no cover
-                        pass
-                    if not entries:
-                        del position_dicts[position][term]
-            if isinstance(term, Constant):
-                count = self._domain_counts.get(term.value, 0) - 1
-                if count <= 0:
-                    self._domain_counts.pop(term.value, None)
-                    self._active_domain.discard(term.value)
-                else:
-                    self._domain_counts[term.value] = count
-        delta_bucket = self._delta_by_predicate.get(stored.predicate)
-        if delta_bucket is not None and stored in delta_bucket:
-            delta_bucket.remove(stored)
-            self._delta_index.pop(stored.predicate, None)
+        return True
+
+    def _slot_of(self, fact: Fact) -> int:
+        return self._rows[(fact.predicate, fact.terms)]
+
+    def _drop(self, bucket: List[Fact], slot: int) -> bool:
+        """Delete the fact stored at ``slot`` from a slot-ordered bucket."""
+        slot_of = self._slot_of
+        at = bisect_left(bucket, slot, key=slot_of)
+        if at == len(bucket) or slot_of(bucket[at]) != slot:
+            return False
+        del bucket[at]
         return True
 
     def remove_all(self, facts: Iterable[Fact]) -> int:
@@ -238,9 +263,11 @@ class FactStore:
     def begin_round(self, round_index: int, delta_facts: Iterable[Fact]) -> None:
         """Start a semi-naive round: stamp new facts and index the delta.
 
-        ``delta_facts`` are the facts derived in the previous round; they are
-        grouped by predicate and indexed per position so compiled executors
-        can seed their joins from the delta with indexed probes.
+        ``delta_facts`` are the facts derived in the previous round, in the
+        order they entered the store (the bucket invariant covers the delta
+        lists); they are grouped by predicate and indexed per position so
+        compiled executors can seed their joins from the delta with indexed
+        probes.
         """
         self._epoch += 1
         self.current_round = round_index

@@ -210,11 +210,12 @@ class ResidentReasoner:
         self._round = result.rounds
         self._dirty = False
         self._violations_stale = False
-        #: Per-epoch cache of extracted (predicates, certain) answer sets:
-        #: distinct point queries on the same predicate share one extraction
+        #: Per-epoch cache of extracted (predicates, certain) answer sets,
+        #: each with the point-query index built over it on demand: distinct
+        #: point queries on the same predicate share one extraction
         #: (isomorphic dedup + aggregate reduction + post directives) and
-        #: only pay the per-query atom filter.  Cleared on every write.
-        self._extract_cache: Dict[Tuple, AnswerSet] = {}
+        #: only pay an index probe.  Cleared on every write.
+        self._extract_cache: Dict[Tuple, Tuple[AnswerSet, Dict]] = {}
 
     def _record_derivations(self, nodes: Iterable[ChaseNode]) -> None:
         record = self._derivations.record

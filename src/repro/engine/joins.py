@@ -13,30 +13,9 @@ the steps of a compiled :class:`~repro.engine.plan.RuleJoinPlan`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Fact
-
-
-@dataclass
-class JoinStats:
-    """Counters describing how a join executed."""
-
-    probes: int = 0
-    index_hits: int = 0
-    index_misses: int = 0
-    scanned_facts: int = 0
-    output_tuples: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "probes": self.probes,
-            "index_hits": self.index_hits,
-            "index_misses": self.index_misses,
-            "scanned_facts": self.scanned_facts,
-            "output_tuples": self.output_tuples,
-        }
 
 
 class CompiledRuleExecutor:
@@ -55,7 +34,6 @@ class CompiledRuleExecutor:
 
     def __init__(self, plan) -> None:
         self.plan = plan
-        self.stats = JoinStats()
         # Per seed plan: (seed step, probe steps each paired with whether the
         # probe atom precedes the seed textually — those only match facts of
         # earlier rounds).
@@ -82,9 +60,9 @@ class CompiledRuleExecutor:
             return best
         return store.delta_facts(step.predicate)
 
-    def _probe_candidates(self, step, slots, store) -> Sequence[Fact]:
+    @staticmethod
+    def _probe_candidates(step, slots, store) -> Sequence[Fact]:
         """Most selective full-index bucket for a probe step (slot-machine probe)."""
-        self.stats.probes += 1
         dicts = store.position_dicts(step.predicate)
         if dicts is None:
             return ()
@@ -112,9 +90,7 @@ class CompiledRuleExecutor:
                     if len(best) <= 1:
                         break
         if best is not None:
-            self.stats.index_hits += 1
             return best
-        self.stats.index_misses += 1
         return store.by_predicate(step.predicate)
 
     # -- stepping ------------------------------------------------------------
@@ -173,7 +149,6 @@ class CompiledRuleExecutor:
         system, and generator recursion plus one function call per candidate
         fact measurably dominated it.
         """
-        stats = self.stats
         round_of = store.round_of
         n_slots = len(self.plan.variables)
         body_length = self.plan.body_length
@@ -191,12 +166,10 @@ class CompiledRuleExecutor:
             seed_index = seed.atom_index
             seed_writes = seed.writes
             for fact in seed_candidates:
-                stats.scanned_facts += 1
                 if not self._admit(seed, fact, slots):
                     continue
                 used[seed_index] = fact
                 if n_probes == 0:
-                    stats.output_tuples += 1
                     yield slots, used
                 else:
                     iters: List[Optional[Iterator[Fact]]] = [None] * n_probes
@@ -252,7 +225,6 @@ class CompiledRuleExecutor:
                                 continue
                         used[step.atom_index] = candidate
                         if depth + 1 == n_probes:
-                            stats.output_tuples += 1
                             yield slots, used
                             used[step.atom_index] = None
                             for _pos, slot in step.writes:

@@ -63,7 +63,7 @@ from ..core.magic import (
 from ..core.parser import parse_atom, parse_program
 from ..core.query import AnswerSet, Query, extract_answers
 from ..core.rules import Program
-from ..core.terms import Constant
+from ..core.terms import Constant, Term, Variable
 from ..core.termination import TerminationStrategy, strategy_by_name
 from ..core.transform import is_auxiliary_predicate, normalize_for_chase
 from ..core.wardedness import ProgramAnalysis, analyse_program
@@ -888,44 +888,73 @@ def _answer_step(
     certain: bool,
     post_directives: Sequence,
     query_atom: Optional[Atom] = None,
-    memo: Optional[Dict[Tuple, AnswerSet]] = None,
+    memo: Optional[Dict[Tuple, Tuple[AnswerSet, Dict]]] = None,
 ) -> AnswerSet:
     """The one answer step: extract → post directives → query-atom filter.
 
     ``view`` is a chase result, or anything else with its ``store`` and
     ``aggregates`` (the resident reasoner's snapshot view).  ``memo`` keeps
-    the extracted, post-processed set per ``(predicates, certain)``: the
+    the extracted, post-processed set per ``(predicates, certain)`` together
+    with the point-query index :func:`_filter_answers` builds over it: the
     resident reasoner's point queries on one predicate share an extraction
-    and pay only the filter, which never mutates its input.
+    and pay only the filter, which never mutates the answers.
     """
     key = (tuple(predicates), certain)
-    answers = memo.get(key) if memo is not None else None
-    if answers is None:
+    entry = memo.get(key) if memo is not None else None
+    if entry is None:
         answers = apply_post_directives(
             extract_answers(view, Query(key[0], certain=certain)), post_directives
         )
+        entry = (answers, {})
         if memo is not None:
-            memo[key] = answers
+            memo[key] = entry
+    answers, index = entry
     if query_atom is not None:
-        answers = _filter_answers(answers, query_atom)
+        answers = _filter_answers(answers, query_atom, index)
     return answers
 
 
-def _filter_answers(answers: AnswerSet, query_atom: Atom) -> AnswerSet:
+def _filter_answers(
+    answers: AnswerSet,
+    query_atom: Atom,
+    index: Dict[Tuple[str, int], Dict[Term, List[Fact]]],
+) -> AnswerSet:
     """Restrict an answer set to the facts matching a query atom.
 
     Constants of the query must coincide positionally; repeated query
-    variables must bind consistently (``Atom.match`` semantics).
+    variables must bind consistently (``Atom.match`` semantics).  The match
+    runs over the smallest bucket the query's constants select from
+    ``index`` — per (predicate, position), ``{term: [facts]}`` in answer
+    order, built the first time a query has a constant there — so a
+    point query costs what it returns, not the predicate's extent, and the
+    surviving facts and their order are those of a full scan.  ``index``
+    belongs to ``answers`` (start it as ``{}``): whoever keeps the answers
+    — the resident reasoner's memo — keeps the two together.
     """
     filtered = AnswerSet()
     for predicate, facts in answers.facts_by_predicate.items():
         if predicate != query_atom.predicate:
             filtered.facts_by_predicate[predicate] = list(facts)
             continue
+        candidates = facts
+        for position, term in enumerate(query_atom.terms):
+            if isinstance(term, Variable):
+                continue
+            buckets = index.get((predicate, position))
+            if buckets is None:
+                # Built locally and published whole: concurrent readers of
+                # one memo entry may build it twice, never see it half done.
+                buckets = {}
+                for fact in facts:
+                    if position < len(fact.terms):
+                        buckets.setdefault(fact.terms[position], []).append(fact)
+                index[(predicate, position)] = buckets
+            bucket = buckets.get(term, ())
+            if len(bucket) < len(candidates):
+                candidates = bucket
+        match = query_atom.match
         filtered.facts_by_predicate[predicate] = [
-            fact
-            for fact in facts
-            if fact.arity == query_atom.arity and query_atom.match(fact) is not None
+            fact for fact in candidates if match(fact) is not None
         ]
     return filtered
 

@@ -23,6 +23,8 @@ from differential_harness import (
     assert_profiles_match,
     scenario_names,
 )
+from repro.core.atoms import Atom
+from repro.core.parser import parse_atom
 from repro.engine.incremental import ResidentError, ResidentReasoner
 from repro.engine.reasoner import VadalogReasoner
 
@@ -320,6 +322,107 @@ class TestDRedEdgeCases:
         assert resident.query().ground_tuples("Degree") == {("a", 1), ("d", 1)}
         assert resident.stats()["full_rebuilds"] == 1
         assert not resident.needs_settle
+
+
+class TestPointQueries:
+    """Point queries probe an index over the memoised extraction.
+
+    Whatever the shape of the query atom, the answer is what a full scan
+    of the extraction with ``Atom.match`` returns — same facts, same order
+    — and what a one-shot ``reason(query=...)`` on the current database
+    returns; the index is rebuilt with the extraction after every write.
+    """
+
+    PROGRAM = """
+    @output("Reach").
+    @output("Audit").
+    Reach(X, Y) :- Edge(X, Y).
+    Reach(X, Z) :- Reach(X, Y), Edge(Y, Z).
+    Audit(Y, Z) :- Source(X), Reach(X, Y).
+    """
+    EDGES = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("e", "a"), ("d", "f")]
+    QUERIES = [
+        'Reach("a", Y)',  # constant at position 0
+        'Reach(X, "d")',  # constant at position 1
+        'Reach("e", "f")',  # both
+        "Reach(X, Y)",  # none
+        "Reach(X, X)",  # repeated variable
+        'Reach("a", "a")',
+        'Reach("nowhere", Y)',  # unknown constant
+        'Reach(X, "nowhere")',
+        'Reach("a")',  # wrong arity
+        'Reach("a", Y, Z)',
+        'Audit("b", Z)',  # null-bearing answers
+        "Audit(Y, Z)",
+        'Audit(Y, "b")',
+    ]
+
+    def check_all(self, resident, edges):
+        database = {"Edge": sorted(edges), "Source": [("a",), ("e",)]}
+        reasoner = VadalogReasoner(self.PROGRAM)
+        everything = resident.query(None)
+        sizes = {}
+        for text in self.QUERIES:
+            atom = parse_atom(text)
+            predicate = atom.predicate
+            answers = resident.query(text)
+            assert list(answers.facts_by_predicate) == [predicate], text
+            assert answers.facts(predicate) == tuple(
+                f for f in everything.facts(predicate) if atom.match(f) is not None
+            ), text
+            one_shot = reasoner.reason(database=database, query=text)
+            ground, _, patterns = _profile_facts(answers.facts(predicate))
+            expected_ground, _, expected_patterns = _profile_facts(
+                one_shot.answers.facts(predicate)
+            )
+            assert ground == expected_ground, text
+            assert patterns == expected_patterns, text
+            sizes[text] = len(answers)
+        return sizes
+
+    @pytest.mark.parametrize("executor", ["compiled", "naive"])
+    def test_every_query_shape_before_and_after_writes(self, executor):
+        edges = set(self.EDGES)
+        resident = ResidentReasoner(
+            self.PROGRAM,
+            database={"Edge": sorted(edges), "Source": [("a",), ("e",)]},
+            executor=executor,
+        )
+        sizes = self.check_all(resident, edges)
+        assert sizes["Reach(X, X)"] == 3 and sizes['Reach("a")'] == 0
+        assert sizes['Reach("nowhere", Y)'] == 0 and sizes['Audit("b", Z)'] == 1
+
+        # The index built above must not answer for the new extraction.
+        edges.add(("f", "g"))
+        resident.upsert({"Edge": [("f", "g")]})
+        assert ("a", "g") in resident.query('Reach("a", Y)').ground_tuples("Reach")
+        after_upsert = self.check_all(resident, edges)
+        assert after_upsert['Reach("a", Y)'] == sizes['Reach("a", Y)'] + 1
+
+        edges.discard(("c", "d"))
+        resident.retract({"Edge": [("c", "d")]})
+        assert resident.query('Reach(X, "d")').count() == 0
+        after_retract = self.check_all(resident, edges)
+        assert after_retract['Reach("a", Y)'] == 3
+        assert after_retract["Reach(X, X)"] == 3
+
+    def test_second_point_query_matches_only_its_bucket(self, monkeypatch):
+        edges = [(f"n{i}", f"n{(i + 1) % 40}") for i in range(40)]
+        resident = ResidentReasoner(REACH_PROGRAM, database={"Edge": edges})
+        assert resident.query('Reach("n0", Y)').count() == 40
+        calls = 0
+        original = Atom.match
+
+        def counting_match(self, fact):
+            nonlocal calls
+            calls += 1
+            return original(self, fact)
+
+        monkeypatch.setattr(Atom, "match", counting_match)
+        assert resident.query('Reach("n7", Y)').count() == 40
+        assert calls == 40  # not the 1 600 facts of the extent
+        assert resident.query('Reach("n7", "n9")').count() == 1
+        assert calls == 80
 
 
 class TestConstruction:

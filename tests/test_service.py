@@ -1,12 +1,13 @@
 """The reasoning service: locking, answer-cache invalidation, async, mixed load."""
 
 import asyncio
+import sys
 import threading
 
 import pytest
 
 from differential_harness import _profile_facts
-from repro.core.parser import parse_program
+from repro.core.parser import parse_atom, parse_program
 from repro.engine.reasoner import VadalogReasoner
 from repro.engine.service import (
     ReasoningService,
@@ -317,6 +318,49 @@ class TestConcurrency:
         assert service.query().ground_tuples("Reach") == expected.answers.ground_tuples(
             "Reach"
         )
+
+
+    def test_concurrent_point_queries_share_one_index(self):
+        """Readers racing to build the point-query index never see it half built."""
+        n = 30
+        service = ReasoningService(
+            REACH_PROGRAM,
+            database={"Edge": [(f"n{i}", f"n{(i + 1) % n}") for i in range(n)]},
+            cache_size=0,  # every query reaches the resident reasoner's filter
+        )
+        workers = 8
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for wave in range(4):
+                # A write drops the extraction and the index built over it.
+                service.upsert({"Edge": [(f"n{wave}", f"x{wave}")]})
+                everything = service.query().facts("Reach")
+                barrier = threading.Barrier(workers)
+
+                def reader(offset):
+                    barrier.wait(timeout=30)
+                    for i in range(offset, n, workers):
+                        for text in (f'Reach("n{i}", Y)', f'Reach(X, "n{i}")'):
+                            atom = parse_atom(text)
+                            expected = tuple(
+                                f for f in everything if atom.match(f) is not None
+                            )
+                            if service.query(text).facts("Reach") != expected:
+                                failures.append((wave, text))
+
+                threads = [
+                    threading.Thread(target=reader, args=(k,)) for k in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class TestMixedWorkload:

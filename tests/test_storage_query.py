@@ -1,5 +1,7 @@
 """Tests for the storage substrate, the fact store and answer extraction."""
 
+import random
+
 import pytest
 
 from repro.core.atoms import Atom, Fact, fact
@@ -96,6 +98,142 @@ class TestFactStore:
     def test_nulls_indexed_separately_from_constants(self):
         store = FactStore([Fact("P", (Null(0),)), fact("P", 0)])
         assert len(store) == 2
+
+
+class TestFactStoreRemove:
+    """``FactStore.remove`` against a plain insertion-ordered model."""
+
+    PREDICATES = {"P": 2, "Q": 1, "R": 3}
+    TERMS = [Constant(i) for i in range(5)] + [Null(0), Null(1)]
+
+    def test_last_fact_of_a_predicate_takes_the_predicate_with_it(self):
+        store = FactStore([fact("P", "a"), fact("Q", "b")])
+        assert store.remove(fact("P", "a"))
+        assert store.predicates() == ("Q",) == store.copy().predicates()
+        assert store.position_dicts("P") is None
+        assert store.by_predicate("P") == () and store.count("P") == 0
+        assert store.add(fact("P", "c"))
+        assert store.position_candidates("P", 0, Constant("c")) == [fact("P", "c")]
+
+    def test_remove_absent_fact_changes_nothing(self):
+        store = FactStore([fact("P", 1)])
+        epoch = store.epoch
+        assert not store.remove(fact("P", 2))
+        assert not store.remove(fact("Q", 1))
+        assert store.epoch == epoch and store.facts() == (fact("P", 1),)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings_match_the_model(self, seed):
+        rng = random.Random(seed)
+        store = FactStore()
+        live = {}  # fact -> slot; dict order is insertion order
+        rounds = {}  # fact -> round it entered in
+        next_slot = 0
+        since_round = []  # facts added since the last begin_round, in order
+        delta = []
+        current_round = 0
+
+        def random_fact():
+            predicate = rng.choice(sorted(self.PREDICATES))
+            arity = self.PREDICATES[predicate]
+            return Fact(predicate, [rng.choice(self.TERMS) for _ in range(arity)])
+
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.5 or not live:
+                candidate = random_fact()
+                assert store.add(candidate) == (candidate not in live)
+                if candidate not in live:
+                    live[candidate] = next_slot
+                    rounds[candidate] = current_round
+                    next_slot += 1
+                    since_round.append(candidate)
+            elif roll < 0.9:
+                # Mostly a live fact (often a re-added one), sometimes absent.
+                victim = rng.choice(list(live)) if rng.random() < 0.85 else random_fact()
+                assert store.remove(victim) == (victim in live)
+                live.pop(victim, None)
+            else:
+                current_round += 1
+                delta = [f for f in since_round if f in live]
+                # A removed and re-added fact sits in the list twice; its
+                # live slot is the last one.
+                delta = sorted(set(delta), key=live.__getitem__)
+                since_round = []
+                store.begin_round(current_round, delta)
+            delta = [f for f in delta if f in live]
+            self.check(store, live, rounds, delta)
+
+    def check(self, store, live, rounds, delta):
+        def slots(bucket):
+            return [store.index_of_row(f.predicate, f.terms) for f in bucket]
+
+        def ordered(bucket):
+            return slots(bucket) == sorted(set(slots(bucket)))
+
+        facts = list(live)
+        assert store.facts() == tuple(facts) == tuple(store)
+        assert len(store) == len(facts)
+        assert set(store.predicates()) == {f.predicate for f in facts}
+        assert set(store.copy().predicates()) == set(store.predicates())
+        assert store.active_domain() == {
+            t.value for f in facts for t in f.terms if isinstance(t, Constant)
+        }
+        for f, slot in live.items():
+            assert f in store and store.contains_row(f.predicate, f.terms)
+            assert store.index_of_row(f.predicate, f.terms) == slot
+            assert store.fact_at(slot) == f
+            assert store.round_of(f) == rounds[f]
+        for predicate, arity in self.PREDICATES.items():
+            extent = [f for f in facts if f.predicate == predicate]
+            assert list(store.by_predicate(predicate)) == extent
+            assert store.count(predicate) == len(extent)
+            assert ordered(store.by_predicate(predicate))
+            dicts = store.position_dicts(predicate)
+            if not extent:
+                assert dicts is None
+            else:
+                assert len(dicts) == arity
+                assert all(bucket for index in dicts for bucket in index.values())
+            in_delta = [f for f in delta if f.predicate == predicate]
+            assert list(store.delta_facts(predicate)) == in_delta
+            assert ordered(store.delta_facts(predicate))
+            for position in range(arity):
+                for term in self.TERMS:
+                    expected = [f for f in extent if f.terms[position] == term]
+                    bucket = store.position_candidates(predicate, position, term)
+                    assert list(bucket) == expected
+                    assert ordered(bucket)
+                    assert list(store.delta_candidates(predicate, position, term)) == [
+                        f for f in in_delta if f.terms[position] == term
+                    ]
+        gone = Fact("P", (Constant(99), Constant(99)))
+        assert gone not in store
+        with pytest.raises(KeyError):
+            store.index_of_row(gone.predicate, gone.terms)
+
+    def test_removal_compares_no_facts(self, monkeypatch):
+        """Cost by count: 500 removals out of a 5 000-fact predicate."""
+        facts = [fact("P", i % 50, i) for i in range(5000)]
+        store = FactStore(facts)
+        store.begin_round(1, facts[2500:])
+        calls = 0
+        original = Atom.__eq__
+
+        def counting_eq(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Atom, "__eq__", counting_eq)
+        victims = random.Random(3).sample(facts, 500)
+        assert store.remove_all(victims) == 500
+        assert calls == 0
+        monkeypatch.undo()
+        survivors = [f for f in facts if f not in set(victims)]
+        assert store.facts() == tuple(survivors)
+        assert list(store.by_predicate("P")) == survivors
+        assert list(store.delta_facts("P")) == [f for f in facts[2500:] if f in store]
 
 
 class TestAnswers:

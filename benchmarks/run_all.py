@@ -4,7 +4,7 @@
 This is the perf-trajectory harness of the repository: it runs every
 benchmark family of the paper's evaluation (Section 6) at laptop scale on
 the selected chase executors — ``naive`` (interpreted), ``compiled`` (the
-slot-machine default), ``streaming`` (the pull-based pipeline of PR 2) and
+slot-machine default), ``streaming`` (the compiled round loop fed lazily) and
 ``parallel`` (the sharded worker-pool chase of PR 4) — in the same
 process, and writes ``BENCH_PR10.json`` with per-scenario wall-clock,
 facts/second and compiled-over-naive speedups, each row tagged with its
@@ -445,8 +445,6 @@ def run_one(
     if executor == "streaming":
         extra = result.chase.extra_stats
         row["pruned_rules"] = extra.get("pipeline_pruned_rules")
-        row["facts_pulled"] = extra.get("pipeline_facts_pulled")
-        row["pull_protocol"] = extra.get("pull_protocol")
     if executor == "parallel":
         extra = result.chase.extra_stats
         row["workers"] = extra.get("parallel_workers")
@@ -783,9 +781,6 @@ def run_first_answer(factory) -> dict:
         "found_answer": first is not None,
         "facts_at_first_answer": facts_at_first,
         "facts_at_completion": len(lazy.chase.store),
-        "peak_resident_buffer_items": lazy.chase.extra_stats.get(
-            "pipeline_peak_resident_buffer_items"
-        ),
     }
 
 

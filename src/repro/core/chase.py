@@ -12,9 +12,12 @@ Every derived fact is wrapped in a :class:`~repro.core.forests.ChaseNode`
 carrying the linear-forest / warded-forest metadata needed by Algorithm 1
 (:mod:`repro.core.termination`).
 
-There is one chase step, reached two ways: :meth:`ChaseEngine.fire_slots`
-takes a full match in a compiled plan's slot array (the sequential,
-parallel and streaming drivers all call it) and
+There is one round loop, :meth:`ChaseEngine.continue_rounds`, fed by one
+input-load step, :meth:`ChaseEngine.load_inputs`: ``run()`` feeds it the
+whole database, the resident reasoner an upsert, the streaming driver a
+lazily read batch.  There is one chase step, reached two ways:
+:meth:`ChaseEngine.fire_slots` takes a full match in a compiled plan's slot
+array (the sequential and parallel round evaluators call it) and
 :meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
 of ``fire_slots`` and the naive reference matcher).  There is one limit
 mechanism: the run's :class:`~repro.core.limits.ExecutionBudget` /
@@ -99,12 +102,12 @@ class ChaseResult:
     #: Which evaluation path produced the result ("compiled", "naive" or
     #: "streaming"); benchmark rows and diagnostics report it.
     executor: str = ""
-    #: Wall-clock seconds until the first answer fact reached a sink
-    #: (streaming runs only; the materializing chase has no earlier answer
-    #: than its completion).
+    #: Wall-clock seconds from the first pull until the streaming driver
+    #: first saw an answer fact in the store (streaming runs only; the
+    #: materializing chase has no earlier answer than its completion).
     first_answer_seconds: Optional[float] = None
-    #: Extra counters attached by non-chase executors (e.g. the streaming
-    #: pipeline's pull/buffer statistics), merged into :meth:`stats`.
+    #: Extra counters attached by the drivers (the streaming driver's
+    #: slice statistics, the parallel shard balance), merged into :meth:`stats`.
     extra_stats: Dict[str, object] = field(default_factory=dict)
     #: Structured run outcome: ``"complete"``, ``"deadline_exceeded"``,
     #: ``"budget_exceeded"`` or ``"cancelled"``.  Non-complete runs carry the
@@ -204,9 +207,9 @@ class ChaseEngine:
         self.null_factory = null_factory or NullFactory()
         self.config = config or ChaseConfig()
         self.executor = executor
-        #: Per-run budget/cancellation monitor; ``None`` outside ``run()`` and
-        #: for ungoverned runs, so callers of :meth:`fire_binding` (the
-        #: streaming pipeline) pay nothing.
+        #: Per-run budget/cancellation monitor (:meth:`start_governor`);
+        #: ``None`` for ungoverned runs and on the resident reasoner's
+        #: engine, which then pay nothing per match.
         self._governor: Optional[ExecutionGovernor] = None
         #: Set by :meth:`continue_rounds` around a DRed rederivation round:
         #: the delta is the whole store, so per-atom seed plans would
@@ -257,7 +260,12 @@ class ChaseEngine:
 
     # -------------------------------------------------------------------- run
     def run(self) -> ChaseResult:
-        """Run the chase to completion (or until the budget/cancel stops it)."""
+        """Run the chase to completion (or until the budget/cancel stops it).
+
+        A fresh store, the input load and :meth:`continue_rounds` — the one
+        round loop, which the resident reasoner and the streaming driver
+        feed with later deltas through the same three steps.
+        """
         tracer = self.tracer
         chase_span = None
         if tracer is not None:
@@ -266,76 +274,75 @@ class ChaseEngine:
             )
         started = time.perf_counter()
         store = FactStore()
-        nodes: List[ChaseNode] = []
         node_of: Dict[Fact, ChaseNode] = {}
-
-        # Bulk input load through the store's write-batch protocol: stage
-        # everything (deduplicating), commit once, then register the chase
-        # nodes for the facts that actually entered the store.
-        batch = store.write_batch()
-        loaded = [fact for fact in self._database_facts if batch.add(fact)]
-        batch.apply()
-        for fact in loaded:
-            node = input_node(fact, step=0)
-            nodes.append(node)
-            node_of[fact] = node
-            self.strategy.register_input(node)
-
         result = ChaseResult(
             store=store,
-            nodes=nodes,
+            nodes=[],
             program=self.program,
             strategy=self.strategy,
             aggregates=self.aggregates,
             executor=self.executor,
         )
-
-        governor = ExecutionGovernor.for_config(self.config)
-        self._governor = governor
-        result.peak_resident_facts = len(store)
+        delta = self.load_inputs(self._database_facts, store, node_of, result)
+        self.start_governor()
         if tracer is not None:
-            if governor is not None:
-                governor.tracer = tracer
             chase_span.counters["input_facts"] = len(store)
-
-        round_index = 0
-        delta: List[ChaseNode] = list(nodes)
         try:
-            while delta:
-                if governor is not None:
-                    stop = governor.round_status(
-                        round_index, len(store), result.chase_steps
-                    )
-                    if stop is not None:
-                        result.status, result.stop_reason = stop
-                        break
-                round_index += 1
-                if tracer is None:
-                    delta = self._evaluate_round(store, node_of, delta, round_index, result)
-                else:
-                    round_span = tracer.begin(
-                        "round", f"round:{round_index}", round=round_index
-                    )
-                    round_span.counters["delta_in"] = len(delta)
-                    delta = self._evaluate_round(store, node_of, delta, round_index, result)
-                    round_span.counters["derived"] = len(delta)
-                    round_span.counters["resident_facts"] = len(store)
-                    tracer.end(round_span)
-                    tracer.metrics.histogram("chase.round_seconds").observe(
-                        round_span.duration
-                    )
-                if len(store) > result.peak_resident_facts:
-                    result.peak_resident_facts = len(store)
-        except ExecutionStopped as stop:
-            # An inner-loop tick (deadline/cancellation) unwound the round;
-            # everything admitted so far is already committed and sound.
-            result.status, result.stop_reason = stop.status, stop.detail
+            self.continue_rounds(store, node_of, delta, result, 0)
         finally:
             self._governor = None
-        result.rounds = round_index
+        self.finish_run(result, chase_span, started)
+        return result
+
+    def load_inputs(
+        self,
+        facts: Iterable[Fact],
+        store: FactStore,
+        node_of: Dict[Fact, ChaseNode],
+        result: ChaseResult,
+        step: int = 0,
+    ) -> List[ChaseNode]:
+        """Add extensional ``facts`` to ``store``; returns the new input nodes.
+
+        The one input-load step: :meth:`run` (the whole database, ``step``
+        0), the resident reasoner's upsert and the streaming driver's
+        batches (``step`` = the last completed round, so the store's round
+        stamps stay monotone) all enter facts here.  A fact already in the
+        store gets no node.  The returned nodes are the delta to hand to
+        :meth:`continue_rounds`.
+        """
+        store.current_round = step
+        register = self.strategy.register_input
+        loaded: List[ChaseNode] = []
+        for fact in facts:
+            if not store.add(fact):
+                continue
+            node = input_node(fact, step=step)
+            node_of[fact] = node
+            result.nodes.append(node)
+            register(node)
+            loaded.append(node)
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
+        return loaded
 
+    def start_governor(self) -> Optional[ExecutionGovernor]:
+        """Start the run's budget/cancellation clock (``None`` if ungoverned).
+
+        :meth:`continue_rounds` and the per-match ticks consult it from
+        here on; the deadline counts from this call.
+        """
+        governor = self._governor = ExecutionGovernor.for_config(self.config)
+        if governor is not None and self.tracer is not None:
+            governor.tracer = self.tracer
+        return governor
+
+    def finish_run(self, result: ChaseResult, chase_span, started: float) -> None:
+        """Close a run: deferred checks or the early-stop warning, then the clock.
+
+        ``chase_span`` is the run's open chase span on a traced engine
+        (its bounds are then the run's clock), ``None`` otherwise.
+        """
         if result.status == STATUS_COMPLETE:
             self.check_violations(result)
         else:
@@ -343,25 +350,26 @@ class ChaseEngine:
                 f"chase stopped early ({result.status}): {result.stop_reason}; "
                 "the materialisation is a sound subset of the complete result"
             )
+        tracer = self.tracer
         if tracer is None:
             result.elapsed_seconds = time.perf_counter() - started
-        else:
-            tracer.unwind(chase_span)
-            chase_span.counters["facts"] = len(store)
-            chase_span.counters["derived"] = result.chase_steps
-            chase_span.counters["rounds"] = result.rounds
-            chase_span.counters["candidates"] = result.candidate_facts
-            chase_span.counters["peak_resident_facts"] = result.peak_resident_facts
-            chase_span.attrs["status"] = result.status
-            if result.stop_reason:
-                chase_span.attrs["stop_reason"] = result.stop_reason
-            tracer.end(chase_span)
-            # One measurement: the span's bounds are the run's clock.
-            result.elapsed_seconds = chase_span.duration
-            tracer.metrics.gauge("chase.peak_resident_facts").set_max(
-                result.peak_resident_facts
-            )
-        return result
+            return
+        # An ExecutionStopped may have unwound the loop with spans open.
+        tracer.unwind(chase_span)
+        chase_span.counters["facts"] = len(result.store)
+        chase_span.counters["derived"] = result.chase_steps
+        chase_span.counters["rounds"] = result.rounds
+        chase_span.counters["candidates"] = result.candidate_facts
+        chase_span.counters["peak_resident_facts"] = result.peak_resident_facts
+        chase_span.attrs["status"] = result.status
+        if result.stop_reason:
+            chase_span.attrs["stop_reason"] = result.stop_reason
+        tracer.end(chase_span)
+        # One measurement: the span's bounds are the run's clock.
+        result.elapsed_seconds = chase_span.duration
+        tracer.metrics.gauge("chase.peak_resident_facts").set_max(
+            result.peak_resident_facts
+        )
 
     def continue_rounds(
         self,
@@ -374,34 +382,67 @@ class ChaseEngine:
     ) -> int:
         """Run semi-naive rounds seeded with ``delta`` until fixpoint.
 
-        This is the incremental-continuation entry point used by the
-        resident reasoner (:mod:`repro.engine.incremental`): ``delta`` are
-        facts that just entered an already-materialised ``store`` (upserted
-        inputs, or the rederivation front of a retraction) and
-        ``start_round`` is the last completed round, so round numbering —
-        and with it the store's round stamps driving the before-seed probe
-        restriction — stays monotone across maintenance operations.
+        The one round loop.  ``delta`` are facts that just entered
+        ``store`` through :meth:`load_inputs` — the whole database
+        (:meth:`run`), upserted inputs or the rederivation front of a
+        retraction (:mod:`repro.engine.incremental`), a lazily read batch
+        (:mod:`repro.engine.pipeline`) — and ``start_round`` is the last
+        completed round, so round numbering — and with it the store's round
+        stamps driving the before-seed probe restriction — stays monotone
+        across calls.
+
+        A governed engine (:meth:`start_governor`) checks every budget axis
+        before each round and ends the loop with ``result.status`` /
+        ``stop_reason`` set — also when a per-match tick unwinds a round
+        (everything admitted so far is committed and sound); a traced one
+        wraps each round in a span.  The resident reasoner's engine is
+        neither.
 
         ``rules`` restricts the *first* round to a subset of the program
         (the DRed rederivation phase only fires rules whose head predicate
         was deleted); later rounds always run the full program.  Returns the
         index of the last evaluated round.
         """
+        governor = self._governor
+        tracer = self.tracer
         round_index = start_round
         first_restriction = rules
-        while delta:
-            round_index += 1
-            self._full_join_round = first_restriction is not None
-            try:
-                delta = self._evaluate_round(
-                    store, node_of, delta, round_index, result, rules=first_restriction
-                )
-            finally:
-                self._full_join_round = False
-            first_restriction = None
-            if len(store) > result.peak_resident_facts:
-                result.peak_resident_facts = len(store)
+        try:
+            while delta:
+                if governor is not None:
+                    stop = governor.round_status(
+                        round_index, len(store), result.chase_steps
+                    )
+                    if stop is not None:
+                        result.status, result.stop_reason = stop
+                        break
+                round_index += 1
+                round_span = None
+                if tracer is not None:
+                    round_span = tracer.begin(
+                        "round", f"round:{round_index}", round=round_index
+                    )
+                    round_span.counters["delta_in"] = len(delta)
+                self._full_join_round = first_restriction is not None
+                try:
+                    delta = self._evaluate_round(
+                        store, node_of, delta, round_index, result, rules=first_restriction
+                    )
+                finally:
+                    self._full_join_round = False
+                first_restriction = None
+                if round_span is not None:
+                    round_span.counters["derived"] = len(delta)
+                    round_span.counters["resident_facts"] = len(store)
+                    tracer.end(round_span)
+                    tracer.metrics.histogram("chase.round_seconds").observe(
+                        round_span.duration
+                    )
+        except ExecutionStopped as stop:
+            result.status, result.stop_reason = stop.status, stop.detail
         result.rounds = round_index
+        if len(store) > result.peak_resident_facts:
+            result.peak_resident_facts = len(store)
         return round_index
 
     def _evaluate_round(
@@ -541,12 +582,11 @@ class ChaseEngine:
         result: ChaseResult,
         produced: List[ChaseNode],
         sink=None,
-        admit=None,
     ) -> None:
         """Fire ``rule`` on one full body match held in a slot array.
 
-        The one slots→fire kernel shared by the compiled, parallel and
-        streaming drivers; admitted nodes are appended to ``produced``.
+        The one slots→fire kernel shared by the sequential and parallel
+        round evaluators; admitted nodes are appended to ``produced``.
         Rules whose plan has head templates (no assignments, aggregation,
         post conditions, ``Dom`` guards or residual conditions) instantiate
         their heads positionally, without a dict binding; the rest build the
@@ -556,8 +596,7 @@ class ChaseEngine:
         arrays: they are only read before this call returns.  ``sink`` is
         the write target — the live store by default, a
         :class:`~repro.core.fact_store.WriteBatch` in the parallel admission
-        stage; ``admit`` overrides the termination oracle (the pipeline
-        passes its per-filter wrapper).
+        stage.
         """
         if sink is None:
             sink = store
@@ -572,13 +611,11 @@ class ChaseEngine:
                 return
             produced.extend(
                 self.fire_binding(
-                    rule, binding, used_facts, store, node_of, step, result,
-                    admit=admit, sink=sink,
+                    rule, binding, used_facts, store, node_of, step, result, sink=sink
                 )
             )
             return
-        if admit is None:
-            admit = self.strategy.admit
+        admit = self.strategy.admit
         if plan.existentials:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
@@ -767,7 +804,6 @@ class ChaseEngine:
         node_of: Dict[Fact, ChaseNode],
         step: int,
         result: ChaseResult,
-        admit=None,
         sink=None,
     ) -> List[ChaseNode]:
         """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
@@ -777,8 +813,8 @@ class ChaseEngine:
         metadata and the termination check all happen here.  The naive
         reference matcher calls it directly; every compiled-plan driver
         reaches it through :meth:`fire_slots`, so all executors share one
-        firing semantics.  ``admit`` overrides the termination oracle and
-        ``sink`` the write target, as in :meth:`fire_slots`.
+        firing semantics.  ``sink`` is the write target, as in
+        :meth:`fire_slots`.
         """
         if sink is None:
             sink = store
@@ -800,8 +836,7 @@ class ChaseEngine:
         for variable in existentials:
             full_binding[variable] = self.null_factory.fresh()
 
-        if admit is None:
-            admit = self.strategy.admit
+        admit = self.strategy.admit
         analysis = self._rule_analyses[id(rule)]
         produced: List[ChaseNode] = []
         parents = [node_of[f] for f in used_facts if f in node_of]

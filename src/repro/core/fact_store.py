@@ -28,10 +28,10 @@ write-batch** protocol shared by all executors:
   single-writer sink with the same duck interface as the store's own
   mutation entry points (``add``/``contains_row``/``in_active_domain``).
   Staged facts are visible to duplicate checks immediately but enter the
-  indexes only on :meth:`WriteBatch.apply`; the chase engines use batches
-  for bulk input loading and the parallel admission stage, while the
-  per-fact executors (naive/compiled firing, the streaming pipeline) keep
-  writing through :meth:`FactStore.add`, the degenerate auto-commit writer.
+  indexes only on :meth:`WriteBatch.apply`; the parallel admission
+  stage writes through a batch, while input loading and the per-fact fire
+  path of the round loop write through :meth:`FactStore.add`, the
+  degenerate auto-commit writer.
 """
 
 from __future__ import annotations

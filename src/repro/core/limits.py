@@ -11,9 +11,9 @@ executor:
   a peak-resident-facts ceiling;
 * :class:`CancellationToken` — a thread-safe cooperative cancellation
   handle the caller can trip from another thread;
-* :class:`ExecutionGovernor` — the per-run object the chase loop, the
-  streaming pull scheduler and the parallel admit phase consult.  Round
-  boundaries call :meth:`ExecutionGovernor.round_status` (all budget axes);
+* :class:`ExecutionGovernor` — the per-run object the round loop (on every
+  executor) and the parallel admit phase consult.  Round boundaries call
+  :meth:`ExecutionGovernor.round_status` (all budget axes);
   hot inner loops call the strided :meth:`ExecutionGovernor.tick`, which
   only pays for a clock read every ``TICK_STRIDE`` calls and raises
   :class:`ExecutionStopped` when the deadline has passed or the token was
@@ -128,11 +128,6 @@ class ExecutionGovernor:
         if self.budget.deadline_seconds is not None:
             self._deadline_at = self.started_at + self.budget.deadline_seconds
         self._ticks = 0
-        #: Precomputed: does any per-fact (non-clock) budget axis apply?
-        self.has_fact_limits = (
-            self.budget.max_derived_facts is not None
-            or self.budget.max_resident_facts is not None
-        )
         #: Optional :class:`repro.obs.Tracer` (duck-typed, set by the owning
         #: executor after construction): every stop decision is recorded as
         #: an instant ``governor-stop`` span plus a ``governor.stops`` counter.
@@ -189,7 +184,7 @@ class ExecutionGovernor:
     def round_status(
         self, rounds: int, resident_facts: int, derived_facts: int
     ) -> Optional[Tuple[str, str]]:
-        """Full budget check at a round/sweep boundary.
+        """Full budget check at a round boundary.
 
         ``rounds`` is the number of *completed* rounds; the caller asks
         before starting the next one.
@@ -229,44 +224,10 @@ class ExecutionGovernor:
             )
         return None
 
-    def admission_status(
-        self, resident_facts: int, derived_facts: int
-    ) -> Optional[Tuple[str, str]]:
-        """Per-fact-admission budget check (integer compares only).
-
-        Used by executors whose "round" can admit many facts before the next
-        boundary (the streaming pipeline's sweeps): the fact-count axes are
-        enforced as facts are admitted, without paying for a clock read.
-        """
-        budget = self.budget
-        if (
-            budget.max_derived_facts is not None
-            and derived_facts >= budget.max_derived_facts
-        ):
-            return self._stopped(
-                (
-                    STATUS_BUDGET,
-                    f"derived-fact budget of {budget.max_derived_facts} exhausted "
-                    f"({derived_facts} facts derived)",
-                )
-            )
-        if (
-            budget.max_resident_facts is not None
-            and resident_facts > budget.max_resident_facts
-        ):
-            return self._stopped(
-                (
-                    STATUS_BUDGET,
-                    f"resident-fact ceiling of {budget.max_resident_facts} exceeded "
-                    f"({resident_facts} facts resident)",
-                )
-            )
-        return None
-
     def tick(self) -> None:
         """Strided inner-loop checkpoint; raises :class:`ExecutionStopped`.
 
-        Safe to call once per join match / per pull: only every
+        Safe to call once per join match: only every
         ``TICK_STRIDE``-th call consults the clock and the token.
         """
         self._ticks += 1

@@ -6,7 +6,6 @@ from .annotations import (
     collect_bindings,
     write_output_bindings,
 )
-from .buffer import BufferCache, BufferSegment
 from .joins import CompiledRuleExecutor
 from .partition import (
     ParallelChaseEngine,
@@ -15,13 +14,7 @@ from .partition import (
     shard_of,
     stable_term_hash,
 )
-from .pipeline import (
-    PipelineExecutor,
-    PipelineStats,
-    RuleFilterNode,
-    SinkNode,
-    SourceNode,
-)
+from .pipeline import PipelineExecutor
 from .plan import (
     AtomStep,
     PlanNode,
@@ -46,7 +39,7 @@ from .record_managers import (
     managers_for_database,
     managers_for_facts,
 )
-from .scheduler import PullScheduler, RoundRobinScheduler, SchedulerReport
+from .scheduler import RoundRobinScheduler, SchedulerReport
 from .wrappers import TerminationWrapper, WrapperRegistry
 
 __all__ = [
@@ -54,8 +47,6 @@ __all__ = [
     "PostDirective",
     "collect_bindings",
     "write_output_bindings",
-    "BufferCache",
-    "BufferSegment",
     "CompiledRuleExecutor",
     "ParallelChaseEngine",
     "RoundPartitioner",
@@ -63,10 +54,6 @@ __all__ = [
     "shard_of",
     "stable_term_hash",
     "PipelineExecutor",
-    "PipelineStats",
-    "RuleFilterNode",
-    "SinkNode",
-    "SourceNode",
     "AtomStep",
     "PlanNode",
     "ReasoningAccessPlan",
@@ -91,7 +78,6 @@ __all__ = [
     "RecordManager",
     "managers_for_database",
     "managers_for_facts",
-    "PullScheduler",
     "RoundRobinScheduler",
     "SchedulerReport",
     "TerminationWrapper",

@@ -186,7 +186,7 @@ def load_bound_facts(bindings: BindingSet) -> List[Fact]:
     """Materialise the facts of every bound external source.
 
     The materializing executors load through the same record managers the
-    streaming pipeline pulls from, so pushdowns (attached by the reasoner)
+    streaming driver reads from, so pushdowns (attached by the reasoner)
     apply identically on both paths.
     """
     facts: List[Fact] = []

@@ -71,7 +71,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 from ..core.atoms import Atom, Fact
 from ..core.chase import ChaseEngine, ChaseResult
 from ..core.fact_store import FactStore, StoreSnapshot
-from ..core.forests import ChaseNode, input_node
+from ..core.forests import ChaseNode
 from ..core.limits import STATUS_COMPLETE
 from ..core.parser import parse_atom
 from ..core.provenance import DerivationIndex
@@ -280,17 +280,10 @@ class ResidentReasoner:
         if self._dirty:
             return 0
         store = self._store
-        store.current_round = self._round
-        added: List[ChaseNode] = []
-        strategy = self._engine.strategy
-        for fact in new_facts:
-            if not store.add(fact):
-                continue  # already derived: now also extensional, no new node
-            node = input_node(fact, step=self._round)
-            self._node_of[fact] = node
-            self._result.nodes.append(node)
-            strategy.register_input(node)
-            added.append(node)
+        # A fact already derived only gains extensional status: no new node.
+        added = self._engine.load_inputs(
+            new_facts, store, self._node_of, self._result, self._round
+        )
         if added:
             before = len(self._result.nodes)
             self._engine.continue_rounds(

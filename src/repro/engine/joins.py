@@ -21,9 +21,8 @@ from ..core.atoms import Fact
 class CompiledRuleExecutor:
     """Executes a compiled :class:`~repro.engine.plan.RuleJoinPlan` against a store.
 
-    This is the slot-machine join, on the chase hot path of every executor
-    (the streaming filters drive its probe and admission steps one pulled
-    fact at a time): the seed step scans (or index-probes) the current
+    This is the slot-machine join, on the chase hot path of every executor:
+    the seed step scans (or index-probes) the current
     semi-naive delta, every further step probes the store's dynamic
     per-position indexes — choosing the most selective bound position, i.e.
     the smallest bucket — and variable bindings live in a single mutable

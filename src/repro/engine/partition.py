@@ -404,8 +404,10 @@ class ParallelChaseEngine(ChaseEngine):
         delta: List[ChaseNode],
         round_index: int,
         result: ChaseResult,
+        rules: Optional[List[Rule]] = None,
     ) -> List[ChaseNode]:
         tracer = self.tracer
+        round_rules = self.program.rules if rules is None else rules
         delta_facts = [node.fact for node in delta]
         store.begin_round(round_index, delta_facts)
         n_shards = self.parallelism
@@ -418,7 +420,7 @@ class ParallelChaseEngine(ChaseEngine):
             )
         partitioner = RoundPartitioner(store, n_shards)
         specs: List[Tuple[Rule, object, List[List[List[Fact]]]]] = []
-        for rule in self.program.rules:
+        for rule in round_rules:
             if rule.aggregate is not None:
                 continue
             plan = self._compiled[id(rule)].plan
@@ -458,7 +460,7 @@ class ParallelChaseEngine(ChaseEngine):
         match_counts = [0] * n_shards
         spec_index = 0
         try:
-            for rule in self.program.rules:
+            for rule in round_rules:
                 rule_span = None
                 candidates_before = 0
                 if tracer is not None:

@@ -17,10 +17,11 @@ the four compilation steps of the pipeline architecture:
    strategy (Algorithm 1) and extracts the answers, applying the
    post-processing annotations.  Pass ``executor="naive"`` to fall back to
    the interpreted matcher (the reference path for differential testing),
-   ``executor="streaming"`` for the pull-based pipeline runtime
-   (:mod:`repro.engine.pipeline`): query-driven, buffer-backed and able to
-   return first answers before the model is fully materialized —
-   :meth:`VadalogReasoner.stream` exposes the lazy variant — or
+   ``executor="streaming"`` for the lazily fed round loop
+   (:mod:`repro.engine.pipeline`): query-driven, reading its sources in
+   growing batches and able to return first answers before the model is
+   fully materialized — :meth:`VadalogReasoner.stream` exposes the lazy
+   variant — or
    ``executor="parallel"`` for the sharded worker-pool chase
    (:mod:`repro.engine.partition`): the delta is hash-partitioned on the
    seed join key across ``parallelism=`` workers and merged through a
@@ -87,8 +88,7 @@ from .plan import (
 )
 from .record_managers import (
     DataSourceRecordManager,
-    FactsRecordManager,
-    RecordManager,
+    chain_managers,
     managers_for_database,
     managers_for_facts,
 )
@@ -107,7 +107,7 @@ class ReasoningResult:
     ARCHITECTURE.md, "Run lifecycle").  ``reason()`` returns after the
     finish step, with :attr:`answers` populated.  A lazy result from
     :meth:`VadalogReasoner.stream` has only been started: it carries a live
-    :attr:`pipeline`, :meth:`first_answer` and :meth:`iter_answers` pull it
+    :attr:`pipeline`, :meth:`first_answer` and :meth:`iter_answers` feed it
     on demand, and :meth:`complete` (or a drained :meth:`iter_answers`)
     runs the same finish step ``reason()`` does, once.
     """
@@ -131,7 +131,7 @@ class ReasoningResult:
     #: the build clock as its ``t_create`` attr), and a lazy run's ``total``
     #: includes the time the caller held the result between pulls.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: The live streaming pipeline (lazy runs and eager streaming runs).
+    #: The streaming driver (lazy runs and eager streaming runs).
     pipeline: Optional[PipelineExecutor] = None
     #: Per-predicate datasource counters (``@bind`` traffic: rows scanned,
     #: pushdown applied, cache hits, rows written back).  Empty when the run
@@ -185,11 +185,12 @@ class ReasoningResult:
 
     # ------------------------------------------------------- streaming access
     def first_answer(self) -> Optional[Fact]:
-        """The first answer fact, pulling the pipeline only as far as needed.
+        """The first answer fact, reading the input only as far as needed.
 
-        On a lazy streaming result this *stops* as soon as any sink produces
-        a fact — the rest of the model is not materialized.  On an eager
-        result it simply returns the first extracted answer.
+        On a lazy streaming result this *stops* as soon as an output
+        predicate holds a fact — the rest of the input is not read, the rest
+        of the model not materialized.  On an eager result it simply
+        returns the first extracted answer.
         """
         if self.pipeline is not None:
             return self.pipeline.first_answer()
@@ -201,9 +202,11 @@ class ReasoningResult:
     def iter_answers(self):
         """Lazily iterate answer facts; finishes the run when drained.
 
-        Streamed facts are the raw sink output (universal answers, before
-        isomorphic deduplication and monotonic-aggregate reduction); the
-        post-processed view is in :attr:`answers` after the finish step.
+        Streamed facts are the raw output facts in store order (universal
+        answers, before isomorphic deduplication and monotonic-aggregate
+        reduction); the post-processed view is in :attr:`answers` after the
+        finish step.  Cancellation, the deadline or an exhausted budget end
+        the iteration, answers derived but not yet handed out included.
         """
         if self.pipeline is None:
             yield from self.answers.facts()
@@ -318,7 +321,8 @@ class _Run:
     spec: Optional[_RunSpec] = None
     bindings: Optional[BindingSet] = None
     #: Runs the driver to its end: ``ChaseEngine.run`` (sequential or
-    #: parallel) or ``PipelineExecutor.run_to_completion``.
+    #: parallel) or ``PipelineExecutor.run_to_completion`` — each of them
+    #: input load + ``ChaseEngine.continue_rounds``.
     drive: Optional[Callable[[], ChaseResult]] = None
 
     def begin(self, kind: str, name: Optional[str] = None, **attrs: object):
@@ -403,8 +407,8 @@ class VadalogReasoner:
         self.analysis = analyse_program(self.program)
         self.plan, self.scheduler_report = _plan_and_order(self.program)
         # Step 4a (query compiler): compile every rule body into its
-        # slot-machine join plan once; reasoning runs reuse the plans.  The
-        # streaming pipeline executes the same plans incrementally.
+        # slot-machine join plan once; reasoning runs reuse the plans (the
+        # streaming driver's engine too).
         self.join_plans: Dict[int, RuleJoinPlan] = (
             compile_join_plans(self.program) if executor != "naive" else {}
         )
@@ -502,17 +506,27 @@ class VadalogReasoner:
         cancel: Optional[CancellationToken] = None,
         trace: object = None,
     ) -> ReasoningResult:
-        """Start a lazy streaming run: nothing is evaluated until pulled.
+        """Start a lazy streaming run: nothing is evaluated, no source opened.
 
-        The returned result exposes ``first_answer()`` (pull until one answer
-        fact is produced, then stop), ``iter_answers()`` (a lazy answer
-        iterator) and ``complete()`` (drain to the fixpoint, then the finish
-        step ``reason()`` runs: ``answers``, writeback, ``warnings``,
-        ``source_stats`` and ``timings``).  Available on every reasoner
-        regardless of its default ``executor``.  ``query``/``rewrite``
-        behave as in :meth:`reason`; with ``rewrite="magic"`` the pipeline
-        pulls through the rewritten program, so a bound first answer touches
-        only the demanded slice of the data.  ``deadline``/``budget``/
+        The returned result exposes ``first_answer()`` (read the sources in
+        growing batches — 1, 2, 4, … rows each — chasing every batch to
+        fixpoint, until one answer fact exists, then stop),
+        ``iter_answers()`` (a lazy answer iterator that reads a further
+        batch whenever it runs dry) and ``complete()`` (load what is left
+        as one batch, chase to the fixpoint, then the finish step
+        ``reason()`` runs: ``answers``, writeback, ``warnings``,
+        ``source_stats`` and ``timings``).  Every batch goes through the one
+        compiled round loop, restricted to the rules that can reach the
+        outputs; sources outside that slice are never opened.  A run that
+        goes straight to ``complete()`` derives exactly what
+        ``executor="compiled"`` derives on the slice; one completed after
+        partial pulls agrees on ground answers and null patterns (the
+        multiset of isomorphic null witnesses may differ, as after a
+        resident upsert).  Available on every reasoner regardless of its
+        default ``executor``.  ``query``/``rewrite`` behave as in
+        :meth:`reason`; with ``rewrite="magic"`` the driver chases the
+        rewritten program, so a bound first answer touches only the
+        demanded slice of the data.  ``deadline``/``budget``/
         ``cancel`` bound the run as in :meth:`reason`; the deadline clock
         starts at the first pull, not at this call.  ``trace`` behaves as in
         :meth:`reason`; the trace is finalized when the run is drained
@@ -723,7 +737,7 @@ class VadalogReasoner:
         The selection pushdowns of :func:`compile_source_pushdowns` are
         recomputed per run and attached to the input record managers, so
         both the materializing load (:func:`load_bound_facts`) and the
-        streaming pipeline's lazy source cursors scan with the same
+        streaming driver's lazy source cursors scan with the same
         restriction.  ``output_predicates`` is this run's answer selection:
         a bound predicate the caller asks for directly must be served in
         full, so it is excluded from pushdown.
@@ -758,52 +772,39 @@ class VadalogReasoner:
         config: ChaseConfig,
         tracer: Optional[Tracer],
     ) -> PipelineExecutor:
-        """Assemble the streaming pipeline for one run.
+        """Assemble the streaming driver for one run; reads no source.
 
         :class:`Database` inputs and external ``@bind`` sources keep lazy
         record managers (their relations are only read when the backward
-        slice actually pulls them); loose fact lists/mappings, program facts
-        and magic seed facts are wrapped in :class:`FactsRecordManager`
-        sources.
+        slice actually pulls them); loose fact lists/mappings, magic seed
+        facts and program facts are wrapped in :class:`FactsRecordManager`
+        sources.  A predicate fed from several of these streams them in the
+        order the materializing executors load them (database, bindings,
+        seeds, program facts), each opened when the one before runs dry.
         """
         program = spec.program
-        managers: Dict[str, RecordManager] = {}
         if isinstance(database, Database):
-            managers.update(managers_for_database(database))
-            loose: List[Fact] = []
+            from_database = managers_for_database(database)
         else:
-            loose = list(self._database_facts(database))
-        loose.extend(program.facts)
-        loose.extend(spec.seeds)
-        for predicate, manager in managers_for_facts(loose).items():
-            managers[predicate] = self._merge_managers(managers.get(predicate), manager)
-        for predicate, manager in bindings.record_managers.items():
-            managers[predicate] = self._merge_managers(managers.get(predicate), manager)
+            from_database = managers_for_facts(self._database_facts(database))
         join_plans = spec.join_plans
         if not join_plans and program is self.program:
             # A reasoner built with executor="naive" has no plans yet; the
-            # pipeline needs them, so compile (and cache) on first use.
+            # driver's engine needs them, so compile (and cache) on first use.
             self.join_plans = join_plans = compile_join_plans(self.program)
         return PipelineExecutor(
             program,
             outputs=list(spec.outputs),
-            input_managers=managers,
+            input_managers=chain_managers(
+                from_database,
+                bindings.record_managers,
+                managers_for_facts([*spec.seeds, *program.facts]),
+            ),
             strategy=strategy,
             analysis=spec.analysis,
             config=config,
             join_plans=join_plans,
             tracer=tracer,
-        )
-
-    @staticmethod
-    def _merge_managers(
-        existing: Optional[RecordManager], manager: RecordManager
-    ) -> RecordManager:
-        """Combine two sources of the same predicate (rare), materialising both."""
-        if existing is None:
-            return manager
-        return FactsRecordManager(
-            manager.predicate, existing.facts() + manager.facts()
         )
 
     # ----------------------------------------------------------------- helpers

@@ -8,15 +8,15 @@ databases and loose facts, :class:`DataSourceRecordManager` bridges
 to the pluggable datasource layer of
 :mod:`repro.storage.datasources` (SQLite/CSV/JSONL behind ``@bind``): it
 streams lazily from the source's cursor — no *rows* are read until the
-first fact is pulled, so pipeline sources pruned by the backward slice
-never scan their backend (SQLite binds do get an eager schema-validation
+first fact is pulled, so sources the streaming driver prunes by the
+backward slice never scan their backend (SQLite binds do get an eager schema-validation
 peek at resolution time) — and carries the predicate's compiled
 :class:`~repro.storage.datasources.Pushdown` into the scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Mapping
 
 from ..core.atoms import Fact
 from ..core.terms import Constant
@@ -68,7 +68,7 @@ class DatabaseRecordManager(RecordManager):
 class FactsRecordManager(RecordManager):
     """Serves already-constructed :class:`Fact` objects for one predicate.
 
-    The streaming pipeline wraps every extensional predicate in a record
+    The streaming driver reads every extensional predicate through a record
     manager; facts that arrive pre-built (programmatic databases, ``reason()``
     fact lists, facts embedded in the program text) go through this adapter.
     """
@@ -82,6 +82,41 @@ class FactsRecordManager(RecordManager):
 
     def stream(self) -> Iterator[Fact]:
         return iter(self._facts)
+
+
+class ChainedRecordManager(RecordManager):
+    """Several sources of one predicate, streamed one after the other.
+
+    A predicate can arrive through ``database=``, a ``@bind`` and facts in
+    the program text at once.  Each manager is opened only when the one
+    before it has run dry, and none before the first fact is pulled.
+    """
+
+    def __init__(self, predicate: str, managers: Iterable[RecordManager]) -> None:
+        self.predicate = predicate
+        self.managers = list(managers)
+
+    def stream(self) -> Iterator[Fact]:
+        for manager in self.managers:
+            yield from manager.stream()
+
+
+def chain_managers(*groups: Mapping[str, RecordManager]) -> Dict[str, RecordManager]:
+    """One record manager per predicate out of several predicate→manager maps.
+
+    A predicate present in more than one group streams them in group order
+    through a :class:`ChainedRecordManager`; the others keep their manager.
+    """
+    found: Dict[str, List[RecordManager]] = {}
+    for group in groups:
+        for predicate, manager in group.items():
+            found.setdefault(predicate, []).append(manager)
+    return {
+        predicate: managers[0]
+        if len(managers) == 1
+        else ChainedRecordManager(predicate, managers)
+        for predicate, managers in found.items()
+    }
 
 
 def managers_for_database(database: Database) -> Dict[str, RecordManager]:

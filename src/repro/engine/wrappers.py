@@ -1,12 +1,18 @@
 """Termination-strategy wrappers (Section 4, "Cycle management").
 
-Every filter of the pipeline is wrapped by a component that, whenever the
-filter pre-loads a candidate fact, issues a ``checkTermination`` message to
-its local termination wrapper; if the check is negative the fact is
-discarded because it would lead to non-termination.  The wrapper also owns
-the fact/ground/summary structures of Section 3.4 — in this code base those
-live inside the shared :class:`~repro.core.termination.TerminationStrategy`,
-which the wrappers delegate to so that all filters see a consistent view.
+In the paper every filter of the pipeline is wrapped by a component that,
+whenever the filter pre-loads a candidate fact, issues a
+``checkTermination`` message to its local termination wrapper; if the check
+is negative the fact is discarded because it would lead to non-termination.
+Here the fact/ground/summary structures of Section 3.4 live inside the one
+shared :class:`~repro.core.termination.TerminationStrategy`, which the
+round loop's fire path asks directly.
+
+No executor constructs a wrapper any more: the pull pipeline that did is
+gone (streaming now feeds the one round loop).  The module stays because
+the frozen benchmark (``e2ebench/tracing.py``) resolves
+``TerminationWrapper.check_termination`` as a layer boundary; it is the
+first deletion of the next benchmark re-baseline (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -37,14 +43,8 @@ class WrapperStats:
 
 
 class TerminationWrapper:
-    """Per-filter façade over the shared termination strategy.
-
-    In the streaming pipeline every rule filter holds one of these and
-    funnels each candidate fact through :meth:`check_termination` before the
-    fact is emitted downstream; source filters route their extensional facts
-    through :meth:`register_input` so the shared strategy sees a consistent
-    view regardless of which filter touched the fact first.
-    """
+    """Per-filter façade over the shared termination strategy: counts the
+    checks of one filter and delegates them."""
 
     def __init__(self, filter_name: str, strategy: TerminationStrategy) -> None:
         self.filter_name = filter_name

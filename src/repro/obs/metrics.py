@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` is the aggregate companion to span tracing:
 spans answer "where did the time go", metrics answer "how many" for
 quantities that are too frequent (or too global) to carry a span each —
-pull-scheduler hit/miss/barren classifications, governor stops, source
-cache traffic.  Everything is standard library, allocation-light, and
+round durations, governor stops, source cache traffic.  Everything is standard library, allocation-light, and
 driver-thread-only (workers report through span records instead).
 """
 

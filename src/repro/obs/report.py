@@ -25,13 +25,6 @@ def _spans(source: SpanSource) -> List[Span]:
     return list(source)
 
 
-def _rule_seconds(span: Span) -> float:
-    # Streaming rule spans cover the pipeline's [first, last] activity
-    # window; their actual busy time is the accumulated counter.
-    busy = span.counters.get("busy_seconds")
-    return float(busy) if busy is not None else span.duration
-
-
 def aggregate_rules(source: SpanSource) -> Dict[str, Dict[str, Any]]:
     """Per-rule totals across all rounds: fires, candidates, deduped, seconds."""
     totals: Dict[str, Dict[str, Any]] = {}
@@ -46,7 +39,7 @@ def aggregate_rules(source: SpanSource) -> Dict[str, Dict[str, Any]]:
         entry["fires"] += span.counters.get("fires", 0)
         entry["candidates"] += span.counters.get("candidates", 0)
         entry["deduped"] += span.counters.get("deduped", 0)
-        entry["seconds"] += _rule_seconds(span)
+        entry["seconds"] += span.duration
     return totals
 
 

@@ -3,10 +3,10 @@
 Production code is instrumented with named *fault points* — cheap no-op
 hooks (one module-global read when nothing is installed) placed at the
 seams the robustness layer must survive: datasource scans, parallel match
-workers, rule application in the materializing chase and in the streaming
-pipeline.  Tests install a :class:`FaultPlan` that decides, deterministically
-(seeded counters, optional seeded probability), which hits of which point
-raise an injected exception or sleep to simulate a slow rule.
+workers, rule application in the round loop (every executor).  Tests
+install a :class:`FaultPlan` that decides, deterministically (seeded
+counters, optional seeded probability), which hits of which point raise an
+injected exception or sleep to simulate a slow rule.
 
 Registered fault points:
 
@@ -16,10 +16,8 @@ Registered fault points:
   ``engine.partition`` (context: ``shard``, ``round``); fires in thread
   workers, forked children (the plan is inherited copy-on-write) and in
   driver-side degraded execution alike;
-* ``chase.rule``       — per rule application in the materializing engines
-  (context: ``rule``, ``round``);
-* ``pipeline.rule``    — per ``produce()`` of a streaming rule filter
-  (context: ``rule``).
+* ``chase.rule``       — per rule application in the round loop, on every
+  executor (context: ``rule``, ``round``).
 
 The harness is intentionally dependency-free so any module may import
 :func:`fault_point` without cycles.

@@ -10,17 +10,20 @@ registry** defined here, with the same three levels of agreement:
   derivation order);
 * **null patterns** — null-carrying facts must produce the same set of
   patterns (constants in place, labelled nulls as anonymous witnesses);
-* **iso profile** — outside the order-sensitive scenarios, the full
-  multiset of per-fact isomorphism keys (including multiplicities) must
-  match too.
+* **iso profile** — the full multiset of per-fact isomorphism keys
+  (including multiplicities) must match too: everywhere for naive and for a
+  cold streaming run (both derive in the compiled order), outside the
+  order-sensitive scenarios for the parallel executor.
 
-The order-sensitive exemption sets are owned here as well, so the suites
-cannot silently drift apart: ``ORDER_SENSITIVE_NULLS`` for the pull-based
-streaming runtime and ``PARALLEL_ORDER_SENSITIVE_NULLS`` for the sharded
-parallel executor, where snapshot rounds enumerate duplicate joins in a
-different order than the live sequential chase and may therefore retain a
-different *multiset* of homomorphically equivalent null witnesses (usually
-fewer, occasionally one more — the direction is order-dependent).  The
+The one order-sensitive exemption set is owned here as well, so the suites
+cannot silently drift apart: ``PARALLEL_ORDER_SENSITIVE_NULLS`` for the
+sharded parallel executor, where snapshot rounds enumerate duplicate joins
+in a different order than the live sequential chase and may therefore
+retain a different *multiset* of homomorphically equivalent null witnesses
+(usually fewer, occasionally one more — the direction is order-dependent).
+The same holds for a streaming run completed after partial pulls (batches
+change the order the termination check meets the witnesses in), which
+``test_streaming_differential`` compares at the first two levels.  The
 exact contract — certain facts identical, witness pattern sets identical in
 both directions, full profile equality at one worker — is pinned by
 ``test_parallel_executor.TestParallelNullWitnessContract``.
@@ -28,6 +31,7 @@ both directions, full profile equality at one worker — is pinned by
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Counter as CounterType
 from typing import Dict, Optional, Set, Tuple
 
@@ -88,23 +92,18 @@ SCENARIOS = {
     "ds-label-prop": lambda: label_propagation_scenario(),
 }
 
-#: Recursive-existential scenarios where the streaming pipeline's
-#: derivation order may retain different (homomorphically equivalent,
-#: pattern-identical) null witnesses: pattern-level agreement only.
-ORDER_SENSITIVE_NULLS = {
+#: The 8 recursive-existential scenarios where the parallel executor's
+#: snapshot rounds legitimately retain a different multiset of duplicate
+#: null witnesses than the live sequential chase (CHANGES.md, PR 4):
+#: pattern-level agreement only.  The exact contract is pinned by
+#: ``test_parallel_executor``.
+PARALLEL_ORDER_SENSITIVE_NULLS = {
     "iwarded-synthA",
     "iwarded-synthB",
     "iwarded-parametric",
     "iwarded-parametric-deep",
     "scaling-dbsize",
     "scaling-atoms",
-}
-
-#: The 6 recursive-existential scenarios where the parallel executor's
-#: snapshot rounds legitimately retain *fewer* duplicate null witnesses
-#: than the live sequential chase (CHANGES.md, PR 4).  The iso profile is
-#: pinned as a sub-multiset by ``test_parallel_executor``.
-PARALLEL_ORDER_SENSITIVE_NULLS = ORDER_SENSITIVE_NULLS | {
     "scaling-arity",
     "scaling-rules",
 }
@@ -143,24 +142,34 @@ def answer_profile(
     executor: str,
     query: Optional[Atom] = None,
     rewrite: Optional[str] = None,
+    lazy_steps: Optional[int] = None,
     **reasoner_kwargs,
 ) -> AnswerProfile:
     """Run one scenario on one executor and profile its *answers*.
 
     With ``query``/``rewrite`` the run goes through
     ``reason(query=..., rewrite=...)`` and the profile covers the query
-    predicate only; otherwise the scenario's declared outputs.
+    predicate only; otherwise the scenario's declared outputs.  With
+    ``lazy_steps`` the run is driven lazily instead — ``stream()``,
+    ``first_answer()``, that many ``iter_answers()`` steps, ``complete()``
+    — so the input reaches the chase in several batches.
     """
     scenario = SCENARIOS[name]()
     reasoner = VadalogReasoner(
         scenario.program.copy(), executor=executor, **reasoner_kwargs
     )
-    result = reasoner.reason(
+    run = reasoner.reason if lazy_steps is None else reasoner.stream
+    result = run(
         database=scenario.database,
         outputs=None if query is not None else scenario.outputs,
         query=query,
         rewrite=rewrite,
     )
+    if lazy_steps is not None:
+        result.first_answer()
+        for _fact in islice(result.iter_answers(), lazy_steps):
+            pass
+        result.complete()
     predicates = (query.predicate,) if query is not None else scenario.outputs
     ground, iso, patterns = {}, {}, {}
     for predicate in predicates:

@@ -1,4 +1,4 @@
-"""Tests for the pipeline-architecture components: plan, scheduler, joins, buffer, wrappers."""
+"""Tests for the pipeline-architecture components: plan, scheduler, joins, wrappers."""
 
 import hashlib
 import os
@@ -14,7 +14,6 @@ from repro.core.forests import input_node
 from repro.core.parser import parse_program
 from repro.core.terms import Constant
 from repro.core.termination import TrivialIsomorphismStrategy
-from repro.engine.buffer import BufferCache, BufferSegment
 from repro.engine.plan import compile_plan
 from repro.engine.scheduler import RoundRobinScheduler
 from repro.engine.wrappers import TerminationWrapper, WrapperRegistry
@@ -203,76 +202,6 @@ class TestFireSlotsKernel:
             )
             got = {p: self.patterns(result, p) for p in self.OUTPUTS}
             assert got == expected, executor
-
-
-class TestBufferCache:
-    def test_append_iterate(self):
-        segment = BufferSegment("s", page_size=4, max_pages=2)
-        segment.extend(range(10))
-        assert list(segment) == list(range(10))
-        assert len(segment) == 10
-
-    def test_lru_eviction_and_swap_in(self):
-        segment = BufferSegment("s", page_size=2, max_pages=2)
-        segment.extend(range(10))  # 5 pages, only 2 resident
-        assert segment.resident_pages() <= 2
-        assert segment.swapped_pages() >= 3
-        assert segment.stats.evictions >= 3
-        # Reading an evicted page swaps it back in.
-        assert segment.page(0) == [0, 1]
-        assert segment.stats.swap_ins >= 1
-
-    def test_lfu_policy(self):
-        segment = BufferSegment("s", page_size=1, max_pages=2, policy="lfu")
-        segment.extend([0, 1, 2])
-        assert segment.resident_pages() == 2
-
-    def test_lfu_tie_break_is_insertion_order(self):
-        """Among equally frequent pages the oldest one is evicted, always."""
-        segment = BufferSegment("s", page_size=1, max_pages=3, policy="lfu")
-        segment.extend([0, 1, 2])  # pages 0,1,2 resident, one touch each
-        segment.page(0)  # page 0 now more frequent
-        segment.append(3)  # pages 1 and 2 tie on frequency -> evict page 1
-        assert segment.swapped_pages() == 1
-        assert 1 in segment._swap  # the older of the tied pages lost
-        assert segment.page(1) == [1]  # swapped back in on demand
-        assert segment.stats.swap_ins == 1
-
-    def test_lfu_eviction_deterministic_across_runs(self):
-        def evicted_sequence():
-            segment = BufferSegment("s", page_size=1, max_pages=2, policy="lfu")
-            segment.extend(range(6))
-            return segment.stats.as_dict(), segment.resident_pages()
-
-        assert evicted_sequence() == evicted_sequence()
-
-    def test_swap_out_accounting_and_peak(self):
-        segment = BufferSegment("s", page_size=2, max_pages=2)
-        segment.extend(range(10))  # 5 pages, 2 resident
-        assert segment.stats.swap_outs == segment.stats.evictions == 3
-        assert segment.stats.peak_resident_pages == 2
-        assert segment.resident_items() <= 4
-
-    def test_item_random_access_reads_through_swap(self):
-        segment = BufferSegment("s", page_size=2, max_pages=2)
-        segment.extend(range(10))
-        assert [segment.item(i) for i in range(10)] == list(range(10))
-        assert segment.stats.swap_ins >= 1
-        with pytest.raises(IndexError):
-            segment.item(10)
-
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            BufferSegment("s", policy="fifo")
-
-    def test_cache_segments_and_stats(self):
-        cache = BufferCache(page_size=2, max_pages_per_segment=1)
-        cache.segment("filter:a").extend(range(5))
-        cache.segment("filter:b").append("x")
-        assert set(cache.segments()) == {"filter:a", "filter:b"}
-        assert cache.total_items() == 6
-        assert cache.total_evictions() >= 1
-        assert "filter:a" in cache.stats()
 
 
 class TestTerminationWrappers:

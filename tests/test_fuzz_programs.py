@@ -13,11 +13,13 @@ iWarded grid points (indices >= ``GRID_BASE`` — see ``fuzz.GRID_KNOBS``):
   isomorphism);
 * **streaming and parallel (2 workers) vs compiled** — answer-level
   agreement per output predicate: ground answers exactly, null answer
-  patterns exactly.  The iso *multiset* is exempt for these two executors —
-  they enumerate duplicate joins in a different order than the sequential
-  chase and may retain a different multiset of homomorphically equivalent
-  witnesses (same exemption as ``differential_harness``'s
-  ``ORDER_SENSITIVE_NULLS`` / ``PARALLEL_ORDER_SENSITIVE_NULLS``);
+  patterns exactly, and for streaming (a cold run is the compiled round
+  loop on the query slice) the iso *multiset* too.  Only the parallel
+  executor is exempt from the last: its snapshot rounds enumerate duplicate
+  joins in a different order than the sequential chase and may retain a
+  different multiset of homomorphically equivalent witnesses (same
+  exemption as ``differential_harness``'s
+  ``PARALLEL_ORDER_SENSITIVE_NULLS``);
 * **magic vs unrewritten** — for a generated point query,
   ``rewrite="magic"`` returns the same certain answers and null patterns
   as ``rewrite="none"``;
@@ -49,11 +51,14 @@ from repro.verify import oracle as verify_oracle
 
 __all__ = ["MASTER_SEED", "N_CASES", "CONSTANTS"]
 
+#: The executors compared against ``compiled`` on the answer level.
+MATRIX_EXECUTORS = ("streaming", "parallel")
+
 #: Executors whose answer profiles are compared at pattern level only (no
 #: iso-multiset equality): their join enumeration order differs from the
 #: sequential chase, so duplicate null witnesses may be retained in
 #: different multiplicities.
-ORDER_SENSITIVE_EXECUTORS = ("streaming", "parallel")
+ORDER_SENSITIVE_EXECUTORS = ("parallel",)
 
 
 def _reasoner_kwargs(executor):
@@ -191,23 +196,29 @@ def test_fuzz_case(index):
                 assert Position(pred, position) not in affected
 
 
-@pytest.mark.parametrize("executor", ORDER_SENSITIVE_EXECUTORS)
+@pytest.mark.parametrize("executor", MATRIX_EXECUTORS)
 @pytest.mark.parametrize("index", [*range(0, N_CASES, 2), *grid_indices()[::2]])
 def test_fuzz_executor_matrix(index, executor):
     """Streaming/parallel answers agree with compiled on every other case.
 
     Ground answers and null answer patterns must match exactly per output
-    predicate; the iso multiset is exempt (order-sensitive executors).
+    predicate, and the iso multiset too outside the order-sensitive
+    executors.
     """
     case = generate_case(index)
     reference = _run(case.program, case.database, "compiled")
     candidate = _run(case.program, case.database, executor)
     ref_profile = _answer_profile(reference, case.idb)
     cand_profile = _answer_profile(candidate, case.idb)
+    check_iso = executor not in ORDER_SENSITIVE_EXECUTORS
     for predicate in sorted(case.idb):
-        ref_ground, _, ref_patterns = ref_profile[predicate]
-        cand_ground, _, cand_patterns = cand_profile[predicate]
-        if ref_ground != cand_ground or ref_patterns != cand_patterns:
+        ref_ground, ref_iso, ref_patterns = ref_profile[predicate]
+        cand_ground, cand_iso, cand_patterns = cand_profile[predicate]
+        if (
+            ref_ground != cand_ground
+            or ref_patterns != cand_patterns
+            or (check_iso and ref_iso != cand_iso)
+        ):
             from repro.core.atoms import Atom
             from repro.core.terms import Variable
 

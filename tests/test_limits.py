@@ -130,7 +130,7 @@ class TestBudgetsAcrossExecutors:
         assert partial < full_tuples
         assert any("sound subset" in warning for warning in result.warnings)
 
-    @pytest.mark.parametrize("executor", ("compiled", "naive", "parallel"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_round_budget(self, executor, full_tuples):
         result = chain_reasoner(executor).reason(
             database=CHAIN_DB, budget=ExecutionBudget(max_rounds=2)
@@ -138,17 +138,6 @@ class TestBudgetsAcrossExecutors:
         assert result.status == STATUS_BUDGET
         assert "round budget" in result.stop_reason
         assert set(result.ground_tuples("T")) <= full_tuples
-
-    def test_round_budget_streaming_counts_sweeps(self, full_tuples):
-        # A streaming "round" is a driver sweep and one sweep can drain the
-        # whole fixpoint, so a small positive bound may legitimately finish;
-        # a zero bound must stop before any sweep runs.
-        result = chain_reasoner("streaming").reason(
-            database=CHAIN_DB, budget=ExecutionBudget(max_rounds=0)
-        )
-        assert result.status == STATUS_BUDGET
-        assert "round budget" in result.stop_reason
-        assert set(result.ground_tuples("T")) == set()
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_resident_fact_ceiling(self, executor, full_tuples):
@@ -219,14 +208,9 @@ class TestConfigPlumbing:
     # A ceiling fixed at construction (``chase_config=``) rather than per
     # call: what ``ChaseConfig(max_rounds=…)`` / ``(max_facts=…)`` used to
     # enforce by raising now ends the run with a status and a sound subset.
-    @pytest.mark.parametrize(
-        "executor, rounds",
-        # A streaming "round" is a sweep and one sweep can reach the
-        # fixpoint, so only a zero bound is guaranteed to stop it.
-        [("compiled", 1), ("naive", 1), ("parallel", 1), ("streaming", 0)],
-    )
-    def test_config_round_ceiling_ends_with_status(self, executor, rounds, full_tuples):
-        config = ChaseConfig(budget=ExecutionBudget(max_rounds=rounds))
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_config_round_ceiling_ends_with_status(self, executor, full_tuples):
+        config = ChaseConfig(budget=ExecutionBudget(max_rounds=1))
         result = chain_reasoner(executor, chase_config=config).reason(database=CHAIN_DB)
         assert result.status == STATUS_BUDGET
         assert "round budget" in result.stop_reason
@@ -239,8 +223,8 @@ class TestConfigPlumbing:
         assert result.status == STATUS_BUDGET
         assert "resident-fact ceiling" in result.stop_reason
         assert set(result.ground_tuples("T")) < full_tuples
-        # Checked at round/admission granularity: the overshoot is bounded
-        # by one round's derivations, far from the 465-tuple fixpoint.
+        # Checked at round granularity: the overshoot is bounded by one
+        # round's derivations, far from the 465-tuple fixpoint.
         assert len(result.chase.store) < len(full_tuples)
 
     def test_deadline_argument_overrides_budget_deadline(self):

@@ -1,4 +1,6 @@
-"""Tests for the streaming pipeline executor and its pull protocol."""
+"""Tests for the streaming driver: lazy sources, early answers, the query slice."""
+
+import sys
 
 import pytest
 
@@ -7,9 +9,13 @@ from repro.core.chase import ChaseConfig
 from repro.core.limits import STATUS_BUDGET, ExecutionBudget
 from repro.core.parser import parse_program
 from repro.core.termination import strategy_by_name
-from repro.engine.pipeline import PipelineExecutor
+from repro.engine.pipeline import FIRST_BATCH, PipelineExecutor
 from repro.engine.reasoner import VadalogReasoner, reason
-from repro.engine.record_managers import managers_for_facts
+from repro.engine.record_managers import (
+    ChainedRecordManager,
+    RecordManager,
+    managers_for_facts,
+)
 
 TC_PROGRAM = """
 @output("T").
@@ -58,64 +64,8 @@ class TestStreamingMatchesCompiled:
         assert all(f.has_nulls for f in facts)
 
 
-class TestPullProtocol:
-    def test_recursive_program_records_cyclic_misses(self):
-        """A filter re-entered while serving a ``next()`` answers ``notifyCycle``."""
-        result = reason(TC_PROGRAM, database=chain_edges(5), executor="streaming")
-        sched = result.pipeline.sched
-        assert sched.cyclic_misses >= 1
-        assert sched.real_misses >= 1  # exhausted sources answer real misses
-        kinds = {e.kind for e in sched.events}
-        assert "cyclic-miss" in kinds and "next" in kinds and "hit" in kinds
-        # Cyclic misses happen on the recursive rule pulling itself, and the
-        # events identify caller and callee.
-        cyclic = [e for e in sched.events if e.kind == "cyclic-miss"]
-        assert any(e.caller == e.callee for e in cyclic)
-
-    def test_non_recursive_program_has_no_cyclic_miss(self):
-        program = """
-        @output("B").
-        B(X) :- A(X).
-        """
-        result = reason(program, database={"A": [(1,), (2,)]}, executor="streaming")
-        assert result.pipeline.sched.cyclic_misses == 0
-        assert result.ground_tuples("B") == {(1,), (2,)}
-
-    def test_round_robin_fairness_three_predecessors(self):
-        """A filter with three producers alternates its pulls among them."""
-        program = """
-        @output("Out").
-        Out(X) :- M(X).
-        M(X) :- S1(X).
-        M(X) :- S2(X).
-        M(X) :- S3(X).
-        """
-        db = {
-            "S1": [("a1",), ("a2",)],
-            "S2": [("b1",), ("b2",)],
-            "S3": [("c1",), ("c2",)],
-        }
-        result = reason(program, database=db, executor="streaming")
-        assert result.ground_tuples("Out") == {
-            ("a1",), ("a2",), ("b1",), ("b2",), ("c1",), ("c2",),
-        }
-        pipeline = result.pipeline
-        out_filter = next(
-            node for node in pipeline.filters
-            if node.rule.head_predicate_names() == ("Out",)
-        )
-        assert len(out_filter.cursors) == 3
-        hits = [
-            e.callee
-            for e in pipeline.sched.events
-            if e.kind == "hit" and e.caller == out_filter.name
-        ]
-        assert len(hits) == 6
-        # Round-robin: the first three pulls hit three distinct producers,
-        # and no producer is drained before every producer served one fact.
-        assert len(set(hits[:3])) == 3
-
-    def test_first_answer_stops_pulling_early(self):
+class TestLazyDriving:
+    def test_first_answer_stops_reading_early(self):
         """``first_answer()`` returns before the model is materialised."""
         reasoner = VadalogReasoner(TC_PROGRAM, executor="streaming")
         lazy = reasoner.stream(database=chain_edges(30))
@@ -179,59 +129,162 @@ class TestRelevancePruning:
         assert result.chase.store.count("Junk") == 1
 
 
-class TestBufferBackedPipes:
-    def test_tight_budget_swaps_and_still_answers(self):
-        pipeline = tc_pipeline(n_edges=20, page_size=4, max_pages_per_segment=2)
-        result = pipeline.run_to_completion()
-        tuples = {f.values() for f in result.store.by_predicate("T")}
-        assert tuples == {(i, j) for i in range(21) for j in range(i + 1, 21)}
-        assert pipeline.buffers.total_evictions() > 0
-        stats = pipeline.buffers.stats()
-        assert any(s["swap_outs"] > 0 for s in stats.values())
-        assert any(s["swap_ins"] > 0 for s in stats.values())
-        # Residency stayed within budget: 2 pages of 4 items per segment.
-        for name in pipeline.buffers.segments():
-            assert pipeline.buffers.segment(name).resident_pages() <= 2
+class CountingManager(RecordManager):
+    """A record manager that counts ``stream()`` calls and rows read."""
 
-    def test_peak_resident_accounting(self):
-        pipeline = tc_pipeline(n_edges=10, page_size=2, max_pages_per_segment=3)
-        pipeline.run_to_completion()
-        for name in pipeline.buffers.segments():
-            segment = pipeline.buffers.segment(name)
-            assert segment.stats.peak_resident_pages <= 3
+    def __init__(self, predicate, rows):
+        self.predicate = predicate
+        self.rows = [fact(predicate, *row) for row in rows]
+        self.opened = 0
+        self.read = 0
+
+    def stream(self):
+        self.opened += 1
+        for row in self.rows:
+            self.read += 1
+            yield row
 
 
-class TestTerminationWrappers:
-    def test_filters_check_termination_inline(self):
-        result = reason(TC_PROGRAM, database=chain_edges(4), executor="streaming")
-        registry_stats = result.pipeline.registry.stats()
-        rule_wrappers = {k: v for k, v in registry_stats.items() if k.startswith("rule:")}
-        assert rule_wrappers
-        assert sum(s["checks"] for s in rule_wrappers.values()) > 0
-        assert sum(s["accepted"] for s in rule_wrappers.values()) == len(
-            result.chase.derived_facts()
+class TestLaziness:
+    PROGRAM = """
+    @output("Good").
+    Good(X) :- Base(X), Flag(X).
+    Junk(X) :- Noise(X).
+    """
+
+    def pipeline(self, text=PROGRAM, outputs=("Good",)):
+        managers = {
+            "Base": CountingManager("Base", [(i,) for i in range(100)]),
+            "Flag": CountingManager("Flag", [(i,) for i in range(100)]),
+            "Noise": CountingManager("Noise", [(i,) for i in range(100)]),
+        }
+        executor = PipelineExecutor(
+            parse_program(text),
+            outputs=list(outputs),
+            input_managers=managers,
+            strategy=strategy_by_name("warded"),
         )
-        source_wrappers = {k: v for k, v in registry_stats.items() if k.startswith("source:")}
-        assert sum(s["inputs_registered"] for s in source_wrappers.values()) == 4
+        return executor, managers
+
+    def test_building_opens_nothing(self):
+        _executor, managers = self.pipeline()
+        assert [m.opened for m in managers.values()] == [0, 0, 0]
+
+    def test_first_answer_reads_one_batch_per_source(self):
+        executor, managers = self.pipeline()
+        first = executor.first_answer()
+        assert first == fact("Good", 0)
+        # One row per relevant source sufficed: the first batch.
+        assert managers["Base"].read == managers["Flag"].read == FIRST_BATCH
+        assert not executor.finished
+
+    def test_batches_double_on_further_demand(self):
+        executor, managers = self.pipeline()
+        answers = executor.answers()
+        seen = [next(answers) for _ in range(4)]  # batches of 1, 2 and 4 rows
+        assert seen == [fact("Good", i) for i in range(4)]
+        assert managers["Base"].read == 1 + 2 + 4
+        assert managers["Base"].opened == 1
+
+    def test_pruned_source_is_never_opened(self):
+        executor, managers = self.pipeline()
+        executor.run_to_completion()
+        assert managers["Noise"].opened == 0
+        assert managers["Base"].read == 100
+        assert executor.result.store.count("Noise") == 0
+        assert len(executor.result.store.by_predicate("Good")) == 100
+
+    def test_input_row_of_an_output_predicate_answers_before_any_rule_fires(self):
+        executor, managers = self.pipeline(
+            '@output("Base"). @output("Good"). Good(X) :- Base(X), Flag(X).',
+            outputs=("Base", "Good"),
+        )
+        assert executor.first_answer() == fact("Base", 0)
+        assert executor.result.chase_steps == 0 and executor.result.rounds == 0
+        # The loaded rows ride along as the next rounds' delta.
+        executor.run_to_completion()
+        assert len(executor.result.store.by_predicate("Good")) == 100
+
+    def test_recursion_limit_is_left_alone(self):
+        # The pull engine had to raise it for deep filter chains.
+        depth = 1200
+        text = f'@output("P{depth}").\n' + "\n".join(
+            f"P{i + 1}(X, Y) :- P{i}(X, Y)." for i in range(depth)
+        )
+        before = sys.getrecursionlimit()
+        result = reason(text, database={"P0": [(1, 2)]}, executor="streaming")
+        assert result.ground_tuples(f"P{depth}") == {(1, 2)}
+        assert sys.getrecursionlimit() == before
+
+
+class TestMergedSources:
+    """A predicate fed by ``@bind`` *and* ``database=`` stays lazy."""
+
+    PROGRAM = """
+    @bind("E", "csv", "edges.csv").
+    @bind("N", "csv", "noise.csv").
+    @output("T").
+    T(X, Y) :- E(X, Y).
+    Junk(X) :- N(X).
+    """
+
+    @pytest.fixture
+    def reasoner(self, tmp_path):
+        (tmp_path / "edges.csv").write_text("1,2\n2,3\n")
+        (tmp_path / "noise.csv").write_text("7\n8\n")
+        return VadalogReasoner(self.PROGRAM, executor="streaming", base_path=str(tmp_path))
+
+    def test_stream_scans_nothing(self, reasoner):
+        lazy = reasoner.stream(database={"E": [(9, 10)], "N": [(5,)]})
+        stats = reasoner._bindings.source_stats()
+        assert stats["E"]["scans"] == stats["E"]["rows_scanned"] == 0
+        # database= rows come first (the order the compiled executor loads
+        # them in), the bound file is opened when they run dry.
+        assert lazy.first_answer() == fact("T", 9, 10)
+        assert reasoner._bindings.source_stats()["E"]["rows_scanned"] == 0
+        lazy.complete()
+        assert lazy.ground_tuples("T") == {(9, 10), (1, 2), (2, 3)}
+        assert lazy.source_stats["E"]["rows_scanned"] == 2
+
+    def test_pruned_merged_source_is_never_opened(self, reasoner):
+        result = reasoner.reason(database={"E": [(9, 10)], "N": [(5,)]})
+        assert result.chase.extra_stats["pipeline_pruned_sources"] == 1
+        assert result.source_stats["N"]["scans"] == 0
+        assert result.source_stats["N"]["rows_scanned"] == 0
+
+    def test_chain_opens_each_manager_when_the_one_before_runs_dry(self):
+        first = CountingManager("E", [(1, 2)])
+        second = CountingManager("E", [(3, 4)])
+        rows = ChainedRecordManager("E", [first, second]).stream()
+        assert (first.opened, second.opened) == (0, 0)
+        assert next(rows) == fact("E", 1, 2)
+        assert (first.opened, second.opened) == (1, 0)
+        assert list(rows) == [fact("E", 3, 4)]
+        assert (first.read, second.read) == (1, 1)
 
 
 class TestLimitsAndErrors:
-    def test_resident_fact_ceiling_enforced_per_admission(self):
-        # Streaming admits many facts per sweep, so the ceiling is enforced
-        # on every admission: the run stops a fact or two past the bound
-        # with a status and sound partial answers, never an exception.
+    def test_resident_fact_ceiling_checked_at_round_boundaries(self):
+        # One meaning of the ceiling on every executor: it is checked before
+        # each round, so the run stops at most one round's derivations past
+        # the bound, with a status and sound partial answers.
         database = chain_edges(30)
         complete = set(reason(TC_PROGRAM, database=database).ground_tuples("T"))
-        reasoner = VadalogReasoner(
-            TC_PROGRAM,
-            executor="streaming",
-            chase_config=ChaseConfig(budget=ExecutionBudget(max_resident_facts=10)),
-        )
-        result = reasoner.reason(database=database)
-        assert result.status == STATUS_BUDGET
-        assert "resident-fact ceiling" in result.stop_reason
-        assert set(result.ground_tuples("T")) < complete
-        assert len(result.chase.store) <= 12
+        config = ChaseConfig(budget=ExecutionBudget(max_resident_facts=70))
+        results = [
+            VadalogReasoner(TC_PROGRAM, executor=executor, chase_config=config).reason(
+                database=database
+            )
+            for executor in ("compiled", "streaming")
+        ]
+        for result in results:
+            assert result.status == STATUS_BUDGET
+            assert "resident-fact ceiling" in result.stop_reason
+            assert set(result.ground_tuples("T")) < complete
+        compiled, streaming = results
+        # 30 edges, then 30 and 29 derivations: over 70 after round 2.
+        assert len(streaming.chase.store) == len(compiled.chase.store) == 89
+        assert streaming.chase.rounds == compiled.chase.rounds == 2
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

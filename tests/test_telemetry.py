@@ -99,7 +99,7 @@ def test_totals_reconcile_with_result(executor):
     assert chase_span.attrs["executor"] == executor
 
 
-@pytest.mark.parametrize("executor", ("compiled", "parallel"))
+@pytest.mark.parametrize("executor", ("compiled", "streaming", "parallel"))
 def test_round_spans_cover_every_round(executor):
     result = traced_run(executor)
     rounds = result.trace.spans("round")
@@ -298,7 +298,7 @@ def test_governor_stop_span():
 
 
 # ---------------------------------------------------------------------------
-# Streaming: clock attrs, lazy finalization, pull counters
+# Streaming: clock attrs, lazy finalization, the round loop's own spans
 # ---------------------------------------------------------------------------
 
 
@@ -318,18 +318,25 @@ def test_streaming_chase_span_records_both_clocks():
     assert run_span.attrs["status"] == STATUS_COMPLETE
 
 
-def test_streaming_pull_counters_and_rule_spans():
-    result = traced_run("streaming")
-    (chase_span,) = result.trace.spans("chase")
-    protocol = result.chase.extra_stats["pull_protocol"]
-    assert "barren_skips" in protocol
-    for key, value in protocol.items():
-        assert chase_span.counters[f"pull.{key}"] == value
-    rules = result.trace.spans("rule")
-    assert rules, "streaming run recorded no rule summary spans"
-    assert all("busy_seconds" in span.counters for span in rules)
-    busy = sum(span.counters["busy_seconds"] for span in rules)
-    assert busy <= chase_span.duration + 1e-9
+def test_streaming_rounds_and_rules_nest_under_the_first_pull_chase_span():
+    reasoner = VadalogReasoner(PROGRAM, executor="streaming")
+    lazy = reasoner.stream(database=DB, trace=True)
+    assert lazy.trace.spans("chase") == [] and lazy.trace.current().kind == "run"
+    answers = lazy.iter_answers()
+    next(answers), next(answers)  # two batches: rounds in separate calls
+    lazy.complete()
+    (chase_span,) = lazy.trace.spans("chase")
+    assert chase_span.t_start == chase_span.attrs["t_first_pull"]
+    rounds = lazy.trace.spans("round")
+    assert [span.attrs["round"] for span in rounds] == list(
+        range(1, lazy.chase.rounds + 1)
+    )
+    assert all(span.parent_id == chase_span.span_id for span in rounds)
+    round_ids = {span.span_id for span in rounds}
+    rules = lazy.trace.spans("rule")
+    assert rules and all(span.parent_id in round_ids for span in rules)
+    assert sum(span.counters["fires"] for span in rules) == lazy.chase.chase_steps
+    assert not any(key.startswith("pull.") for key in chase_span.counters)
 
 
 # ---------------------------------------------------------------------------

@@ -349,14 +349,15 @@ def gate_service_throughput(args) -> int:
 #: derivations); the other axes trade rule shapes and may legitimately dip.
 MONOTONE_AXES = ("recursion-depth", "fact-size")
 
-#: Executors whose fact counts are bit-reproducible across processes.  The
-#: pull-based streaming (and sharded parallel) runtimes retain a
-#: hash-order-dependent *multiset* of homomorphically equivalent null
-#: witnesses — ``PYTHONHASHSEED`` moves the retained count by a few facts
-#: between processes — so their counts get a small jitter allowance; their
-#: answers are still checked against naive on every gate run regardless
-#: (ground exactly, null witnesses at pattern level).
-EXACT_FACT_EXECUTORS = ("naive", "compiled")
+#: Executors whose fact counts are bit-reproducible across processes:
+#: the sequential round loop, which a cold streaming run also is.  The
+#: sharded parallel runtime retains a hash-order-dependent *multiset* of
+#: homomorphically equivalent null witnesses — ``PYTHONHASHSEED`` moves
+#: the retained count by a few facts between processes — so its counts get
+#: a small jitter allowance; its answers are still checked against naive
+#: on every gate run regardless (ground exactly, null witnesses at pattern
+#: level).
+EXACT_FACT_EXECUTORS = ("naive", "compiled", "streaming")
 
 #: Smoke grid points run in 0.02–0.2s, where scheduler noise easily
 #: exceeds the relative threshold; the scaling gate therefore uses a

@@ -183,7 +183,10 @@ class Fact(Atom):
     @property
     def has_nulls(self) -> bool:
         """True when the fact contains at least one labelled null."""
-        return any(isinstance(t, Null) for t in self.terms)
+        for term in self.terms:
+            if isinstance(term, Null):
+                return True
+        return False
 
     def values(self) -> Tuple[object, ...]:
         """Python values of the fact, with nulls rendered as ``Null`` objects."""

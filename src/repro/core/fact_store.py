@@ -45,6 +45,17 @@ from .terms import Constant, Term, Variable
 _EMPTY: Tuple[Fact, ...] = ()
 
 
+def _count_constants(counts: Dict[Hashable, int], fact: Fact, delta: int) -> None:
+    """Add ``delta`` to the occurrence count of each constant of ``fact``."""
+    for term in fact.terms:
+        if isinstance(term, Constant):
+            count = counts.get(term.value, 0) + delta
+            if count:
+                counts[term.value] = count
+            else:
+                del counts[term.value]
+
+
 class StaleSnapshotError(RuntimeError):
     """A read hit a :class:`StoreSnapshot` after its store was mutated."""
 
@@ -78,10 +89,12 @@ class FactStore:
         self._by_predicate: Dict[str, List[Fact]] = {}
         # predicate -> list of per-position {term: [facts]} dictionaries
         self._position_index: Dict[str, List[Dict[Term, List[Fact]]]] = {}
-        self._active_domain: Set[Hashable] = set()
-        # Occurrence counts backing the active domain: retraction may only
-        # drop a constant when its last occurrence leaves the store.
-        self._domain_counts: Dict[Hashable, int] = {}
+        # The active domain as occurrence counts per constant value (its keys
+        # are the domain; retraction may only drop a constant when its last
+        # occurrence leaves the store).  Built on the first domain query and
+        # maintained from then on, so programs without ``Dom`` never pay
+        # for it; ``None`` until then.
+        self._domain_counts: Optional[Dict[Hashable, int]] = None
         # Number of live (non-tombstoned) entries of ``_facts``; removal
         # tombstones the slot to keep row indexes stable (see :meth:`remove`).
         self._live: int = 0
@@ -123,9 +136,8 @@ class FactStore:
                 position_dicts[index][term] = [fact]
             else:
                 bucket.append(fact)
-            if isinstance(term, Constant):
-                self._active_domain.add(term.value)
-                self._domain_counts[term.value] = self._domain_counts.get(term.value, 0) + 1
+        if self._domain_counts is not None:
+            _count_constants(self._domain_counts, fact, 1)
         self._live += 1
         return True
 
@@ -164,13 +176,8 @@ class FactStore:
             self._drop(entries, slot)
             if not entries:
                 del position_dicts[position][term]
-            if isinstance(term, Constant):
-                count = self._domain_counts[term.value] - 1
-                if count:
-                    self._domain_counts[term.value] = count
-                else:
-                    del self._domain_counts[term.value]
-                    self._active_domain.discard(term.value)
+        if self._domain_counts is not None:
+            _count_constants(self._domain_counts, stored, -1)
         if not bucket:
             del self._by_predicate[predicate]
             del self._position_index[predicate]
@@ -254,10 +261,24 @@ class FactStore:
 
     def active_domain(self) -> Set[Hashable]:
         """Constants occurring anywhere in the store (the ``ACDom`` relation)."""
-        return set(self._active_domain)
+        return set(self._domain())
 
     def in_active_domain(self, value: Hashable) -> bool:
-        return value in self._active_domain
+        return value in self._domain()
+
+    def _domain(self) -> Dict[Hashable, int]:
+        """The active-domain counts, built from the live facts on first use.
+
+        Published only once complete: thread workers probing through a
+        snapshot never see a half-built domain.
+        """
+        counts = self._domain_counts
+        if counts is None:
+            counts = {}
+            for fact in self.facts():
+                _count_constants(counts, fact, 1)
+            self._domain_counts = counts
+        return counts
 
     # -- rounds and deltas ---------------------------------------------------
     def begin_round(self, round_index: int, delta_facts: Iterable[Fact]) -> None:

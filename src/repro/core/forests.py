@@ -18,8 +18,7 @@ and the figures-style introspection offered by the public API.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Fact
@@ -31,7 +30,7 @@ from .wardedness import RuleKind
 INPUT_KIND = "input"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ChaseNode:
     """A node of the chase graph: a fact plus the Section-3.4 metadata.
 
@@ -53,11 +52,18 @@ class ChaseNode:
         The parent in the *warded forest*: the linear parent for linear rules,
         the fact bound to the ward for warded rules, ``None`` otherwise.
     l_root / w_root:
-        Roots of the containing trees in the linear and warded forest.
+        Roots of the containing trees in the linear and warded forest, read
+        through properties.  A node that roots its own tree stores ``None``
+        (``_l_root`` / ``_w_root``) and the property answers the node
+        itself, so no node refers to itself: a dropped chase graph is freed
+        by reference counting, without the cyclic collector.
     provenance:
         Rule labels applied from ``l_root`` to this fact in the linear forest.
     step:
         Chase-step counter at creation (for reporting and ordering).
+
+    Nodes compare and hash by identity; forests and the termination
+    strategies key their per-tree structures by the root node itself.
     """
 
     fact: Fact
@@ -66,17 +72,20 @@ class ChaseNode:
     parents: Tuple["ChaseNode", ...] = ()
     linear_parent: Optional["ChaseNode"] = None
     warded_parent: Optional["ChaseNode"] = None
-    l_root: "ChaseNode" = None  # type: ignore[assignment]
-    w_root: "ChaseNode" = None  # type: ignore[assignment]
+    _l_root: Optional["ChaseNode"] = None
+    _w_root: Optional["ChaseNode"] = None
     provenance: Provenance = EMPTY_PROVENANCE
     step: int = 0
-    ident: int = field(default_factory=itertools.count().__next__)
 
-    def __post_init__(self) -> None:
-        if self.l_root is None:
-            self.l_root = self
-        if self.w_root is None:
-            self.w_root = self
+    @property
+    def l_root(self) -> "ChaseNode":
+        root = self._l_root
+        return self if root is None else root
+
+    @property
+    def w_root(self) -> "ChaseNode":
+        root = self._w_root
+        return self if root is None else root
 
     @property
     def is_input(self) -> bool:
@@ -121,8 +130,8 @@ def derived_node(
             parents=parents,
             linear_parent=parent,
             warded_parent=parent,
-            l_root=parent.l_root,
-            w_root=parent.w_root,
+            _l_root=parent.l_root,
+            _w_root=parent.w_root,
             provenance=parent.provenance + (rule_label,),
             step=step,
         )
@@ -134,8 +143,7 @@ def derived_node(
             parents=parents,
             linear_parent=None,
             warded_parent=ward_parent,
-            l_root=None,
-            w_root=ward_parent.w_root,
+            _w_root=ward_parent.w_root,
             provenance=EMPTY_PROVENANCE,
             step=step,
         )
@@ -146,8 +154,6 @@ def derived_node(
         parents=parents,
         linear_parent=None,
         warded_parent=None,
-        l_root=None,
-        w_root=None,
         provenance=EMPTY_PROVENANCE,
         step=step,
     )
@@ -159,11 +165,11 @@ class Forest:
     def __init__(self, nodes: Iterable[ChaseNode], parent_of) -> None:
         self._nodes: List[ChaseNode] = list(nodes)
         self._parent_of = parent_of
-        self._children: Dict[int, List[ChaseNode]] = {}
+        self._children: Dict[ChaseNode, List[ChaseNode]] = {}
         for node in self._nodes:
             parent = parent_of(node)
             if parent is not None:
-                self._children.setdefault(parent.ident, []).append(node)
+                self._children.setdefault(parent, []).append(node)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -175,7 +181,7 @@ class Forest:
         return [n for n in self._nodes if self._parent_of(n) is None]
 
     def children(self, node: ChaseNode) -> Sequence[ChaseNode]:
-        return self._children.get(node.ident, ())
+        return self._children.get(node, ())
 
     def subtree(self, node: ChaseNode) -> List[ChaseNode]:
         """Nodes of the subtree rooted in ``node`` (pre-order)."""
@@ -198,11 +204,11 @@ class Forest:
     def max_depth(self) -> int:
         return max((self.depth(n) for n in self._nodes), default=0)
 
-    def tree_sizes(self) -> Dict[int, int]:
-        """Size of each tree keyed by root identifier."""
-        sizes: Dict[int, int] = {}
+    def tree_sizes(self) -> Dict[ChaseNode, int]:
+        """Size of each tree keyed by its root node."""
+        sizes: Dict[ChaseNode, int] = {}
         for root in self.roots():
-            sizes[root.ident] = len(self.subtree(root))
+            sizes[root] = len(self.subtree(root))
         return sizes
 
     def subtree_signature(self, node: ChaseNode, key=isomorphism_key) -> Hashable:

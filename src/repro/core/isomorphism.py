@@ -118,11 +118,15 @@ def canonical_pattern(fact: Fact) -> Fact:
 
 
 def deduplicate_isomorphic(facts: Iterable[Fact]) -> List[Fact]:
-    """Keep one representative per isomorphism class, preserving order."""
+    """Keep one representative per isomorphism class, preserving order.
+
+    A ground fact is its own class, so it is keyed by the fact itself (which
+    never equals a null-bearing fact's key) and costs no key computation.
+    """
     seen: Dict[Hashable, None] = {}
     result: List[Fact] = []
     for fact in facts:
-        key = isomorphism_key(fact)
+        key = isomorphism_key(fact) if fact.has_nulls else fact
         if key not in seen:
             seen[key] = None
             result.append(fact)

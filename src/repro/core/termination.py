@@ -37,7 +37,15 @@ from .wardedness import RuleKind
 
 @dataclass
 class TerminationStats:
-    """Counters reported by every termination strategy."""
+    """Counters reported by every termination strategy.
+
+    A ground fact is its own isomorphism class, and the chase asks
+    :meth:`TerminationStrategy.admit` only about facts the store's
+    duplicate check found new, so the isomorphism-based strategies admit a
+    ground fact without computing a key.  Hence ``isomorphism_checks`` and
+    ``stored_facts`` count *null-bearing* facts only; ``admitted`` and
+    ``rejected`` count every decision.
+    """
 
     admitted: int = 0
     rejected: int = 0
@@ -107,25 +115,30 @@ class WardedTerminationStrategy(TerminationStrategy):
     are harmless warded and (2) existential quantification appears only in
     linear rules (Section 3.4); :class:`repro.engine.reasoner.VadalogReasoner`
     performs both normalisations before the chase starts.
+
+    ``G`` and ``S`` are only needed to tell null-bearing facts apart up to
+    isomorphism (the argument of "The Space-Efficient Core of Vadalog"): a
+    ground fact reaches :meth:`admit` only after the store found it new, so
+    once the summary checks pass it is admitted without an isomorphism key,
+    and neither ``G`` nor :meth:`register_input` ever holds one.  On a
+    ground-only program both structures stay empty.
     """
 
     name = "warded"
 
     def __init__(self) -> None:
         super().__init__()
-        #: Ground structure ``G``: warded-forest trees keyed by root identity.
-        self._ground: Dict[int, _WardedTree] = {}
+        #: Ground structure ``G``: warded-forest trees keyed by root node.
+        self._ground: Dict[ChaseNode, _WardedTree] = {}
         #: Summary structure ``S``: stop-provenances keyed by root pattern.
         self._summary: Dict[Hashable, StopProvenanceSet] = {}
-        #: Ground (null-free) facts seen anywhere, for the non-linear case.
-        self._ground_facts: Set[Fact] = set()
 
     # -- helpers ---------------------------------------------------------------
     def _tree(self, node: ChaseNode) -> _WardedTree:
-        tree = self._ground.get(node.w_root.ident)
+        root = node.w_root
+        tree = self._ground.get(root)
         if tree is None:
-            tree = _WardedTree()
-            self._ground[node.w_root.ident] = tree
+            tree = self._ground[root] = _WardedTree()
         return tree
 
     def _summary_for(self, node: ChaseNode) -> StopProvenanceSet:
@@ -138,12 +151,12 @@ class WardedTerminationStrategy(TerminationStrategy):
 
     # -- protocol ----------------------------------------------------------------
     def register_input(self, node: ChaseNode) -> None:
-        self._tree(node).add(node.fact)
-        if not node.fact.has_nulls:
-            self._ground_facts.add(node.fact)
-        self.stats.stored_facts += 1
+        if node.fact.has_nulls:
+            self._tree(node).add(node.fact)
+            self.stats.stored_facts += 1
 
     def admit(self, node: ChaseNode) -> bool:
+        fact = node.fact
         if node.kind in (RuleKind.LINEAR, RuleKind.WARDED):
             summary = self._summary_for(node)
             if summary.covers(node.provenance):
@@ -155,39 +168,32 @@ class WardedTerminationStrategy(TerminationStrategy):
                 # Strictly within a known maximal path: the fact is needed but
                 # no isomorphism check has to be performed.
                 self.stats.horizontal_skips += 1
-                if not node.fact.has_nulls:
-                    self._ground_facts.add(node.fact)
+                return self._record(True)
+            if not fact.has_nulls:
                 return self._record(True)
             tree = self._tree(node)
             self.stats.isomorphism_checks += 1
-            if tree.contains_isomorphic(node.fact):
+            if tree.contains_isomorphic(fact):
                 summary.add(node.provenance)
                 self.stats.stop_provenances_learned += 1
                 return self._record(False)
-            tree.add(node.fact)
+            tree.add(fact)
             self.stats.stored_facts += 1
-            if not node.fact.has_nulls:
-                self._ground_facts.add(node.fact)
             return self._record(True)
 
         # Other non-linear generating rules: the fact roots a new warded tree.
         # Existentials are confined to linear rules, hence the fact is ground
-        # and redundancy reduces to set containment of ground facts.
-        if node.fact.has_nulls:
-            # Defensive fallback for non-normalised programs: behave like the
-            # trivial global isomorphism check for this fact, which preserves
-            # termination.
-            key = isomorphism_key(node.fact)
-            self.stats.isomorphism_checks += 1
-            if any(tree_key == key for tree in self._ground.values() for tree_key in tree.keys):
-                return self._record(False)
-            self._tree(node).add(node.fact)
-            self.stats.stored_facts += 1
+        # and the store's duplicate check has already decided it.
+        if not fact.has_nulls:
             return self._record(True)
-        if node.fact in self._ground_facts:
+        # Defensive fallback for non-normalised programs: behave like the
+        # trivial global isomorphism check for this fact, which preserves
+        # termination.
+        key = isomorphism_key(fact)
+        self.stats.isomorphism_checks += 1
+        if any(key in tree.keys for tree in self._ground.values()):
             return self._record(False)
-        self._ground_facts.add(node.fact)
-        self._tree(node).add(node.fact)
+        self._tree(node).keys.add(key)
         self.stats.stored_facts += 1
         return self._record(True)
 
@@ -207,8 +213,9 @@ class TrivialIsomorphismStrategy(TerminationStrategy):
 
     This is the baseline the paper measures in Section 6.6 (Figure 7): it is
     correct for harmless warded programs (Theorem 2) but stores every
-    generated fact and performs one (hash-based) isomorphism lookup per
-    candidate fact against the entire history.
+    generated null-bearing fact and performs one (hash-based) isomorphism
+    lookup per null-bearing candidate against the entire history.  Ground
+    candidates were already found new by the store and are admitted as is.
     """
 
     name = "trivial-isomorphism"
@@ -218,10 +225,13 @@ class TrivialIsomorphismStrategy(TerminationStrategy):
         self._keys: Set[Hashable] = set()
 
     def register_input(self, node: ChaseNode) -> None:
-        self._keys.add(isomorphism_key(node.fact))
-        self.stats.stored_facts += 1
+        if node.fact.has_nulls:
+            self._keys.add(isomorphism_key(node.fact))
+            self.stats.stored_facts += 1
 
     def admit(self, node: ChaseNode) -> bool:
+        if not node.fact.has_nulls:
+            return self._record(True)
         self.stats.isomorphism_checks += 1
         key = isomorphism_key(node.fact)
         if key in self._keys:

@@ -16,7 +16,7 @@ peek at resolution time) — and carries the predicate's compiled
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from ..core.atoms import Fact
 from ..core.terms import Constant
@@ -42,6 +42,11 @@ class DataSourceRecordManager(RecordManager):
     forwarded to ``source.scan`` so selection happens at the source —
     natively for SQLite, at the read boundary for CSV/JSONL.  ``stream`` is
     a generator: no rows are read until the first fact is pulled.
+
+    Each scan interns its constants: a value that repeats across rows (a
+    key column, a join column) becomes one :class:`Constant` object.  The
+    intern key is ``(type(value), value)``, so ``1``, ``1.0`` and ``True``
+    stay distinct Python values, exactly as the rows held them.
     """
 
     def __init__(self, predicate: str, source, pushdown=None) -> None:
@@ -50,8 +55,17 @@ class DataSourceRecordManager(RecordManager):
         self.pushdown = pushdown
 
     def stream(self) -> Iterator[Fact]:
+        predicate = self.predicate
+        interned: Dict[Tuple[type, object], Constant] = {}
         for row in self.source.scan(self.pushdown):
-            yield Fact(self.predicate, [Constant(v) for v in row])
+            terms = []
+            for value in row:
+                key = (type(value), value)
+                constant = interned.get(key)
+                if constant is None:
+                    constant = interned[key] = Constant(value)
+                terms.append(constant)
+            yield Fact.from_ground(predicate, tuple(terms))
 
 
 class DatabaseRecordManager(RecordManager):

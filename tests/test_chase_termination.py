@@ -150,8 +150,11 @@ class TestTerminationStrategies:
     def test_trivial_strategy_stores_every_fact(self):
         program = normalize_for_chase(parse_program(EXAMPLE_3))
         strategy = TrivialIsomorphismStrategy()
-        run_chase(program, EXAMPLE_3_DB, strategy=strategy)
-        assert strategy.stats.stored_facts >= len(EXAMPLE_3_DB)
+        result = run_chase(program, EXAMPLE_3_DB, strategy=strategy)
+        # Ground facts are decided by the store; every null-bearing fact the
+        # chase kept is memorised up to isomorphism.
+        null_bearing = sum(1 for f in result.store if f.has_nulls)
+        assert strategy.stats.stored_facts == null_bearing > 0
 
     def test_warded_strategy_agrees_with_trivial_on_large_input(self):
         program = normalize_for_chase(parse_program(EXAMPLE_3))

@@ -12,7 +12,7 @@ from repro import VadalogReasoner
 from repro.core.atoms import fact
 from repro.core.forests import input_node
 from repro.core.parser import parse_program
-from repro.core.terms import Constant
+from repro.core.terms import Constant, Null
 from repro.core.termination import TrivialIsomorphismStrategy
 from repro.engine.plan import compile_plan
 from repro.engine.scheduler import RoundRobinScheduler
@@ -208,7 +208,8 @@ class TestTerminationWrappers:
     def test_wrapper_counts_and_delegates(self):
         strategy = TrivialIsomorphismStrategy()
         wrapper = TerminationWrapper("rule:r1", strategy)
-        node = input_node(fact("P", 1))
+        # Null-bearing: a ground fact is decided by the store, never here.
+        node = input_node(fact("P", Null(1)))
         assert wrapper.check_termination(node) is True
         assert wrapper.check_termination(node) is False  # isomorphic duplicate
         assert wrapper.stats.checks == 2
@@ -220,7 +221,7 @@ class TestTerminationWrappers:
         second = registry.wrapper_for("rule:b")
         assert first.strategy is second.strategy
         assert registry.wrapper_for("rule:a") is first
-        node = input_node(fact("P", 2))
+        node = input_node(fact("P", Null(2)))
         first.check_termination(node)
         assert second.check_termination(node) is False
         assert "rule:a" in registry.stats()

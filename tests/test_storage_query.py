@@ -138,7 +138,13 @@ class TestFactStoreRemove:
             arity = self.PREDICATES[predicate]
             return Fact(predicate, [rng.choice(self.TERMS) for _ in range(arity)])
 
-        for _ in range(400):
+        # The active domain is built on first request and maintained from
+        # then on: first ask for it before, during or after the steps.
+        domain_from = (0, 200, 400)[seed % 3]
+        for step in range(400):
+            if step == domain_from:
+                assert store._domain_counts is None
+                store.active_domain()
             roll = rng.random()
             if roll < 0.5 or not live:
                 candidate = random_fact()
@@ -162,9 +168,10 @@ class TestFactStoreRemove:
                 since_round = []
                 store.begin_round(current_round, delta)
             delta = [f for f in delta if f in live]
-            self.check(store, live, rounds, delta)
+            self.check(store, live, rounds, delta, domain=step >= domain_from)
+        self.check(store, live, rounds, delta, domain=True)
 
-    def check(self, store, live, rounds, delta):
+    def check(self, store, live, rounds, delta, domain):
         def slots(bucket):
             return [store.index_of_row(f.predicate, f.terms) for f in bucket]
 
@@ -176,9 +183,12 @@ class TestFactStoreRemove:
         assert len(store) == len(facts)
         assert set(store.predicates()) == {f.predicate for f in facts}
         assert set(store.copy().predicates()) == set(store.predicates())
-        assert store.active_domain() == {
-            t.value for f in facts for t in f.terms if isinstance(t, Constant)
-        }
+        if domain:
+            assert store.active_domain() == {
+                t.value for f in facts for t in f.terms if isinstance(t, Constant)
+            }
+        else:
+            assert store._domain_counts is None
         for f, slot in live.items():
             assert f in store and store.contains_row(f.predicate, f.terms)
             assert store.index_of_row(f.predicate, f.terms) == slot

@@ -4,9 +4,8 @@
 This is the perf-trajectory harness of the repository: it runs every
 benchmark family of the paper's evaluation (Section 6) at laptop scale on
 the selected chase executors — ``naive`` (interpreted), ``compiled`` (the
-slot-machine default), ``streaming`` (the compiled round loop fed lazily) and
-``parallel`` (the sharded worker-pool chase of PR 4) — in the same
-process, and writes ``BENCH_PR10.json`` with per-scenario wall-clock,
+slot-machine default) and ``streaming`` (the compiled round loop fed
+lazily) — in the same process, and writes ``BENCH_PR10.json`` with per-scenario wall-clock,
 facts/second and compiled-over-naive speedups, each row tagged with its
 executor name.
 
@@ -21,17 +20,9 @@ Since PR 5 the report carries the **magic-rewrite section**: the
 point-query workloads (companies single-ancestor control, DBpedia
 single-entity PSC, LUBM-style bound queries) are run with
 ``reason(query=..., rewrite="none")`` and ``rewrite="magic"`` on the
-compiled, streaming and parallel executors, asserting identical certain
+compiled and streaming executors, asserting identical certain
 answers and recording the derived-fact and wall-clock reductions the
 existential-safe magic-set rewriting achieves.
-
-Since PR 4 the report carries the **parallel worker sweep**: the psc, lubm
-and fig8-scaling scenarios are run on the compiled executor and on
-``executor="parallel"`` at 1, 2 and 4 workers, recording the speedup over
-compiled per worker count together with the machine's CPU count — on a
-GIL build of CPython the thread backend cannot beat compiled on CPU-bound
-joins regardless of cores, so the sweep also runs the ``fork`` process
-backend whenever the machine has more than one core.
 
 For the streaming executor the report adds the **streaming-vs-
 materialization** comparison: the wall-clock latency until the first answer
@@ -60,12 +51,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import platform
 import statistics
 import sys
-import sysconfig
 import tempfile
 import time
 from pathlib import Path
@@ -183,11 +172,6 @@ SCENARIOS = {
 }
 
 SPEEDUP_TARGET = 2.0
-#: Target for the parallel worker sweep: parallel at 4 workers should beat
-#: the compiled executor by this factor on multi-core machines.
-PARALLEL_SPEEDUP_TARGET = 1.5
-SWEEP_WORKER_COUNTS = (1, 2, 4)
-SWEEP_SCENARIOS = ("bench_fig5c_psc", "bench_fig5i_lubm", "bench_fig8_scaling")
 
 #: Point-query workloads of the magic-rewrite section: name -> (full-scale
 #: factory, smoke factory).  Each scenario carries its bound query atom.
@@ -212,7 +196,7 @@ MAGIC_SCENARIOS = {
 #: Acceptance target: the magic run must derive at least this many times
 #: fewer facts than the unrewritten run on ≥ 2 point-query workloads.
 MAGIC_FACT_REDUCTION_TARGET = 2.0
-MAGIC_EXECUTORS = ("compiled", "streaming", "parallel")
+MAGIC_EXECUTORS = ("compiled", "streaming")
 
 #: Telemetry section (PR 7): traced-over-untraced wall-clock design goal of
 #: the observability layer.  The CI gate (``check_bench.py
@@ -221,7 +205,7 @@ MAGIC_EXECUTORS = ("compiled", "streaming", "parallel")
 #: headline number is the median ratio across all (scenario, executor)
 #: pairs, not any single pair.
 TRACE_OVERHEAD_TARGET = 1.02
-TELEMETRY_EXECUTORS = ("compiled", "streaming", "parallel")
+TELEMETRY_EXECUTORS = ("compiled", "streaming")
 TELEMETRY_RUNS = 3
 
 #: Service-throughput section (PR 9): the resident reasoner must sustain at
@@ -408,23 +392,11 @@ def run_scaling_sweeps(smoke: bool) -> dict:
     return section
 
 
-def run_one(
-    factory,
-    executor: str,
-    parallelism=None,
-    parallel_backend: str = "threads",
-    trace: bool = False,
-) -> dict:
+def run_one(factory, executor: str, trace: bool = False) -> dict:
     scenario = factory()
     started = time.perf_counter()
-    kwargs = {}
-    if executor == "parallel":
-        kwargs = {"parallelism": parallelism, "parallel_backend": parallel_backend}
     reasoner = VadalogReasoner(
-        scenario.program.copy(),
-        executor=executor,
-        base_path=scenario.base_path,
-        **kwargs,
+        scenario.program.copy(), executor=executor, base_path=scenario.base_path
     )
     result = reasoner.reason(
         database=scenario.database, outputs=scenario.outputs, trace=trace
@@ -445,91 +417,11 @@ def run_one(
     if executor == "streaming":
         extra = result.chase.extra_stats
         row["pruned_rules"] = extra.get("pipeline_pruned_rules")
-    if executor == "parallel":
-        extra = result.chase.extra_stats
-        row["workers"] = extra.get("parallel_workers")
-        row["backend"] = extra.get("parallel_backend")
-        imbalances = [
-            r["imbalance"] for r in result.shard_balance if r.get("imbalance")
-        ]
-        row["mean_shard_imbalance"] = (
-            round(sum(imbalances) / len(imbalances), 3) if imbalances else None
-        )
     if result.source_stats:
         row["datasources"] = result.source_stats
     if trace and result.trace is not None:
         row["top_rules"] = top_rules(result.trace, limit=5)
     return row
-
-
-def run_worker_sweep(smoke: bool, executors, only=None) -> dict:
-    """Parallel worker sweep on the chase-heavy headline scenarios.
-
-    Runs compiled once per scenario and ``executor="parallel"`` at 1, 2 and
-    4 workers (threads backend; plus the fork process backend on multi-core
-    machines, where it is the only way past the GIL for pure-Python joins),
-    recording the speedup over compiled per worker count.
-    """
-    if "parallel" not in executors:
-        return {}
-    cpus = os.cpu_count() or 1
-    backends = ["threads"]
-    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
-        backends.append("fork")
-    section = {
-        "worker_counts": list(SWEEP_WORKER_COUNTS),
-        "backends": backends,
-        "cpu_count": cpus,
-        "gil_build": not bool(sysconfig.get_config_var("Py_GIL_DISABLED")),
-        "target": PARALLEL_SPEEDUP_TARGET,
-        "scenarios": {},
-    }
-    meets = []
-    for name in SWEEP_SCENARIOS:
-        if only and name not in only:
-            continue
-        figure, _heavy, _recursive, full, smoke_factory = SCENARIOS[name]
-        factory = smoke_factory if smoke else full
-        print(f"== worker sweep: {name} (figure {figure})", flush=True)
-        compiled_row = run_one(factory, "compiled")
-        runs = {}
-        best_at_4 = None
-        for backend in backends:
-            for workers in SWEEP_WORKER_COUNTS:
-                row = run_one(
-                    factory, "parallel", parallelism=workers, parallel_backend=backend
-                )
-                speedup = (
-                    round(compiled_row["elapsed_seconds"] / row["elapsed_seconds"], 2)
-                    if row["elapsed_seconds"] > 0
-                    else None
-                )
-                row["speedup_vs_compiled"] = speedup
-                runs[f"{backend}-w{workers}"] = row
-                if workers == 4 and speedup is not None:
-                    best_at_4 = max(best_at_4 or 0.0, speedup)
-                print(
-                    f"   {backend} w={workers}: {row['elapsed_seconds']:.3f}s "
-                    f"(compiled {compiled_row['elapsed_seconds']:.3f}s, "
-                    f"speedup {speedup})",
-                    flush=True,
-                )
-        section["scenarios"][name] = {
-            "compiled": compiled_row,
-            "parallel": runs,
-            "best_speedup_at_4_workers": best_at_4,
-        }
-        if best_at_4 is not None and best_at_4 >= PARALLEL_SPEEDUP_TARGET:
-            meets.append(name)
-    section["scenarios_meeting_target_at_4_workers"] = meets
-    section["meets_target_on_two_scenarios"] = len(meets) >= 2
-    if cpus <= 1:
-        section["note"] = (
-            "single-core machine: wall-clock parallel speedup is not "
-            "achievable here (the sweep documents overhead); on a multi-core "
-            "host the fork backend rows carry the speedup evidence"
-        )
-    return section
 
 
 def run_backend_comparison(smoke: bool) -> dict:
@@ -895,9 +787,6 @@ def main(argv=None) -> int:
                 }
             )
 
-    # Parallel worker sweep: compiled vs parallel at 1/2/4 workers.
-    sweep_section = run_worker_sweep(args.smoke, executors, args.only)
-
     # Magic rewriting: point queries, rewritten vs unrewritten, per executor.
     magic_section = run_magic_comparison(args.smoke, executors)
 
@@ -944,8 +833,7 @@ def main(argv=None) -> int:
             "arity, join fan-in, fact-set size), answer-checked per grid "
             "point, on top of the PR-9 matrix: incremental service "
             "throughput, telemetry overhead, magic-set rewriting, "
-            "sequential/streaming/parallel executors, worker sweep, "
-            "datasource backends"
+            "sequential/streaming executors, datasource backends"
         ),
         "mode": "smoke" if args.smoke else "full",
         "python": platform.python_version(),
@@ -958,7 +846,6 @@ def main(argv=None) -> int:
         "meets_2x_target_on_two_scenarios": len(meets) >= 2,
         "streaming_vs_materialization": streaming_wins,
         "streaming_fewer_resident_on_two_recursion_heavy": len(streaming_wins) >= 2,
-        "parallel_worker_sweep": sweep_section,
         "scaling_sweeps": scaling_section,
         "magic_rewrite": magic_section,
         "telemetry": telemetry_section,
@@ -980,14 +867,6 @@ def main(argv=None) -> int:
         print(
             f"streaming holds fewer resident facts at first answer on "
             f"{len(streaming_wins)} recursion-heavy scenario(s)"
-        )
-    if sweep_section:
-        meets = sweep_section["scenarios_meeting_target_at_4_workers"]
-        print(
-            f"parallel sweep at ≥{PARALLEL_SPEEDUP_TARGET}x over compiled "
-            f"(4 workers): {', '.join(meets) if meets else 'none'} "
-            f"[{sweep_section['cpu_count']} cpu(s), "
-            f"backends: {', '.join(sweep_section['backends'])}]"
         )
     checked_points = sum(
         1

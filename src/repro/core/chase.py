@@ -17,7 +17,7 @@ input-load step, :meth:`ChaseEngine.load_inputs`: ``run()`` feeds it the
 whole database, the resident reasoner an upsert, the streaming driver a
 lazily read batch.  There is one chase step, reached two ways:
 :meth:`ChaseEngine.fire_slots` takes a full match in a compiled plan's slot
-array (the sequential and parallel round evaluators call it) and
+array (the compiled round evaluator calls it) and
 :meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
 of ``fire_slots`` and the naive reference matcher).  There is one limit
 mechanism: the run's :class:`~repro.core.limits.ExecutionBudget` /
@@ -107,7 +107,7 @@ class ChaseResult:
     #: materializing chase has no earlier answer than its completion).
     first_answer_seconds: Optional[float] = None
     #: Extra counters attached by the drivers (the streaming driver's
-    #: slice statistics, the parallel shard balance), merged into :meth:`stats`.
+    #: slice statistics), merged into :meth:`stats`.
     extra_stats: Dict[str, object] = field(default_factory=dict)
     #: Structured run outcome: ``"complete"``, ``"deadline_exceeded"``,
     #: ``"budget_exceeded"`` or ``"cancelled"``.  Non-complete runs carry the
@@ -117,7 +117,7 @@ class ChaseResult:
     stop_reason: Optional[str] = None
     #: High-water mark of resident facts (extensional + derived) in the store.
     peak_resident_facts: int = 0
-    #: Degradation/early-stop notices (worker recoveries, budget stops).
+    #: Early-stop notices (budget stops, cancellation).
     warnings: List[str] = field(default_factory=list)
 
     _derived_cache: Optional[Tuple[Fact, ...]] = field(default=None, repr=False, compare=False)
@@ -456,10 +456,9 @@ class ChaseEngine:
     ) -> List[ChaseNode]:
         """Evaluate one semi-naive round; returns the nodes it derived.
 
-        This is the template method the parallel executor overrides
-        (:class:`repro.engine.partition.ParallelChaseEngine`): the base
-        implementation applies the rules sequentially in round-robin order
-        against the live store.
+        The one round evaluator: the rules are applied in round-robin order
+        against the live store, so a fact admitted earlier in the round is
+        already probed by the rules that follow it.
         """
         delta_facts = [node.fact for node in delta]
         delta_by_predicate: Dict[str, List[Fact]] = {}
@@ -581,25 +580,19 @@ class ChaseEngine:
         step: int,
         result: ChaseResult,
         produced: List[ChaseNode],
-        sink=None,
     ) -> None:
         """Fire ``rule`` on one full body match held in a slot array.
 
-        The one slots→fire kernel shared by the sequential and parallel
-        round evaluators; admitted nodes are appended to ``produced``.
+        The one slots→fire kernel; admitted nodes are appended to
+        ``produced``.
         Rules whose plan has head templates (no assignments, aggregation,
         post conditions, ``Dom`` guards or residual conditions) instantiate
         their heads positionally, without a dict binding; the rest build the
         binding once, check the residual conditions and ``Dom`` guards and go
         through :meth:`fire_binding`.  Both branches draw fresh nulls in the
         same order.  ``slots``/``used_facts`` may be the matcher's live
-        arrays: they are only read before this call returns.  ``sink`` is
-        the write target — the live store by default, a
-        :class:`~repro.core.fact_store.WriteBatch` in the parallel admission
-        stage.
+        arrays: they are only read before this call returns.
         """
-        if sink is None:
-            sink = store
         head_templates = plan.head_templates
         if head_templates is None:  # not plan.simple_fire
             variables = plan.variables
@@ -607,12 +600,10 @@ class ChaseEngine:
             residual = plan.residual_conditions
             if residual and not all(c.holds(binding) for c in residual):
                 return
-            if not self._dom_guards_hold(rule, binding, sink):
+            if not self._dom_guards_hold(rule, binding, store):
                 return
             produced.extend(
-                self.fire_binding(
-                    rule, binding, used_facts, store, node_of, step, result, sink=sink
-                )
+                self.fire_binding(rule, binding, used_facts, store, node_of, step, result)
             )
             return
         admit = self.strategy.admit
@@ -621,7 +612,7 @@ class ChaseEngine:
         else:
             nulls = ()
         analysis = parents = ward_parent = None
-        contains_row = sink.contains_row
+        contains_row = store.contains_row
         for predicate, entries in head_templates:
             result.candidate_facts += 1
             # Entry kinds from repro.engine.plan: 1 = HEAD_SLOT, 2 = HEAD_NULL,
@@ -651,7 +642,7 @@ class ChaseEngine:
             )
             if not admit(node):
                 continue
-            sink.add(head_fact)
+            store.add(head_fact)
             node_of[head_fact] = node
             result.nodes.append(node)
             result.chase_steps += 1
@@ -804,7 +795,6 @@ class ChaseEngine:
         node_of: Dict[Fact, ChaseNode],
         step: int,
         result: ChaseResult,
-        sink=None,
     ) -> List[ChaseNode]:
         """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
 
@@ -813,11 +803,8 @@ class ChaseEngine:
         metadata and the termination check all happen here.  The naive
         reference matcher calls it directly; every compiled-plan driver
         reaches it through :meth:`fire_slots`, so all executors share one
-        firing semantics.  ``sink`` is the write target, as in
-        :meth:`fire_slots`.
+        firing semantics.
         """
-        if sink is None:
-            sink = store
         full_binding = dict(binding)
         try:
             for assignment in rule.assignments:
@@ -845,7 +832,7 @@ class ChaseEngine:
         for head_atom in rule.head:
             head_fact = self._instantiate_head(head_atom, full_binding)
             result.candidate_facts += 1
-            if head_fact in sink:
+            if head_fact in store:
                 continue
             node = derived_node(
                 fact=head_fact,
@@ -857,7 +844,7 @@ class ChaseEngine:
             )
             if not admit(node):
                 continue
-            sink.add(head_fact)
+            store.add(head_fact)
             node_of[head_fact] = node
             result.nodes.append(node)
             result.chase_steps += 1
@@ -999,37 +986,19 @@ def run_chase(
     strategy: Optional[TerminationStrategy] = None,
     config: Optional[ChaseConfig] = None,
     executor: str = "compiled",
-    parallelism: Optional[int] = None,
-    parallel_backend: str = "threads",
     tracer=None,
 ) -> ChaseResult:
     """One-call helper: build a :class:`ChaseEngine` and run it.
 
-    ``executor="parallel"`` routes through the sharded round executor
-    (:class:`repro.engine.partition.ParallelChaseEngine`); ``parallelism``
-    and ``parallel_backend`` are only meaningful there.  ``tracer`` is an
-    optional :class:`repro.obs.Tracer`; callers owning the tracer must call
-    ``tracer.finish()`` themselves (the reasoner does this for ``reason()``).
+    ``tracer`` is an optional :class:`repro.obs.Tracer`; callers owning the
+    tracer must call ``tracer.finish()`` themselves (the reasoner does this
+    for ``reason()``).
     """
-    if executor not in ("compiled", "naive", "parallel"):
+    if executor not in ("compiled", "naive"):
         raise ValueError(
-            f"unknown executor {executor!r}; run_chase supports 'compiled', "
-            "'naive' and 'parallel' (use VadalogReasoner/reason() for 'streaming')"
+            f"unknown executor {executor!r}; run_chase supports 'compiled' "
+            "and 'naive' (use VadalogReasoner/reason() for 'streaming')"
         )
-    if executor == "parallel":
-        # Imported lazily: the engine package imports this module.
-        from ..engine.partition import ParallelChaseEngine
-
-        parallel_engine = ParallelChaseEngine(
-            program,
-            database,
-            strategy=strategy,
-            config=config,
-            parallelism=parallelism,
-            backend=parallel_backend,
-            tracer=tracer,
-        )
-        return parallel_engine.run()
     engine = ChaseEngine(
         program, database, strategy=strategy, config=config, executor=executor,
         tracer=tracer,

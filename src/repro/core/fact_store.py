@@ -14,24 +14,11 @@ the store maintains **per-round delta indexes** (:meth:`begin_round`) used
 by the compiled rule executors for semi-naive evaluation, plus the insertion
 round of every fact so executors can restrict probes to earlier rounds.
 
-Since PR 4 the mutation paths are split into an explicit **read-snapshot /
-write-batch** protocol shared by all executors:
-
-* :meth:`FactStore.snapshot` returns a :class:`StoreSnapshot` — a read-only
-  view of the store at the current mutation epoch exposing exactly the
-  probe API the compiled executors consume.  Snapshots are what the
-  parallel executor hands to its matching workers: thread workers share the
-  view directly (the engine guarantees no writes happen while a matching
-  phase is in flight — the snapshot's epoch check enforces it), fork
-  workers inherit a copy-on-write image of it.
-* :meth:`FactStore.write_batch` returns a :class:`WriteBatch` — a staged
-  single-writer sink with the same duck interface as the store's own
-  mutation entry points (``add``/``contains_row``/``in_active_domain``).
-  Staged facts are visible to duplicate checks immediately but enter the
-  indexes only on :meth:`WriteBatch.apply`; the parallel admission
-  stage writes through a batch, while input loading and the per-fact fire
-  path of the round loop write through :meth:`FactStore.add`, the
-  degenerate auto-commit writer.
+Every write goes through :meth:`FactStore.add` or :meth:`FactStore.remove`,
+and each bumps the store's mutation epoch.  :meth:`FactStore.snapshot`
+returns a :class:`StoreSnapshot`, the epoch-guarded read view the resident
+reasoning service answers queries through: a read after a later write
+raises :class:`StaleSnapshotError` instead of seeing a half-applied update.
 """
 
 from __future__ import annotations
@@ -79,9 +66,7 @@ class FactStore:
         # Dedup map keyed by (predicate, terms) — the exact equality of Fact
         # itself — so membership works for whole facts and for rows the
         # compiled fire path has not turned into Fact objects yet.  The value
-        # is the fact's position in ``_facts``: a stable integer identity
-        # that parallel fork workers use to refer to facts across process
-        # boundaries without pickling them.
+        # is the fact's slot, its position in ``_facts``.
         self._rows: Dict[Tuple[str, Tuple[Term, ...]], int] = {}
         # Incremented on every mutation; snapshots record it and refuse
         # reads once it moved on (see :class:`StoreSnapshot`).
@@ -109,13 +94,7 @@ class FactStore:
 
     # -- mutation ------------------------------------------------------------
     def add(self, fact: Fact) -> bool:
-        """Insert a fact; returns ``False`` when an identical fact is present.
-
-        This is the single commit path of the store — the auto-commit
-        writer.  Bulk insertions and the parallel admission stage go through
-        :meth:`write_batch`, which stages facts first and funnels them back
-        through this method on :meth:`WriteBatch.apply`.
-        """
+        """Insert a fact; returns ``False`` when an identical fact is present."""
         key = (fact.predicate, fact.terms)
         if key in self._rows:
             return False
@@ -243,10 +222,9 @@ class FactStore:
     def index_of_row(self, predicate: str, terms: Tuple[Term, ...]) -> int:
         """Insertion position of a stored row; raises ``KeyError`` when absent.
 
-        Positions are stable for the lifetime of the store, so they serve as
-        process-portable fact identities: a fork worker whose store image was
-        inherited at round start resolves the same index to the same fact as
-        the parent.
+        Positions are stable for the lifetime of the store (removal
+        tombstones, it never compacts), so :meth:`fact_at` resolves a
+        position handed out earlier to the same fact.
         """
         return self._rows[(predicate, terms)]
 
@@ -267,11 +245,7 @@ class FactStore:
         return value in self._domain()
 
     def _domain(self) -> Dict[Hashable, int]:
-        """The active-domain counts, built from the live facts on first use.
-
-        Published only once complete: thread workers probing through a
-        snapshot never see a half-built domain.
-        """
+        """The active-domain counts, built from the live facts on first use."""
         counts = self._domain_counts
         if counts is None:
             counts = {}
@@ -390,33 +364,25 @@ class FactStore:
     def copy(self) -> "FactStore":
         return FactStore(self.facts())
 
-    # -- read-snapshot / write-batch protocol --------------------------------
+    # -- read snapshot -------------------------------------------------------
     @property
     def epoch(self) -> int:
-        """Mutation counter; bumped by every insert and every round start."""
+        """Mutation counter; bumped by every insert, removal and round start."""
         return self._epoch
 
     def snapshot(self) -> "StoreSnapshot":
         """A read-only view of the store at the current mutation epoch."""
         return StoreSnapshot(self)
 
-    def write_batch(self) -> "WriteBatch":
-        """A staged single-writer sink; see :class:`WriteBatch`."""
-        return WriteBatch(self)
-
 
 class StoreSnapshot:
     """Read-only view of a :class:`FactStore` at a fixed mutation epoch.
 
-    The snapshot exposes exactly the probe API the compiled rule executors
-    consume (:class:`~repro.engine.joins.CompiledRuleExecutor` only reads),
-    so an executor can run against a snapshot or a live store
-    interchangeably.  It is a zero-copy facade: reads delegate to the
-    underlying store and a cheap epoch check at every entry point raises
-    :class:`StaleSnapshotError` if the store was mutated after the snapshot
-    was taken — the guard that makes "workers never observe a half-applied
-    write" an invariant instead of a convention.  (Fork workers operate on
-    a copy-on-write process image, so their snapshot can never go stale.)
+    A zero-copy facade: reads delegate to the underlying store, and an epoch
+    check at every read raises :class:`StaleSnapshotError` if the store was
+    mutated after the snapshot was taken.  The resident service reads its
+    answers through one (:meth:`repro.engine.incremental.ResidentReasoner.query`),
+    so a query never observes a half-applied write.
     """
 
     __slots__ = ("_store", "_epoch")
@@ -425,124 +391,15 @@ class StoreSnapshot:
         self._store = store
         self._epoch = store.epoch
 
-    def _check(self) -> FactStore:
+    @property
+    def stale(self) -> bool:
+        return self._store.epoch != self._epoch
+
+    def by_predicate(self, predicate: str) -> Sequence[Fact]:
         store = self._store
         if store.epoch != self._epoch:
             raise StaleSnapshotError(
                 "store mutated after the snapshot was taken "
                 f"(epoch {store.epoch} != snapshot epoch {self._epoch})"
             )
-        return store
-
-    @property
-    def stale(self) -> bool:
-        return self._store.epoch != self._epoch
-
-    # The per-call check costs one attribute read and one comparison; the
-    # executors' inner loops then use the returned structures directly.
-    def by_predicate(self, predicate: str) -> Sequence[Fact]:
-        return self._check().by_predicate(predicate)
-
-    def position_dicts(self, predicate: str) -> Optional[List[Dict[Term, List[Fact]]]]:
-        return self._check().position_dicts(predicate)
-
-    def position_candidates(self, predicate: str, position: int, term: Term) -> Sequence[Fact]:
-        return self._check().position_candidates(predicate, position, term)
-
-    def delta_facts(self, predicate: str) -> Sequence[Fact]:
-        return self._check().delta_facts(predicate)
-
-    def delta_candidates(self, predicate: str, position: int, term: Term) -> Sequence[Fact]:
-        return self._check().delta_candidates(predicate, position, term)
-
-    def candidates(self, atom: Atom, binding: Dict[Variable, Term]) -> Sequence[Fact]:
-        return self._check().candidates(atom, binding)
-
-    def matches(self, atom: Atom, binding: Optional[Dict[Variable, Term]] = None):
-        return self._check().matches(atom, binding)
-
-    def round_of(self, fact: Fact) -> int:
-        # Called once per probed candidate in the innermost loop: skip the
-        # per-call epoch check — the candidate sequence it is applied to was
-        # obtained through a checked entry point in the same phase.
-        return self._store.round_of(fact)
-
-    def contains_row(self, predicate: str, terms: Tuple[Term, ...]) -> bool:
-        return self._check().contains_row(predicate, terms)
-
-    def fact_at(self, index: int) -> Fact:
-        return self._check().fact_at(index)
-
-    def index_of_row(self, predicate: str, terms: Tuple[Term, ...]) -> int:
-        return self._check().index_of_row(predicate, terms)
-
-    def in_active_domain(self, value: Hashable) -> bool:
-        return self._check().in_active_domain(value)
-
-    def __len__(self) -> int:
-        return len(self._check())
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self._check()
-
-
-class WriteBatch:
-    """Staged writes against a :class:`FactStore` (the single-writer sink).
-
-    A batch exposes the same duck interface as the store's own mutation
-    entry points — ``add`` returning ``False`` on duplicates,
-    ``contains_row``, ``__contains__``, ``in_active_domain`` — so the chase
-    fire paths can write to either without branching.  Staged facts are
-    visible to the batch's *own* duplicate and active-domain checks
-    immediately (the admission stage must not admit the same head twice
-    within a round) but reach the store's indexes only on
-    :meth:`apply`, which commits in staging order through
-    :meth:`FactStore.add`.  Until then, concurrent readers of the store —
-    and any :class:`StoreSnapshot` taken before the batch — observe a
-    consistent pre-batch state.
-    """
-
-    __slots__ = ("_store", "_staged", "_staged_rows", "_staged_constants")
-
-    def __init__(self, store: FactStore) -> None:
-        self._store = store
-        self._staged: List[Fact] = []
-        self._staged_rows: Set[Tuple[str, Tuple[Term, ...]]] = set()
-        self._staged_constants: Set[Hashable] = set()
-
-    def add(self, fact: Fact) -> bool:
-        """Stage a fact; returns ``False`` when present in store or batch."""
-        key = (fact.predicate, fact.terms)
-        if key in self._staged_rows or self._store.contains_row(fact.predicate, fact.terms):
-            return False
-        self._staged_rows.add(key)
-        self._staged.append(fact)
-        for term in fact.terms:
-            if isinstance(term, Constant):
-                self._staged_constants.add(term.value)
-        return True
-
-    def contains_row(self, predicate: str, terms: Tuple[Term, ...]) -> bool:
-        return (predicate, terms) in self._staged_rows or self._store.contains_row(
-            predicate, terms
-        )
-
-    def __contains__(self, fact: Fact) -> bool:
-        return self.contains_row(fact.predicate, fact.terms)
-
-    def in_active_domain(self, value: Hashable) -> bool:
-        return self._store.in_active_domain(value) or value in self._staged_constants
-
-    @property
-    def pending(self) -> int:
-        return len(self._staged)
-
-    def apply(self) -> List[Fact]:
-        """Commit the staged facts to the store, in staging order."""
-        staged, self._staged = self._staged, []
-        self._staged_rows = set()
-        self._staged_constants = set()
-        add = self._store.add
-        for fact in staged:
-            add(fact)
-        return staged
+        return store.by_predicate(predicate)

@@ -12,7 +12,7 @@ executor:
 * :class:`CancellationToken` — a thread-safe cooperative cancellation
   handle the caller can trip from another thread;
 * :class:`ExecutionGovernor` — the per-run object the round loop (on every
-  executor) and the parallel admit phase consult.  Round boundaries call
+  executor) consults.  Round boundaries call
   :meth:`ExecutionGovernor.round_status` (all budget axes);
   hot inner loops call the strided :meth:`ExecutionGovernor.tick`, which
   only pays for a clock read every ``TICK_STRIDE`` calls and raises

@@ -7,13 +7,6 @@ from .annotations import (
     write_output_bindings,
 )
 from .joins import CompiledRuleExecutor
-from .partition import (
-    ParallelChaseEngine,
-    RoundPartitioner,
-    partition_facts,
-    shard_of,
-    stable_term_hash,
-)
 from .pipeline import PipelineExecutor
 from .plan import (
     AtomStep,
@@ -26,7 +19,6 @@ from .plan import (
     compile_plan,
     compile_source_pushdowns,
     compile_rule_join_plan,
-    seed_partition_positions,
 )
 from .incremental import ResidentError, ResidentReasoner
 from .reasoner import ReasoningResult, VadalogReasoner, reason
@@ -48,11 +40,6 @@ __all__ = [
     "collect_bindings",
     "write_output_bindings",
     "CompiledRuleExecutor",
-    "ParallelChaseEngine",
-    "RoundPartitioner",
-    "partition_facts",
-    "shard_of",
-    "stable_term_hash",
     "PipelineExecutor",
     "AtomStep",
     "PlanNode",
@@ -64,7 +51,6 @@ __all__ = [
     "compile_join_plans",
     "compile_plan",
     "compile_rule_join_plan",
-    "seed_partition_positions",
     "ReasoningResult",
     "ResidentError",
     "ResidentReasoner",

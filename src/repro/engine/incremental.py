@@ -39,7 +39,7 @@ live strategy is reused: anything it prunes has an isomorphic counterpart
 already in the store, so ground answers are exact and null-witness
 *patterns* are preserved — the incremental materialisation may keep a
 different multiset of isomorphic null witnesses than a from-scratch chase
-(the same contract as the streaming/parallel executors).  After a
+(the same contract as the streaming executor).  After a
 retraction the strategy is rebuilt by replaying the surviving nodes into a
 :class:`~repro.core.termination.TrivialIsomorphismStrategy` — correct for
 harmless warded programs (Theorem 2) — rather than a fresh warded one.
@@ -81,8 +81,8 @@ from ..core.termination import TrivialIsomorphismStrategy, WardedTerminationStra
 from .annotations import load_bound_facts
 from .reasoner import DatabaseLike, VadalogReasoner, _answer_step
 
-#: Executors able to maintain a warm store in-process (the parallel and
-#: streaming executors own their stores per run).
+#: Executors able to maintain a warm store in-process (the streaming
+#: executor owns its store per run).
 RESIDENT_EXECUTORS = ("compiled", "naive")
 
 

@@ -135,13 +135,14 @@ class CompiledRuleExecutor:
         (the standard semi-naive decomposition avoiding duplicate joins
         across seed choices).
 
-        ``store`` may be the live :class:`~repro.core.fact_store.FactStore`
-        or a read-only :class:`~repro.core.fact_store.StoreSnapshot` — the
-        executor only reads.  ``seed_lists``, when given, supplies the seed
-        candidates externally (one sequence per seed plan, aligned with
-        ``plan.seed_plans``): the parallel executor passes each worker its
-        hash-shard of the delta this way, bypassing the store's own delta
-        lookup while every positional check still runs per candidate.
+        ``store`` is the live :class:`~repro.core.fact_store.FactStore`: a
+        fact the chase admits while this generator is suspended is probed
+        by the remaining candidates of the same round.  ``seed_lists``, when
+        given, supplies the seed candidates externally (one sequence per
+        seed plan, aligned with ``plan.seed_plans``): the DRed full-join
+        round passes a predicate's whole extent this way, bypassing the
+        store's own delta lookup while every positional check still runs
+        per candidate.
 
         The probe walk is an explicit iterative backtracking loop with the
         admission checks inlined: this is the innermost loop of the whole

@@ -483,39 +483,6 @@ def compile_join_plans(program: Program) -> Dict[int, RuleJoinPlan]:
     return {id(rule): compile_rule_join_plan(rule) for rule in program.rules}
 
 
-def seed_partition_positions(seed_plan: SeedJoinPlan) -> Tuple[int, ...]:
-    """The hash-partitioning key of a seed step, chosen by slot selectivity.
-
-    The parallel executor shards each rule's delta by hashing seed-atom
-    positions (:mod:`repro.engine.partition`).  The chooser picks the seed
-    position whose slot is consumed *earliest* by the subsequent probe steps
-    — since probes are selectivity-ordered, the first probe's join key is
-    the most selective binding the seed provides, so hashing on it keeps the
-    facts of one join neighbourhood in one shard (ties break towards the
-    slot used by more probes, then the lower position, keeping the choice
-    deterministic).  Seeds none of whose slots feed a probe (single-atom
-    bodies, cross products) return ``()``: callers hash the whole row,
-    which spreads the delta evenly.
-    """
-    seed = seed_plan.seed
-    slot_position: Dict[int, int] = {}
-    for pos, slot in seed.writes:
-        slot_position.setdefault(slot, pos)
-    scores: Dict[int, Tuple[int, int]] = {}  # slot -> (first probe index, uses)
-    for probe_index, probe in enumerate(seed_plan.probes):
-        for _pos, slot in probe.bound_checks:
-            if slot in slot_position:
-                first, uses = scores.get(slot, (probe_index, 0))
-                scores[slot] = (min(first, probe_index), uses + 1)
-    if not scores:
-        return ()
-    best = min(
-        scores,
-        key=lambda slot: (scores[slot][0], -scores[slot][1], slot_position[slot]),
-    )
-    return (slot_position[best],)
-
-
 # --------------------------------------------------------------------------
 # Source pushdown compilation (selection pushed into ``@bind`` datasources)
 # --------------------------------------------------------------------------

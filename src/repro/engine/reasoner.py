@@ -21,11 +21,7 @@ the four compilation steps of the pipeline architecture:
    (:mod:`repro.engine.pipeline`): query-driven, reading its sources in
    growing batches and able to return first answers before the model is
    fully materialized — :meth:`VadalogReasoner.stream` exposes the lazy
-   variant — or
-   ``executor="parallel"`` for the sharded worker-pool chase
-   (:mod:`repro.engine.partition`): the delta is hash-partitioned on the
-   seed join key across ``parallelism=`` workers and merged through a
-   single-writer admission stage, answer-identical to ``compiled``.
+   variant.
 
 Typical usage::
 
@@ -94,7 +90,7 @@ from .record_managers import (
 )
 from .scheduler import RoundRobinScheduler, SchedulerReport
 
-EXECUTORS = ("compiled", "naive", "streaming", "parallel")
+EXECUTORS = ("compiled", "naive", "streaming")
 
 DatabaseLike = Union[Database, Mapping[str, Iterable[Sequence[object]]], Iterable[Fact], None]
 
@@ -138,12 +134,6 @@ class ReasoningResult:
     #: used no external bindings.  Thin legacy view: traced runs record each
     #: completed scan as a ``source-scan`` span with the same counters.
     source_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: Per-round shard-balance statistics of the parallel executor: one dict
-    #: per chase round with the per-shard seed-fact and match counts and the
-    #: busiest-to-mean imbalance ratio.  Empty on the other executors.
-    #: Thin legacy view: traced runs carry per-shard ``shard-match`` spans
-    #: (with worker pids) under each round span.
-    shard_balance: List[Dict[str, object]] = field(default_factory=list)
     #: The run's telemetry (:class:`repro.obs.Tracer`) when the run was
     #: started with ``trace=``; ``None`` otherwise.  Spans are in
     #: ``trace.spans()``, aggregated counters in ``trace.metrics``.
@@ -226,7 +216,7 @@ class ReasoningResult:
         Drive the driver to its end (nothing is left after a drained
         ``iter_answers()``), then finish: extract → post directives → query
         filter, or ``@output`` writeback on a run without a query →
-        warnings, ``source_stats``, ``shard_balance`` → close the run span.
+        warnings, ``source_stats`` → close the run span.
         """
         run = self._run
         with run.guard():
@@ -248,9 +238,6 @@ class ReasoningResult:
                 run.timings["first_answer"] = chase.first_answer_seconds
             self.warnings.extend(chase.warnings)
             self.source_stats = bindings.source_stats()
-            self.shard_balance = list(
-                chase.extra_stats.get("parallel_shard_balance", ())
-            )
             if run.tracer is not None:
                 run.mark.counters.update(
                     facts=len(chase.store),
@@ -320,8 +307,8 @@ class _Run:
     mark: object = None
     spec: Optional[_RunSpec] = None
     bindings: Optional[BindingSet] = None
-    #: Runs the driver to its end: ``ChaseEngine.run`` (sequential or
-    #: parallel) or ``PipelineExecutor.run_to_completion`` — each of them
+    #: Runs the driver to its end: ``ChaseEngine.run`` or
+    #: ``PipelineExecutor.run_to_completion`` — each of them
     #: input load + ``ChaseEngine.continue_rounds``.
     drive: Optional[Callable[[], ChaseResult]] = None
 
@@ -367,9 +354,6 @@ class VadalogReasoner:
         chase_config: Optional[ChaseConfig] = None,
         base_path: Optional[str] = None,
         executor: str = "compiled",
-        parallelism: Optional[int] = None,
-        parallel_backend: str = "threads",
-        parallel_worker_timeout: Optional[float] = None,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
@@ -382,16 +366,6 @@ class VadalogReasoner:
         self.chase_config = chase_config or ChaseConfig()
         self.base_path = base_path
         self.executor = executor
-        #: Worker/shard count of the parallel executor (``None`` = auto:
-        #: ``min(4, cpu_count)``); ignored by the other executors.
-        self.parallelism = parallelism
-        #: ``"threads"`` (persistent pool, shared read snapshot) or
-        #: ``"fork"`` (per-round process pool, copy-on-write snapshot).
-        self.parallel_backend = parallel_backend
-        #: Per-shard result timeout (seconds); a shard that exceeds it is
-        #: treated as hung and goes through worker recovery (retry, then
-        #: degrade to sequential).  ``None`` = wait indefinitely.
-        self.parallel_worker_timeout = parallel_worker_timeout
         self.warnings: List[str] = []
         self.harmful_join_rewriting: Optional[HarmfulJoinEliminationResult] = None
         #: ``@bind`` resolution is memoized across runs so the per-source
@@ -594,34 +568,22 @@ class VadalogReasoner:
                 facts.extend(spec.seeds)
                 if tracer is not None:
                     mark.counters["facts"] = len(facts)
-                common = dict(
+                engine = ChaseEngine(
+                    spec.program,
+                    facts,
                     strategy=chosen,
                     analysis=spec.analysis,
                     config=config,
+                    executor=executor,
                     join_plans=spec.join_plans,
                     tracer=tracer,
                 )
-                if executor == "parallel":
-                    from .partition import ParallelChaseEngine
-
-                    engine: ChaseEngine = ParallelChaseEngine(
-                        spec.program,
-                        facts,
-                        parallelism=self.parallelism,
-                        backend=self.parallel_backend,
-                        worker_timeout=self.parallel_worker_timeout,
-                        **common,
-                    )
-                else:
-                    engine = ChaseEngine(
-                        spec.program, facts, executor=executor, **common
-                    )
                 run.drive = engine.run
             run.end("load", mark)
         return ReasoningResult(
             answers=AnswerSet(),
-            # The sequential and parallel engines have no result before
-            # they run; ``reason()`` completes the run before returning it.
+            # The chase engine has no result before it runs; ``reason()``
+            # completes the run before returning it.
             chase=pipeline.result if pipeline is not None else None,
             analysis=spec.analysis,
             plan=self.plan,
@@ -967,8 +929,6 @@ def reason(
     certain: bool = False,
     strategy: Union[str, TerminationStrategy, None] = "warded",
     executor: str = "compiled",
-    parallelism: Optional[int] = None,
-    parallel_backend: str = "threads",
     query: Union[str, Atom, None] = None,
     rewrite: Optional[str] = None,
     deadline: Optional[float] = None,
@@ -977,13 +937,7 @@ def reason(
     trace: object = None,
 ) -> ReasoningResult:
     """One-call helper: build a :class:`VadalogReasoner` and run it."""
-    reasoner = VadalogReasoner(
-        program,
-        strategy=strategy,
-        executor=executor,
-        parallelism=parallelism,
-        parallel_backend=parallel_backend,
-    )
+    reasoner = VadalogReasoner(program, strategy=strategy, executor=executor)
     return reasoner.reason(
         database=database,
         outputs=outputs,

@@ -3,9 +3,9 @@
 :class:`ReasoningService` turns a :class:`~repro.engine.incremental
 .ResidentReasoner` into a concurrency-safe service loop: many point
 queries are admitted concurrently against epoch-guarded
-:class:`~repro.core.fact_store.StoreSnapshot` views (the snapshot/
-write-batch protocol of the storage layer is the isolation primitive)
-while upserts and retractions serialise through a writer lock.
+:class:`~repro.core.fact_store.StoreSnapshot` views (the storage layer's
+read snapshot is the isolation primitive) while upserts and retractions
+serialise through a writer lock.
 
 On top of the lock the service keeps a shared, invalidation-aware answer
 cache — the generalisation of the per-reasoner magic-spec LRU: each cache

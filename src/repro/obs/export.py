@@ -8,8 +8,7 @@ for ``tools/trace_view.py`` and for tests.
 :func:`to_perfetto` converts spans into the Trace Event Format consumed
 by ``chrome://tracing`` and https://ui.perfetto.dev — complete ("ph":
 "X") events with microsecond timestamps rebased to the earliest span.
-Driver spans share one track; parallel shard-match spans get a per-shard
-track so the fan-out renders as parallel lanes.
+All spans share one track.
 """
 
 from __future__ import annotations
@@ -95,16 +94,11 @@ def to_perfetto(
         args["status"] = span.status
         if span.error:
             args["error"] = span.error
-        # Shard-match spans (possibly from forked workers) get their own
-        # track so the parallel fan-out is visible as stacked lanes.
-        tid = 1
-        if span.kind == "shard-match":
-            tid = 2 + int(span.attrs.get("shard", 0))
         events.append(
             {
                 "ph": "X",
                 "pid": 1,
-                "tid": tid,
+                "tid": 1,
                 "name": f"{span.kind}:{span.name}" if span.kind not in span.name else span.name,
                 "cat": span.kind,
                 "ts": (span.t_start - t0) * 1e6,

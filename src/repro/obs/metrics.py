@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is the aggregate companion to span tracing:
 spans answer "where did the time go", metrics answer "how many" for
 quantities that are too frequent (or too global) to carry a span each —
-round durations, governor stops, source cache traffic.  Everything is standard library, allocation-light, and
-driver-thread-only (workers report through span records instead).
+round durations, governor stops, source cache traffic.  Everything is
+standard library, allocation-light, and written from the chase's thread.
 """
 
 from __future__ import annotations

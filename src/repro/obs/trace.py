@@ -3,10 +3,8 @@
 A :class:`Tracer` records a tree of :class:`Span` objects describing one
 reasoning run: ``run`` at the root, ``rewrite`` / ``load`` / ``chase`` /
 ``answers`` phases below it, per-round ``round`` spans, per-rule ``rule``
-spans, parallel ``shard-match`` / ``admission`` spans, and ``source-scan``
-/ ``source-retry`` spans for external datasources.  Spans carry wall-clock
-bounds (``time.perf_counter`` — CLOCK_MONOTONIC on Linux, so timestamps
-from forked shard workers are directly comparable to the driver's),
+spans, and ``source-scan`` / ``source-retry`` spans for external
+datasources.  Spans carry wall-clock bounds (``time.perf_counter``),
 structured ``attrs`` and integer/float ``counters`` (facts matched /
 derived / deduped, resident high-water, ...).
 
@@ -18,9 +16,9 @@ Design constraints, in priority order:
   path executes no telemetry code at all and results stay bit-identical.
 * **Zero dependencies.**  Standard library only, like the rest of the
   package.
-* **Fork survival.**  Workers cannot share a live tracer; they return
-  plain-dict span *records* (:meth:`Span.to_record`) which the driver
-  merges with :meth:`Tracer.adopt` at admission time.
+* **Durable records.**  A span serialises to a plain dict
+  (:meth:`Span.to_record`, one JSONL line) and back
+  (:meth:`Span.from_record`, used by :mod:`repro.obs.export`).
 
 The module-global *active tracer* (:func:`activate` / :func:`get_tracer`)
 mirrors ``testing/faults.py``: lazily-evaluated datasource scan generators
@@ -38,7 +36,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from .metrics import MetricsRegistry
 
@@ -52,13 +50,9 @@ SPAN_KINDS = (
     "chase",
     "answers",
     "round",
-    "partition",
     "rule",
-    "shard-match",
-    "admission",
     "source-scan",
     "source-retry",
-    "worker-recovery",
     "governor-stop",
 )
 
@@ -192,10 +186,10 @@ class Tracer:
     Parenting is stack-based: :meth:`begin` parents the new span under
     the innermost open span unless an explicit ``parent`` is given.
 
-    A single lock guards id allocation and emission — the hot executors
-    only touch the tracer from the driver thread, but datasource scans
-    and recovery paths may interleave, and correctness here is worth a
-    cheap uncontended lock.
+    A single lock guards id allocation and emission — the chase only
+    touches the tracer from its own thread, but lazily pulled datasource
+    scans may interleave, and correctness here is worth a cheap
+    uncontended lock.
     """
 
     def __init__(
@@ -323,34 +317,6 @@ class Tracer:
         )
         self._emit(span)
         return span
-
-    def adopt(
-        self,
-        records: Iterable[Dict[str, Any]],
-        *,
-        parent: Optional[Span] = None,
-    ) -> List[Span]:
-        """Merge plain-dict span records produced in a worker (possibly a
-        forked process) under ``parent`` (default: current span).
-
-        Ids are re-allocated from this tracer's sequence; ``perf_counter``
-        timestamps are kept as-is (same monotonic clock domain on fork)
-        but clamped to start no earlier than the adopting parent.
-        """
-        if parent is None:
-            parent = self.current() or self.root
-        adopted: List[Span] = []
-        for record in records:
-            span = Span.from_record(record)
-            span.span_id = self._allocate_id()
-            span.parent_id = parent.span_id if parent is not None else None
-            if parent is not None and span.t_start < parent.t_start:
-                span.t_start = parent.t_start
-            if span.t_end is None:
-                span.t_end = span.t_start
-            self._emit(span)
-            adopted.append(span)
-        return adopted
 
     def _emit(self, span: Span) -> None:
         with self._lock:

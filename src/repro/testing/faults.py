@@ -2,8 +2,8 @@
 
 Production code is instrumented with named *fault points* — cheap no-op
 hooks (one module-global read when nothing is installed) placed at the
-seams the robustness layer must survive: datasource scans, parallel match
-workers, rule application in the round loop (every executor).  Tests
+seams the robustness layer must survive: datasource scans and rule
+application in the round loop (every executor).  Tests
 install a :class:`FaultPlan` that decides, deterministically (seeded
 counters, optional seeded probability), which hits of which point raise an
 injected exception or sleep to simulate a slow rule.
@@ -12,10 +12,6 @@ Registered fault points:
 
 * ``datasource.scan``  — start of each scan attempt in ``DataSource``
   (context: ``predicate``, ``attempt``);
-* ``parallel.worker``  — entry of the per-shard match body in
-  ``engine.partition`` (context: ``shard``, ``round``); fires in thread
-  workers, forked children (the plan is inherited copy-on-write) and in
-  driver-side degraded execution alike;
 * ``chase.rule``       — per rule application in the round loop, on every
   executor (context: ``rule``, ``round``).
 
@@ -25,8 +21,8 @@ The harness is intentionally dependency-free so any module may import
 
 from __future__ import annotations
 
-import multiprocessing
 import random
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,7 +30,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class WorkerCrash(RuntimeError):
-    """Marker exception used to simulate a crashed parallel worker."""
+    """Marker exception a :class:`FaultSpec` can raise to simulate a crash."""
 
 
 @dataclass
@@ -71,38 +67,31 @@ class FaultPlan:
             for spec in specs
         ]
         self.rng = random.Random(seed)
-        # Per-spec hit/fired counters live in shared memory so ``times``/
-        # ``after`` hold *globally* across fork-backend worker processes
-        # (which inherit the plan copy-on-write — plain ints would reset in
-        # every child).  The shared lock makes the whole decision atomic
-        # across processes and threads alike.
-        self._lock = multiprocessing.RLock()
-        self._spec_hits: List[Any] = [
-            multiprocessing.Value("i", 0, lock=False) for _ in self.specs
-        ]
-        self._spec_fired: List[Any] = [
-            multiprocessing.Value("i", 0, lock=False) for _ in self.specs
-        ]
+        # Per-spec hit/fired counters; the lock makes each decision atomic
+        # across threads.
+        self._lock = threading.RLock()
+        self._spec_hits: List[int] = [0] * len(self.specs)
+        self._spec_fired: List[int] = [0] * len(self.specs)
 
     # -- counters (test assertions) ---------------------------------------
     def spec_hits(self, index: int = 0) -> int:
-        return self._spec_hits[index].value
+        return self._spec_hits[index]
 
     def spec_fired(self, index: int = 0) -> int:
-        return self._spec_fired[index].value
+        return self._spec_fired[index]
 
     @property
     def hits(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for spec, counter in zip(self.specs, self._spec_hits):
-            totals[spec.point] = totals.get(spec.point, 0) + counter.value
+        for spec, count in zip(self.specs, self._spec_hits):
+            totals[spec.point] = totals.get(spec.point, 0) + count
         return totals
 
     @property
     def fired(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for spec, counter in zip(self.specs, self._spec_fired):
-            totals[spec.point] = totals.get(spec.point, 0) + counter.value
+        for spec, count in zip(self.specs, self._spec_fired):
+            totals[spec.point] = totals.get(spec.point, 0) + count
         return totals
 
     def visit(self, point: str, context: Dict[str, Any]) -> None:
@@ -113,15 +102,15 @@ class FaultPlan:
                     continue
                 if spec.match is not None and not spec.match(context):
                     continue
-                hit_no = self._spec_hits[index].value
-                self._spec_hits[index].value = hit_no + 1
+                hit_no = self._spec_hits[index]
+                self._spec_hits[index] = hit_no + 1
                 if hit_no < spec.after:
                     continue
-                if spec.times is not None and self._spec_fired[index].value >= spec.times:
+                if spec.times is not None and self._spec_fired[index] >= spec.times:
                     continue
                 if spec.probability is not None and self.rng.random() >= spec.probability:
                     continue
-                self._spec_fired[index].value += 1
+                self._spec_fired[index] += 1
                 actions.append((spec.delay, spec.exception))
         for delay, exception in actions:
             if delay:
@@ -134,7 +123,7 @@ _ACTIVE: Optional[FaultPlan] = None
 
 
 def install(plan: FaultPlan) -> None:
-    """Install ``plan`` globally (also inherited by forked workers)."""
+    """Install ``plan`` globally."""
     global _ACTIVE
     _ACTIVE = plan
 

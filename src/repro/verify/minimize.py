@@ -166,8 +166,8 @@ def repro_snippet(
     Printed by the fuzz harness on failure (naming the case seed, so the
     repro is traceable back to the corpus) and embedded in generated
     regression tests.  ``transform="magic"`` renders the magic-vs-plain
-    comparison; an executor name (``"naive"``, ``"streaming"``,
-    ``"parallel"``) renders that executor against the compiled reference.
+    comparison; an executor name (``"naive"``, ``"streaming"``) renders
+    that executor against the compiled reference.
     """
     database_repr = "{\n" + "".join(
         f"    {predicate!r}: {sorted(rows, key=repr)!r},\n"
@@ -194,13 +194,10 @@ predicate = {query.predicate!r}
 assert set(magic.ground_tuples(predicate)) == set(plain.ground_tuples(predicate)), (
     set(plain.ground_tuples(predicate)), set(magic.ground_tuples(predicate)))
 '''
-    extra = ", parallelism=2" if transform == "parallel" else ""
     return f'''{header}executor {transform} vs compiled
 {prelude}
 reference = VadalogReasoner(PROGRAM, executor="compiled").reason(database=DATABASE)
-candidate = VadalogReasoner(
-    PROGRAM, executor={transform!r}{extra}
-).reason(database=DATABASE)
+candidate = VadalogReasoner(PROGRAM, executor={transform!r}).reason(database=DATABASE)
 predicate = {query.predicate!r}
 assert set(candidate.ground_tuples(predicate)) == set(reference.ground_tuples(predicate)), (
     set(reference.ground_tuples(predicate)), set(candidate.ground_tuples(predicate)))

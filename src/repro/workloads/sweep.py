@@ -37,15 +37,11 @@ from .iwarded import parametric_scenario
 from .scenario import Scenario
 
 #: Executors the nightly full sweep covers.
-SWEEP_EXECUTORS: Tuple[str, ...] = ("compiled", "streaming", "parallel")
-#: Executors the smoke-scale gate covers (kept to two so the gate stays fast).
-SMOKE_SWEEP_EXECUTORS: Tuple[str, ...] = ("compiled", "streaming")
+SWEEP_EXECUTORS: Tuple[str, ...] = ("compiled", "streaming")
+#: Executors the smoke-scale gate covers: the same two.
+SMOKE_SWEEP_EXECUTORS: Tuple[str, ...] = SWEEP_EXECUTORS
 #: The answer-check reference executor.
 REFERENCE_EXECUTOR = "naive"
-#: Pinned worker count for the parallel executor (matches the bench gate —
-#: the auto default scales with the host CPU count, which would make curve
-#: points incomparable across machines).
-SWEEP_PARALLELISM = 2
 
 #: ``facts_per_predicate`` used on the axes that do not sweep the fact-set
 #: size themselves.
@@ -116,15 +112,10 @@ def _answer_signature(result, outputs: Sequence[str]) -> Dict[str, object]:
     return signature
 
 
-def _reason(scenario: Scenario, executor: str, parallelism: Optional[int]):
+def _reason(scenario: Scenario, executor: str):
     from ..engine.reasoner import VadalogReasoner
 
-    kwargs = {}
-    if executor == "parallel":
-        kwargs["parallelism"] = parallelism
-    reasoner = VadalogReasoner(
-        scenario.program.copy(), executor=executor, **kwargs
-    )
+    reasoner = VadalogReasoner(scenario.program.copy(), executor=executor)
     return reasoner.reason(database=scenario.database, outputs=scenario.outputs)
 
 
@@ -138,7 +129,6 @@ def run_axis(
     smoke: bool = False,
     answer_check: bool = True,
     measure_runs: int = 1,
-    parallelism: Optional[int] = SWEEP_PARALLELISM,
 ) -> List[Dict[str, object]]:
     """Measure one axis: every grid value on every executor.
 
@@ -154,7 +144,7 @@ def run_axis(
         reference = None
         if answer_check:
             reference = _answer_signature(
-                _reason(scenario, REFERENCE_EXECUTOR, parallelism),
+                _reason(scenario, REFERENCE_EXECUTOR),
                 scenario.outputs,
             )
         for executor in executors:
@@ -162,7 +152,7 @@ def run_axis(
             result = None
             for _ in range(max(1, measure_runs)):
                 started = time.perf_counter()
-                result = _reason(scenario, executor, parallelism)
+                result = _reason(scenario, executor)
                 samples.append(time.perf_counter() - started)
             checked = False
             if reference is not None:
@@ -200,7 +190,6 @@ def run_sweep(
     axes: Optional[Sequence[str]] = None,
     answer_check: bool = True,
     measure_runs: int = 1,
-    parallelism: Optional[int] = SWEEP_PARALLELISM,
 ) -> Dict[str, object]:
     """Run the grid sweep and return the curve section.
 
@@ -226,7 +215,6 @@ def run_sweep(
                 smoke=smoke,
                 answer_check=answer_check,
                 measure_runs=measure_runs,
-                parallelism=parallelism,
             ),
         }
     return {
@@ -234,6 +222,5 @@ def run_sweep(
         "executors": list(executors),
         "answer_reference": REFERENCE_EXECUTOR if answer_check else None,
         "facts_per_predicate_default": SMOKE_SWEEP_FACTS if smoke else FULL_SWEEP_FACTS,
-        "parallelism": parallelism,
         "axes": curves,
     }

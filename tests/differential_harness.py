@@ -1,7 +1,7 @@
 """Shared differential-testing machinery for the executor test matrix.
 
-Every executor suite (``test_compiled_executor``, ``test_streaming_differential``,
-``test_parallel_executor``) and the magic-rewrite matrix
+Every executor suite (``test_compiled_executor``,
+``test_streaming_differential``) and the magic-rewrite matrix
 (``test_magic_rewrite``) compares runs over the same **20 scenario
 registry** defined here, with the same three levels of agreement:
 
@@ -11,27 +11,24 @@ registry** defined here, with the same three levels of agreement:
 * **null patterns** — null-carrying facts must produce the same set of
   patterns (constants in place, labelled nulls as anonymous witnesses);
 * **iso profile** — the full multiset of per-fact isomorphism keys
-  (including multiplicities) must match too: everywhere for naive and for a
-  cold streaming run (both derive in the compiled order), outside the
-  order-sensitive scenarios for the parallel executor.
+  (including multiplicities) must match too, on every scenario: naive and
+  a cold streaming run both derive in the compiled order.
 
-The one order-sensitive exemption set is owned here as well, so the suites
-cannot silently drift apart: ``PARALLEL_ORDER_SENSITIVE_NULLS`` for the
-sharded parallel executor, where snapshot rounds enumerate duplicate joins
-in a different order than the live sequential chase and may therefore
-retain a different *multiset* of homomorphically equivalent null witnesses
-(usually fewer, occasionally one more — the direction is order-dependent).
-The same holds for a streaming run completed after partial pulls (batches
-change the order the termination check meets the witnesses in), which
-``test_streaming_differential`` compares at the first two levels.  The
-exact contract — certain facts identical, witness pattern sets identical in
-both directions, full profile equality at one worker — is pinned by
-``test_parallel_executor.TestParallelNullWitnessContract``.
+No executor is exempt from the third level.  A run whose derivation order
+differs from the compiled one may keep a different *multiset* of
+homomorphically equivalent null witnesses, because the termination check
+keeps whichever witness it meets first: a streaming run completed after
+partial pulls (batches change that order), which
+``test_streaming_differential`` compares at the first two levels, and a
+magic-rewritten or incrementally maintained materialisation.
 """
 
+import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from typing import Callable, List, TypeVar
 from typing import Counter as CounterType
 from typing import Dict, Optional, Set, Tuple
 
@@ -91,23 +88,6 @@ SCENARIOS = {
     "ds-er-fusion": lambda: er_fusion_scenario(),
     "ds-label-prop": lambda: label_propagation_scenario(),
 }
-
-#: The 8 recursive-existential scenarios where the parallel executor's
-#: snapshot rounds legitimately retain a different multiset of duplicate
-#: null witnesses than the live sequential chase (CHANGES.md, PR 4):
-#: pattern-level agreement only.  The exact contract is pinned by
-#: ``test_parallel_executor``.
-PARALLEL_ORDER_SENSITIVE_NULLS = {
-    "iwarded-synthA",
-    "iwarded-synthB",
-    "iwarded-parametric",
-    "iwarded-parametric-deep",
-    "scaling-dbsize",
-    "scaling-atoms",
-    "scaling-arity",
-    "scaling-rules",
-}
-
 
 def scenario_names():
     """Deterministic iteration order for ``pytest.mark.parametrize``."""
@@ -187,8 +167,7 @@ def store_profile(name: str, executor: str, **reasoner_kwargs):
     null-carrying facts — equality of ground+iso means the two runs derived
     the same facts up to a bijective renaming of labelled nulls per fact.
     Used by the compiled-vs-naive differential (identically-ordered
-    executors must agree fact-for-fact) and by the parallel null-witness
-    contract (pattern-level agreement over the whole store).
+    executors must agree fact-for-fact).
     """
     scenario = SCENARIOS[name]()
     reasoner = VadalogReasoner(
@@ -197,6 +176,43 @@ def store_profile(name: str, executor: str, **reasoner_kwargs):
     result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
     ground, iso, patterns = _profile_facts(result.chase.store)
     return ground, iso, patterns
+
+
+T = TypeVar("T")
+
+
+def run_in_threads(work: Callable[[], T], threads: int = 2) -> List[T]:
+    """Call ``work`` on ``threads`` threads at once and return each result.
+
+    The threads start together behind a barrier and the interpreter's
+    switch interval is shortened for the duration, so the runs interleave
+    at fine grain instead of one finishing inside its first time slice.
+    The first exception raised by any thread is re-raised here.
+    """
+    barrier = threading.Barrier(threads)
+    results: List = [None] * threads
+    errors: List[BaseException] = []
+
+    def target(slot: int) -> None:
+        barrier.wait()
+        try:
+            results[slot] = work()
+        except BaseException as error:  # surfaced in the calling thread
+            errors.append(error)
+
+    workers = [threading.Thread(target=target, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def point_query(name: str, reference: AnswerProfile) -> Atom:

@@ -255,7 +255,7 @@ class TestLazyActiveDomain:
     Blocked(X, Z) :- Gen(X, Z), Dom(Z).
     """
 
-    @pytest.mark.parametrize("executor", ["naive", "compiled", "streaming", "parallel"])
+    @pytest.mark.parametrize("executor", ["naive", "compiled", "streaming"])
     def test_dom_free_run_never_builds_the_domain(self, executor):
         result = VadalogReasoner(
             "@output(\"T\"). T(X, Y) :- R(X, Y). T(X, Z) :- T(X, Y), R(Y, Z).",
@@ -264,7 +264,7 @@ class TestLazyActiveDomain:
         assert result.ground_tuples("T") == {(1, 2), (2, 3), (1, 3)}
         assert result.chase.store._domain_counts is None
 
-    @pytest.mark.parametrize("executor", ["naive", "compiled", "streaming", "parallel"])
+    @pytest.mark.parametrize("executor", ["naive", "compiled", "streaming"])
     def test_dom_program_answers(self, executor):
         result = VadalogReasoner(self.DOM_PROGRAM, executor=executor).reason(
             database={"Src": [("a", 1), ("b", 2), ("c", 3)]}

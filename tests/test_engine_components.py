@@ -196,7 +196,7 @@ class TestFireSlotsKernel:
             "Blocked": [],  # Dom rejects the labelled null
             "Never": [],
         }
-        for executor in ("compiled", "parallel", "streaming"):
+        for executor in ("compiled", "streaming"):
             result = VadalogReasoner(self.PROGRAM, executor=executor).reason(
                 database=self.DATABASE
             )

@@ -3,18 +3,18 @@
 Drives the robustness layer with :mod:`repro.testing.faults` and checks the
 differential contract from the fault-tolerance work: for every executor ×
 injected fault, the run either produces **identical answers** to the
-fault-free baseline (the fault was absorbed by retries / worker recovery)
+fault-free baseline (the fault was absorbed by datasource retries)
 or ends with ``status != "complete"`` and a partial answer set that is a
 **subset** of the baseline — never an unhandled exception.
 
-Also pinned here: the fork-backend pool cleanup regression (no orphaned
-child processes on any exit path, including a crash that propagates) and
-the acceptance criterion that a deadline stops a 10x-oversized
+Also pinned here: the acceptance criterion that a deadline stops a 10x-oversized
 ``fig8-scaling`` run within 2x the requested wall-clock.
 """
 
 import csv
-import multiprocessing
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -36,8 +36,6 @@ T(X, Z) :- T(X, Y), E(Y, Z).
 
 CHAIN_ROWS = [(i, i + 1) for i in range(30)]
 CHAIN_DB = {"E": CHAIN_ROWS}
-
-PARALLEL_BACKENDS = ("threads", "fork")
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +97,12 @@ class TestFaultHarness:
                 point="p",
                 exception=WorkerCrash,
                 times=None,
-                match=lambda ctx: ctx.get("shard") == 1,
+                match=lambda ctx: ctx.get("round") == 1,
             )
         )
-        plan.visit("p", {"shard": 0})
+        plan.visit("p", {"round": 0})
         with pytest.raises(WorkerCrash):
-            plan.visit("p", {"shard": 1})
+            plan.visit("p", {"round": 1})
 
     def test_seeded_probability_is_reproducible(self):
         def outcomes(seed):
@@ -133,6 +131,14 @@ class TestFaultHarness:
         from repro.testing import fault_point
 
         fault_point("anything", context="ignored")  # must not raise
+
+    def test_import_repro_does_not_load_multiprocessing(self):
+        # Plan counters are plain ints under a thread lock: importing the
+        # package (which imports this harness) pays for no process machinery.
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = "import sys, repro; assert 'multiprocessing' not in sys.modules"
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
 # ---------------------------------------------------------------------------
@@ -167,90 +173,6 @@ class TestChaosMatrix:
         assert result.status == STATUS_DEADLINE
         assert_chaos_contract(result, baseline)
         assert set(result.ground_tuples("T")) < baseline
-
-    def test_slow_parallel_worker_with_deadline(self, baseline):
-        reasoner = VadalogReasoner(TC_PROGRAM, executor="parallel", parallelism=4)
-        with inject(FaultSpec(point="parallel.worker", delay=0.05, times=None)):
-            result = reasoner.reason(database=CHAIN_DB, deadline=0.2)
-        assert result.status == STATUS_DEADLINE
-        assert_chaos_contract(result, baseline)
-
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_single_worker_crash_is_retried(self, backend, baseline):
-        reasoner = VadalogReasoner(
-            TC_PROGRAM, executor="parallel", parallelism=4, parallel_backend=backend
-        )
-        with inject(
-            FaultSpec(point="parallel.worker", exception=WorkerCrash, times=1)
-        ) as plan:
-            result = reasoner.reason(database=CHAIN_DB)
-        assert plan.spec_fired() == 1
-        assert result.status == STATUS_COMPLETE
-        assert set(result.ground_tuples("T")) == baseline
-        recovery = result.chase.extra_stats.get("parallel_recovery")
-        assert recovery, "worker recovery was not recorded"
-        assert recovery[0]["action"] == "retry"
-        assert any("retrying the shard" in warning for warning in result.warnings)
-
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_repeated_crash_degrades_shard_to_sequential(self, backend, baseline):
-        reasoner = VadalogReasoner(
-            TC_PROGRAM, executor="parallel", parallelism=4, parallel_backend=backend
-        )
-        with inject(
-            FaultSpec(
-                point="parallel.worker",
-                exception=WorkerCrash,
-                times=2,
-                match=lambda ctx: ctx.get("shard") == 0,
-            )
-        ):
-            result = reasoner.reason(database=CHAIN_DB)
-        assert result.status == STATUS_COMPLETE
-        assert set(result.ground_tuples("T")) == baseline
-        actions = [
-            entry["action"]
-            for entry in result.chase.extra_stats.get("parallel_recovery", ())
-        ]
-        assert actions == ["retry", "sequential"]
-        assert any("sequential" in warning for warning in result.warnings)
-
-
-# ---------------------------------------------------------------------------
-# Fork pool cleanup (satellite: no orphaned children on any exit path)
-# ---------------------------------------------------------------------------
-
-
-class TestForkPoolCleanup:
-    def assert_no_orphans(self):
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            children = multiprocessing.active_children()
-            if not children:
-                return
-            time.sleep(0.05)
-        pytest.fail(f"orphaned child processes: {multiprocessing.active_children()}")
-
-    def test_clean_fork_run_leaves_no_children(self, baseline):
-        reasoner = VadalogReasoner(
-            TC_PROGRAM, executor="parallel", parallelism=4, parallel_backend="fork"
-        )
-        result = reasoner.reason(database=CHAIN_DB)
-        assert set(result.ground_tuples("T")) == baseline
-        self.assert_no_orphans()
-
-    def test_propagating_crash_leaves_no_children(self):
-        # A fault that outlives retry AND driver degradation is a genuine
-        # error and propagates — but the pool must still be torn down.
-        reasoner = VadalogReasoner(
-            TC_PROGRAM, executor="parallel", parallelism=4, parallel_backend="fork"
-        )
-        with inject(
-            FaultSpec(point="parallel.worker", exception=WorkerCrash, times=None)
-        ):
-            with pytest.raises(WorkerCrash):
-                reasoner.reason(database=CHAIN_DB)
-        self.assert_no_orphans()
 
 
 # ---------------------------------------------------------------------------

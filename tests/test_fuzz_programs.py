@@ -11,15 +11,13 @@ iWarded grid points (indices >= ``GRID_BASE`` — see ``fuzz.GRID_KNOBS``):
 * **naive vs compiled** — the two identically-ordered chase executors
   derive the same store (ground facts exactly, null witnesses up to
   isomorphism);
-* **streaming and parallel (2 workers) vs compiled** — answer-level
-  agreement per output predicate: ground answers exactly, null answer
-  patterns exactly, and for streaming (a cold run is the compiled round
-  loop on the query slice) the iso *multiset* too.  Only the parallel
-  executor is exempt from the last: its snapshot rounds enumerate duplicate
-  joins in a different order than the sequential chase and may retain a
-  different multiset of homomorphically equivalent witnesses (same
-  exemption as ``differential_harness``'s
-  ``PARALLEL_ORDER_SENSITIVE_NULLS``);
+* **streaming vs compiled** — answer-level agreement per output
+  predicate: ground answers, null answer patterns and the iso *multiset*
+  exactly (a cold streaming run is the compiled round loop on the query
+  slice);
+* **parallel vs compiled** — the same answer-level agreement for the
+  compiled executor run on two threads at once, each thread with its own
+  reasoner (runs must not share mutable state);
 * **magic vs unrewritten** — for a generated point query,
   ``rewrite="magic"`` returns the same certain answers and null patterns
   as ``rewrite="none"``;
@@ -33,7 +31,7 @@ seed, so a CI failure reproduces locally bit-for-bit.
 
 import pytest
 
-from differential_harness import _profile_facts
+from differential_harness import _profile_facts, run_in_threads
 from repro.core.atoms import Position
 from repro.core.isomorphism import pattern_key
 from repro.core.parser import parse_program, unparse_program
@@ -52,23 +50,15 @@ from repro.verify import oracle as verify_oracle
 __all__ = ["MASTER_SEED", "N_CASES", "CONSTANTS"]
 
 #: The executors compared against ``compiled`` on the answer level.
-MATRIX_EXECUTORS = ("streaming", "parallel")
+MATRIX_EXECUTORS = ("streaming",)
 
-#: Executors whose answer profiles are compared at pattern level only (no
-#: iso-multiset equality): their join enumeration order differs from the
-#: sequential chase, so duplicate null witnesses may be retained in
-#: different multiplicities.
-ORDER_SENSITIVE_EXECUTORS = ("parallel",)
-
-
-def _reasoner_kwargs(executor):
-    return {"parallelism": 2} if executor == "parallel" else {}
+#: The matrix arms: each executor, plus ``parallel`` — the compiled executor
+#: driven by two concurrent threads.
+MATRIX_ARMS = (*MATRIX_EXECUTORS, "parallel")
 
 
 def _run(program, database, executor):
-    reasoner = VadalogReasoner(
-        program.copy(), executor=executor, **_reasoner_kwargs(executor)
-    )
+    reasoner = VadalogReasoner(program.copy(), executor=executor)
     return reasoner.reason(database=database)
 
 
@@ -115,7 +105,6 @@ def _executor_diverges(executor, predicates):
     def diverges(program, database, query):
         reference = _run(program, database, "compiled")
         candidate = _run(program, database, executor)
-        check_iso = executor not in ORDER_SENSITIVE_EXECUTORS
         for predicate in sorted(predicates):
             ref_ground, ref_iso, ref_patterns = _profile_facts(
                 reference.answers.facts(predicate)
@@ -128,7 +117,7 @@ def _executor_diverges(executor, predicates):
                 return sorted((f.values() for f in diff), key=repr)[0]
             if ref_patterns != cand_patterns:
                 return ("<null-patterns>", predicate)
-            if check_iso and ref_iso != cand_iso:
+            if ref_iso != cand_iso:
                 return ("<null-multiset>", predicate)
         return None
 
@@ -196,29 +185,36 @@ def test_fuzz_case(index):
                 assert Position(pred, position) not in affected
 
 
-@pytest.mark.parametrize("executor", MATRIX_EXECUTORS)
+@pytest.mark.parametrize("arm", MATRIX_ARMS)
 @pytest.mark.parametrize("index", [*range(0, N_CASES, 2), *grid_indices()[::2]])
-def test_fuzz_executor_matrix(index, executor):
-    """Streaming/parallel answers agree with compiled on every other case.
+def test_fuzz_executor_matrix(index, arm):
+    """Streaming and concurrent compiled answers agree with compiled.
 
-    Ground answers and null answer patterns must match exactly per output
-    predicate, and the iso multiset too outside the order-sensitive
-    executors.
+    Runs on every other case.  Ground answers, null answer patterns and the
+    iso multiset must match exactly per output predicate.
     """
     case = generate_case(index)
     reference = _run(case.program, case.database, "compiled")
-    candidate = _run(case.program, case.database, executor)
     ref_profile = _answer_profile(reference, case.idb)
-    cand_profile = _answer_profile(candidate, case.idb)
-    check_iso = executor not in ORDER_SENSITIVE_EXECUTORS
-    for predicate in sorted(case.idb):
-        ref_ground, ref_iso, ref_patterns = ref_profile[predicate]
-        cand_ground, cand_iso, cand_patterns = cand_profile[predicate]
-        if (
-            ref_ground != cand_ground
-            or ref_patterns != cand_patterns
-            or (check_iso and ref_iso != cand_iso)
-        ):
+    if arm == "parallel":
+        candidates = run_in_threads(
+            lambda: _run(case.program, case.database, "compiled")
+        )
+    else:
+        candidates = [_run(case.program, case.database, arm)]
+    for thread, candidate in enumerate(candidates):
+        cand_profile = _answer_profile(candidate, case.idb)
+        for predicate in sorted(case.idb):
+            if cand_profile[predicate] == ref_profile[predicate]:
+                continue
+            if arm == "parallel":
+                # A concurrency divergence does not replay in one thread,
+                # so there is nothing for the shrinker to minimise.
+                pytest.fail(
+                    f"case {index} (seed {case.seed}): thread {thread} of a "
+                    f"concurrent compiled run disagrees with a sequential "
+                    f"one on {predicate}"
+                )
             from repro.core.atoms import Atom
             from repro.core.terms import Variable
 
@@ -227,10 +223,10 @@ def test_fuzz_executor_matrix(index, executor):
             _fail_with_repro(
                 case,
                 probe,
-                f"case {index} (seed {case.seed}): executor {executor} "
+                f"case {index} (seed {case.seed}): executor {arm} "
                 f"disagrees with compiled on {predicate}",
-                diverges=_executor_diverges(executor, case.idb),
-                transform=executor,
+                diverges=_executor_diverges(arm, case.idb),
+                transform=arm,
             )
 
 

@@ -5,8 +5,8 @@ The main body is a differential over the shared 16-scenario registry of
 resident answers must match a from-scratch ``reason()`` on the final
 database — ground answers exactly, null-witness answers at *pattern*
 level (the resident materialisation may retain a different multiset of
-isomorphic null witnesses, the same contract as the streaming and
-parallel executors, so ``check_iso=False`` throughout).
+isomorphic null witnesses, the same contract as a lazily completed
+streaming run, so ``check_iso=False`` throughout).
 
 The second half pins the delete-and-rederive edge cases one by one:
 independently rederivable facts survive, existential null witnesses

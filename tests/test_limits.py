@@ -285,6 +285,19 @@ class TestUnknownExecutor:
         assert "streaming" in message
         assert "compiled" in message
 
+    def test_parallel_is_an_unknown_executor(self):
+        # The sharded executor was removed; no alias takes its place.
+        with pytest.raises(ValueError) as err:
+            VadalogReasoner(TC_PROGRAM, executor="parallel")
+        assert all(name in str(err.value) for name in EXECUTORS)
+        with pytest.raises(ValueError) as err:
+            reason(TC_PROGRAM, database=CHAIN_DB, executor="parallel")
+        assert all(name in str(err.value) for name in EXECUTORS)
+        with pytest.raises(ValueError) as err:
+            run_chase(parse_program(TC_PROGRAM), executor="parallel")
+        assert "'parallel'" in str(err.value)
+        assert "compiled" in str(err.value) and "naive" in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # Deadline enforcement actually bounds wall-clock

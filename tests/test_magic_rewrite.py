@@ -3,9 +3,11 @@
 The matrix extends the shared differential harness with the magic-rewrite
 column: for each of the 16 registry scenarios a deterministic point query
 is derived from the compiled reference answers, and
-``reason(query=..., rewrite="magic")`` on the compiled, streaming and
-parallel executors must return **identical certain answers** (and null
+``reason(query=..., rewrite="magic")`` on the compiled and streaming
+executors must return **identical certain answers** (and null
 answer patterns) to the unrewritten ``rewrite="none"`` reference.  The
+``parallel`` arm runs the compiled magic query on two threads at once, each
+with its own reasoner, and holds every thread's answers to the same bar.  The
 unit tests pin the rewriting's safety behaviour: existential fallback,
 ``Dom`` veto, constraint-driven full computation, adornment weakening to
 unaffected positions, seed generation and the reasoner-level knobs.
@@ -17,6 +19,7 @@ from differential_harness import (
     answer_profile,
     assert_profiles_match,
     point_query,
+    run_in_threads,
     scenario_names,
 )
 from repro.core.magic import (
@@ -29,7 +32,11 @@ from repro.core.transform import normalize_for_chase, optimize_for_query
 from repro.core.wardedness import analyse_program
 from repro.engine.reasoner import VadalogReasoner
 
-MAGIC_EXECUTORS = ("compiled", "streaming", "parallel")
+MAGIC_EXECUTORS = ("compiled", "streaming")
+
+#: The matrix arms: each executor, plus ``parallel`` — the compiled executor
+#: driven by two concurrent threads.
+MAGIC_ARMS = (*MAGIC_EXECUTORS, "parallel")
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +61,30 @@ def query_references():
 
 
 class TestMagicMatchesUnrewritten:
-    @pytest.mark.parametrize("executor", MAGIC_EXECUTORS)
+    @pytest.mark.parametrize("arm", MAGIC_ARMS)
     @pytest.mark.parametrize("name", scenario_names())
-    def test_same_answers(self, name, executor, query_references):
+    def test_same_answers(self, name, arm, query_references):
         query, reference = query_references(name)
-        candidate = answer_profile(name, executor, query=query, rewrite="magic")
-        # Certain answers must be identical and null answers
-        # pattern-identical; the per-fact iso multiplicities may differ when
-        # pruning removes redundant derivations of equivalent witnesses.
-        assert_profiles_match(
-            name,
-            reference,
-            candidate,
-            check_iso=False,
-            label=f"{executor}/magic",
-        )
+        if arm == "parallel":
+            candidates = run_in_threads(
+                lambda: answer_profile(
+                    name, "compiled", query=query, rewrite="magic"
+                )
+            )
+        else:
+            candidates = [answer_profile(name, arm, query=query, rewrite="magic")]
+        for thread, candidate in enumerate(candidates):
+            # Certain answers must be identical and null answers
+            # pattern-identical; the per-fact iso multiplicities may differ
+            # when pruning removes redundant derivations of equivalent
+            # witnesses.
+            assert_profiles_match(
+                name,
+                reference,
+                candidate,
+                check_iso=False,
+                label=f"{arm}/magic/thread {thread}",
+            )
 
 
 class TestMagicPrunes:

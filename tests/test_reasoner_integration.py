@@ -151,7 +151,7 @@ class TestReasonerInterface:
         assert any("harmful-join elimination skipped" in w for w in result.warnings)
         assert result.chase.rounds > 0
 
-    @pytest.mark.parametrize("executor", ["compiled", "naive", "parallel"])
+    @pytest.mark.parametrize("executor", ["compiled", "naive"])
     def test_chase_config_limits_respected(self, executor):
         program = """
         @output("T").

@@ -44,7 +44,7 @@ def base(tmp_path):
 def make(executor, base):
     # A reasoner per run: ``@bind`` page caches persist across the runs of
     # one reasoner and would make the second run's source_stats differ.
-    return VadalogReasoner(PROGRAM, executor=executor, base_path=base, parallelism=2)
+    return VadalogReasoner(PROGRAM, executor=executor, base_path=base)
 
 
 def drained(lazy):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.atoms import Atom, Fact, fact
 from repro.core.chase import run_chase
-from repro.core.fact_store import FactStore
+from repro.core.fact_store import FactStore, StaleSnapshotError
 from repro.core.parser import parse_program
 from repro.core.query import Query, certain_answer, extract_answers, universal_answer
 from repro.core.terms import Constant, Null, Variable
@@ -244,6 +244,24 @@ class TestFactStoreRemove:
         assert store.facts() == tuple(survivors)
         assert list(store.by_predicate("P")) == survivors
         assert list(store.delta_facts("P")) == [f for f in facts[2500:] if f in store]
+
+
+class TestStoreSnapshot:
+    """The epoch-guarded read view the reasoning service answers through."""
+
+    def test_snapshot_goes_stale_on_mutation(self):
+        store = FactStore([fact("P", "a")])
+        snapshot = store.snapshot()
+        assert snapshot.by_predicate("P")
+        store.add(fact("P", "b"))
+        assert snapshot.stale
+        with pytest.raises(StaleSnapshotError):
+            snapshot.by_predicate("P")
+        # A retraction moves the epoch too.
+        snapshot = store.snapshot()
+        assert not snapshot.stale
+        store.remove(fact("P", "a"))
+        assert snapshot.stale
 
 
 class TestAnswers:

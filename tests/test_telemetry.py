@@ -1,4 +1,4 @@
-"""Telemetry layer (PR 7): span tracing across all four executors.
+"""Telemetry layer: span tracing across all three executors.
 
 Pins the observability contract:
 
@@ -10,20 +10,15 @@ Pins the observability contract:
   ``chase_steps``;
 * the null tracer is the identity: ``trace=None`` runs carry no tracer
   and produce the same answers as traced runs;
-* spans from forked shard workers are merged back into the driver's tree
-  (with the worker's pid recorded);
 * JSONL traces round-trip through ``load_jsonl`` and export to the Chrome
   Trace Event Format, and ``tools/trace_view.py`` renders them;
-* injected faults (datasource retries, worker crashes) surface as
-  error-tagged spans;
+* injected datasource faults surface as error-tagged retry spans;
 * the streaming executor records both its clocks (``t_create`` /
   ``t_first_pull``) on the chase span.
 """
 
 import csv
 import json
-import multiprocessing
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +32,7 @@ from repro.obs.export import load_jsonl, to_perfetto, write_perfetto
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import aggregate_rules, render_trace, top_rules
 from repro.obs.trace import RingBufferSink, Span, as_tracer, get_tracer
-from repro.testing import FaultSpec, WorkerCrash, inject
+from repro.testing import FaultSpec, inject
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,7 +53,7 @@ def traced_run(executor, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Span tree invariants, all four executors
+# Span tree invariants, all three executors
 # ---------------------------------------------------------------------------
 
 
@@ -99,7 +94,7 @@ def test_totals_reconcile_with_result(executor):
     assert chase_span.attrs["executor"] == executor
 
 
-@pytest.mark.parametrize("executor", ("compiled", "streaming", "parallel"))
+@pytest.mark.parametrize("executor", ("compiled", "streaming"))
 def test_round_spans_cover_every_round(executor):
     result = traced_run(executor)
     rounds = result.trace.spans("round")
@@ -141,46 +136,6 @@ def test_as_tracer_coercions(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fork-backend span merging
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
-def test_fork_worker_spans_merge_into_driver_tree():
-    result = reason(
-        PROGRAM,
-        database=DB,
-        executor="parallel",
-        parallelism=2,
-        parallel_backend="fork",
-        trace=True,
-    )
-    matches = result.trace.spans("shard-match")
-    assert matches, "no shard-match spans recorded"
-    by_id = {span.span_id: span for span in result.trace.spans()}
-    for span in matches:
-        assert by_id[span.parent_id].kind == "round"
-        assert "pid" in span.attrs
-    # At least one record crossed a process boundary on the fork backend.
-    assert any(span.attrs["pid"] != os.getpid() for span in matches)
-
-
-def test_thread_backend_shard_spans():
-    result = reason(
-        PROGRAM, database=DB, executor="parallel", parallelism=2, trace=True
-    )
-    matches = result.trace.spans("shard-match")
-    assert matches
-    shards = {span.attrs["shard"] for span in matches}
-    assert shards == {0, 1}
-    total_matches = sum(span.counters["matches"] for span in matches)
-    assert total_matches == result.chase.candidate_facts
-
-
-# ---------------------------------------------------------------------------
 # JSONL / Perfetto round-trip + trace_view CLI
 # ---------------------------------------------------------------------------
 
@@ -201,13 +156,12 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_perfetto_export(tmp_path):
-    result = traced_run("parallel")
+    result = traced_run("compiled")
     document = to_perfetto(result.trace)
     events = [e for e in document["traceEvents"] if e["ph"] == "X"]
     assert len(events) == len(result.trace.spans())
     assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in events)
-    shard_tids = {e["tid"] for e in events if e["cat"] == "shard-match"}
-    assert shard_tids and all(tid >= 2 for tid in shard_tids)
+    assert {e["tid"] for e in events} == {1}
     out = write_perfetto(result.trace, tmp_path / "run.perfetto.json")
     assert json.loads(out.read_text())["traceEvents"]
 
@@ -267,18 +221,6 @@ def test_datasource_retry_becomes_error_span(tmp_path):
     assert result.trace.metrics.counter("source.retries").value == 1
     scans = result.trace.spans("source-scan")
     assert scans and any(s.attrs["predicate"] == "E" for s in scans)
-
-
-def test_worker_crash_becomes_recovery_span():
-    with inject(FaultSpec(point="parallel.worker", exception=WorkerCrash, times=1)):
-        result = reason(
-            PROGRAM, database=DB, executor="parallel", parallelism=2, trace=True
-        )
-    assert result.status == STATUS_COMPLETE  # absorbed by worker recovery
-    recoveries = result.trace.spans("worker-recovery")
-    assert recoveries
-    assert all(span.status == "error" for span in recoveries)
-    assert "WorkerCrash" in recoveries[0].error
 
 
 def test_governor_stop_span():

@@ -350,10 +350,10 @@ Noise(X) :- F(X).
             TC_PROGRAM,
             {"E": [("a", "b")]},
             query,
-            transform="parallel",
+            transform="streaming",
         )
         assert 'executor="compiled"' in snippet
-        assert "parallelism=2" in snippet
+        assert "executor='streaming'" in snippet
         namespace = {}
         exec(compile(snippet, "<repro>", "exec"), namespace)
 

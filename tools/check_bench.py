@@ -18,7 +18,7 @@ the tiny smoke scenarios are noise-dominated below that.
 
 Usage::
 
-    python tools/check_bench.py --executor compiled parallel
+    python tools/check_bench.py --executor compiled streaming
     python tools/check_bench.py --executor compiled --update-baseline
     python tools/check_bench.py --executor compiled --inject-slowdown 2.0  # self-test
     python tools/check_bench.py --trace-overhead --executor compiled streaming
@@ -34,9 +34,7 @@ fact-set size) is re-run on the committed sweep executors, every grid
 point answer-checked against the naive executor, and compared against the
 ``scaling_curves`` entry of the baseline **per curve point** instead of
 per-scenario medians: (a) derived-fact and peak-resident-fact counts must
-match the baseline — exactly for the deterministic executors, within a
-small null-witness jitter tolerance for the order-sensitive ones (see
-``EXACT_FACT_EXECUTORS``); (b) no point's wall-clock may
+match the baseline exactly; (b) no point's wall-clock may
 exceed its calibration-scaled baseline by more than ``--threshold`` (a
 *cliff* regression localised to one knob value trips the gate even when
 scenario medians elsewhere stay flat); (c) curves that are monotone by
@@ -83,12 +81,6 @@ import run_all  # noqa: E402  (benchmarks/run_all.py)
 
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline_smoke.json"
 
-#: The parallel executor's worker count is pinned so the gate measures the
-#: same configuration on every machine (the auto default scales with the
-#: host's CPU count, which would make the committed baseline incomparable).
-GATE_PARALLELISM = 2
-
-
 def calibrate(runs: int = 3) -> float:
     """Median wall-clock of a fixed pure-Python arithmetic loop.
 
@@ -123,16 +115,11 @@ def measure_trace_overhead(executors, runs: int, only=None) -> dict:
             continue
         row = {}
         for executor in executors:
-            kwargs = {"parallelism": GATE_PARALLELISM} if executor == "parallel" else {}
             untraced, traced = [], []
             for _ in range(runs):
-                untraced.append(
-                    run_all.run_one(smoke, executor, **kwargs)["elapsed_seconds"]
-                )
+                untraced.append(run_all.run_one(smoke, executor)["elapsed_seconds"])
                 traced.append(
-                    run_all.run_one(smoke, executor, trace=True, **kwargs)[
-                        "elapsed_seconds"
-                    ]
+                    run_all.run_one(smoke, executor, trace=True)["elapsed_seconds"]
                 )
             row[executor] = {
                 "untraced": round(statistics.median(untraced), 4),
@@ -349,29 +336,12 @@ def gate_service_throughput(args) -> int:
 #: derivations); the other axes trade rule shapes and may legitimately dip.
 MONOTONE_AXES = ("recursion-depth", "fact-size")
 
-#: Executors whose fact counts are bit-reproducible across processes:
-#: the sequential round loop, which a cold streaming run also is.  The
-#: sharded parallel runtime retains a hash-order-dependent *multiset* of
-#: homomorphically equivalent null witnesses — ``PYTHONHASHSEED`` moves
-#: the retained count by a few facts between processes — so its counts get
-#: a small jitter allowance; its answers are still checked against naive
-#: on every gate run regardless (ground exactly, null witnesses at pattern
-#: level).
-EXACT_FACT_EXECUTORS = ("naive", "compiled", "streaming")
-
 #: Smoke grid points run in 0.02–0.2s, where scheduler noise easily
 #: exceeds the relative threshold; the scaling gate therefore uses a
 #: larger minimum absolute slack than the scenario gate before a point
 #: may fail on wall-clock alone (a genuine cliff — the arity-6 style
 #: blowup this gate exists for — is seconds, not fractions of one).
 SCALING_MIN_ABS_SLACK = 0.15
-
-
-def _fact_tolerance(executor: str, base_value: int) -> int:
-    """Allowed |measured - baseline| for a fact-count metric."""
-    if executor in EXACT_FACT_EXECUTORS:
-        return 0
-    return max(2, round(base_value * 0.01))
 
 
 def measure_scaling_curves(runs: int) -> dict:
@@ -489,16 +459,13 @@ def gate_scaling_curves(args) -> int:
             )
             continue
         checked += 1
-        # (a) fact counts: exact for the deterministic executors, within
-        # the witness-jitter tolerance for the order-sensitive ones (see
-        # EXACT_FACT_EXECUTORS) — real drift is a logic change, not noise.
+        # (a) fact counts are exact on every executor: drift is a logic
+        # change, not noise.
         for metric in ("derived_facts", "peak_resident_facts"):
-            tolerance = _fact_tolerance(executor, base[metric])
-            if abs(point[metric] - base[metric]) > tolerance:
+            if point[metric] != base[metric]:
                 failures.append(
                     f"{axis}={value} [{executor}]: {metric} "
-                    f"{point[metric]} != baseline {base[metric]} "
-                    f"(tolerance {tolerance})"
+                    f"{point[metric]} != baseline {base[metric]}"
                 )
         # (b) per-point wall-clock cliff check against the scaled baseline.
         median = point["elapsed_seconds"] * factor
@@ -528,8 +495,7 @@ def gate_scaling_curves(args) -> int:
                 if point["executor"] == executor
             ]
             derived = [d for _v, d in series]
-            slack = _fact_tolerance(executor, max(derived, default=0))
-            if any(b < a - slack for a, b in zip(derived, derived[1:])):
+            if any(b < a for a, b in zip(derived, derived[1:])):
                 failures.append(
                     f"{axis} [{executor}]: derived-fact curve is not "
                     f"monotone: {series}"
@@ -545,7 +511,7 @@ def gate_scaling_curves(args) -> int:
         return 1
     print(
         f"\nscaling gate OK: {checked} curve points within budget, fact "
-        f"counts within tolerance, monotone axes monotone"
+        f"counts exact, monotone axes monotone"
     )
     return 0
 
@@ -558,9 +524,8 @@ def measure(executors, runs: int, only=None) -> dict:
             continue
         row = {}
         for executor in executors:
-            kwargs = {"parallelism": GATE_PARALLELISM} if executor == "parallel" else {}
             samples = [
-                run_all.run_one(smoke, executor, **kwargs)["elapsed_seconds"]
+                run_all.run_one(smoke, executor)["elapsed_seconds"]
                 for _ in range(runs)
             ]
             row[executor] = round(statistics.median(samples), 4)

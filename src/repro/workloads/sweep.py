@@ -8,8 +8,7 @@ fixed programs.  This module does the same over the parametric generator of
 fact-set size) while the others stay at the sweep defaults, and
 :func:`run_sweep` measures each grid point on the requested executors —
 wall-clock, derived facts and peak-resident facts per step — producing the
-*curves* that ``benchmarks/run_all.py`` persists and
-``tools/check_bench.py --scaling-curves`` gates.
+*curves* that ``tools/check_bench.py --scaling-curves`` gates.
 
 Every measured point is **answer-checked**: the reference executor
 (``naive``) materialises the same grid point once and each measured
@@ -19,10 +18,10 @@ differentials enforce for recursive-existential scenarios, where
 derivation order may retain different (homomorphically equivalent,
 pattern-identical) null witnesses.
 
-Two grid scales exist: the ``full`` grid is the nightly sweep; the
-``smoke`` grid is small enough for the per-PR CI gate and the tier-1
-smoke test, and its curve points are committed to
-``benchmarks/baseline_smoke.json`` for the regression gate.
+Two grid scales exist: the ``full`` grid is the nightly-marked test of
+``tests/test_scenario_lab.py``; the ``smoke`` grid is small enough for the
+per-PR CI gate and the tier-1 smoke test, and its curve points are
+committed to ``benchmarks/baseline_smoke.json`` for the gate.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ from ..core.isomorphism import pattern_key
 from .iwarded import parametric_scenario
 from .scenario import Scenario
 
-#: Executors the nightly full sweep covers.
+#: Executors a sweep measures unless told otherwise, at both scales.
 SWEEP_EXECUTORS: Tuple[str, ...] = ("compiled", "streaming")
-#: Executors the smoke-scale gate covers: the same two.
-SMOKE_SWEEP_EXECUTORS: Tuple[str, ...] = SWEEP_EXECUTORS
 #: The answer-check reference executor.
 REFERENCE_EXECUTOR = "naive"
 
@@ -127,26 +124,22 @@ def run_axis(
     axis: SweepAxis,
     executors: Sequence[str],
     smoke: bool = False,
-    answer_check: bool = True,
     measure_runs: int = 1,
 ) -> List[Dict[str, object]]:
     """Measure one axis: every grid value on every executor.
 
     Returns one point-row per (value, executor) with the curve metrics.
-    With ``answer_check`` every (value, executor) result is compared to one
-    reference (:data:`REFERENCE_EXECUTOR`) run of the same grid point;
-    a mismatch raises :class:`SweepAnswerMismatch` — a sweep that cannot
-    vouch for its answers must not produce curves.
+    Every (value, executor) result is compared to one reference
+    (:data:`REFERENCE_EXECUTOR`) run of the same grid point; a mismatch
+    raises :class:`SweepAnswerMismatch` — a sweep that cannot vouch for its
+    answers must not produce curves.
     """
     points: List[Dict[str, object]] = []
     for value in axis.values(smoke):
         scenario = grid_scenario(axis, value, smoke=smoke)
-        reference = None
-        if answer_check:
-            reference = _answer_signature(
-                _reason(scenario, REFERENCE_EXECUTOR),
-                scenario.outputs,
-            )
+        reference = _answer_signature(
+            _reason(scenario, REFERENCE_EXECUTOR), scenario.outputs
+        )
         for executor in executors:
             samples: List[float] = []
             result = None
@@ -154,15 +147,11 @@ def run_axis(
                 started = time.perf_counter()
                 result = _reason(scenario, executor)
                 samples.append(time.perf_counter() - started)
-            checked = False
-            if reference is not None:
-                candidate = _answer_signature(result, scenario.outputs)
-                if candidate != reference:
-                    raise SweepAnswerMismatch(
-                        f"sweep point {axis.name}={value} [{executor}] disagrees "
-                        f"with the {REFERENCE_EXECUTOR} reference"
-                    )
-                checked = True
+            if _answer_signature(result, scenario.outputs) != reference:
+                raise SweepAnswerMismatch(
+                    f"sweep point {axis.name}={value} [{executor}] disagrees "
+                    f"with the {REFERENCE_EXECUTOR} reference"
+                )
             points.append(
                 {
                     "axis": axis.name,
@@ -178,17 +167,16 @@ def run_axis(
                     "rounds": result.chase.rounds,
                     "peak_resident_facts": result.chase.peak_resident_facts,
                     "answers": len(result.answers),
-                    "answer_checked": checked,
+                    "answer_checked": True,
                 }
             )
     return points
 
 
 def run_sweep(
-    executors: Optional[Sequence[str]] = None,
+    executors: Sequence[str] = SWEEP_EXECUTORS,
     smoke: bool = False,
     axes: Optional[Sequence[str]] = None,
-    answer_check: bool = True,
     measure_runs: int = 1,
 ) -> Dict[str, object]:
     """Run the grid sweep and return the curve section.
@@ -197,8 +185,6 @@ def run_sweep(
     plus enough context (grid values, executors, reference) for
     ``tools/check_bench.py --scaling-curves`` to re-derive expectations.
     """
-    if executors is None:
-        executors = SMOKE_SWEEP_EXECUTORS if smoke else SWEEP_EXECUTORS
     selected = (
         [axis_by_name(name) for name in axes]
         if axes is not None
@@ -213,14 +199,13 @@ def run_sweep(
                 axis,
                 executors,
                 smoke=smoke,
-                answer_check=answer_check,
                 measure_runs=measure_runs,
             ),
         }
     return {
         "mode": "smoke" if smoke else "full",
         "executors": list(executors),
-        "answer_reference": REFERENCE_EXECUTOR if answer_check else None,
+        "answer_reference": REFERENCE_EXECUTOR,
         "facts_per_predicate_default": SMOKE_SWEEP_FACTS if smoke else FULL_SWEEP_FACTS,
         "axes": curves,
     }

@@ -16,12 +16,35 @@ from repro.engine.record_managers import (
     RecordManager,
     managers_for_facts,
 )
+from repro.workloads import (
+    arity_scenario,
+    atom_count_scenario,
+    control_scenario,
+    dbsize_scenario,
+    iwarded_scenario,
+    lubm_scenario,
+    psc_scenario,
+    rule_count_scenario,
+)
 
 TC_PROGRAM = """
 @output("T").
 T(X, Y) :- E(X, Y).
 T(X, Z) :- T(X, Y), E(Y, Z).
 """
+
+
+#: Recursion-heavy smoke scenarios of the paper's Section 6 figures.
+RECURSIVE_SMOKE = {
+    "fig5a-iwarded": lambda: iwarded_scenario("synthA", facts_per_predicate=3),
+    "fig5c-psc": lambda: psc_scenario(n_companies=20, n_persons=12),
+    "fig5i-lubm": lambda: lubm_scenario(100),
+    "fig6-control": lambda: control_scenario(30),
+    "fig8a-dbsize": lambda: dbsize_scenario(6),
+    "fig8b-rules": lambda: rule_count_scenario(2, facts_per_predicate=3),
+    "fig8c-atoms": lambda: atom_count_scenario(3, facts_per_predicate=3),
+    "fig8d-arity": lambda: arity_scenario(4, facts_per_predicate=3),
+}
 
 
 def chain_edges(n):
@@ -79,6 +102,20 @@ class TestLazyDriving:
         assert lazy.pipeline.finished
         # The snapshot taken at first-answer time is recorded in the stats.
         assert lazy.chase.extra_stats["pipeline_facts_at_first_answer"] == resident
+
+    @pytest.mark.parametrize("name", sorted(RECURSIVE_SMOKE))
+    def test_first_answer_holds_fewer_facts_than_materialisation(self, name):
+        """On recursive workloads the first answer arrives while the store
+        holds fewer facts than the compiled executor materialises."""
+        scenario = RECURSIVE_SMOKE[name]()
+        compiled = VadalogReasoner(scenario.program.copy()).reason(
+            database=scenario.database, outputs=scenario.outputs
+        )
+        scenario = RECURSIVE_SMOKE[name]()
+        reasoner = VadalogReasoner(scenario.program.copy(), executor="streaming")
+        lazy = reasoner.stream(database=scenario.database, outputs=scenario.outputs)
+        assert lazy.first_answer() is not None
+        assert len(lazy.chase.store) < len(compiled.chase.store)
 
     def test_lazy_iterator_streams_answers(self):
         reasoner = VadalogReasoner(TC_PROGRAM, executor="streaming")

@@ -13,7 +13,7 @@ Four concerns, one lab:
   ``parametric_config``, ``iwarded_scenario``'s override);
 * **sweep smoke** — one smoke-scale axis runs under the answer-check and
   yields the curve-point schema ``tools/check_bench.py --scaling-curves``
-  expects (full-grid sweeps live in the nightly bench lane, not tier 1);
+  expects (the full-grid sweep is a nightly-marked test, not tier 1);
 * **data-science workloads** — entity-resolution score fusion and
   label propagation produce identical answers on the memory, CSV and
   SQLite backends, write back non-empty ``@output`` relations, and report
@@ -47,7 +47,7 @@ from repro.workloads.datascience import (
 )
 from repro.workloads.iwarded import IWardedConfig
 from repro.workloads.sweep import (
-    SMOKE_SWEEP_EXECUTORS,
+    SWEEP_EXECUTORS,
     axis_by_name,
     grid_scenario,
     run_axis,
@@ -226,7 +226,7 @@ class TestSweepSmoke:
 
     def test_one_axis_smoke_run_answer_checked(self):
         axis = axis_by_name("recursion-depth")
-        points = run_axis(axis, ("compiled",), smoke=True, answer_check=True)
+        points = run_axis(axis, ("compiled",), smoke=True)
         assert len(points) == len(axis.smoke)
         for point in points:
             assert point["answer_checked"] is True
@@ -246,12 +246,16 @@ class TestSweepSmoke:
 
 @pytest.mark.nightly
 def test_full_sweep_structure():
-    """Nightly-scale: the whole smoke grid on the gate executor set."""
-    section = run_sweep(smoke=True, executors=SMOKE_SWEEP_EXECUTORS)
-    assert section["mode"] == "smoke"
+    """Nightly-scale: the full grid on the sweep executors, every point
+    answer-checked (``run_sweep`` raises on a mismatch).  The smoke grid is
+    gated on every push by ``tools/check_bench.py --scaling-curves``."""
+    section = run_sweep(smoke=False)
+    assert section["mode"] == "full"
     assert set(section["axes"]) == {axis.name for axis in SWEEP_AXES}
-    for curves in section["axes"].values():
-        assert all(point["answer_checked"] for point in curves["points"])
+    for axis in SWEEP_AXES:
+        points = section["axes"][axis.name]["points"]
+        assert len(points) == len(axis.full) * len(SWEEP_EXECUTORS)
+        assert all(point["answer_checked"] for point in points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Tests for the workload generators and the benchmark harness."""
+"""Tests for the workload generators, run end to end on the reasoner."""
 
 import pytest
 
-from repro.bench.harness import ENGINES, run_scenario, run_sweep
-from repro.bench.reporting import format_series, format_table, rows_as_dicts
+from repro.baselines.sql_recursion import RecursiveSqlEngine
+from repro.core.limits import STATUS_COMPLETE
+from repro.core.termination import TrivialIsomorphismStrategy
 from repro.core.wardedness import analyse_program
+from repro.engine.reasoner import VadalogReasoner
 from repro.workloads import (
     SCENARIO_CONFIGS,
     ScaleFreeConfig,
@@ -24,6 +26,19 @@ from repro.workloads import (
     rule_count_scenario,
     strong_links_scenario,
 )
+
+
+def _reason(scenario, strategy="warded"):
+    """Run ``scenario`` to completion: a budget stop is not a result."""
+    reasoner = VadalogReasoner(scenario.program.copy(), strategy=strategy)
+    result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
+    assert result.status == STATUS_COMPLETE, result.stop_reason
+    return result
+
+
+def _output_facts(scenario, strategy="warded"):
+    result = _reason(scenario, strategy)
+    return sum(len(result.answers.facts(p)) for p in scenario.outputs)
 
 
 class TestIWarded:
@@ -74,23 +89,21 @@ class TestDbpedia:
         assert database.size("KeyPerson") > 0
 
     def test_psc_scenario_runs(self):
-        row = run_scenario(psc_scenario(n_companies=40, n_persons=30), "vadalog")
-        assert row.output_facts > 0
+        assert _output_facts(psc_scenario(n_companies=40, n_persons=30)) > 0
 
     def test_allpsc_matches_psc_companies(self):
-        psc_row = run_scenario(psc_scenario(n_companies=30, n_persons=20), "vadalog")
-        allpsc_row = run_scenario(allpsc_scenario(n_companies=30, n_persons=20), "vadalog")
-        assert allpsc_row.output_facts > 0
-        assert allpsc_row.output_facts <= psc_row.output_facts
+        psc = _output_facts(psc_scenario(n_companies=30, n_persons=20))
+        allpsc = _output_facts(allpsc_scenario(n_companies=30, n_persons=20))
+        assert 0 < allpsc <= psc
 
     def test_strong_links_threshold_monotone(self):
-        lenient = run_scenario(
-            strong_links_scenario(n_companies=25, n_persons=15, threshold=1), "vadalog"
+        lenient = _output_facts(
+            strong_links_scenario(n_companies=25, n_persons=15, threshold=1)
         )
-        strict = run_scenario(
-            strong_links_scenario(n_companies=25, n_persons=15, threshold=3), "vadalog"
+        strict = _output_facts(
+            strong_links_scenario(n_companies=25, n_persons=15, threshold=3)
         )
-        assert strict.output_facts <= lenient.output_facts
+        assert strict <= lenient
 
 
 class TestCompanies:
@@ -104,8 +117,7 @@ class TestCompanies:
         assert database.size("Own") > 0
 
     def test_control_scenario_all_and_query(self):
-        all_row = run_scenario(control_scenario(40, variant="all"), "vadalog")
-        assert all_row.output_facts > 0
+        assert _output_facts(control_scenario(40, variant="all")) > 0
         query_scenario = control_scenario(40, variant="query", query_pairs=5)
         assert len(query_scenario.params["pairs"]) == 5
 
@@ -128,16 +140,14 @@ class TestIbenchAndChasebench:
         assert len(ont.program.rules) > len(stb.program.rules)
 
     def test_doctors_runs_and_has_outputs(self):
-        row = run_scenario(doctors_scenario(100), "vadalog")
-        assert row.output_facts > 0
+        assert _output_facts(doctors_scenario(100)) > 0
 
     def test_doctors_fd_has_egds(self):
         scenario = doctors_fd_scenario(100)
         assert len(scenario.program.egds) == 2
 
     def test_lubm_hierarchy_inference(self):
-        row = run_scenario(lubm_scenario(200), "vadalog")
-        assert row.output_facts > 0
+        assert _output_facts(lubm_scenario(200)) > 0
 
 
 class TestScalingScenarios:
@@ -172,30 +182,22 @@ class TestScalingScenarios:
 
 
 class TestHarness:
-    def test_engines_constant(self):
-        assert "vadalog" in ENGINES and "graph-bfs" in ENGINES
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario(psc_scenario(10, 10), "mystery-engine")
-
-    def test_run_sweep_and_reporting(self):
-        scenario = psc_scenario(n_companies=20, n_persons=10)
-        rows = run_sweep([scenario], engines=("vadalog", "recursive-sql"))
-        assert len(rows) == 2
-        table = format_table(rows_as_dicts(rows), columns=["engine", "elapsed_seconds"])
-        assert "vadalog" in table and "recursive-sql" in table
-        series = format_series(rows, x_key="companies", title="PSC")
-        assert "PSC" in series
+    """The reasoner against a baseline engine and an ablated strategy."""
 
     def test_vadalog_and_sql_agree_on_psc(self):
         scenario = psc_scenario(n_companies=25, n_persons=15)
-        vadalog = run_scenario(scenario, "vadalog")
-        sql = run_scenario(scenario, "recursive-sql")
-        assert vadalog.output_facts == sql.output_facts
+        vadalog = _reason(scenario)
+        sql = RecursiveSqlEngine(scenario.program.copy()).run(scenario.database.facts())
+        for predicate in scenario.outputs:
+            assert sql.ground_tuples(predicate) == vadalog.ground_tuples(predicate)
 
     def test_trivial_strategy_row(self):
+        """The Section 6.6 ablation: the trivial global isomorphism check
+        gives the warded strategy's answers."""
         scenario = psc_scenario(n_companies=15, n_persons=10)
-        row = run_scenario(scenario, "vadalog-trivial")
-        assert row.engine == "vadalog-trivial"
-        assert row.extra["isomorphism_checks"] >= 0
+        trivial = _reason(scenario, strategy="trivial-isomorphism")
+        warded = _reason(scenario)
+        assert isinstance(trivial.chase.strategy, TrivialIsomorphismStrategy)
+        assert trivial.chase.strategy.stats.admitted > 0
+        for predicate in scenario.outputs:
+            assert trivial.ground_tuples(predicate) == warded.ground_tuples(predicate)

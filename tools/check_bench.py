@@ -1,66 +1,47 @@
 #!/usr/bin/env python
-"""Benchmark-regression gate: compare a smoke run against a committed baseline.
+"""CI benchmark gates: scaling curves, service throughput, trace overhead.
 
-The gate re-runs the smoke-scale benchmark scenarios of
-``benchmarks/run_all.py`` (median of ``--runs``, default 3) for the
-requested executors and fails when any scenario got more than
-``--threshold`` (default 25%) slower than ``benchmarks/baseline_smoke.json``.
+Exactly one gate runs per call.  Each one measures at smoke scale, then
+judges the numbers; measuring and judging are separate functions, so the
+judges can be fed synthetic numbers (``tests/test_check_bench.py``).
 
-Raw wall-clock baselines do not travel between machines, so the gate
-carries a **calibration** workload: a fixed, allocation-free arithmetic
-loop timed on every run and stored in the baseline.  Measured medians are
-compared against ``baseline * (calibration_now / calibration_baseline) *
-threshold`` — a CI runner that is uniformly 2x slower than the machine
-that produced the baseline moves the allowance with it, while a genuine
-regression in the reasoner does not move the calibration and trips the
-gate.  Sub-``--min-abs-slack`` differences (default 50 ms) never fail:
-the tiny smoke scenarios are noise-dominated below that.
+``--scaling-curves``
+    Re-runs the smoke knob grid of :mod:`repro.workloads.sweep` (every
+    point answer-checked against ``naive``) and compares it with the
+    ``scaling_curves`` entry of ``benchmarks/baseline_smoke.json``.  It
+    fails when the grid drifted either way (a baseline point was not
+    measured, or a measured point has no baseline), when a derived or
+    peak-resident fact count differs from the baseline, when a point or the
+    grid's total time got slower than its scaled baseline, or when the
+    recursion-depth or fact-size curve stops being monotone in derived
+    facts.
+``--service-throughput``
+    Replays the smoke mixed update/query stream through the resident
+    ``ReasoningService`` and a from-scratch service.  It fails when the
+    median queries/sec fell below the scaled ``service_throughput`` entry,
+    when the resident speedup over from-scratch drops below 2x, or when the
+    two services disagree on the final ``Reach`` relation.
+``--trace-overhead``
+    Runs eleven smoke scenarios untraced and with ``trace=True`` on the
+    compiled and streaming executors and fails when a traced median exceeds
+    its untraced one by more than 10 %.  The untraced run is the baseline,
+    so no file is read.
+
+Wall-clock times do not travel between machines, so every baseline entry
+stores the time of a fixed arithmetic loop (:func:`calibrate`) and the
+expected times are scaled by ``calibration_now / calibration_baseline``.
+No time fails unless it is over its expectation both by the threshold
+factor and by an absolute noise floor (:func:`within`).
+
+``--update-baseline`` writes the measured numbers as the gate's entry and
+leaves the other entries as they are.  ``--inject-slowdown F`` slows the
+measured side down by ``F`` before judging, to prove the gate trips.
 
 Usage::
 
-    python tools/check_bench.py --executor compiled streaming
-    python tools/check_bench.py --executor compiled --update-baseline
-    python tools/check_bench.py --executor compiled --inject-slowdown 2.0  # self-test
-    python tools/check_bench.py --trace-overhead --executor compiled streaming
-    python tools/check_bench.py --service-throughput
-    python tools/check_bench.py --service-throughput --update-baseline
     python tools/check_bench.py --scaling-curves
-    python tools/check_bench.py --scaling-curves --update-baseline
-
-``--scaling-curves`` switches the gate to the scenario-lab sweep check:
-the smoke-scale knob grid of ``repro.workloads.sweep`` (every parametric
-iWarded axis — recursion depth, existential density, arity, join fan-in,
-fact-set size) is re-run on the committed sweep executors, every grid
-point answer-checked against the naive executor, and compared against the
-``scaling_curves`` entry of the baseline **per curve point** instead of
-per-scenario medians: (a) derived-fact and peak-resident-fact counts must
-match the baseline exactly; (b) no point's wall-clock may
-exceed its calibration-scaled baseline by more than ``--threshold`` (a
-*cliff* regression localised to one knob value trips the gate even when
-scenario medians elsewhere stay flat); (c) curves that are monotone by
-construction (fact-size, recursion-depth) must stay monotone in derived
-facts.  ``--executor`` does not apply — the gate always measures the
-committed smoke executor set so baselines stay comparable.
-
-``--service-throughput`` switches the gate to the resident-reasoner service
-check: the smoke-scale mixed update/query workload is replayed ``--runs``
-times through the resident ``ReasoningService`` and the from-scratch
-baseline service, and the gate fails when (a) the median sustained
-queries/sec falls below ``baseline / calibration-scale / threshold`` and
-the implied per-query latency regressed by more than ``--min-abs-slack``
-seconds, or (b) the median resident speedup over from-scratch drops below
-the 2x target, or (c) the two services disagree on the final ``Reach``
-relation (a correctness failure, never excused by noise slack).
-
-``--trace-overhead`` switches the gate to the telemetry-overhead check of
-the observability layer: every smoke scenario is run untraced and with
-``trace=True`` (interleaved pairs, median of ``--runs``) and the gate
-fails when any traced median exceeds the untraced one by more than
-``--trace-threshold`` (default 10%) *and* ``--min-abs-slack`` seconds.
-
-``--inject-slowdown F`` multiplies every measured median by ``F`` before
-the comparison; it exists to prove the gate trips (the CI wiring is only
-trustworthy if an injected 2x slowdown fails the build).
+    python tools/check_bench.py --service-throughput --update-baseline
+    python tools/check_bench.py --trace-overhead --inject-slowdown 2
 """
 
 from __future__ import annotations
@@ -72,644 +53,494 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import run_all  # noqa: E402  (benchmarks/run_all.py)
+from repro.core.parser import parse_atom  # noqa: E402
+from repro.engine.reasoner import VadalogReasoner, _filter_answers  # noqa: E402
+from repro.engine.service import ReasoningService  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    arity_scenario,
+    atom_count_scenario,
+    control_scenario,
+    dbsize_scenario,
+    doctors_scenario,
+    ibench_scenario,
+    iwarded_scenario,
+    lubm_scenario,
+    psc_scenario,
+    rule_count_scenario,
+    service_operations,
+    service_scenario,
+    strong_links_scenario,
+)
+from repro.workloads.sweep import REFERENCE_EXECUTOR, SWEEP_EXECUTORS, run_sweep  # noqa: E402
 
-DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline_smoke.json"
+BASELINE = REPO_ROOT / "benchmarks" / "baseline_smoke.json"
+#: Samples per median.
+RUNS = 3
+#: A time fails only when it exceeds its expectation by this factor ...
+THRESHOLD = 1.25
+#: ... and by this many seconds: smoke runs are noise below it.
+MIN_ABS_SLACK = 0.05
+#: The scaling gate's floor.  A grid point runs in 0.02-0.2 s, where
+#: scheduler noise exceeds the threshold; a genuine cliff costs seconds.
+SCALING_MIN_ABS_SLACK = 0.15
+#: Every smoke grid point sits under that floor, so only the grid's total
+#: time can show a uniform slowdown.  Clean runs on a shared 2-vCPU VM
+#: read 0.88-1.40x their scaled baseline total; the calibration loop does
+#: not track the sweep's drift closely enough for ``THRESHOLD``.
+GRID_TOTAL_THRESHOLD = 1.5
+#: Derived-fact curves that are monotone by construction: more source
+#: facts or deeper recursion can only add derivations.
+MONOTONE_AXES = ("recursion-depth", "fact-size")
+#: Traced over untraced time the trace gate allows.
+TRACE_THRESHOLD = 1.10
+TRACE_EXECUTORS = ("compiled", "streaming")
+#: The resident service must answer at least this many times the
+#: queries/sec of the from-scratch service.
+SERVICE_SPEEDUP_TARGET = 2.0
+SERVICE_NODES = 30
+#: 600 operations replay in ~150 ms, so a 2x slowdown clears the 50 ms
+#: floor; 150 operations replayed in ~35 ms and hid it.
+SERVICE_OPS = 600
+SERVICE_RATIO = (1, 10)
 
-def calibrate(runs: int = 3) -> float:
-    """Median wall-clock of a fixed pure-Python arithmetic loop.
+#: The smoke scenarios of the trace gate, from the figures of the paper's
+#: Section 6 evaluation.
+SMOKE_SCENARIOS: Dict[str, Callable] = {
+    "fig5a-iwarded": lambda: iwarded_scenario("synthA", facts_per_predicate=3),
+    "fig5b-ibench": lambda: ibench_scenario("STB-128", source_facts=2),
+    "fig5c-psc": lambda: psc_scenario(n_companies=20, n_persons=12),
+    "fig5d-strong-links": lambda: strong_links_scenario(
+        n_companies=12, n_persons=10, threshold=2
+    ),
+    "fig5gh-doctors": lambda: doctors_scenario(60),
+    "fig5i-lubm": lambda: lubm_scenario(100),
+    "fig6-control": lambda: control_scenario(30),
+    "fig8a-dbsize": lambda: dbsize_scenario(6),
+    "fig8b-rules": lambda: rule_count_scenario(2, facts_per_predicate=3),
+    "fig8c-atoms": lambda: atom_count_scenario(3, facts_per_predicate=3),
+    "fig8d-arity": lambda: arity_scenario(4, facts_per_predicate=3),
+}
 
-    The loop shape (integer arithmetic, attribute-free, allocation-free)
-    is deliberately close to the interpreter profile of the join inner
-    loops, so machine-speed differences scale it the same way they scale
-    the benchmark scenarios.
+
+# ------------------------------------------------------------- shared core
+def median_of(sample: Callable[[], Sequence[float]], runs: int = RUNS) -> List[float]:
+    """Per-position medians over ``runs`` calls of ``sample``.
+
+    One call returns a tuple of readings taken back to back, so paired
+    readings see the same machine speed.
     """
-    samples = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        accumulator = 0
-        for i in range(2_000_000):
-            accumulator += i % 7
-        samples.append(time.perf_counter() - started)
+    readings = [sample() for _ in range(runs)]
+    return [statistics.median(column) for column in zip(*readings)]
+
+
+def _spin() -> Tuple[float]:
+    started = time.perf_counter()
+    accumulator = 0
+    for i in range(2_000_000):
+        accumulator += i % 7
     if accumulator < 0:  # pragma: no cover - keeps the loop un-eliminable
         raise AssertionError
-    return statistics.median(samples)
+    return (time.perf_counter() - started,)
 
 
-def measure_trace_overhead(executors, runs: int, only=None) -> dict:
-    """Paired traced/untraced smoke medians per (scenario, executor).
+def calibrate() -> float:
+    """Median time of a fixed pure-Python arithmetic loop.
 
-    The pairs are sampled interleaved (untraced, traced, untraced, ...) so a
-    machine-speed drift during the run hits both sides equally.  No
-    committed baseline is involved — the untraced run *is* the baseline, so
-    the comparison needs no calibration either.
+    Integer arithmetic without allocation is close to the interpreter
+    profile of the join loops, so machine speed scales both alike.
     """
-    scenarios = {}
-    for name, (_figure, _heavy, _recursive, _full, smoke) in run_all.SCENARIOS.items():
-        if only and name not in only:
-            continue
-        row = {}
-        for executor in executors:
-            untraced, traced = [], []
-            for _ in range(runs):
-                untraced.append(run_all.run_one(smoke, executor)["elapsed_seconds"])
-                traced.append(
-                    run_all.run_one(smoke, executor, trace=True)["elapsed_seconds"]
-                )
-            row[executor] = {
-                "untraced": round(statistics.median(untraced), 4),
-                "traced": round(statistics.median(traced), 4),
-            }
-            print(
-                f"   {name} [{executor}]: untraced {row[executor]['untraced']:.4f}s "
-                f"traced {row[executor]['traced']:.4f}s",
-                flush=True,
-            )
-        scenarios[name] = row
-    return scenarios
+    calibration = median_of(_spin)[0]
+    print(f"calibration: {calibration:.4f}s", flush=True)
+    return calibration
 
 
-def gate_trace_overhead(args, executors) -> int:
-    """Fail when the traced smoke median exceeds the untraced one by more
-    than ``--trace-threshold`` (and more than ``--min-abs-slack`` seconds)."""
-    print(
-        f"measuring telemetry overhead (median of {args.runs}, "
-        f"allowed {round((args.trace_threshold - 1) * 100)}%)...",
-        flush=True,
-    )
-    measured = measure_trace_overhead(executors, args.runs, args.only)
-    violations = []
-    checked = 0
-    for name, row in measured.items():
-        for executor, pair in row.items():
-            checked += 1
-            untraced, traced = pair["untraced"], pair["traced"]
-            allowed = untraced * args.trace_threshold
-            status = "ok"
-            if traced > allowed and (traced - untraced) > args.min_abs_slack:
-                status = "OVERHEAD"
-                violations.append((name, executor, traced, untraced, allowed))
-            ratio = traced / untraced if untraced > 0 else float("inf")
-            print(
-                f"   {name} [{executor}]: {ratio:.3f}x "
-                f"(allowed {allowed:.4f}s) {status}"
-            )
-    if violations:
+def within(measured: float, expected: float, threshold: float, min_slack: float) -> bool:
+    """False only when ``measured`` exceeds ``expected`` by the factor
+    ``threshold`` and by ``min_slack`` seconds."""
+    return measured <= expected * threshold or measured - expected <= min_slack
+
+
+def load_entry(key: str) -> Optional[dict]:
+    """Baseline entry ``key``, or None after saying how to create it."""
+    entry = json.loads(BASELINE.read_text()).get(key) if BASELINE.exists() else None
+    if entry is None:
+        flag = "--" + key.replace("_", "-")
         print(
-            f"\ntelemetry-overhead gate FAILED: {len(violations)} pair(s) beyond "
-            f"{round((args.trace_threshold - 1) * 100)}% of the untraced baseline:",
+            f"{BASELINE} has no {key} entry; run with {flag} --update-baseline "
+            f"to add it",
             file=sys.stderr,
         )
-        for name, executor, traced, untraced, allowed in violations:
-            print(
-                f"  {name} [{executor}]: traced {traced:.4f}s > allowed "
-                f"{allowed:.4f}s (untraced {untraced:.4f}s)",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        f"\ntelemetry-overhead gate OK: {checked} (scenario, executor) pairs "
-        f"within the traced-run allowance"
-    )
+    return entry
+
+
+def store_entry(key: str, entry: dict, calibration: float) -> int:
+    """Write ``entry`` under ``key``; the other entries stay as they are."""
+    baseline = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
+    baseline[key] = {
+        **entry,
+        # Each entry carries its own calibration, so updating one never
+        # skews another.
+        "calibration_seconds": round(calibration, 4),
+        "python": platform.python_version(),
+        "runs": RUNS,
+    }
+    BASELINE.write_text(json.dumps(baseline, indent=2) + "\n")
+    print(f"baseline updated: {BASELINE} [{key}]")
     return 0
 
 
-def measure_service(runs: int) -> dict:
-    """Median-of-``runs`` resident service throughput on the smoke workload.
-
-    Each run replays the identical smoke-scale mixed stream (default ratio,
-    one update per ten queries) through both the resident service and the
-    from-scratch baseline, so the speedup sample is paired — machine-speed
-    drift during the gate cancels out of the ratio.
-    """
-    ratio = run_all.SERVICE_DEFAULT_RATIOS[0]
-    qps, speedups, p50s = [], [], []
-    for _ in range(runs):
-        section = run_all.run_service_throughput(smoke=True)
-        row = section["ratios"][ratio]
-        if not row["answers_identical"]:
-            raise SystemExit(
-                "service gate FAILED: resident and from-scratch services "
-                "disagree on the final Reach relation (correctness, not noise)"
-            )
-        qps.append(row["resident"]["queries_per_second"])
-        speedups.append(row["speedup_vs_scratch"])
-        p50s.append(row["resident"]["p50_query_seconds"])
-    return {
-        "ratio": ratio,
-        "queries": row["resident"]["queries"],
-        "queries_per_second": round(statistics.median(qps), 1),
-        "speedup_vs_scratch": round(statistics.median(speedups), 2),
-        "p50_query_seconds": round(statistics.median(p50s), 6),
-        "samples_qps": sorted(qps),
-    }
-
-
-def gate_service_throughput(args) -> int:
-    """The resident-service throughput gate (see module docstring)."""
-    print(f"calibrating ({args.runs} runs)...", flush=True)
-    calibration = calibrate(args.runs)
-    print(f"calibration: {calibration:.4f}s", flush=True)
-    print(
-        f"measuring service throughput (median of {args.runs} replays)...",
-        flush=True,
-    )
-    measured = measure_service(args.runs)
-    print(
-        f"   resident median {measured['queries_per_second']} q/s "
-        f"of {measured['samples_qps']}, "
-        f"speedup {measured['speedup_vs_scratch']}x",
-        flush=True,
-    )
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        merged = {"scenarios": {}}
-        if baseline_path.exists():
-            merged = json.loads(baseline_path.read_text())
-        merged["service_throughput"] = {
-            "ratio": measured["ratio"],
-            "queries_per_second": measured["queries_per_second"],
-            "speedup_vs_scratch": measured["speedup_vs_scratch"],
-            "p50_query_seconds": measured["p50_query_seconds"],
-            # The service entry carries its own calibration so partial
-            # updates never skew the scenario entries (and vice versa).
-            "calibration_seconds": round(calibration, 4),
-            "python": platform.python_version(),
-            "runs": args.runs,
-        }
-        baseline_path.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline updated: {baseline_path} [service_throughput]")
-        return 0
-
-    if not baseline_path.exists():
-        print(
-            f"baseline {baseline_path} does not exist; run with "
-            f"--service-throughput --update-baseline to create it",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = json.loads(baseline_path.read_text())
-    entry = baseline.get("service_throughput")
-    if not entry:
-        print(
-            "baseline has no service_throughput entry; run with "
-            "--service-throughput --update-baseline to add it",
-            file=sys.stderr,
-        )
-        return 2
+def machine_scale(entry: dict, calibration: float) -> float:
+    """How much slower this machine is than the one behind ``entry``."""
     scale = calibration / entry["calibration_seconds"]
     print(
         f"machine speed vs baseline machine: {1 / scale:.2f}x "
         f"(calibration {calibration:.4f}s vs {entry['calibration_seconds']:.4f}s)"
     )
+    return scale
 
-    median_qps = measured["queries_per_second"]
-    if args.inject_slowdown:
-        print(
-            f"!! self-test: injecting a {args.inject_slowdown}x slowdown "
-            f"into the measured throughput"
-        )
-        median_qps /= args.inject_slowdown
 
-    failures = []
-    # (a) absolute throughput vs the calibration-scaled committed baseline.
-    # Throughput scales inversely with machine slowness, so the expectation
-    # divides by ``scale``.  The noise floor mirrors the scenario gate's:
-    # --min-abs-slack bounds the *elapsed* gap over the whole query stream
-    # (queries / qps), so sub-50ms total differences never fail.
-    expected_qps = entry["queries_per_second"] / scale
-    allowed_qps = expected_qps / args.threshold
-    queries = measured["queries"]
-    elapsed_gap = (
-        queries / median_qps - queries / expected_qps
-        if median_qps
-        else float("inf")
-    )
-    status = "ok"
-    if median_qps < allowed_qps and elapsed_gap > args.min_abs_slack:
-        status = "REGRESSION"
-        failures.append(
-            f"throughput {median_qps:.1f} q/s < allowed {allowed_qps:.1f} q/s "
-            f"(expected {expected_qps:.1f} q/s, elapsed gap "
-            f"{elapsed_gap * 1000:.1f}ms over {queries} queries)"
-        )
-    print(
-        f"   throughput: {median_qps:.1f} q/s vs expected {expected_qps:.1f} q/s "
-        f"(allowed {allowed_qps:.1f} q/s) {status}"
-    )
-
-    # (b) the resident service must stay >= the 2x speedup target.  The
-    # ratio is machine-independent (both sides run on this machine), so no
-    # calibration scaling applies.
-    speedup = measured["speedup_vs_scratch"]
-    if args.inject_slowdown:
-        speedup /= args.inject_slowdown
-    target = run_all.SERVICE_SPEEDUP_TARGET
-    status = "ok" if speedup >= target else "BELOW TARGET"
-    if speedup < target:
-        failures.append(
-            f"speedup {speedup:.2f}x < {target}x target over the "
-            f"from-scratch service"
-        )
-    print(f"   speedup vs from-scratch: {speedup:.2f}x (target {target}x) {status}")
-
+def verdict(gate: str, failures: List[str], passed: str) -> int:
+    """Print the gate's verdict; the exit code is 1 on any failure."""
     if failures:
-        print(
-            f"\nservice gate FAILED: {len(failures)} violation(s):",
-            file=sys.stderr,
-        )
+        print(f"\n{gate} gate FAILED: {len(failures)} violation(s):", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nservice gate OK: throughput and speedup within budget")
+    print(f"\n{gate} gate OK: {passed}")
     return 0
 
 
-#: Axes whose derived-fact curves are monotone non-decreasing by
-#: construction (more source facts / deeper recursion chains can only add
-#: derivations); the other axes trade rule shapes and may legitimately dip.
-MONOTONE_AXES = ("recursion-depth", "fact-size")
-
-#: Smoke grid points run in 0.02–0.2s, where scheduler noise easily
-#: exceeds the relative threshold; the scaling gate therefore uses a
-#: larger minimum absolute slack than the scenario gate before a point
-#: may fail on wall-clock alone (a genuine cliff — the arity-6 style
-#: blowup this gate exists for — is seconds, not fractions of one).
-SCALING_MIN_ABS_SLACK = 0.15
-
-
-def measure_scaling_curves(runs: int) -> dict:
-    """The smoke-scale knob-grid sweep, answer-checked per point."""
-    from repro.workloads import sweep as sweep_mod
-
-    return sweep_mod.run_sweep(smoke=True, answer_check=True, measure_runs=runs)
-
-
-def _flatten_curve_points(section: dict) -> dict:
-    """``(axis, value-as-string, executor) -> point row`` over all curves."""
-    points = {}
-    for axis, curve in section["axes"].items():
-        for point in curve["points"]:
-            points[(axis, str(point["value"]), point["executor"])] = point
+# ---------------------------------------------------------- scaling curves
+def measure_scaling() -> List[dict]:
+    """Curve points of the smoke grid, in sweep order."""
+    print(f"sweeping the smoke knob grid (median of {RUNS} per point)...", flush=True)
+    section = run_sweep(smoke=True, measure_runs=RUNS)
+    points = [point for curve in section["axes"].values() for point in curve["points"]]
+    for axis in section["axes"]:
+        for executor in section["executors"]:
+            trail = " ".join(
+                f"{p['value']}:{p['elapsed_seconds']:.3f}s/{p['derived_facts']}f"
+                for p in points
+                if p["axis"] == axis and p["executor"] == executor
+            )
+            print(f"   {axis} [{executor}]: {trail}", flush=True)
     return points
 
 
-def gate_scaling_curves(args) -> int:
-    """The scaling-curve gate (see module docstring)."""
-    print(f"calibrating ({args.runs} runs)...", flush=True)
-    calibration = calibrate(args.runs)
-    print(f"calibration: {calibration:.4f}s", flush=True)
-    print(
-        f"sweeping the smoke knob grid (median of {args.runs} per point, "
-        f"every point answer-checked against naive)...",
-        flush=True,
-    )
-    measured = measure_scaling_curves(args.runs)
-    points = _flatten_curve_points(measured)
-    unchecked = [key for key, point in points.items() if not point["answer_checked"]]
-    if unchecked:  # run_sweep raises on mismatch; this guards the wiring
-        print(
-            f"scaling gate FAILED: {len(unchecked)} curve point(s) were not "
-            f"answer-checked",
-            file=sys.stderr,
-        )
-        return 1
-    for axis, curve in measured["axes"].items():
-        for executor in measured["executors"]:
-            trail = " ".join(
-                f"{p['value']}:{p['elapsed_seconds']:.3f}s/{p['derived_facts']}f"
-                for p in curve["points"]
-                if p["executor"] == executor
-            )
-            print(f"   {axis} [{executor}]: {trail}", flush=True)
+def _point_key(point: dict) -> Tuple[str, str, str]:
+    return point["axis"], str(point["value"]), point["executor"]
 
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        merged = {"scenarios": {}}
-        if baseline_path.exists():
-            merged = json.loads(baseline_path.read_text())
-        merged["scaling_curves"] = {
-            "executors": measured["executors"],
-            "answer_reference": measured["answer_reference"],
-            # Like the service entry, the sweep carries its own calibration
-            # so partial baseline updates never skew the other entries.
-            "calibration_seconds": round(calibration, 4),
-            "python": platform.python_version(),
-            "runs": args.runs,
-            "points": [
-                {
-                    "axis": axis,
-                    "value": point["value"],
-                    "executor": executor,
-                    "elapsed_seconds": point["elapsed_seconds"],
-                    "derived_facts": point["derived_facts"],
-                    "peak_resident_facts": point["peak_resident_facts"],
-                }
-                for (axis, _value, executor), point in sorted(points.items())
-            ],
-        }
-        baseline_path.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline updated: {baseline_path} [scaling_curves]")
-        return 0
 
-    if not baseline_path.exists():
-        print(
-            f"baseline {baseline_path} does not exist; run with "
-            f"--scaling-curves --update-baseline to create it",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = json.loads(baseline_path.read_text())
-    entry = baseline.get("scaling_curves")
-    if not entry:
-        print(
-            "baseline has no scaling_curves entry; run with "
-            "--scaling-curves --update-baseline to add it",
-            file=sys.stderr,
-        )
-        return 2
-    scale = calibration / entry["calibration_seconds"]
-    print(
-        f"machine speed vs baseline machine: {1 / scale:.2f}x "
-        f"(calibration {calibration:.4f}s vs {entry['calibration_seconds']:.4f}s)"
-    )
-    factor = args.inject_slowdown or 1.0
-    if factor != 1.0:
-        print(f"!! self-test: injecting a {factor}x slowdown into the curve points")
-
-    failures = []
-    checked = 0
-    baseline_points = {
-        (row["axis"], str(row["value"]), row["executor"]): row
-        for row in entry["points"]
-    }
-    for key, base in sorted(baseline_points.items()):
-        axis, value, executor = key
-        point = points.get(key)
-        if point is None:
-            failures.append(
-                f"{axis}={value} [{executor}]: baseline curve point was not "
-                f"measured (grid drifted?)"
-            )
-            continue
-        checked += 1
-        # (a) fact counts are exact on every executor: drift is a logic
-        # change, not noise.
+def judge_scaling(
+    measured: List[dict], baseline: List[dict], scale: float, slowdown: float = 1.0
+) -> List[str]:
+    """Violations of the measured curve points (in sweep order)."""
+    now = {_point_key(p): p for p in measured}
+    then = {_point_key(p): p for p in baseline}
+    failures = [
+        f"{axis}={value} [{executor}]: baseline point was not measured (grid drifted?)"
+        for axis, value, executor in sorted(then.keys() - now.keys())
+    ] + [
+        f"{axis}={value} [{executor}]: measured point has no baseline (grid drifted?)"
+        for axis, value, executor in sorted(now.keys() - then.keys())
+    ]
+    total = total_expected = 0.0
+    for key in sorted(now.keys() & then.keys()):
+        point, base = now[key], then[key]
+        label = "{}={} [{}]".format(*key)
+        # Fact counts are deterministic: any drift is a logic change.
         for metric in ("derived_facts", "peak_resident_facts"):
             if point[metric] != base[metric]:
-                failures.append(
-                    f"{axis}={value} [{executor}]: {metric} "
-                    f"{point[metric]} != baseline {base[metric]}"
-                )
-        # (b) per-point wall-clock cliff check against the scaled baseline.
-        median = point["elapsed_seconds"] * factor
+                failures.append(f"{label}: {metric} {point[metric]} != baseline {base[metric]}")
+        elapsed = point["elapsed_seconds"] * slowdown
         expected = base["elapsed_seconds"] * scale
-        allowed = expected * args.threshold
-        min_slack = max(args.min_abs_slack, SCALING_MIN_ABS_SLACK)
-        status = "ok"
-        if median > allowed and (median - expected) > min_slack:
-            status = "CLIFF"
+        total += elapsed
+        total_expected += expected
+        if not within(elapsed, expected, THRESHOLD, SCALING_MIN_ABS_SLACK):
             failures.append(
-                f"{axis}={value} [{executor}]: {median:.4f}s > allowed "
-                f"{allowed:.4f}s ({median / expected:.2f}x the scaled baseline)"
+                f"{label}: {elapsed:.4f}s is {elapsed / expected:.2f}x the scaled "
+                f"baseline {expected:.4f}s"
             )
-        print(
-            f"   {axis}={value} [{executor}]: {median:.4f}s vs expected "
-            f"{expected:.4f}s (allowed {allowed:.4f}s) {status}"
+    if not within(total, total_expected, GRID_TOTAL_THRESHOLD, SCALING_MIN_ABS_SLACK):
+        failures.append(
+            f"grid total: {total:.4f}s is {total / total_expected:.2f}x the scaled "
+            f"baseline {total_expected:.4f}s"
         )
-    # (c) monotone-sanity on the curves that are monotone by construction.
     for axis in MONOTONE_AXES:
-        curve = measured["axes"].get(axis)
-        if not curve:
-            continue
-        for executor in measured["executors"]:
+        for executor in sorted({p["executor"] for p in measured}):
             series = [
-                (point["value"], point["derived_facts"])
-                for point in curve["points"]
-                if point["executor"] == executor
+                (p["value"], p["derived_facts"])
+                for p in measured
+                if p["axis"] == axis and p["executor"] == executor
             ]
-            derived = [d for _v, d in series]
-            if any(b < a for a, b in zip(derived, derived[1:])):
-                failures.append(
-                    f"{axis} [{executor}]: derived-fact curve is not "
-                    f"monotone: {series}"
-                )
+            derived = [d for _value, d in series]
+            if derived != sorted(derived):
+                failures.append(f"{axis} [{executor}]: derived facts not monotone: {series}")
+    return failures
 
-    if failures:
-        print(
-            f"\nscaling gate FAILED: {len(failures)} violation(s):",
-            file=sys.stderr,
+
+def gate_scaling_curves(update: bool, slowdown: float) -> int:
+    calibration = calibrate()
+    points = measure_scaling()
+    if update:
+        return store_entry(
+            "scaling_curves",
+            {
+                "executors": list(SWEEP_EXECUTORS),
+                "answer_reference": REFERENCE_EXECUTOR,
+                "points": [
+                    {
+                        "axis": p["axis"],
+                        "value": p["value"],
+                        "executor": p["executor"],
+                        "elapsed_seconds": p["elapsed_seconds"],
+                        "derived_facts": p["derived_facts"],
+                        "peak_resident_facts": p["peak_resident_facts"],
+                    }
+                    for p in sorted(points, key=_point_key)
+                ],
+            },
+            calibration,
         )
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"\nscaling gate OK: {checked} curve points within budget, fact "
-        f"counts exact, monotone axes monotone"
+    entry = load_entry("scaling_curves")
+    if entry is None:
+        return 2
+    failures = judge_scaling(
+        points, entry["points"], machine_scale(entry, calibration), slowdown
     )
-    return 0
+    return verdict(
+        "scaling",
+        failures,
+        f"{len(points)} curve points within budget, fact counts exact, "
+        f"monotone axes monotone",
+    )
 
 
-def measure(executors, runs: int, only=None) -> dict:
-    """Median-of-``runs`` smoke elapsed per (scenario, executor)."""
-    scenarios = {}
-    for name, (_figure, _heavy, _recursive, _full, smoke) in run_all.SCENARIOS.items():
-        if only and name not in only:
-            continue
-        row = {}
-        for executor in executors:
-            samples = [
-                run_all.run_one(smoke, executor)["elapsed_seconds"]
-                for _ in range(runs)
-            ]
-            row[executor] = round(statistics.median(samples), 4)
-            print(
-                f"   {name} [{executor}]: median {row[executor]:.4f}s "
-                f"of {sorted(samples)}",
-                flush=True,
+# ------------------------------------------------------- service throughput
+def _replay_resident(scenario, operations):
+    """(seconds, query latencies, final Reach) through the resident service."""
+    service = ReasoningService(scenario.program.copy(), database=scenario.database)
+    latencies = []
+    started = time.perf_counter()
+    for kind, payload in operations:
+        if kind == "upsert":
+            service.upsert(payload)
+        elif kind == "retract":
+            service.retract(payload)
+        else:
+            t0 = time.perf_counter()
+            service.query(payload)
+            latencies.append(time.perf_counter() - t0)
+    elapsed = time.perf_counter() - started
+    return elapsed, latencies, sorted(service.query().ground_tuples("Reach"))
+
+
+def _replay_scratch(scenario, operations):
+    """(seconds, final Reach) through the from-scratch service.
+
+    The honest non-resident service: answers and the point-query index over
+    them are memoized between writes, but every write drops them and the
+    next query pays a full chase.
+    """
+    reasoner = VadalogReasoner(scenario.program.copy())
+    edges = {tuple(row) for row in scenario.database.relation("Edge")}
+    sources = [tuple(row) for row in scenario.database.relation("Source")]
+    result = None
+    started = time.perf_counter()
+    for kind, payload in operations:
+        if kind == "upsert":
+            edges.update(tuple(row) for row in payload.get("Edge", ()))
+            sources.extend(tuple(row) for row in payload.get("Source", ()))
+            result = None
+        elif kind == "retract":
+            edges.difference_update(tuple(row) for row in payload.get("Edge", ()))
+            result = None
+        else:
+            if result is None:
+                result = reasoner.reason(
+                    database={"Edge": sorted(edges), "Source": sources},
+                    outputs=scenario.outputs,
+                )
+                index = {}
+            if payload is not None:
+                _filter_answers(result.answers, parse_atom(payload), index)
+    elapsed = time.perf_counter() - started
+    final = reasoner.reason(
+        database={"Edge": sorted(edges), "Source": sources}, outputs=scenario.outputs
+    )
+    return elapsed, sorted(final.answers.ground_tuples("Reach"))
+
+
+def replay_service() -> Tuple[int, float, float, float]:
+    """One paired replay: (queries, resident q/s, speedup, resident p50 s).
+
+    Both services replay the identical stream, so the speedup is a paired
+    sample that machine drift cancels out of.
+    """
+    scenario = service_scenario(n_nodes=SERVICE_NODES)
+    operations = list(
+        service_operations(scenario, n_ops=SERVICE_OPS, update_ratio=SERVICE_RATIO)
+    )
+    resident_seconds, latencies, resident_reach = _replay_resident(scenario, operations)
+    scratch_seconds, scratch_reach = _replay_scratch(
+        service_scenario(n_nodes=SERVICE_NODES), operations
+    )
+    if resident_reach != scratch_reach:
+        raise SystemExit(
+            "service gate FAILED: resident and from-scratch services disagree "
+            "on the final Reach relation (correctness, not noise)"
+        )
+    return (
+        len(latencies),
+        len(latencies) / resident_seconds,
+        scratch_seconds / resident_seconds,
+        statistics.median(latencies),
+    )
+
+
+def measure_service() -> dict:
+    print(f"replaying the smoke service stream (median of {RUNS})...", flush=True)
+    queries, qps, speedup, p50 = median_of(replay_service)
+    print(f"   resident {qps:.1f} q/s, speedup {speedup:.2f}x", flush=True)
+    return {
+        "queries": queries,
+        "queries_per_second": round(qps, 1),
+        "speedup_vs_scratch": round(speedup, 2),
+        "p50_query_seconds": round(p50, 6),
+    }
+
+
+def judge_service(
+    measured: dict, entry: dict, scale: float, slowdown: float = 1.0
+) -> List[str]:
+    failures = []
+    queries = measured["queries"]
+    qps = measured["queries_per_second"] / slowdown
+    # Throughput scales inversely with machine slowness.  It is judged as
+    # the time the stream's queries take, so the noise floor bounds the
+    # gap over the whole stream.
+    expected_qps = entry["queries_per_second"] / scale
+    elapsed = queries / qps if qps else float("inf")
+    if not within(elapsed, queries / expected_qps, THRESHOLD, MIN_ABS_SLACK):
+        failures.append(
+            f"throughput {qps:.1f} q/s < allowed {expected_qps / THRESHOLD:.1f} q/s "
+            f"(expected {expected_qps:.1f} q/s over {queries} queries)"
+        )
+    # Both services run on this machine, so the speedup needs no scaling.
+    speedup = measured["speedup_vs_scratch"] / slowdown
+    if speedup < SERVICE_SPEEDUP_TARGET:
+        failures.append(
+            f"speedup {speedup:.2f}x < {SERVICE_SPEEDUP_TARGET}x target over the "
+            f"from-scratch service"
+        )
+    return failures
+
+
+def gate_service_throughput(update: bool, slowdown: float) -> int:
+    calibration = calibrate()
+    measured = measure_service()
+    if update:
+        return store_entry(
+            "service_throughput",
+            {
+                "ratio": "{}:{}".format(*SERVICE_RATIO),
+                "queries_per_second": measured["queries_per_second"],
+                "speedup_vs_scratch": measured["speedup_vs_scratch"],
+                "p50_query_seconds": measured["p50_query_seconds"],
+            },
+            calibration,
+        )
+    entry = load_entry("service_throughput")
+    if entry is None:
+        return 2
+    failures = judge_service(measured, entry, machine_scale(entry, calibration), slowdown)
+    return verdict("service", failures, "throughput and speedup within budget")
+
+
+# ----------------------------------------------------------- trace overhead
+def _timed_run(factory, executor: str, trace: bool) -> float:
+    scenario = factory()
+    started = time.perf_counter()
+    reasoner = VadalogReasoner(
+        scenario.program.copy(), executor=executor, base_path=scenario.base_path
+    )
+    reasoner.reason(database=scenario.database, outputs=scenario.outputs, trace=trace)
+    return time.perf_counter() - started
+
+
+def measure_trace_overhead() -> Dict[str, Tuple[float, float]]:
+    """``"scenario [executor]" -> (untraced, traced)`` medians of interleaved pairs."""
+    print(f"measuring telemetry overhead (median of {RUNS} pairs)...", flush=True)
+    pairs = {}
+    for name, factory in SMOKE_SCENARIOS.items():
+        for executor in TRACE_EXECUTORS:
+            untraced, traced = median_of(
+                lambda: (
+                    _timed_run(factory, executor, trace=False),
+                    _timed_run(factory, executor, trace=True),
+                )
             )
-        scenarios[name] = row
-    return scenarios
+            label = f"{name} [{executor}]"
+            pairs[label] = (untraced, traced)
+            print(f"   {label}: untraced {untraced:.4f}s traced {traced:.4f}s", flush=True)
+    return pairs
+
+
+def judge_trace(pairs: Dict[str, Tuple[float, float]], slowdown: float = 1.0) -> List[str]:
+    failures = []
+    for label, (untraced, traced) in pairs.items():
+        traced *= slowdown
+        if not within(traced, untraced, TRACE_THRESHOLD, MIN_ABS_SLACK):
+            failures.append(
+                f"{label}: traced {traced:.4f}s is {traced / untraced:.2f}x the "
+                f"untraced {untraced:.4f}s"
+            )
+    return failures
+
+
+def gate_trace_overhead(update: bool, slowdown: float) -> int:
+    pairs = measure_trace_overhead()
+    return verdict(
+        "telemetry-overhead",
+        judge_trace(pairs, slowdown),
+        f"{len(pairs)} (scenario, executor) pairs within the traced-run allowance",
+    )
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--executor",
-        nargs="+",
-        default=["compiled"],
-        choices=list(run_all.EXECUTORS),
-        help="executors to gate (default: compiled)",
-    )
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE))
-    parser.add_argument("--runs", type=int, default=3, help="runs per median")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=1.25,
-        help="fail when median > baseline * calibration-scale * threshold",
-    )
-    parser.add_argument(
-        "--min-abs-slack",
-        type=float,
-        default=0.05,
-        help="never fail on absolute differences below this many seconds",
-    )
+    gates = parser.add_mutually_exclusive_group(required=True)
+    for flag, gate, what in (
+        ("--scaling-curves", gate_scaling_curves, "the smoke knob-grid sweep"),
+        ("--service-throughput", gate_service_throughput, "the resident service"),
+        ("--trace-overhead", gate_trace_overhead, "traced vs untraced smoke runs"),
+    ):
+        gates.add_argument(
+            flag, dest="gate", action="store_const", const=gate, help=f"gate {what}"
+        )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="write the measured medians as the new baseline and exit",
+        help="write the measured numbers as the gate's baseline entry and exit",
     )
     parser.add_argument(
         "--inject-slowdown",
         type=float,
-        default=None,
+        default=1.0,
         metavar="FACTOR",
-        help="multiply measured medians by FACTOR (gate self-test)",
+        help="slow the measured side down by FACTOR before judging (gate self-test)",
     )
-    parser.add_argument(
-        "--trace-overhead",
-        action="store_true",
-        help=(
-            "gate telemetry overhead instead of the baseline comparison: "
-            "run each smoke scenario untraced and with trace=True and fail "
-            "when the traced median exceeds --trace-threshold"
-        ),
-    )
-    parser.add_argument(
-        "--trace-threshold",
-        type=float,
-        default=1.10,
-        help="traced/untraced ratio allowed by --trace-overhead (default 1.10)",
-    )
-    parser.add_argument(
-        "--service-throughput",
-        action="store_true",
-        help=(
-            "gate the resident-reasoner service instead of the executor "
-            "scenarios: median sustained queries/sec on the smoke mixed "
-            "workload vs the committed baseline, plus the 2x speedup target"
-        ),
-    )
-    parser.add_argument(
-        "--scaling-curves",
-        action="store_true",
-        help=(
-            "gate the scenario-lab knob-grid sweep instead of the scenario "
-            "medians: per-curve-point wall-clock cliffs, exact fact counts "
-            "and monotone-sanity vs the committed smoke curves "
-            "(--executor does not apply; the committed sweep executors run)"
-        ),
-    )
-    parser.add_argument("--only", nargs="*", default=None)
     args = parser.parse_args(argv)
-
-    executors = list(dict.fromkeys(args.executor))
-    if args.trace_overhead:
-        return gate_trace_overhead(args, executors)
-    if args.service_throughput:
-        return gate_service_throughput(args)
-    if args.scaling_curves:
-        return gate_scaling_curves(args)
-    print(f"calibrating ({args.runs} runs)...", flush=True)
-    calibration = calibrate(args.runs)
-    print(f"calibration: {calibration:.4f}s", flush=True)
-    print(f"measuring smoke scenarios (median of {args.runs})...", flush=True)
-    measured = measure(executors, args.runs, args.only)
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        merged = {"scenarios": {}}
-        if baseline_path.exists():
-            merged = json.loads(baseline_path.read_text())
-            # A partial update (--only / subset of executors) measured on a
-            # different machine would otherwise leave retained entries on
-            # the old machine's scale under the new calibration.  Rescale
-            # everything that was *not* re-measured to the new calibration
-            # so the file stays internally consistent.
-            old_calibration = merged.get("calibration_seconds")
-            if old_calibration:
-                rescale = calibration / old_calibration
-                for name, row in merged.get("scenarios", {}).items():
-                    for executor, value in row.items():
-                        if executor not in measured.get(name, {}):
-                            row[executor] = round(value * rescale, 4)
-        merged.update(
-            {
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-                "calibration_seconds": round(calibration, 4),
-                "runs": args.runs,
-                "threshold": args.threshold,
-            }
-        )
-        for name, row in measured.items():
-            merged["scenarios"].setdefault(name, {}).update(row)
-        baseline_path.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline updated: {baseline_path}")
-        return 0
-
-    if not baseline_path.exists():
-        print(
-            f"baseline {baseline_path} does not exist; run with "
-            f"--update-baseline to create it",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = json.loads(baseline_path.read_text())
-    scale = calibration / baseline["calibration_seconds"]
-    print(
-        f"machine speed vs baseline machine: {1 / scale:.2f}x "
-        f"(calibration {calibration:.4f}s vs {baseline['calibration_seconds']:.4f}s)"
-    )
-
-    factor = args.inject_slowdown or 1.0
-    if factor != 1.0:
-        print(f"!! self-test: injecting a {factor}x slowdown into the medians")
-
-    regressions = []
-    checked = 0
-    for name, row in measured.items():
-        base_row = baseline["scenarios"].get(name, {})
-        for executor, median in row.items():
-            base = base_row.get(executor)
-            if base is None:
-                print(f"   {name} [{executor}]: no baseline entry, skipped")
-                continue
-            checked += 1
-            median *= factor
-            expected = base * scale
-            allowed = expected * args.threshold
-            status = "ok"
-            if median > allowed and (median - expected) > args.min_abs_slack:
-                status = "REGRESSION"
-                regressions.append((name, executor, median, expected, allowed))
-            print(
-                f"   {name} [{executor}]: {median:.4f}s vs expected "
-                f"{expected:.4f}s (allowed {allowed:.4f}s) {status}"
-            )
-
-    if regressions:
-        print(
-            f"\nbench gate FAILED: {len(regressions)} regression(s) beyond "
-            f"{round((args.threshold - 1) * 100)}% of the scaled baseline:",
-            file=sys.stderr,
-        )
-        for name, executor, median, expected, allowed in regressions:
-            print(
-                f"  {name} [{executor}]: {median:.4f}s > {allowed:.4f}s "
-                f"({median / expected:.2f}x the scaled baseline)",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"\nbench gate OK: {checked} (scenario, executor) pairs within budget")
-    return 0
+    if args.update_baseline and args.gate is gate_trace_overhead:
+        parser.error("--trace-overhead has no baseline to update")
+    if args.inject_slowdown != 1.0:
+        print(f"!! self-test: injecting a {args.inject_slowdown}x slowdown")
+    return args.gate(args.update_baseline, args.inject_slowdown)
 
 
 if __name__ == "__main__":

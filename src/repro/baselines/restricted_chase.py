@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from ..core.aggregates import AggregateRegistry
-from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseConfig, ChaseEngine
-from ..core.expressions import ExpressionError
+from ..core.atoms import Fact
+from ..core.chase import ChaseEngine
 from ..core.fact_store import FactStore
 from ..core.rules import Program
 from ..core.terms import NullFactory, Term, Variable
-from .homomorphism import find_homomorphism
+from ..core.wardedness import analyse_program
+from .homomorphism import body_matches, evaluate_computed, find_homomorphism, instantiate
 
 
 class ChaseLimitError(Exception):
@@ -79,7 +78,7 @@ class RestrictedChaseEngine:
         self.program = program
         self.max_rounds = max_rounds
         self.max_facts = max_facts
-        self._matcher = ChaseEngine(program, config=ChaseConfig())
+        self._analysis = analyse_program(program)
 
     def run(self, database: Iterable[Fact] = ()) -> BaselineResult:
         started = time.perf_counter()
@@ -87,7 +86,8 @@ class RestrictedChaseEngine:
         for fact in list(database) + list(self.program.facts):
             store.add(fact)
         null_factory = NullFactory()
-        aggregates = AggregateRegistry()
+        # A fresh matcher per run: its aggregate evaluators start empty.
+        matcher = ChaseEngine(program=self.program, analysis=self._analysis, executor="naive")
         result = BaselineResult(store=store)
 
         changed = True
@@ -100,8 +100,8 @@ class RestrictedChaseEngine:
                 )
             changed = False
             for rule in self.program.rules:
-                for binding, _used in self._body_matches(rule, store):
-                    full_binding = self._evaluate_computed(rule, binding, aggregates)
+                for binding in body_matches(matcher, rule, store):
+                    full_binding = evaluate_computed(matcher, rule, binding)
                     if full_binding is None:
                         continue
                     result.homomorphism_checks += 1
@@ -110,7 +110,7 @@ class RestrictedChaseEngine:
                     for variable in rule.existential_variables():
                         full_binding[variable] = null_factory.fresh()
                     for head_atom in rule.head:
-                        head_fact = self._instantiate(head_atom, full_binding)
+                        head_fact = instantiate(head_atom, full_binding)
                         if store.add(head_fact):
                             changed = True
                             result.applied_steps += 1
@@ -123,44 +123,6 @@ class RestrictedChaseEngine:
         return result
 
     # ------------------------------------------------------------------ helpers
-    def _body_matches(self, rule, store: FactStore):
-        """All bindings of the rule body against the full store (naive evaluation)."""
-        body = rule.relational_body
-
-        def recurse(index: int, binding: Dict[Variable, Term], used: List[Fact]):
-            if index == len(body):
-                if self._matcher._guards_hold(rule, binding, store):
-                    yield dict(binding), list(used)
-                return
-            atom = body[index].substitute(binding)
-            for fact in store.candidates(atom, binding):
-                extension = atom.match(fact)
-                if extension is None:
-                    continue
-                merged = dict(binding)
-                merged.update(extension)
-                used.append(fact)
-                yield from recurse(index + 1, merged, used)
-                used.pop()
-
-        yield from recurse(0, {}, [])
-
-    def _evaluate_computed(self, rule, binding, aggregates) -> Optional[Dict[Variable, Term]]:
-        full_binding = dict(binding)
-        try:
-            for assignment in rule.assignments:
-                full_binding[assignment.variable] = assignment.compute(full_binding)
-            if rule.aggregate is not None:
-                value = self._matcher._aggregate_value(rule, rule.aggregate, full_binding)
-                if value is None:
-                    return None
-                full_binding[rule.aggregate.variable] = value
-        except ExpressionError:
-            return None
-        if not self._matcher._post_conditions_hold(rule, full_binding):
-            return None
-        return full_binding
-
     def _head_satisfied(self, rule, binding: Dict[Variable, Term], store: FactStore) -> bool:
         """Restricted-chase check: does the head already hold (homomorphically)?"""
         initial: Dict[Term, Term] = {
@@ -169,13 +131,3 @@ class RestrictedChaseEngine:
             if variable in set(rule.head_variables())
         }
         return find_homomorphism(list(rule.head), store, initial) is not None
-
-    @staticmethod
-    def _instantiate(atom: Atom, binding: Dict[Variable, Term]) -> Fact:
-        terms: List[Term] = []
-        for term in atom.terms:
-            if isinstance(term, Variable):
-                terms.append(binding[term])
-            else:
-                terms.append(term)
-        return Fact(atom.predicate, terms)

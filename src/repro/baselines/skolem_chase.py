@@ -16,16 +16,16 @@ engine against non-terminating inputs.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
-from ..core.aggregates import AggregateRegistry
-from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseConfig, ChaseEngine
-from ..core.expressions import ExpressionError
+from ..core.atoms import Fact
+from ..core.chase import ChaseEngine
 from ..core.fact_store import FactStore
 from ..core.rules import Program
 from ..core.skolem import SkolemFactory, skolem_name
-from ..core.terms import NullFactory, Term, Variable
+from ..core.terms import NullFactory
+from ..core.wardedness import analyse_program
+from .homomorphism import body_matches, evaluate_computed, instantiate
 from .restricted_chase import BaselineResult, ChaseLimitError
 
 
@@ -41,7 +41,7 @@ class SkolemChaseEngine:
         self.program = program
         self.max_rounds = max_rounds
         self.max_facts = max_facts
-        self._matcher = ChaseEngine(program, config=ChaseConfig())
+        self._analysis = analyse_program(program)
         self._null_factory = NullFactory()
         self._skolems = SkolemFactory(self._null_factory)
 
@@ -50,7 +50,8 @@ class SkolemChaseEngine:
         store = FactStore()
         for fact in list(database) + list(self.program.facts):
             store.add(fact)
-        aggregates = AggregateRegistry()
+        # A fresh matcher per run: its aggregate evaluators start empty.
+        matcher = ChaseEngine(program=self.program, analysis=self._analysis, executor="naive")
         result = BaselineResult(store=store)
         grounded_instances = 0
 
@@ -62,9 +63,9 @@ class SkolemChaseEngine:
                 raise ChaseLimitError(f"skolem chase exceeded {self.max_rounds} rounds")
             changed = False
             for rule in self.program.rules:
-                for binding, _used in self._body_matches(rule, store):
+                for binding in body_matches(matcher, rule, store):
                     grounded_instances += 1
-                    full_binding = self._evaluate_computed(rule, binding, aggregates)
+                    full_binding = evaluate_computed(matcher, rule, binding)
                     if full_binding is None:
                         continue
                     frontier_terms = tuple(
@@ -78,7 +79,7 @@ class SkolemChaseEngine:
                             frontier_terms,
                         )
                     for head_atom in rule.head:
-                        head_fact = self._instantiate(head_atom, full_binding)
+                        head_fact = instantiate(head_atom, full_binding)
                         if store.add(head_fact):
                             changed = True
                             result.applied_steps += 1
@@ -94,51 +95,3 @@ class SkolemChaseEngine:
         result.applied_steps = max(result.applied_steps, 0)
         result.grounded_instances = grounded_instances  # type: ignore[attr-defined]
         return result
-
-    # ------------------------------------------------------------------ helpers
-    def _body_matches(self, rule, store: FactStore):
-        body = rule.relational_body
-
-        def recurse(index: int, binding: Dict[Variable, Term], used: List[Fact]):
-            if index == len(body):
-                if self._matcher._guards_hold(rule, binding, store):
-                    yield dict(binding), list(used)
-                return
-            atom = body[index].substitute(binding)
-            for fact in store.candidates(atom, binding):
-                extension = atom.match(fact)
-                if extension is None:
-                    continue
-                merged = dict(binding)
-                merged.update(extension)
-                used.append(fact)
-                yield from recurse(index + 1, merged, used)
-                used.pop()
-
-        yield from recurse(0, {}, [])
-
-    def _evaluate_computed(self, rule, binding, aggregates) -> Optional[Dict[Variable, Term]]:
-        full_binding = dict(binding)
-        try:
-            for assignment in rule.assignments:
-                full_binding[assignment.variable] = assignment.compute(full_binding)
-            if rule.aggregate is not None:
-                value = self._matcher._aggregate_value(rule, rule.aggregate, full_binding)
-                if value is None:
-                    return None
-                full_binding[rule.aggregate.variable] = value
-        except ExpressionError:
-            return None
-        if not self._matcher._post_conditions_hold(rule, full_binding):
-            return None
-        return full_binding
-
-    @staticmethod
-    def _instantiate(atom: Atom, binding: Dict[Variable, Term]) -> Fact:
-        terms: List[Term] = []
-        for term in atom.terms:
-            if isinstance(term, Variable):
-                terms.append(binding[term])
-            else:
-                terms.append(term)
-        return Fact(atom.predicate, terms)

@@ -12,12 +12,18 @@ Every derived fact is wrapped in a :class:`~repro.core.forests.ChaseNode`
 carrying the linear-forest / warded-forest metadata needed by Algorithm 1
 (:mod:`repro.core.termination`).
 
-There is one round loop, :meth:`ChaseEngine.continue_rounds`, fed by one
-input-load step, :meth:`ChaseEngine.load_inputs`: ``run()`` feeds it the
-whole database, the resident reasoner an upsert, the streaming driver a
-lazily read batch.  There is one chase step, reached two ways:
-:meth:`ChaseEngine.fire_slots` takes a full match in a compiled plan's slot
-array (the compiled round evaluator calls it) and
+The engine is the one owner of its run's state: its :class:`ChaseResult`,
+built once, holds the store, the one fact → node map (``result.nodes`` is a
+read-only view of it) and the round count.  There is one round loop,
+:meth:`ChaseEngine.continue_rounds`, fed by one input-load step,
+:meth:`ChaseEngine.load_inputs`; both read and write that result, so a
+driver hands them only facts or a delta: ``run()`` feeds the whole
+database, the resident reasoner an upsert, the streaming driver a lazily
+read batch.  :meth:`ChaseEngine.start_run` and :meth:`ChaseEngine.finish_run`
+open and close a run — the chase span, the clock and the budget governor —
+for ``run()`` and the streaming driver alike.  There is one chase step,
+reached two ways: :meth:`ChaseEngine.fire_slots` takes a full match in a
+compiled plan's slot array (the compiled round evaluator calls it) and
 :meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
 of ``fire_slots`` and the naive reference matcher).  There is one limit
 mechanism: the run's :class:`~repro.core.limits.ExecutionBudget` /
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, ValuesView
 
 from .aggregates import AggregateRegistry
 from .atoms import Atom, Fact
@@ -75,8 +81,6 @@ class ChaseConfig:
     """Behaviour switches and resource bounds of a chase run."""
 
     fail_on_violation: bool = False
-    check_constraints: bool = True
-    apply_egds: bool = True
     #: Resource budget for the run — the one limit mechanism: exhausting it
     #: ends the run gracefully with a structured non-``complete`` status and
     #: the sound partial materialisation derived so far (never an exception).
@@ -87,13 +91,18 @@ class ChaseConfig:
 
 @dataclass
 class ChaseResult:
-    """Outcome of a chase run."""
+    """Outcome of a chase run — and, while it runs, the run's state.
+
+    The :class:`ChaseEngine` that builds it is its one writer.
+    """
 
     store: FactStore
-    nodes: List[ChaseNode]
     program: Program
     strategy: TerminationStrategy
     aggregates: AggregateRegistry
+    #: The one fact → chase node map, in insertion order: every stored fact
+    #: has exactly one node and every node's fact is stored.
+    node_of: Dict[Fact, ChaseNode] = field(default_factory=dict)
     violations: List[Violation] = field(default_factory=list)
     rounds: int = 0
     chase_steps: int = 0
@@ -120,8 +129,10 @@ class ChaseResult:
     #: Early-stop notices (budget stops, cancellation).
     warnings: List[str] = field(default_factory=list)
 
-    _derived_cache: Optional[Tuple[Fact, ...]] = field(default=None, repr=False, compare=False)
-    _derived_seen: int = field(default=-1, repr=False, compare=False)
+    @property
+    def nodes(self) -> ValuesView[ChaseNode]:
+        """Every chase node in insertion order: a read-only view of :attr:`node_of`."""
+        return self.node_of.values()
 
     def facts(self, predicate: Optional[str] = None) -> Tuple[Fact, ...]:
         """All facts of the result, optionally restricted to one predicate."""
@@ -130,18 +141,8 @@ class ChaseResult:
         return tuple(self.store.by_predicate(predicate))
 
     def derived_facts(self) -> Tuple[Fact, ...]:
-        """Facts produced by rules (excluding the extensional input).
-
-        The tuple is computed once per node count and cached — ``stats()``
-        and callers iterating the result repeatedly no longer rebuild it.
-        """
-        if self._derived_cache is None or self._derived_seen != len(self.nodes):
-            self._derived_cache = tuple(n.fact for n in self.nodes if not n.is_input)
-            self._derived_seen = len(self.nodes)
-        return self._derived_cache
-
-    def node_count(self) -> int:
-        return len(self.nodes)
+        """Facts produced by rules (excluding the extensional input)."""
+        return tuple(n.fact for n in self.node_of.values() if not n.is_input)
 
     def stats(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -189,7 +190,6 @@ class ChaseEngine:
         database: Iterable[Fact] = (),
         strategy: Optional[TerminationStrategy] = None,
         analysis: Optional[ProgramAnalysis] = None,
-        null_factory: Optional[NullFactory] = None,
         config: Optional[ChaseConfig] = None,
         executor: str = "compiled",
         join_plans: Optional[Dict[int, object]] = None,
@@ -204,13 +204,18 @@ class ChaseEngine:
         self.program = program
         self.analysis = analysis or analyse_program(program)
         self.strategy = strategy if strategy is not None else WardedTerminationStrategy()
-        self.null_factory = null_factory or NullFactory()
+        self.null_factory = NullFactory()
         self.config = config or ChaseConfig()
         self.executor = executor
-        #: Per-run budget/cancellation monitor (:meth:`start_governor`);
-        #: ``None`` for ungoverned runs and on the resident reasoner's
-        #: engine, which then pay nothing per match.
+        #: Per-run budget/cancellation monitor, live from :meth:`start_run`
+        #: to :meth:`finish_run`; ``None`` for ungoverned runs and between
+        #: runs (the resident reasoner's later rounds), which then pay
+        #: nothing per match.
         self._governor: Optional[ExecutionGovernor] = None
+        #: The run's open chase span on a traced engine (:meth:`start_run`).
+        self._chase_span = None
+        #: When :meth:`start_run` started the run clock; ``None`` before.
+        self.started_at: Optional[float] = None
         #: Set by :meth:`continue_rounds` around a DRed rederivation round:
         #: the delta is the whole store, so per-atom seed plans would
         #: enumerate each join ``body_length`` times over; full-join mode
@@ -245,6 +250,14 @@ class ChaseEngine:
             )
             self._post_conditions[id(rule)] = post
         self._register_aggregated_positions()
+        #: The run's state, built once: store, node map and round count.
+        self.result = ChaseResult(
+            store=FactStore(),
+            program=program,
+            strategy=self.strategy,
+            aggregates=self.aggregates,
+            executor=executor,
+        )
 
     # ------------------------------------------------------------------ setup
     def _register_aggregated_positions(self) -> None:
@@ -262,89 +275,76 @@ class ChaseEngine:
     def run(self) -> ChaseResult:
         """Run the chase to completion (or until the budget/cancel stops it).
 
-        A fresh store, the input load and :meth:`continue_rounds` — the one
-        round loop, which the resident reasoner and the streaming driver
-        feed with later deltas through the same three steps.
+        :meth:`start_run`, the input load, :meth:`continue_rounds` — the one
+        round loop — and :meth:`finish_run`: the streaming driver takes the
+        same steps over lazily read batches, and the resident reasoner
+        feeds later deltas to the same engine.  Runs once per engine.
         """
-        tracer = self.tracer
-        chase_span = None
-        if tracer is not None:
-            chase_span = tracer.begin(
-                "chase", f"chase:{self.executor}", executor=self.executor
-            )
-        started = time.perf_counter()
-        store = FactStore()
-        node_of: Dict[Fact, ChaseNode] = {}
-        result = ChaseResult(
-            store=store,
-            nodes=[],
-            program=self.program,
-            strategy=self.strategy,
-            aggregates=self.aggregates,
-            executor=self.executor,
-        )
-        delta = self.load_inputs(self._database_facts, store, node_of, result)
-        self.start_governor()
-        if tracer is not None:
-            chase_span.counters["input_facts"] = len(store)
-        try:
-            self.continue_rounds(store, node_of, delta, result, 0)
-        finally:
-            self._governor = None
-        self.finish_run(result, chase_span, started)
-        return result
+        chase_span = self.start_run()
+        delta = self.load_inputs(self._database_facts)
+        if chase_span is not None:
+            chase_span.counters["input_facts"] = len(self.result.store)
+        self.continue_rounds(delta)
+        self.finish_run()
+        return self.result
 
-    def load_inputs(
-        self,
-        facts: Iterable[Fact],
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
-        result: ChaseResult,
-        step: int = 0,
-    ) -> List[ChaseNode]:
-        """Add extensional ``facts`` to ``store``; returns the new input nodes.
+    def load_inputs(self, facts: Iterable[Fact]) -> List[ChaseNode]:
+        """Add extensional ``facts`` to the store; returns the new input nodes.
 
-        The one input-load step: :meth:`run` (the whole database, ``step``
-        0), the resident reasoner's upsert and the streaming driver's
-        batches (``step`` = the last completed round, so the store's round
-        stamps stay monotone) all enter facts here.  A fact already in the
-        store gets no node.  The returned nodes are the delta to hand to
+        The one input-load step: :meth:`run` (the whole database), the
+        resident reasoner's upsert and the streaming driver's batches all
+        enter facts here, stamped with the last completed round so the
+        store's round stamps stay monotone.  A fact already in the store
+        gets no node.  The returned nodes are the delta to hand to
         :meth:`continue_rounds`.
         """
-        store.current_round = step
+        result = self.result
+        store = result.store
+        node_of = result.node_of
+        step = store.current_round = result.rounds
         register = self.strategy.register_input
         loaded: List[ChaseNode] = []
         for fact in facts:
             if not store.add(fact):
                 continue
-            node = input_node(fact, step=step)
-            node_of[fact] = node
-            result.nodes.append(node)
+            node = node_of[fact] = input_node(fact, step=step)
             register(node)
             loaded.append(node)
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
         return loaded
 
-    def start_governor(self) -> Optional[ExecutionGovernor]:
-        """Start the run's budget/cancellation clock (``None`` if ungoverned).
+    def start_run(self, **span_attrs: object):
+        """Open a run: its chase span, its clock and its budget governor.
 
-        :meth:`continue_rounds` and the per-match ticks consult it from
-        here on; the deadline counts from this call.
+        :meth:`run` and the streaming driver (at its first pull) both start
+        here; :meth:`continue_rounds` and the per-match ticks consult the
+        governor from now on and the deadline counts from this call.
+        ``span_attrs`` go on the chase span.  Returns the open span on a
+        traced engine, ``None`` otherwise.
         """
+        tracer = self.tracer
+        if tracer is None:
+            self.started_at = time.perf_counter()
+        else:
+            executor = self.result.executor
+            span = self._chase_span = tracer.begin(
+                "chase", f"chase:{executor}", executor=executor, **span_attrs
+            )
+            # One measurement: the span's bounds are the run's clock.
+            self.started_at = span.t_start
         governor = self._governor = ExecutionGovernor.for_config(self.config)
-        if governor is not None and self.tracer is not None:
-            governor.tracer = self.tracer
-        return governor
+        if governor is not None and tracer is not None:
+            governor.tracer = tracer
+        return self._chase_span
 
-    def finish_run(self, result: ChaseResult, chase_span, started: float) -> None:
-        """Close a run: deferred checks or the early-stop warning, then the clock.
-
-        ``chase_span`` is the run's open chase span on a traced engine
-        (its bounds are then the run's clock), ``None`` otherwise.
-        """
+    def finish_run(self) -> None:
+        """Close a run: deferred checks or the early-stop warning, then the
+        governor, the clock and the chase span :meth:`start_run` opened."""
+        result = self.result
+        self._governor = None
         if result.status == STATUS_COMPLETE:
-            self.check_violations(result)
+            self.check_violations()
         else:
             result.warnings.append(
                 f"chase stopped early ({result.status}): {result.stop_reason}; "
@@ -352,8 +352,9 @@ class ChaseEngine:
             )
         tracer = self.tracer
         if tracer is None:
-            result.elapsed_seconds = time.perf_counter() - started
+            result.elapsed_seconds = time.perf_counter() - self.started_at
             return
+        chase_span, self._chase_span = self._chase_span, None
         # An ExecutionStopped may have unwound the loop with spans open.
         tracer.unwind(chase_span)
         chase_span.counters["facts"] = len(result.store)
@@ -365,47 +366,40 @@ class ChaseEngine:
         if result.stop_reason:
             chase_span.attrs["stop_reason"] = result.stop_reason
         tracer.end(chase_span)
-        # One measurement: the span's bounds are the run's clock.
         result.elapsed_seconds = chase_span.duration
         tracer.metrics.gauge("chase.peak_resident_facts").set_max(
             result.peak_resident_facts
         )
 
     def continue_rounds(
-        self,
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
-        delta: List[ChaseNode],
-        result: ChaseResult,
-        start_round: int,
-        rules: Optional[List[Rule]] = None,
-    ) -> int:
+        self, delta: List[ChaseNode], rules: Optional[List[Rule]] = None
+    ) -> None:
         """Run semi-naive rounds seeded with ``delta`` until fixpoint.
 
-        The one round loop.  ``delta`` are facts that just entered
-        ``store`` through :meth:`load_inputs` — the whole database
+        The one round loop.  ``delta`` are facts that just entered the
+        store through :meth:`load_inputs` — the whole database
         (:meth:`run`), upserted inputs or the rederivation front of a
         retraction (:mod:`repro.engine.incremental`), a lazily read batch
-        (:mod:`repro.engine.pipeline`) — and ``start_round`` is the last
-        completed round, so round numbering — and with it the store's round
-        stamps driving the before-seed probe restriction — stays monotone
-        across calls.
+        (:mod:`repro.engine.pipeline`).  Rounds are numbered on from
+        ``result.rounds``, so the store's round stamps driving the
+        before-seed probe restriction stay monotone across calls.
 
-        A governed engine (:meth:`start_governor`) checks every budget axis
-        before each round and ends the loop with ``result.status`` /
+        A governed run (:meth:`start_run`) checks every budget axis before
+        each round and ends the loop with ``result.status`` /
         ``stop_reason`` set — also when a per-match tick unwinds a round
-        (everything admitted so far is committed and sound); a traced one
-        wraps each round in a span.  The resident reasoner's engine is
-        neither.
+        (everything admitted so far is committed and sound); a traced
+        engine wraps each round in a span.  The resident reasoner's rounds
+        after its first run are neither.
 
         ``rules`` restricts the *first* round to a subset of the program
         (the DRed rederivation phase only fires rules whose head predicate
-        was deleted); later rounds always run the full program.  Returns the
-        index of the last evaluated round.
+        was deleted); later rounds always run the full program.
         """
+        result = self.result
+        store = result.store
         governor = self._governor
         tracer = self.tracer
-        round_index = start_round
+        round_index = result.rounds
         first_restriction = rules
         try:
             while delta:
@@ -425,9 +419,7 @@ class ChaseEngine:
                     round_span.counters["delta_in"] = len(delta)
                 self._full_join_round = first_restriction is not None
                 try:
-                    delta = self._evaluate_round(
-                        store, node_of, delta, round_index, result, rules=first_restriction
-                    )
+                    delta = self._evaluate_round(delta, round_index, first_restriction)
                 finally:
                     self._full_join_round = False
                 first_restriction = None
@@ -443,15 +435,11 @@ class ChaseEngine:
         result.rounds = round_index
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
-        return round_index
 
     def _evaluate_round(
         self,
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
         delta: List[ChaseNode],
         round_index: int,
-        result: ChaseResult,
         rules: Optional[List[Rule]] = None,
     ) -> List[ChaseNode]:
         """Evaluate one semi-naive round; returns the nodes it derived.
@@ -460,6 +448,8 @@ class ChaseEngine:
         against the live store, so a fact admitted earlier in the round is
         already probed by the rules that follow it.
         """
+        result = self.result
+        store = result.store
         delta_facts = [node.fact for node in delta]
         delta_by_predicate: Dict[str, List[Fact]] = {}
         if self.executor == "naive":
@@ -474,11 +464,7 @@ class ChaseEngine:
         tracer = self.tracer
         for rule in (self.program.rules if rules is None else rules):
             if tracer is None:
-                new_nodes.extend(
-                    self._apply_rule(
-                        rule, store, node_of, delta_by_predicate, round_index, result
-                    )
-                )
+                new_nodes.extend(self._apply_rule(rule, delta_by_predicate, round_index))
                 continue
             # One span per (round, rule).  Counters are set in bulk once the
             # rule has finished, never per fire: ``candidates`` is every head
@@ -488,9 +474,7 @@ class ChaseEngine:
             span = tracer.begin("rule", f"rule:{label}", rule=label, round=round_index)
             candidates_before = result.candidate_facts
             try:
-                produced = self._apply_rule(
-                    rule, store, node_of, delta_by_predicate, round_index, result
-                )
+                produced = self._apply_rule(rule, delta_by_predicate, round_index)
             except BaseException as exc:
                 tracer.end(span, status="error", error=repr(exc))
                 raise
@@ -506,18 +490,16 @@ class ChaseEngine:
     def _apply_rule(
         self,
         rule: Rule,
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
         delta_by_predicate: Dict[str, List[Fact]],
         round_index: int,
-        result: ChaseResult,
     ) -> List[ChaseNode]:
         fault_point("chase.rule", rule=rule.label or "rule", round=round_index)
         executor = self._compiled.get(id(rule))
         if executor is not None:
-            return self._apply_rule_compiled(
-                rule, executor, store, node_of, round_index, result
-            )
+            return self._apply_rule_compiled(rule, executor, round_index)
+        result = self.result
+        store = result.store
+        node_of = result.node_of
         produced: List[ChaseNode] = []
         body = rule.relational_body
         governor = self._governor
@@ -537,19 +519,17 @@ class ChaseEngine:
         return produced
 
     def _apply_rule_compiled(
-        self,
-        rule: Rule,
-        executor,
-        store: FactStore,
-        node_of: Dict[Fact, ChaseNode],
-        round_index: int,
-        result: ChaseResult,
+        self, rule: Rule, executor, round_index: int
     ) -> List[ChaseNode]:
         """Hot path: evaluate the rule body through its compiled join plan.
 
         The executor already evaluated every comparison that only needs body
-        slots; each full match goes straight to :meth:`fire_slots`.
+        slots; each full match goes straight to :meth:`fire_slots`, with the
+        store and the node map bound once per rule application.
         """
+        result = self.result
+        store = result.store
+        node_of = result.node_of
         plan = executor.plan
         produced: List[ChaseNode] = []
         governor = self._governor
@@ -644,7 +624,6 @@ class ChaseEngine:
                 continue
             store.add(head_fact)
             node_of[head_fact] = node
-            result.nodes.append(node)
             result.chase_steps += 1
             produced.append(node)
 
@@ -846,17 +825,16 @@ class ChaseEngine:
                 continue
             store.add(head_fact)
             node_of[head_fact] = node
-            result.nodes.append(node)
             result.chase_steps += 1
             produced.append(node)
         return produced
 
-    def check_violations(self, result: ChaseResult) -> None:
-        """Run the deferred EGD and negative-constraint checks on ``result``."""
-        if self.config.apply_egds and self.program.egds:
-            self._apply_egds(result)
-        if self.config.check_constraints and self.program.constraints:
-            self._check_constraints(result)
+    def check_violations(self) -> None:
+        """Run the deferred EGD and negative-constraint checks on the result."""
+        if self.program.egds:
+            self._apply_egds(self.result)
+        if self.program.constraints:
+            self._check_constraints(self.result)
 
     def _instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
         terms: List[Term] = []
@@ -903,10 +881,7 @@ class ChaseEngine:
             if spec.function not in ("mcount", "munion"):
                 return None
             value = ("null", value.ident)
-        current = evaluator.update(group_key, contributor_key, value)
-        if isinstance(current, frozenset):
-            return Constant(current)
-        return Constant(current)
+        return Constant(evaluator.update(group_key, contributor_key, value))
 
     @staticmethod
     def _binding_key(term: Term) -> Hashable:

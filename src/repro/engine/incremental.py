@@ -4,9 +4,10 @@ Every ``reason()`` call chases from scratch; a long-lived service cannot
 afford that (Section 5 of the paper assumes a resident reasoning core, and
 the streaming-architectures line — Baldazzi et al., arXiv:2311.12236 —
 sustains warded reasoning over changing inputs).  :class:`ResidentReasoner`
-keeps the chase engine, its fact store, chase nodes and termination state
-alive across calls and maintains the materialisation under extensional
-**upserts** and **retractions**:
+keeps one chase engine alive across calls — its result holds the fact
+store, the fact → node map, the round count and the termination state —
+and maintains the materialisation under extensional **upserts** and
+**retractions**:
 
 * **Upserts** run delta-seeded semi-naive rounds against the warm store:
   the new facts are stamped as the delta of a continuation round and the
@@ -65,6 +66,7 @@ store).
 from __future__ import annotations
 
 import time
+from itertools import islice
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -76,13 +78,14 @@ from ..core.limits import STATUS_COMPLETE
 from ..core.parser import parse_atom
 from ..core.provenance import DerivationIndex
 from ..core.query import AnswerSet
-from ..core.rules import Program
+from ..core.rules import Program, Rule
 from ..core.termination import TrivialIsomorphismStrategy, WardedTerminationStrategy
 from .annotations import load_bound_facts
 from .reasoner import DatabaseLike, VadalogReasoner, _answer_step
 
 #: Executors able to maintain a warm store in-process (the streaming
-#: executor owns its store per run).
+#: executor's engine chases a per-run slice of the program, so there is no
+#: whole-program materialisation to keep warm).
 RESIDENT_EXECUTORS = ("compiled", "naive")
 
 
@@ -201,13 +204,10 @@ class ResidentReasoner:
                 f"initial materialisation did not complete ({result.status}): "
                 f"{result.stop_reason}"
             )
+        #: The one owner of the materialisation's state (``result``).
         self._engine = engine
-        self._result = result
-        self._store: FactStore = result.store
-        self._node_of: Dict[Fact, ChaseNode] = {n.fact: n for n in result.nodes}
         self._derivations = DerivationIndex()
         self._record_derivations(result.nodes)
-        self._round = result.rounds
         self._dirty = False
         self._violations_stale = False
         #: Per-epoch cache of extracted (predicates, certain) answer sets,
@@ -223,6 +223,14 @@ class ResidentReasoner:
             if node.parents:
                 record(node.fact, [parent.fact for parent in node.parents])
 
+    def _chase(self, delta: List[ChaseNode], rules: Optional[List[Rule]] = None) -> None:
+        """Continuation rounds from ``delta``; records the new nodes' derivations."""
+        node_of = self.result.node_of
+        before = len(node_of)
+        self._engine.continue_rounds(delta, rules)
+        # New nodes are appended to the insertion-ordered node map.
+        self._record_derivations(islice(node_of.values(), before, None))
+
     # ------------------------------------------------------------ inspection
     @property
     def program(self) -> Program:
@@ -231,11 +239,11 @@ class ResidentReasoner:
 
     @property
     def store(self) -> FactStore:
-        return self._store
+        return self._engine.result.store
 
     @property
     def result(self) -> ChaseResult:
-        return self._result
+        return self._engine.result
 
     @property
     def needs_settle(self) -> bool:
@@ -245,17 +253,17 @@ class ResidentReasoner:
     @property
     def epoch(self) -> Tuple[int, int]:
         """(maintenance epoch, store mutation epoch) — cache freshness key."""
-        return (self.maintenance_epoch, self._store.epoch)
+        return (self.maintenance_epoch, self.store.epoch)
 
     def snapshot(self) -> StoreSnapshot:
         """An epoch-guarded read view of the warm store (see PR 4 protocol)."""
-        return self._store.snapshot()
+        return self.store.snapshot()
 
     def stats(self) -> Dict[str, float]:
         data = dict(self._stats)
-        data["resident_facts"] = len(self._store)
+        data["resident_facts"] = len(self.store)
         data["edb_facts"] = len(self._edb)
-        data["rounds"] = self._round
+        data["rounds"] = self.result.rounds
         data["dirty"] = self._dirty
         return data
 
@@ -279,18 +287,10 @@ class ResidentReasoner:
         self._edb.update(new_facts)
         if self._dirty:
             return 0
-        store = self._store
         # A fact already derived only gains extensional status: no new node.
-        added = self._engine.load_inputs(
-            new_facts, store, self._node_of, self._result, self._round
-        )
+        added = self._engine.load_inputs(new_facts)
         if added:
-            before = len(self._result.nodes)
-            self._engine.continue_rounds(
-                store, self._node_of, added, self._result, self._round
-            )
-            self._round = self._result.rounds
-            self._record_derivations(self._result.nodes[before:])
+            self._chase(added)
         self._stats["facts_upserted"] += len(added)
         if self._has_checks:
             self._violations_stale = True
@@ -325,7 +325,7 @@ class ResidentReasoner:
             if fact in self._edb:
                 retracted.append(fact)
                 continue
-            if not self._dirty and fact in self._store:
+            if not self._dirty and fact in self.store:
                 raise ValueError(
                     f"{fact!r} is derived, not extensional; only extensional "
                     "facts can be retracted"
@@ -353,8 +353,8 @@ class ResidentReasoner:
 
     def _dred(self, retracted: List[Fact]) -> None:
         """Delete-and-rederive: overdeletion, removal, restricted rederivation."""
-        store = self._store
-        node_of = self._node_of
+        store = self.store
+        node_of = self.result.node_of
         # -- overdeletion: closure over recorded derivations ------------------
         deleted: Set[Fact] = set()
         stack = [f for f in retracted if f in store]
@@ -369,14 +369,13 @@ class ResidentReasoner:
         if not deleted:
             return
         self._stats["overdeleted"] += len(deleted)
-        # -- removal: store, nodes, derivation index, fresh strategy ----------
+        # -- removal: store, node map, derivation index, fresh strategy -------
         for fact in deleted:
-            node = node_of.pop(fact, None)
-            if node is not None and node.parents:
+            node = node_of.pop(fact)
+            if node.parents:
                 self._derivations.unlink(fact, [p.fact for p in node.parents])
             store.remove(fact)
         self._derivations.forget(deleted)
-        self._result.nodes = [n for n in self._result.nodes if n.fact not in deleted]
         # Replay the survivors into a summary-free strategy: a fresh warded
         # strategy would re-learn stop-provenances over the mutilated store
         # and vertically prune rederivations of just-deleted facts (see the
@@ -385,10 +384,10 @@ class ResidentReasoner:
         strategy = self._reasoner._make_strategy()
         if isinstance(strategy, WardedTerminationStrategy):
             strategy = TrivialIsomorphismStrategy()
-        for node in self._result.nodes:
+        for node in node_of.values():
             strategy.register_input(node)
         self._engine.strategy = strategy
-        self._result.strategy = strategy
+        self.result.strategy = strategy
         # -- rederivation: full round restricted to the deleted predicates ----
         deleted_predicates = {f.predicate for f in deleted}
         rules = [
@@ -398,13 +397,7 @@ class ResidentReasoner:
         ]
         before_facts = len(store)
         if rules:
-            before = len(self._result.nodes)
-            seed = [node_of[f] for f in store.facts()]
-            self._engine.continue_rounds(
-                store, node_of, seed, self._result, self._round, rules=rules
-            )
-            self._round = self._result.rounds
-            self._record_derivations(self._result.nodes[before:])
+            self._chase([node_of[f] for f in store.facts()], rules)
         self._stats["rederived"] += len(store) - before_facts
 
     def ensure_settled(self) -> None:
@@ -415,8 +408,8 @@ class ResidentReasoner:
             self._materialise()
             self._stats["maintenance_seconds"] += time.perf_counter() - started
         if self._violations_stale:
-            self._result.violations = []
-            self._engine.check_violations(self._result)
+            self.result.violations = []
+            self._engine.check_violations()
             self._violations_stale = False
 
     # ------------------------------------------------------------------ queries
@@ -439,14 +432,14 @@ class ResidentReasoner:
         """
         if snapshot is None:
             self.ensure_settled()
-            view = self._result
+            view = self.result
         else:
             if self.needs_settle:
                 raise ResidentError(
                     "snapshot query on an unsettled reasoner; call "
                     "ensure_settled() under the writer lock first"
                 )
-            view = SimpleNamespace(store=snapshot, aggregates=self._result.aggregates)
+            view = SimpleNamespace(store=snapshot, aggregates=self.result.aggregates)
         if query is not None:
             query_atom = parse_atom(query) if isinstance(query, str) else query
             predicates: List[str] = [query_atom.predicate]
@@ -475,4 +468,4 @@ class ResidentReasoner:
     def violations(self):
         """The EGD/constraint violations of the current materialisation."""
         self.ensure_settled()
-        return list(self._result.violations)
+        return list(self.result.violations)

@@ -5,7 +5,9 @@ lazily read sources*.  That needs no second way to reach fixpoint:
 :class:`PipelineExecutor` drives the one round loop
 (:meth:`repro.core.chase.ChaseEngine.continue_rounds` — the seam the
 resident reasoner's upserts use) and only decides *how much input it has
-seen so far*.
+seen so far*.  The run's state — store, node map, round count — is its
+engine's :class:`~repro.core.chase.ChaseResult`; the driver keeps only its
+source cursors, the loaded-but-unchased delta and its answer cursors.
 
 * **Query-driven.**  Only the rules in the backward slice of the requested
   output predicates (:func:`repro.engine.plan.backward_slice`) are chased,
@@ -28,9 +30,11 @@ seen so far*.
   as one batch.
 
 Budgets, cancellation and round/rule spans are the round loop's own: the
-driver starts the engine's governor at the first pull (the deadline clock
-and the chase span start there, not at construction) and reads the status
-``continue_rounds`` leaves on the result.
+first pull calls :meth:`~repro.core.chase.ChaseEngine.start_run` (the
+deadline clock, the governor and the chase span start there, not at
+construction), the end calls
+:meth:`~repro.core.chase.ChaseEngine.finish_run`, and the driver reads the
+status ``continue_rounds`` leaves on the result.
 
 **Null-witness contract.**  A cold run to completion is one batch: the
 compiled chase on the sliced program, iso-identical to
@@ -50,7 +54,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from ..core.atoms import Fact
 from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
-from ..core.fact_store import FactStore
 from ..core.forests import ChaseNode
 from ..core.limits import STATUS_COMPLETE
 from ..core.rules import DOM_PREDICATE, Program
@@ -95,9 +98,6 @@ class PipelineExecutor:
         #: "chase" span; the span itself (and ``timings["chase"]``) starts
         #: at the *first pull* (``t_first_pull``) — streaming runs are lazy.
         self.created_at = time.perf_counter()
-        self._started_at: Optional[float] = None
-        self._chase_span = None
-        self._governor = None
 
         # ---- query-driven slice: outputs plus what the deferred EGD and
         # constraint checks will scan ------------------------------------
@@ -117,15 +117,12 @@ class PipelineExecutor:
             join_plans=join_plans,
             tracer=tracer,
         )
-        self.result = ChaseResult(
-            store=FactStore(),
-            nodes=[],
-            program=program,
-            strategy=strategy,
-            aggregates=self.engine.aggregates,
-            executor="streaming",
-        )
-        self.result.extra_stats.update(
+        # The engine chases the slice; the run reports as the streaming
+        # executor over the whole program.
+        result = self.engine.result
+        result.program = program
+        result.executor = "streaming"
+        result.extra_stats.update(
             pipeline_relevant_rules=len(rules),
             pipeline_pruned_rules=len(program.rules) - len(rules),
             pipeline_pruned_sources=len(input_managers) - len(self.sources),
@@ -133,38 +130,30 @@ class PipelineExecutor:
         )
 
         # ---- driving state ---------------------------------------------
-        self._node_of: Dict[Fact, ChaseNode] = {}
         #: Open source cursors (``None`` until the first batch opens them);
         #: an exhausted source leaves the dict.
         self._cursors: Optional[Dict[str, Iterator[Fact]]] = None
         self._batch = FIRST_BATCH
         #: Loaded input nodes not chased yet: the next rounds' delta.
         self._pending: List[ChaseNode] = []
-        self._round = 0
         self._first: Optional[Fact] = None
         #: Per output predicate, how many facts of its bucket were handed out.
         self._read = [0] * len(self.outputs)
         self._next_output = 0
 
+    @property
+    def result(self) -> ChaseResult:
+        """The run's result: the engine's own."""
+        return self.engine.result
+
     # ------------------------------------------------------------------ driving
     def _ensure_started(self) -> None:
-        """The first pull starts the clocks: chase span, deadline, ``elapsed``."""
-        if self._started_at is not None:
+        """The first pull starts the run: chase span, deadline, ``elapsed``."""
+        if self.engine.started_at is not None:
             return
-        tracer = self.tracer
-        if tracer is None:
-            self._started_at = time.perf_counter()
-        else:
-            # The chase span's start *is* the first-pull clock, so
-            # ``elapsed_seconds`` and the span are one measurement.
-            span = self._chase_span = tracer.begin(
-                "chase",
-                "chase:streaming",
-                executor="streaming",
-                t_create=self.created_at,
-            )
-            self._started_at = span.attrs["t_first_pull"] = span.t_start
-        self._governor = self.engine.start_governor()
+        span = self.engine.start_run(t_create=self.created_at)
+        if span is not None:
+            span.attrs["t_first_pull"] = span.t_start
 
     def _feed(self, size: Optional[int]) -> None:
         """Load up to ``size`` rows (all of them for ``None``) per open source."""
@@ -173,11 +162,7 @@ class PipelineExecutor:
                 predicate: manager.stream()
                 for predicate, manager in self.sources.items()
             }
-        self._pending.extend(
-            self.engine.load_inputs(
-                self._rows(size), self.result.store, self._node_of, self.result, self._round
-            )
-        )
+        self._pending.extend(self.engine.load_inputs(self._rows(size)))
         self._note_first_answer()
 
     def _rows(self, size: Optional[int]) -> Iterator[Fact]:
@@ -192,9 +177,7 @@ class PipelineExecutor:
     def _chase(self) -> None:
         """Chase the pending delta to fixpoint in the one round loop."""
         delta, self._pending = self._pending, []
-        self._round = self.engine.continue_rounds(
-            self.result.store, self._node_of, delta, self.result, self._round
-        )
+        self.engine.continue_rounds(delta)
         self._note_first_answer()
         if self.result.status != STATUS_COMPLETE:
             self._finish()
@@ -218,8 +201,9 @@ class PipelineExecutor:
         """True once the run was stopped.  Cancellation and the deadline are
         noticed here too, so they end an answer stream before it hands out
         answers derived earlier."""
-        if self._governor is not None and not self.finished:
-            stop = self._governor.interrupt_status()
+        governor = self.engine._governor
+        if governor is not None and not self.finished:
+            stop = governor.interrupt_status()
             if stop is not None:
                 self.result.status, self.result.stop_reason = stop
                 self._finish()
@@ -234,13 +218,15 @@ class PipelineExecutor:
             if bucket:
                 self._first = bucket[0]
                 self.result.extra_stats["pipeline_facts_at_first_answer"] = len(store)
-                self.result.first_answer_seconds = time.perf_counter() - self._started_at
+                self.result.first_answer_seconds = (
+                    time.perf_counter() - self.engine.started_at
+                )
                 return
 
     def _finish(self) -> None:
         if not self.finished:
             self.finished = True
-            self.engine.finish_run(self.result, self._chase_span, self._started_at)
+            self.engine.finish_run()
 
     # ------------------------------------------------------------------ answers
     def first_answer(self) -> Optional[Fact]:

@@ -349,8 +349,6 @@ class VadalogReasoner:
         self,
         program: Union[Program, str],
         strategy: Union[str, TerminationStrategy, None] = "warded",
-        eliminate_harmful: bool = True,
-        normalize: bool = True,
         chase_config: Optional[ChaseConfig] = None,
         base_path: Optional[str] = None,
         executor: str = "compiled",
@@ -361,8 +359,6 @@ class VadalogReasoner:
             )
         self.original_program = parse_program(program) if isinstance(program, str) else program
         self._strategy_spec = strategy
-        self.eliminate_harmful = eliminate_harmful
-        self.normalize = normalize
         self.chase_config = chase_config or ChaseConfig()
         self.base_path = base_path
         self.executor = executor
@@ -397,7 +393,7 @@ class VadalogReasoner:
                 "the program is not warded: termination of the chase is not guaranteed "
                 "by the warded strategy"
             )
-        if self.eliminate_harmful and analysis.has_harmful_joins:
+        if analysis.has_harmful_joins:
             try:
                 rewriting = eliminate_harmful_joins(optimized)
                 self.harmful_join_rewriting = rewriting
@@ -407,9 +403,7 @@ class VadalogReasoner:
                     f"harmful-join elimination skipped ({exc}); answers involving "
                     "labelled nulls joined harmfully may be incomplete"
                 )
-        if self.normalize:
-            optimized = normalize_for_chase(optimized)
-        return optimized
+        return normalize_for_chase(optimized)
 
     def _make_strategy(self) -> TerminationStrategy:
         if isinstance(self._strategy_spec, TerminationStrategy):

@@ -132,7 +132,8 @@ def answer_profile(
     predicate only; otherwise the scenario's declared outputs.  With
     ``lazy_steps`` the run is driven lazily instead — ``stream()``,
     ``first_answer()``, that many ``iter_answers()`` steps, ``complete()``
-    — so the input reaches the chase in several batches.
+    — so the input reaches the chase in several batches; after every pull
+    the store and the node map must still agree fact for fact.
     """
     scenario = SCENARIOS[name]()
     reasoner = VadalogReasoner(
@@ -147,9 +148,11 @@ def answer_profile(
     )
     if lazy_steps is not None:
         result.first_answer()
+        assert_one_node_per_fact(result.chase)
         for _fact in islice(result.iter_answers(), lazy_steps):
-            pass
+            assert_one_node_per_fact(result.chase)
         result.complete()
+        assert_one_node_per_fact(result.chase)
     predicates = (query.predicate,) if query is not None else scenario.outputs
     ground, iso, patterns = {}, {}, {}
     for predicate in predicates:
@@ -261,6 +264,11 @@ def point_query(name: str, reference: AnswerProfile) -> Atom:
         for position in range(arity)
     ]
     return Atom(predicate, terms)
+
+
+def assert_one_node_per_fact(chase) -> None:
+    """Every stored fact has exactly one chase node; every node's fact is stored."""
+    assert Counter(node.fact for node in chase.nodes) == Counter(chase.store.facts())
 
 
 def assert_profiles_match(

@@ -112,6 +112,16 @@ class TestSkolemChase:
         assert result.ground_tuples("KeyPerson") == reference.ground_tuples("KeyPerson")
 
 
+@pytest.mark.parametrize("engine_class", [SkolemChaseEngine, RestrictedChaseEngine])
+def test_aggregate_state_does_not_outlive_a_run(engine_class):
+    program = parse_program("Total(X, S) :- Own(X, Y, W), S = msum(W, <Y>).")
+    engine = engine_class(program)
+    engine.run([fact("Own", "a", "b", 0.6)])
+    second = engine.run([fact("Own", "a", "c", 0.1)])
+    fresh = engine_class(program).run([fact("Own", "a", "c", 0.1)])
+    assert second.ground_tuples("Total") == fresh.ground_tuples("Total") == {("a", 0.1)}
+
+
 class TestRecursiveSql:
     def test_rejects_existentials_and_aggregates(self):
         with pytest.raises(UnsupportedSqlFeature):

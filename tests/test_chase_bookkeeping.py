@@ -170,8 +170,8 @@ class TestAcyclicChaseNodes:
         result = VadalogReasoner(self.PROGRAM).reason(
             database={"E": [(i, i + 1) for i in range(10)]}
         )
-        nodes = result.chase.nodes
-        assert nodes and not hasattr(nodes[0], "__dict__")
+        nodes = result.chase.nodes  # a read-only view of the node map
+        assert nodes and not hasattr(next(iter(nodes)), "__dict__")
         for node in nodes:
             assert all(getattr(node, slot) is not node for slot in ChaseNode.__slots__)
         roots = [n for n in nodes if n.w_root is n]

@@ -20,6 +20,7 @@ from differential_harness import (
     SCENARIOS,
     AnswerProfile,
     _profile_facts,
+    assert_one_node_per_fact,
     assert_profiles_match,
     scenario_names,
 )
@@ -89,7 +90,9 @@ def test_upsert_matches_from_scratch(name):
     """Resident(initial) + upsert(tail) == reason(initial + tail)."""
     scenario, facts, initial, late = _scenario_split(name)
     resident = ResidentReasoner(scenario.program.copy(), database=initial)
+    assert_one_node_per_fact(resident.result)
     resident.upsert(late)
+    assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, facts)
     candidate = _resident_profile(resident, scenario.outputs)
     assert_profiles_match(
@@ -104,7 +107,9 @@ def test_retract_matches_from_scratch(name):
     resident = ResidentReasoner(
         SCENARIOS[name]().program.copy(), database=scenario.database
     )
+    assert_one_node_per_fact(resident.result)
     resident.retract(late)
+    assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, initial)
     candidate = _resident_profile(resident, scenario.outputs)
     assert_profiles_match(
@@ -119,8 +124,11 @@ def test_retract_then_reinsert_matches_from_scratch(name):
     resident = ResidentReasoner(
         SCENARIOS[name]().program.copy(), database=scenario.database
     )
+    assert_one_node_per_fact(resident.result)
     resident.retract(late)
+    assert_one_node_per_fact(resident.result)
     resident.upsert(late)
+    assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, facts)
     candidate = _resident_profile(resident, scenario.outputs)
     assert_profiles_match(
@@ -181,6 +189,19 @@ class TestUpsert:
         resident.upsert({"Edge": [("a", "d"), ("b", "c")]})
         assert not resident.needs_settle
         assert resident.query().ground_tuples("Degree") == {("a", 3), ("b", 1)}
+
+    def test_derived_facts_follow_a_retraction(self):
+        resident = ResidentReasoner(
+            REACH_PROGRAM, database={"Edge": [("a", "b"), ("b", "c"), ("x", "y")]}
+        )
+        assert ("x", "y") in {f.values() for f in resident.result.derived_facts()}
+        # One node goes and one comes back per predicate: the node count
+        # is what it was, the derived facts are not.
+        resident.retract({"Edge": [("x", "y")]})
+        resident.upsert({"Edge": [("p", "q")]})
+        derived = resident.result.derived_facts()
+        assert set(derived) == set(resident.store.by_predicate("Reach"))
+        assert ("p", "q") in {f.values() for f in derived}
 
 
 class TestDRedEdgeCases:

@@ -251,6 +251,11 @@ class TestConfigPlumbing:
             ChaseConfig(max_rounds=1)
         with pytest.raises(TypeError):
             ChaseConfig(max_facts=5)
+        # The deferred EGD and constraint checks always run.
+        with pytest.raises(TypeError):
+            ChaseConfig(check_constraints=False)
+        with pytest.raises(TypeError):
+            ChaseConfig(apply_egds=False)
 
     def test_peak_resident_facts_in_stats(self):
         result = reason(TC_PROGRAM, database=CHAIN_DB)

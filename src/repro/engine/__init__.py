@@ -22,7 +22,7 @@ from .plan import (
 )
 from .incremental import ResidentError, ResidentReasoner
 from .reasoner import ReasoningResult, VadalogReasoner, reason
-from .service import ReasoningService, predicate_dependencies
+from .service import ReasoningService
 from .record_managers import (
     DatabaseRecordManager,
     DataSourceRecordManager,
@@ -55,7 +55,6 @@ __all__ = [
     "ResidentError",
     "ResidentReasoner",
     "ReasoningService",
-    "predicate_dependencies",
     "VadalogReasoner",
     "reason",
     "DatabaseRecordManager",

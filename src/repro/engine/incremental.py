@@ -34,6 +34,18 @@ and maintains the materialisation under extensional **upserts** and
   twins of deleted facts share their predicate, so they are covered too) —
   and continues semi-naive until the fixpoint returns.
 
+**One answer memo.**  A query is a filter over the warm store.  Per
+``(predicates, certain)`` the reasoner memoises the extracted answer set,
+the point-query index built over it and the key's *footprint*: the
+backward slice of its predicates over the optimized program
+(:func:`~repro.engine.plan.backward_slice`).  Everything a write changes
+is derived from the facts it added to the store or removed from the
+extensional set, so it drops exactly the entries whose footprint meets
+those facts' predicates; a write that changes nothing drops nothing, and
+a rebuild starts from an empty memo.  The service layer
+(:class:`~repro.engine.service.ReasoningService`) keeps no cache of its
+own.
+
 **Warded-null handling, honestly.** The termination strategy is stateful
 (learned stop-provenances, per-tree isomorphism sets).  For upserts the
 live strategy is reused: anything it prunes has an isomorphic counterpart
@@ -66,9 +78,10 @@ store).
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import islice
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.atoms import Atom, Fact
 from ..core.chase import ChaseEngine, ChaseResult
@@ -81,12 +94,21 @@ from ..core.query import AnswerSet
 from ..core.rules import Program, Rule
 from ..core.termination import TrivialIsomorphismStrategy, WardedTerminationStrategy
 from .annotations import load_bound_facts
-from .reasoner import DatabaseLike, VadalogReasoner, _answer_step
+from .plan import backward_slice
+from .reasoner import DatabaseLike, VadalogReasoner, _answer_step, _filter_answers
 
 #: Executors able to maintain a warm store in-process (the streaming
 #: executor's engine chases a per-run slice of the program, so there is no
 #: whole-program materialisation to keep warm).
 RESIDENT_EXECUTORS = ("compiled", "naive")
+
+
+@lru_cache(maxsize=1024)
+def _parse_query(text: str) -> Atom:
+    """``parse_atom`` for point-query text, memoised: a service asks the same
+    texts over and over, and parsing costs about as much as the memo hit it
+    precedes.  Atoms are immutable, so callers can share one."""
+    return parse_atom(text)
 
 
 class ResidentError(RuntimeError):
@@ -164,8 +186,8 @@ class ResidentReasoner:
         self._has_checks = bool(reasoner.program.egds or reasoner.program.constraints)
         bindings = reasoner._collect_bindings(tuple(reasoner._output_predicates(None)))
         self._post_directives = bindings.post_directives
-        #: Monotone counter bumped by every upsert/retract — the service
-        #: layer keys its cache invalidation and snapshot freshness on it.
+        #: Monotone counter bumped by every upsert/retract (part of
+        #: :attr:`epoch`, the snapshot freshness key).
         self.maintenance_epoch = 0
         self._stats: Dict[str, float] = {
             "upserts": 0,
@@ -176,6 +198,9 @@ class ResidentReasoner:
             "rederived": 0,
             "full_rebuilds": 0,
             "maintenance_seconds": 0.0,
+            "cache_hits": 0,
+            "cache_misses": 0,
+            "invalidations": 0,
         }
         facts = list(VadalogReasoner._database_facts(database))
         facts.extend(load_bound_facts(bindings))
@@ -210,12 +235,13 @@ class ResidentReasoner:
         self._record_derivations(result.nodes)
         self._dirty = False
         self._violations_stale = False
-        #: Per-epoch cache of extracted (predicates, certain) answer sets,
-        #: each with the point-query index built over it on demand: distinct
-        #: point queries on the same predicate share one extraction
-        #: (isomorphic dedup + aggregate reduction + post directives) and
-        #: only pay an index probe.  Cleared on every write.
-        self._extract_cache: Dict[Tuple, Tuple[AnswerSet, Dict]] = {}
+        #: The answer memo: per (predicates, certain), the extracted answer
+        #: set, the point-query index built over it on demand and the key's
+        #: footprint (the backward slice of its predicates).  Distinct point
+        #: queries on one predicate share an extraction (isomorphic dedup +
+        #: aggregate reduction + post directives) and only pay an index
+        #: probe; a write drops the entries whose footprint it touches.
+        self._memo: Dict[Tuple, Tuple[AnswerSet, Dict, FrozenSet[str]]] = {}
 
     def _record_derivations(self, nodes: Iterable[ChaseNode]) -> None:
         record = self._derivations.record
@@ -252,7 +278,7 @@ class ResidentReasoner:
 
     @property
     def epoch(self) -> Tuple[int, int]:
-        """(maintenance epoch, store mutation epoch) — cache freshness key."""
+        """(maintenance epoch, store mutation epoch) — snapshot freshness key."""
         return (self.maintenance_epoch, self.store.epoch)
 
     def snapshot(self) -> StoreSnapshot:
@@ -265,6 +291,7 @@ class ResidentReasoner:
         data["edb_facts"] = len(self._edb)
         data["rounds"] = self.result.rounds
         data["dirty"] = self._dirty
+        data["cached_answers"] = len(self._memo)
         return data
 
     # ------------------------------------------------------------- maintenance
@@ -283,13 +310,15 @@ class ResidentReasoner:
         ]
         self.maintenance_epoch += 1
         self._stats["upserts"] += 1
-        self._extract_cache.clear()
         self._edb.update(new_facts)
         if self._dirty:
             return 0
-        # A fact already derived only gains extensional status: no new node.
+        # A fact already derived only gains extensional status: no new node,
+        # and no answer changes.  A key whose answers the chase below can
+        # change holds the added facts' predicates in its footprint.
         added = self._engine.load_inputs(new_facts)
         if added:
+            self._invalidate({node.fact.predicate for node in added})
             self._chase(added)
         self._stats["facts_upserted"] += len(added)
         if self._has_checks:
@@ -334,8 +363,8 @@ class ResidentReasoner:
         # extensional set and the materialisation move together.
         self.maintenance_epoch += 1
         self._stats["retractions"] += 1
-        self._extract_cache.clear()
         self._edb.difference_update(retracted)
+        self._invalidate({fact.predicate for fact in retracted})
         self._stats["facts_retracted"] += len(retracted)
         if not retracted or self._dirty:
             self._stats["maintenance_seconds"] += time.perf_counter() - started
@@ -350,6 +379,15 @@ class ResidentReasoner:
             self._violations_stale = True
         self._stats["maintenance_seconds"] += time.perf_counter() - started
         return len(retracted)
+
+    def _invalidate(self, predicates: Set[str]) -> None:
+        """Drop the memo entries whose footprint meets ``predicates``."""
+        stale = [
+            key for key, entry in self._memo.items() if not predicates.isdisjoint(entry[2])
+        ]
+        for key in stale:
+            del self._memo[key]
+        self._stats["invalidations"] += len(stale)
 
     def _dred(self, retracted: List[Fact]) -> None:
         """Delete-and-rederive: overdeletion, removal, restricted rederivation."""
@@ -441,7 +479,7 @@ class ResidentReasoner:
                 )
             view = SimpleNamespace(store=snapshot, aggregates=self.result.aggregates)
         if query is not None:
-            query_atom = parse_atom(query) if isinstance(query, str) else query
+            query_atom = _parse_query(query) if isinstance(query, str) else query
             predicates: List[str] = [query_atom.predicate]
         else:
             query_atom = None
@@ -450,14 +488,19 @@ class ResidentReasoner:
                 if outputs is not None
                 else self._reasoner._output_predicates(None)
             )
-        return _answer_step(
-            view,
-            predicates,
-            certain,
-            self._post_directives,
-            query_atom,
-            memo=self._extract_cache,
-        )
+        key = (tuple(predicates), certain)
+        entry = self._memo.get(key)
+        if entry is None:
+            self._stats["cache_misses"] += 1
+            answers = _answer_step(view, key[0], certain, self._post_directives)
+            footprint = frozenset(backward_slice(self.program, key[0])[0])
+            entry = self._memo[key] = (answers, {}, footprint)
+        else:
+            self._stats["cache_hits"] += 1
+        answers, index, _ = entry
+        if query_atom is None:
+            return answers
+        return _filter_answers(answers, query_atom, index)
 
     def answers(
         self, outputs: Optional[Iterable[str]] = None, certain: bool = False

@@ -796,11 +796,6 @@ class VadalogReasoner:
         """
         from .incremental import ResidentReasoner
 
-        if not isinstance(self._strategy_spec, (str, type(None))):
-            raise ValueError(
-                "resident maintenance needs a named termination strategy; "
-                "this reasoner was built with a strategy instance"
-            )
         return ResidentReasoner(self, database=database)
 
     def explain(self) -> str:
@@ -845,29 +840,18 @@ def _answer_step(
     certain: bool,
     post_directives: Sequence,
     query_atom: Optional[Atom] = None,
-    memo: Optional[Dict[Tuple, Tuple[AnswerSet, Dict]]] = None,
 ) -> AnswerSet:
     """The one answer step: extract → post directives → query-atom filter.
 
     ``view`` is a chase result, or anything else with its ``store`` and
-    ``aggregates`` (the resident reasoner's snapshot view).  ``memo`` keeps
-    the extracted, post-processed set per ``(predicates, certain)`` together
-    with the point-query index :func:`_filter_answers` builds over it: the
-    resident reasoner's point queries on one predicate share an extraction
-    and pay only the filter, which never mutates the answers.
+    ``aggregates`` (the resident reasoner's snapshot view).  The resident
+    reasoner memoises the unfiltered set and filters it per point query.
     """
-    key = (tuple(predicates), certain)
-    entry = memo.get(key) if memo is not None else None
-    if entry is None:
-        answers = apply_post_directives(
-            extract_answers(view, Query(key[0], certain=certain)), post_directives
-        )
-        entry = (answers, {})
-        if memo is not None:
-            memo[key] = entry
-    answers, index = entry
+    answers = apply_post_directives(
+        extract_answers(view, Query(tuple(predicates), certain=certain)), post_directives
+    )
     if query_atom is not None:
-        answers = _filter_answers(answers, query_atom, index)
+        answers = _filter_answers(answers, query_atom, {})
     return answers
 
 

@@ -7,16 +7,13 @@ queries are admitted concurrently against epoch-guarded
 read snapshot is the isolation primitive) while upserts and retractions
 serialise through a writer lock.
 
-On top of the lock the service keeps a shared, invalidation-aware answer
-cache — the generalisation of the per-reasoner magic-spec LRU: each cache
-entry stores the parsed **run spec** of a query (query atom, answer
-predicates and its *predicate footprint*) together with the answers
-computed against the current materialisation.  The footprint of a query
-is the transitive body-predicate dependency closure of its answer
-predicates over the optimized program; a write to predicate ``p``
-invalidates exactly the entries whose footprint contains ``p`` (the spec
-itself survives invalidation — re-asking the same query re-uses the
-parsed atom and the precomputed footprint and only recomputes answers).
+The service keeps no answers of its own: queries read through the
+resident reasoner's memo (:meth:`~repro.engine.incremental.ResidentReasoner
+.query`), one entry per answer-predicate key, each with its *footprint* —
+the backward slice of its predicates over the optimized program.  A write
+drops exactly the entries whose footprint meets the predicates of the facts
+it changed.  Entries are filled under the reader lock and dropped under the
+writer lock, so answers computed before a write are never served after it.
 
 All blocking entry points have ``*_async`` twins that run them in a
 worker thread via :func:`asyncio.to_thread`, so an event loop can admit
@@ -27,17 +24,14 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Union
 
 from ..core.atoms import Atom
-from ..core.parser import parse_atom
 from ..core.query import AnswerSet
-from ..core.rules import Program
 from .incremental import ResidentReasoner
-from .plan import tarjan_components
-from .reasoner import DatabaseLike, VadalogReasoner
+from .plan import backward_slice
+from .reasoner import DatabaseLike
 
 
 class _ReadWriteLock:
@@ -92,55 +86,6 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
-def predicate_dependencies(program: Program) -> Dict[str, FrozenSet[str]]:
-    """Transitive body-predicate dependency closure per head predicate.
-
-    ``deps[p]`` contains ``p`` itself plus every predicate whose facts can
-    (transitively) feed a rule deriving ``p`` — the invalidation footprint
-    of a query on ``p``.  Predicates never derived map to ``{p}``.
-    """
-    direct: Dict[str, Set[str]] = {}
-    for rule in program.rules:
-        body_predicates = {atom.predicate for atom in rule.body}
-        for head in rule.head:
-            direct.setdefault(head.predicate, set()).update(body_predicates)
-    # Closures are computed per strongly-connected component: every member
-    # of an SCC shares one closure — the component itself plus the closures
-    # of its successor components.  Components arrive in reverse-topological
-    # order, so by the time one closes, every cross-edge successor already
-    # has its full closure; same-component successors fall back to
-    # ``{succ}``, already covered by the component set.  (A per-predicate
-    # memo cannot do this: inside a cycle it caches whichever partial set
-    # the traversal order happened to produce.)
-    closure: Dict[str, FrozenSet[str]] = {}
-    for component in tarjan_components(direct, direct):
-        deps: Set[str] = set(component)
-        for member in component:
-            for succ in direct.get(member, ()):
-                deps.update(closure.get(succ, (succ,)))
-        shared = frozenset(deps)
-        for member in component:
-            closure[member] = shared
-    return closure
-
-
-class _CacheEntry:
-    """One cached query: its parsed run spec plus (maybe stale) answers."""
-
-    __slots__ = ("query_atom", "predicates", "footprint", "answers")
-
-    def __init__(
-        self,
-        query_atom: Optional[Atom],
-        predicates: Tuple[str, ...],
-        footprint: FrozenSet[str],
-    ) -> None:
-        self.query_atom = query_atom
-        self.predicates = predicates
-        self.footprint = footprint
-        self.answers: Optional[AnswerSet] = None
-
-
 class ReasoningService:
     """Concurrent point queries and serialized updates over a warm store.
 
@@ -166,7 +111,6 @@ class ReasoningService:
         executor: str = "compiled",
         chase_config=None,
         base_path: Optional[str] = None,
-        cache_size: int = 128,
     ) -> None:
         self._resident = (
             program
@@ -181,49 +125,22 @@ class ReasoningService:
             )
         )
         self._lock = _ReadWriteLock()
-        self._cache_lock = threading.Lock()
-        self._cache: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
-        self._cache_size = max(0, cache_size)
-        self._deps = predicate_dependencies(self._resident.program)
-        self._counters = {
-            "queries": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "invalidations": 0,
-            "upserts": 0,
-            "retractions": 0,
-        }
+        self._counters = {"queries": 0, "upserts": 0, "retractions": 0}
 
     # ------------------------------------------------------------------ updates
     def upsert(self, facts: DatabaseLike) -> int:
-        """Serialized extensional upsert; invalidates dependent cached answers."""
-        coerced = VadalogReasoner._database_facts(facts)
+        """Serialized extensional upsert; drops dependent memo entries."""
         with self._lock.write():
-            added = self._resident.upsert(coerced)
+            added = self._resident.upsert(facts)
             self._counters["upserts"] += 1
-            self._invalidate({fact.predicate for fact in coerced})
         return added
 
     def retract(self, facts: DatabaseLike) -> int:
-        """Serialized extensional retraction (DRed); invalidates dependents."""
-        coerced = VadalogReasoner._database_facts(facts)
+        """Serialized extensional retraction (DRed); drops dependent entries."""
         with self._lock.write():
-            removed = self._resident.retract(coerced)
+            removed = self._resident.retract(facts)
             self._counters["retractions"] += 1
-            self._invalidate({fact.predicate for fact in coerced})
         return removed
-
-    def _invalidate(self, written_predicates: Set[str]) -> None:
-        """Drop cached answers whose footprint intersects the written set."""
-        if not written_predicates:
-            return
-        with self._cache_lock:
-            for entry in self._cache.values():
-                if entry.answers is not None and not written_predicates.isdisjoint(
-                    entry.footprint
-                ):
-                    entry.answers = None
-                    self._counters["invalidations"] += 1
 
     # ------------------------------------------------------------------ queries
     def query(
@@ -234,20 +151,11 @@ class ReasoningService:
     ) -> AnswerSet:
         """Answer a point query against a snapshot of the warm store.
 
-        Cached answers are served without touching the store; otherwise the
-        query runs under the reader lock against an epoch-guarded snapshot
-        (settling any deferred maintenance under the writer lock first) and
-        the result is cached against its predicate footprint.
+        Deferred maintenance is settled under the writer lock first; the
+        query then runs under the reader lock against an epoch-guarded
+        snapshot, served from (or filling) the resident reasoner's memo.
         """
         self._counters["queries"] += 1
-        key = self._cache_key(query, outputs, certain)
-        entry = self._lookup(key)
-        if entry is not None and entry.answers is not None:
-            self._counters["cache_hits"] += 1
-            return entry.answers
-        self._counters["cache_misses"] += 1
-        if entry is None:
-            entry = self._build_entry(query, outputs)
         while True:
             if self._resident.needs_settle:
                 with self._lock.write():
@@ -255,69 +163,9 @@ class ReasoningService:
             with self._lock.read():
                 if self._resident.needs_settle:
                     continue  # a writer slipped in between the two locks
-                epoch = self._resident.epoch
-                answers = self._resident.query(
-                    entry.query_atom,
-                    outputs=entry.predicates,
-                    certain=certain,
-                    snapshot=self._resident.snapshot(),
+                return self._resident.query(
+                    query, outputs, certain, snapshot=self._resident.snapshot()
                 )
-                break
-        self._store_entry(key, entry, answers, epoch)
-        return answers
-
-    def _cache_key(self, query, outputs, certain) -> Tuple:
-        query_text = str(query) if query is not None else None
-        output_key = tuple(outputs) if outputs is not None else None
-        return (query_text, output_key, certain)
-
-    def _lookup(self, key: Tuple) -> Optional[_CacheEntry]:
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._cache.move_to_end(key)
-            return entry
-
-    def _build_entry(self, query, outputs) -> _CacheEntry:
-        if query is not None:
-            query_atom = parse_atom(query) if isinstance(query, str) else query
-            predicates: Tuple[str, ...] = (query_atom.predicate,)
-        else:
-            query_atom = None
-            predicates = tuple(
-                outputs
-                if outputs is not None
-                else self._resident._reasoner._output_predicates(None)
-            )
-        footprint: Set[str] = set()
-        for predicate in predicates:
-            footprint.update(self._deps.get(predicate, frozenset((predicate,))))
-        return _CacheEntry(query_atom, predicates, frozenset(footprint))
-
-    def _store_entry(
-        self,
-        key: Tuple,
-        entry: _CacheEntry,
-        answers: AnswerSet,
-        epoch: Tuple[int, int],
-    ) -> None:
-        """Cache ``answers`` unless a writer ran since they were computed.
-
-        ``epoch`` was captured under the read lock; a writer bumps the
-        resident epoch *before* invalidating the cache, so checking it
-        under the cache lock closes the window where pre-write answers
-        could be inserted after the writer's invalidation pass.
-        """
-        with self._cache_lock:
-            if self._resident.epoch != epoch:
-                return  # answers predate a write: serve them, never cache them
-            entry.answers = answers
-            if self._cache_size == 0:
-                return
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------- async
     async def query_async(
@@ -341,17 +189,15 @@ class ReasoningService:
 
     def footprint(self, predicate: str) -> FrozenSet[str]:
         """The invalidation footprint of a query on ``predicate``."""
-        return self._deps.get(predicate, frozenset((predicate,)))
+        return frozenset(backward_slice(self._resident.program, [predicate])[0])
 
     def stats(self) -> Dict[str, object]:
+        resident = self._resident.stats()
         data: Dict[str, object] = dict(self._counters)
-        with self._cache_lock:
-            data["cached_specs"] = len(self._cache)
-            data["cached_answers"] = sum(
-                1 for entry in self._cache.values() if entry.answers is not None
-            )
-        data["resident"] = self._resident.stats()
+        for key in ("cache_hits", "cache_misses", "invalidations", "cached_answers"):
+            data[key] = resident[key]
+        data["resident"] = resident
         return data
 
 
-__all__ = ["ReasoningService", "predicate_dependencies"]
+__all__ = ["ReasoningService"]

@@ -81,8 +81,20 @@ def _scratch_profile(name, facts) -> AnswerProfile:
     return _profile_answers(result.answers, scenario.outputs)
 
 
+def _warm(resident, predicates) -> None:
+    """Fill every memo entry a write could leave stale: all outputs, each output."""
+    resident.answers()
+    for predicate in predicates:
+        resident.query(outputs=[predicate])
+
+
 def _resident_profile(resident, predicates) -> AnswerProfile:
-    return _profile_answers(resident.answers(), predicates)
+    answers = resident.answers()
+    for predicate in predicates:
+        assert resident.query(outputs=[predicate]).facts(predicate) == answers.facts(
+            predicate
+        ), predicate
+    return _profile_answers(answers, predicates)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -91,6 +103,7 @@ def test_upsert_matches_from_scratch(name):
     scenario, facts, initial, late = _scenario_split(name)
     resident = ResidentReasoner(scenario.program.copy(), database=initial)
     assert_one_node_per_fact(resident.result)
+    _warm(resident, scenario.outputs)
     resident.upsert(late)
     assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, facts)
@@ -108,6 +121,7 @@ def test_retract_matches_from_scratch(name):
         SCENARIOS[name]().program.copy(), database=scenario.database
     )
     assert_one_node_per_fact(resident.result)
+    _warm(resident, scenario.outputs)
     resident.retract(late)
     assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, initial)
@@ -120,13 +134,23 @@ def test_retract_matches_from_scratch(name):
 @pytest.mark.parametrize("name", scenario_names())
 def test_retract_then_reinsert_matches_from_scratch(name):
     """A retract/upsert round trip converges back to the full database."""
-    scenario, facts, _initial, late = _scenario_split(name)
+    scenario, facts, initial, late = _scenario_split(name)
     resident = ResidentReasoner(
         SCENARIOS[name]().program.copy(), database=scenario.database
     )
     assert_one_node_per_fact(resident.result)
+    _warm(resident, scenario.outputs)
     resident.retract(late)
     assert_one_node_per_fact(resident.result)
+    # Checked midway too: memo entries left over from the full database
+    # would be right again after the round trip.
+    assert_profiles_match(
+        name,
+        _scratch_profile(name, initial),
+        _resident_profile(resident, scenario.outputs),
+        check_iso=False,
+        label="round-trip retract",
+    )
     resident.upsert(late)
     assert_one_node_per_fact(resident.result)
     reference = _scratch_profile(name, facts)
@@ -180,6 +204,22 @@ class TestUpsert:
         assert second > first
         resident.retract({"Edge": [("b", "c")]})
         assert resident.epoch > second
+
+    def test_no_op_writes_keep_the_memo(self):
+        resident = ResidentReasoner(
+            REACH_PROGRAM, database={"Edge": [("a", "b"), ("b", "c")]}
+        )
+        resident.query('Reach("a", Y)')
+        epoch = resident.epoch
+        # Already extensional, already derived, never stored: nothing changes.
+        assert resident.upsert({"Edge": [("a", "b")]}) == 0
+        assert resident.upsert({"Reach": [("a", "c")]}) == 0
+        assert resident.retract({"Edge": [("x", "y")]}) == 0
+        assert resident.epoch > epoch
+        assert resident.query('Reach("b", Y)').ground_tuples("Reach") == {("b", "c")}
+        stats = resident.stats()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
+        assert stats["invalidations"] == 0
 
     def test_aggregates_stay_incremental_under_upsert(self):
         resident = ResidentReasoner(
@@ -458,6 +498,9 @@ class TestConstruction:
             ResidentReasoner(
                 REACH_PROGRAM, strategy=WardedTerminationStrategy()
             )
+        reasoner = VadalogReasoner(REACH_PROGRAM, strategy=WardedTerminationStrategy())
+        with pytest.raises(ValueError, match="named termination strategy"):
+            reasoner.resident()
 
     def test_reasoner_resident_entry_point(self):
         reasoner = VadalogReasoner(REACH_PROGRAM)

@@ -1,19 +1,18 @@
-"""The reasoning service: locking, answer-cache invalidation, async, mixed load."""
+"""The reasoning service: locking, memo invalidation, async, mixed load."""
 
 import asyncio
 import sys
 import threading
+import time
 
 import pytest
 
 from differential_harness import _profile_facts
-from repro.core.parser import parse_atom, parse_program
+from repro.core.parser import parse_atom
+from repro.core.transform import is_auxiliary_predicate
+from repro.engine import reasoner as reasoner_module
 from repro.engine.reasoner import VadalogReasoner
-from repro.engine.service import (
-    ReasoningService,
-    _ReadWriteLock,
-    predicate_dependencies,
-)
+from repro.engine.service import ReasoningService, _ReadWriteLock
 from repro.workloads import service_operations, service_scenario
 
 REACH_PROGRAM = """
@@ -39,41 +38,50 @@ Degree(X, N) :- Edge(X, Y), N = mcount(Y).
 
 class TestPredicateDependencies:
     def test_transitive_footprint(self):
-        program = parse_program(
+        service = ReasoningService(
             """
+            @output("Audit").
             Audit(Y, Z) :- Source(X), Reach(X, Y).
             Reach(X, Y) :- Edge(X, Y).
             Reach(X, Z) :- Reach(X, Y), Edge(Y, Z).
             """
         )
-        deps = predicate_dependencies(program)
-        assert deps["Reach"] == frozenset({"Reach", "Edge"})
-        assert deps["Audit"] == frozenset({"Audit", "Source", "Reach", "Edge"})
+        assert service.footprint("Reach") == frozenset({"Reach", "Edge"})
+        # The optimized program routes the existential through an auxiliary
+        # predicate, which belongs to the footprint too.
+        audit = service.footprint("Audit")
+        assert {p for p in audit if not is_auxiliary_predicate(p)} == {
+            "Audit",
+            "Source",
+            "Reach",
+            "Edge",
+        }
 
     def test_underived_predicate_maps_to_itself(self):
         service = ReasoningService(REACH_PROGRAM)
         assert service.footprint("Edge") == frozenset({"Edge"})
 
     def test_independent_components_do_not_share_footprints(self):
-        deps = predicate_dependencies(parse_program(TWO_COMPONENTS))
-        assert deps["A"] == frozenset({"A", "B"})
-        assert deps["C"] == frozenset({"C", "D"})
+        service = ReasoningService(TWO_COMPONENTS)
+        assert service.footprint("A") == frozenset({"A", "B"})
+        assert service.footprint("C") == frozenset({"C", "D"})
 
     def test_cycle_members_share_the_complete_closure(self):
         # B is resolved first and recurses into A, which hits the B cycle
         # before ever seeing C — a per-predicate memo caches closure[A]
         # without C, and writes to C then never invalidate queries on A.
-        program = parse_program(
+        service = ReasoningService(
             """
+            @output("A").
+            @output("B").
             B(X) :- A(X).
             B(X) :- C(X).
             A(X) :- B(X).
             """
         )
-        deps = predicate_dependencies(program)
-        assert deps["A"] == frozenset({"A", "B", "C"})
-        assert deps["B"] == frozenset({"A", "B", "C"})
-        assert deps["C"] == frozenset({"C"})
+        assert service.footprint("A") == frozenset({"A", "B", "C"})
+        assert service.footprint("B") == frozenset({"A", "B", "C"})
+        assert service.footprint("C") == frozenset({"C"})
 
     def test_write_inside_cycle_invalidates_cycle_queries(self):
         # The service-level consequence of the closure above: a write to a
@@ -137,7 +145,7 @@ class TestAnswerCache:
         )
         first = service.query('Reach("a", Y)')
         second = service.query('Reach("a", Y)')
-        assert first is second
+        assert first.facts_by_predicate == second.facts_by_predicate
         stats = service.stats()
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
@@ -174,45 +182,62 @@ class TestAnswerCache:
             ("a", "b")
         }
 
-    def test_lru_eviction_respects_cache_size(self):
+    def test_point_queries_share_one_entry(self):
+        # One memo entry per answer predicate: the point queries filter it,
+        # so distinct query texts cannot grow the memo and need no bound.
         service = ReasoningService(
             REACH_PROGRAM,
             database={"Edge": [("a", "b"), ("b", "c"), ("c", "d")]},
-            cache_size=2,
         )
         for node in ("a", "b", "c"):
             service.query(f'Reach("{node}", Y)')
-        assert service.stats()["cached_specs"] == 2
-
-    def test_cache_size_zero_disables_caching(self):
-        service = ReasoningService(
-            REACH_PROGRAM, database={"Edge": [("a", "b")]}, cache_size=0
-        )
-        service.query('Reach("a", Y)')
-        service.query('Reach("a", Y)')
         stats = service.stats()
-        assert stats["cached_specs"] == 0
-        assert stats["cache_hits"] == 0
+        assert stats["cached_answers"] == 1
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 2)
 
-    def test_pre_write_answers_are_never_cached(self):
-        # The race the epoch check closes: a reader computes answers, a
-        # writer invalidates the cache, and only then does the reader reach
-        # _store_entry — inserting pre-write answers that would be served
-        # as hits until a later write touched the same footprint.
+    def test_writer_waits_for_the_reader_filling_the_memo(self, monkeypatch):
+        # A reader fills the memo under the reader lock and a writer drops
+        # entries under the writer lock, so answers computed before a write
+        # can never be served after it.
         service = ReasoningService(REACH_PROGRAM, database={"Edge": [("a", "b")]})
-        key = service._cache_key('Reach("a", Y)', None, False)
-        entry = service._build_entry('Reach("a", Y)', None)
-        epoch = service.resident.epoch
-        answers = service.resident.query(
-            entry.query_atom, outputs=entry.predicates
+        extracting = threading.Event()
+        release = threading.Event()
+        original = reasoner_module.extract_answers
+
+        def blocking_extract(*args, **kwargs):
+            extracting.set()
+            release.wait(10)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reasoner_module, "extract_answers", blocking_extract)
+        done = []
+        reader = threading.Thread(
+            target=lambda: done.append(("read", service.query('Reach("a", Y)')))
         )
-        service.upsert({"Edge": [("b", "c")]})  # writer wins the window
-        service._store_entry(key, entry, answers, epoch)
-        assert entry.answers is None
+        writer = threading.Thread(
+            target=lambda: done.append(("write", service.upsert({"Edge": [("b", "c")]})))
+        )
+        reader.start()
+        assert extracting.wait(10)
+        epoch = service.resident.epoch
+        writer.start()
+        deadline = time.monotonic() + 10
+        while not service._lock._writers_waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert service._lock._writers_waiting == 1  # the writer is queued
+        assert service.resident.epoch == epoch and done == []
+        release.set()
+        reader.join(10)
+        writer.join(10)
+        assert [kind for kind, _ in done] == ["read", "write"]
+        assert done[0][1].ground_tuples("Reach") == {("a", "b")}
         assert service.query('Reach("a", Y)').ground_tuples("Reach") == {
             ("a", "b"),
             ("a", "c"),
         }
+        stats = service.stats()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (2, 0)
+        assert stats["invalidations"] == 1
 
     def test_full_extraction_and_outputs_key_separately(self):
         service = ReasoningService(
@@ -222,8 +247,9 @@ class TestAnswerCache:
         service.query(outputs=["Reach"])
         service.query()
         stats = service.stats()
-        assert stats["cache_misses"] == 2
-        assert stats["cache_hits"] == 1
+        # Both name the declared output: one memo entry serves all three.
+        assert stats["cache_misses"] == 1
+        assert stats["cache_hits"] == 2
 
 
 class TestDeferredMaintenance:
@@ -326,7 +352,6 @@ class TestConcurrency:
         service = ReasoningService(
             REACH_PROGRAM,
             database={"Edge": [(f"n{i}", f"n{(i + 1) % n}") for i in range(n)]},
-            cache_size=0,  # every query reaches the resident reasoner's filter
         )
         workers = 8
         failures = []

@@ -20,7 +20,8 @@ judges can be fed synthetic numbers (``tests/test_check_bench.py``).
     ``ReasoningService`` and a from-scratch service.  It fails when the
     median queries/sec fell below the scaled ``service_throughput`` entry,
     when the resident speedup over from-scratch drops below 2x, or when the
-    two services disagree on the final ``Reach`` relation.
+    two services disagree on the final ``Reach`` relation or on the nodes
+    of the final ``Audit`` relation (its second column is a labelled null).
 ``--trace-overhead``
     Runs eleven smoke scenarios untraced and with ``trace=True`` on the
     compiled and streaming executors and fails when a traced median exceeds
@@ -322,8 +323,16 @@ def gate_scaling_curves(update: bool, slowdown: float) -> int:
 
 
 # ------------------------------------------------------- service throughput
+def _final_outputs(answers):
+    """What both services must agree on: ``Reach`` and the audited nodes."""
+    return {
+        "Reach": sorted(answers.ground_tuples("Reach")),
+        "Audit": sorted({row[0] for row in answers.tuples("Audit")}),
+    }
+
+
 def _replay_resident(scenario, operations):
-    """(seconds, query latencies, final Reach) through the resident service."""
+    """(seconds, query latencies, final outputs) through the resident service."""
     service = ReasoningService(scenario.program.copy(), database=scenario.database)
     latencies = []
     started = time.perf_counter()
@@ -337,11 +346,11 @@ def _replay_resident(scenario, operations):
             service.query(payload)
             latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - started
-    return elapsed, latencies, sorted(service.query().ground_tuples("Reach"))
+    return elapsed, latencies, _final_outputs(service.query())
 
 
 def _replay_scratch(scenario, operations):
-    """(seconds, final Reach) through the from-scratch service.
+    """(seconds, final outputs) through the from-scratch service.
 
     The honest non-resident service: answers and the point-query index over
     them are memoized between writes, but every write drops them and the
@@ -373,7 +382,7 @@ def _replay_scratch(scenario, operations):
     final = reasoner.reason(
         database={"Edge": sorted(edges), "Source": sources}, outputs=scenario.outputs
     )
-    return elapsed, sorted(final.answers.ground_tuples("Reach"))
+    return elapsed, _final_outputs(final.answers)
 
 
 def replay_service() -> Tuple[int, float, float, float]:
@@ -386,15 +395,16 @@ def replay_service() -> Tuple[int, float, float, float]:
     operations = list(
         service_operations(scenario, n_ops=SERVICE_OPS, update_ratio=SERVICE_RATIO)
     )
-    resident_seconds, latencies, resident_reach = _replay_resident(scenario, operations)
-    scratch_seconds, scratch_reach = _replay_scratch(
+    resident_seconds, latencies, resident_final = _replay_resident(scenario, operations)
+    scratch_seconds, scratch_final = _replay_scratch(
         service_scenario(n_nodes=SERVICE_NODES), operations
     )
-    if resident_reach != scratch_reach:
-        raise SystemExit(
-            "service gate FAILED: resident and from-scratch services disagree "
-            "on the final Reach relation (correctness, not noise)"
-        )
+    for predicate, rows in resident_final.items():
+        if rows != scratch_final[predicate]:
+            raise SystemExit(
+                "service gate FAILED: resident and from-scratch services disagree "
+                f"on the final {predicate} relation (correctness, not noise)"
+            )
     return (
         len(latencies),
         len(latencies) / resident_seconds,

@@ -176,8 +176,9 @@ class ChaseEngine:
     ``"compiled"`` (the default)
         Each rule is compiled once into a slot-machine join plan
         (:func:`repro.engine.plan.compile_rule_join_plan`) and evaluated by
-        tuple position through the store's dynamic indexes
-        (:class:`repro.engine.joins.CompiledRuleExecutor`).
+        tuple position through the store's dynamic indexes, by a generated
+        join kernel shared by every rule of the plan's shape
+        (:class:`repro.engine.joins.CompiledRuleExecutor`, built here).
     ``"naive"``
         The original interpreted backtracking matcher building a binding
         ``dict`` per candidate fact.  Kept as the reference implementation
@@ -524,8 +525,10 @@ class ChaseEngine:
         """Hot path: evaluate the rule body through its compiled join plan.
 
         The executor already evaluated every comparison that only needs body
-        slots; each full match goes straight to :meth:`fire_slots`, with the
-        store and the node map bound once per rule application.
+        slots, ticked the governor once per full match and dropped the
+        matches whose head rows are all stored; each remaining match goes
+        straight to :meth:`fire_slots`, with the store and the node map
+        bound once per rule application.
         """
         result = self.result
         store = result.store
@@ -543,9 +546,9 @@ class ChaseEngine:
             # Copied: the store's bucket grows as the round admits facts.
             seed_lists[0] = list(store.by_predicate(plan.seed_plans[0].seed.predicate))
         fire = self.fire_slots
-        for slots, used_facts in executor.matches(store, round_index, seed_lists):
-            if tick is not None:
-                tick()
+        for slots, used_facts in executor.matches(
+            store, round_index, result=result, tick=tick, seed_lists=seed_lists
+        ):
             fire(rule, plan, slots, used_facts, store, node_of, round_index, result, produced)
         return produced
 

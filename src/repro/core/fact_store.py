@@ -59,6 +59,11 @@ class FactStore:
     lists: the compiled probe loop iterates a live bucket while the fire path
     appends to it, and the order-sensitive null witnesses depend on
     insertion order.
+
+    **Layout readers.**  Besides this class, only the generated join kernels
+    of :mod:`repro.engine.joins` read the store's private layout: ``_rows``
+    (the dedup map), ``_position_index`` (the per-position buckets) and
+    ``_round_of`` (insertion rounds), each bound once per kernel call.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
@@ -309,14 +314,6 @@ class FactStore:
         if position_dicts is None or position >= len(position_dicts):
             return _EMPTY
         return position_dicts[position].get(term, _EMPTY)
-
-    def position_dicts(self, predicate: str) -> Optional[List[Dict[Term, List[Fact]]]]:
-        """The raw per-position index of a predicate (``None`` when unknown).
-
-        Exposed for the compiled executor, whose innermost probe loop wants
-        one dictionary access per bound position instead of a method call.
-        """
-        return self._position_index.get(predicate)
 
     def candidates(self, atom: Atom, binding: Dict[Variable, Term]) -> Sequence[Fact]:
         """Facts that could match ``atom`` under the (partial) ``binding``.

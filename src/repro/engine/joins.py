@@ -8,132 +8,75 @@ tends to the number of facts of the first predicate.
 
 :class:`CompiledRuleExecutor` is that join: the indexes are the fact store's
 per-position dictionaries, maintained on every insert, and the iterators are
-the steps of a compiled :class:`~repro.engine.plan.RuleJoinPlan`.
+the steps of a compiled :class:`~repro.engine.plan.RuleJoinPlan`.  Section 4
+compiles the access plan into an executable pipeline; here that goes down to
+the interpreter's level.  Each plan is rendered into Python source — one
+generator function in which every seed plan is a nest of ``for`` loops,
+every positional check and slot write a line of straight code and every
+slot a local variable — and compiled once per *shape*: the plan with its
+predicate names, constants and conditions taken out.  Those reach the
+kernel as a positional tuple, one entry per occurrence, so the source
+holds no program text and rules of one shape share one function.  A seed
+plan longer than :data:`MAX_NESTING` atoms continues in a further function
+of the same source, so no function nests more blocks than CPython allows.
+
+At the leaf of a rule with head templates and no existential, the kernel
+tests the head rows against the store and drops a match whose heads are
+all present, counting them as candidate facts; every other match goes to
+:meth:`~repro.core.chase.ChaseEngine.fire_slots`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+import linecache
+import threading
+import zlib
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from ..core.atoms import Fact
+from .plan import HEAD_SLOT
+
+#: Most kernel shapes kept compiled; the oldest is dropped first.  A
+#: dropped shape's executors keep their function.
+MAX_KERNELS = 256
+
+#: Most body atoms one generated function nests a ``for`` loop for.
+#: CPython refuses more than 20 statically nested blocks in one function,
+#: so a longer body carries on in a further function, under ``yield from``.
+MAX_NESTING = 16
+
+_kernels: Dict[tuple, Tuple[Callable, str]] = {}
+_kernels_lock = threading.Lock()
 
 
 class CompiledRuleExecutor:
     """Executes a compiled :class:`~repro.engine.plan.RuleJoinPlan` against a store.
 
     This is the slot-machine join, on the chase hot path of every executor:
-    the seed step scans (or index-probes) the current
-    semi-naive delta, every further step probes the store's dynamic
-    per-position indexes — choosing the most selective bound position, i.e.
-    the smallest bucket — and variable bindings live in a single mutable
-    slot array written and un-written by tuple position.  The dict binding
-    handed to the chase is built once per full body match, not once per
-    candidate fact.
+    the seed step scans (or index-probes) the current semi-naive delta,
+    every further step probes the store's dynamic per-position indexes —
+    choosing the most selective bound position, i.e. the smallest bucket —
+    and variable bindings live in the kernel's local variables.
+    ``source`` is the kernel's Python source, shared by every rule of the
+    same shape; tracebacks show its lines under a ``<kernel:…>`` file name.
     """
 
     def __init__(self, plan) -> None:
         self.plan = plan
-        # Per seed plan: (seed step, probe steps each paired with whether the
-        # probe atom precedes the seed textually — those only match facts of
-        # earlier rounds).
-        self._schedule = tuple(
-            (
-                sp.seed,
-                tuple((step, step.atom_index < sp.seed.atom_index) for step in sp.probes),
-            )
-            for sp in plan.seed_plans
-        )
-
-    # -- candidate selection -------------------------------------------------
-    @staticmethod
-    def _seed_candidates(step, store) -> Sequence[Fact]:
-        """Delta facts that can match the seed step (indexed when possible)."""
-        best: Optional[Sequence[Fact]] = None
-        for pos, term in step.const_checks:
-            bucket = store.delta_candidates(step.predicate, pos, term)
-            if not bucket:
-                return ()
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        if best is not None:
-            return best
-        return store.delta_facts(step.predicate)
-
-    @staticmethod
-    def _probe_candidates(step, slots, store) -> Sequence[Fact]:
-        """Most selective full-index bucket for a probe step (slot-machine probe)."""
-        dicts = store.position_dicts(step.predicate)
-        if dicts is None:
-            return ()
-        n_dicts = len(dicts)
-        best: Optional[Sequence[Fact]] = None
-        for pos, term in step.const_checks:
-            if pos >= n_dicts:
-                return ()
-            bucket = dicts[pos].get(term)
-            if bucket is None:
-                return ()
-            if best is None or len(bucket) < len(best):
-                best = bucket
-                if len(best) <= 1:
-                    break
-        if best is None or len(best) > 1:
-            for pos, slot in step.bound_checks:
-                if pos >= n_dicts:
-                    return ()
-                bucket = dicts[pos].get(slots[slot])
-                if bucket is None:
-                    return ()
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-                    if len(best) <= 1:
-                        break
-        if best is not None:
-            return best
-        return store.by_predicate(step.predicate)
-
-    # -- stepping ------------------------------------------------------------
-    @staticmethod
-    def _admit(step, fact, slots) -> bool:
-        """Positional checks + slot writes for one candidate; True on match.
-
-        On a mismatch no slot has been written yet (all checks precede the
-        writes), so there is nothing to undo.
-        """
-        terms = fact.terms
-        if len(terms) != step.arity:
-            return False
-        for pos, term in step.const_checks:
-            if terms[pos] != term:
-                return False
-        for pos, slot in step.bound_checks:
-            if terms[pos] != slots[slot]:
-                return False
-        for pos, first_pos in step.same_checks:
-            if terms[pos] != terms[first_pos]:
-                return False
-        for pos, slot in step.writes:
-            slots[slot] = terms[pos]
-        for condition in step.conditions:
-            if not condition.holds(slots):
-                for _pos, slot in step.writes:
-                    slots[slot] = None
-                return False
-        return True
+        shape, self._values = kernel_shape(plan)
+        self._kernel, self.source = _kernel_for(shape, plan)
 
     def matches(
-        self, store, round_index: int, seed_lists: Optional[Sequence[Sequence[Fact]]] = None
-    ) -> Iterator[Tuple[List, List[Fact]]]:
-        """Enumerate full body matches over the current delta.
+        self, store, round_index: int, *, result, tick=None, seed_lists=None
+    ) -> Iterator[Tuple[List, List]]:
+        """Enumerate the full body matches over the current delta.
 
-        Yields the executor's *live* ``(slots, used_facts)`` pair — the slot
-        array indexed like ``plan.variables`` and the matched facts in
-        textual body order.  Both lists are reused across matches: consumers
-        must read them before advancing the generator (the chase fires
-        immediately, so this is safe and saves two allocations per match).
-        Atoms textually before the seed only match facts of earlier rounds
-        (the standard semi-naive decomposition avoiding duplicate joins
-        across seed choices).
+        Yields a ``(slots, used_facts)`` pair per match that must fire: the
+        slot values indexed like ``plan.variables`` and the matched facts in
+        textual body order.  Atoms textually before the seed only match
+        facts of earlier rounds (the standard semi-naive decomposition
+        avoiding duplicate joins across seed choices).  ``tick``, when
+        given, is called once per full match, dropped ones included; a
+        dropped match adds its heads to ``result.candidate_facts``.
 
         ``store`` is the live :class:`~repro.core.fact_store.FactStore`: a
         fact the chase admits while this generator is suspended is probed
@@ -143,98 +86,198 @@ class CompiledRuleExecutor:
         round passes a predicate's whole extent this way, bypassing the
         store's own delta lookup while every positional check still runs
         per candidate.
-
-        The probe walk is an explicit iterative backtracking loop with the
-        admission checks inlined: this is the innermost loop of the whole
-        system, and generator recursion plus one function call per candidate
-        fact measurably dominated it.
         """
-        round_of = store.round_of
-        n_slots = len(self.plan.variables)
-        body_length = self.plan.body_length
-        sentinel = None
-        for plan_index, (seed, probes) in enumerate(self._schedule):
-            if seed_lists is None:
-                seed_candidates = self._seed_candidates(seed, store)
-            else:
-                seed_candidates = seed_lists[plan_index]
-            if not seed_candidates:
-                continue
-            slots: List[Optional[object]] = [None] * n_slots
-            used: List[Optional[Fact]] = [None] * body_length
-            n_probes = len(probes)
-            seed_index = seed.atom_index
-            seed_writes = seed.writes
-            for fact in seed_candidates:
-                if not self._admit(seed, fact, slots):
-                    continue
-                used[seed_index] = fact
-                if n_probes == 0:
-                    yield slots, used
+        return self._kernel(self._values, store, round_index, result, tick, seed_lists)
+
+
+def _drops_duplicates(plan) -> bool:
+    """True when a match whose head rows are all stored can be dropped unfired."""
+    return plan.head_templates is not None and not plan.existentials
+
+
+def kernel_shape(plan) -> Tuple[tuple, tuple]:
+    """The plan's structural key and its values, one per occurrence.
+
+    The values are the head predicates and ground head terms of a rule that
+    drops duplicates, then the predicates, constants and pushed conditions
+    of every step, in the order the rendered kernel unpacks them.  Equal
+    values are never merged: the key alone decides the source.
+    """
+    values: List[object] = []
+    heads = None
+    if _drops_duplicates(plan):
+        heads = []
+        for predicate, entries in plan.head_templates:
+            values.append(predicate)
+            values.extend(payload for kind, payload in entries if kind != HEAD_SLOT)
+            heads.append(tuple(p if k == HEAD_SLOT else None for k, p in entries))
+        heads = tuple(heads)
+    seeds = []
+    for seed_plan in plan.seed_plans:
+        steps = []
+        for step in (seed_plan.seed,) + seed_plan.probes:
+            consts = step.const_checks
+            values.append(step.predicate)
+            if consts:
+                values += [term for _, term in consts]
+                consts = tuple([pos for pos, _ in consts])
+            values += step.conditions
+            steps.append(
+                (
+                    step.atom_index,
+                    step.arity,
+                    consts,
+                    step.bound_checks,
+                    step.same_checks,
+                    step.writes,
+                    len(step.conditions),
+                )
+            )
+        seeds.append(tuple(steps))
+    return (len(plan.variables), tuple(seeds), heads), tuple(values)
+
+
+def render_kernel(plan) -> str:
+    """The kernel's source: the plan's enumeration as straight-line code."""
+    names: List[str] = []  # k0, k1, ...: the values, in kernel_shape's order
+    uses = set()
+    kernel: List[str] = []
+    functions = [("kernel", "", kernel)]  # (name, extra parameters, body)
+    body = kernel
+
+    def emit(depth: int, text: str) -> None:
+        body.append("    " * depth + text)
+
+    def value() -> str:
+        names.append(f"k{len(names)}")
+        return names[-1]
+
+    tests = []  # one membership test per head row
+    if _drops_duplicates(plan):
+        uses.add("rows")
+        for _predicate, entries in plan.head_templates:
+            head = value()
+            row = [f"s{p}" if k == HEAD_SLOT else value() for k, p in entries]
+            tests.append(f"({head}, ({', '.join(row)}{',' * (len(row) == 1)})) in rows")
+    for index, seed_plan in enumerate(plan.seed_plans):
+        seed = seed_plan.seed
+        bound = set()
+        matched: List[str] = []  # the fact locals bound so far
+        body, depth = kernel, 1
+        for level, step in enumerate((seed,) + seed_plan.probes):
+            if level and not level % MAX_NESTING:
+                # Carry on in a fresh function: its locals are passed in.
+                name = f"kernel_{index}_{level}"
+                args = ", ".join([f"s{slot}" for slot in sorted(bound)] + matched)
+                call = f"{name}(K, store, round_index, result, tick, seed_lists, {args})"
+                emit(depth, f"yield from {call}")
+                body, depth = [], 1
+                functions.append((name, f", {args}", body))
+            predicate = value()
+            consts = [(pos, value()) for pos, _ in step.const_checks]
+            candidates = f"c{level}"
+            if not level:
+                emit(1, f"# seed plan {index}: atom {seed.atom_index}")
+                emit(1, "if seed_lists is None:")
+                if consts:
+                    first_pos, first = consts[0]
+                    emit(2, f"c0 = store.delta_candidates({predicate}, {first_pos}, {first})")
+                    for pos, name in consts[1:]:
+                        emit(2, f"b = store.delta_candidates({predicate}, {pos}, {name})")
+                        emit(2, "if len(b) < len(c0):")
+                        emit(3, "c0 = b")
                 else:
-                    iters: List[Optional[Iterator[Fact]]] = [None] * n_probes
-                    iters[0] = iter(self._probe_candidates(probes[0][0], slots, store))
-                    depth = 0
-                    step, before_seed = probes[0]
-                    while True:
-                        candidate = next(iters[depth], sentinel)
-                        if candidate is sentinel:
-                            # Exhausted this level: backtrack, undoing the
-                            # current candidate of the level above.
-                            depth -= 1
-                            if depth < 0:
-                                break
-                            step, before_seed = probes[depth]
-                            used[step.atom_index] = None
-                            for _pos, slot in step.writes:
-                                slots[slot] = None
-                            continue
-                        if before_seed and round_of(candidate) >= round_index:
-                            continue
-                        # ---- inlined admission (see AtomStep) ----
-                        terms = candidate.terms
-                        if len(terms) != step.arity:
-                            continue
-                        ok = True
-                        for pos, term in step.const_checks:
-                            if terms[pos] != term:
-                                ok = False
-                                break
-                        if ok:
-                            for pos, slot in step.bound_checks:
-                                if terms[pos] != slots[slot]:
-                                    ok = False
-                                    break
-                        if ok:
-                            for pos, first_pos in step.same_checks:
-                                if terms[pos] != terms[first_pos]:
-                                    ok = False
-                                    break
-                        if not ok:
-                            continue
-                        for pos, slot in step.writes:
-                            slots[slot] = terms[pos]
-                        if step.conditions:
-                            for condition in step.conditions:
-                                if not condition.holds(slots):
-                                    ok = False
-                                    break
-                            if not ok:
-                                for _pos, slot in step.writes:
-                                    slots[slot] = None
-                                continue
-                        used[step.atom_index] = candidate
-                        if depth + 1 == n_probes:
-                            yield slots, used
-                            used[step.atom_index] = None
-                            for _pos, slot in step.writes:
-                                slots[slot] = None
-                        else:
-                            depth += 1
-                            step, before_seed = probes[depth]
-                            iters[depth] = iter(
-                                self._probe_candidates(step, slots, store)
-                            )
-                used[seed_index] = None
-                for _pos, slot in seed_writes:
-                    slots[slot] = None
+                    emit(2, f"c0 = store.delta_facts({predicate})")
+                emit(1, "else:")
+                emit(2, f"c0 = seed_lists[{index}]")
+            elif consts or step.bound_checks:
+                # The most selective bucket: an absent key empties it, and a
+                # bucket of at most one fact ends the search.
+                keys = consts + [(pos, f"s{slot}") for pos, slot in step.bound_checks]
+                uses.add("pidx")
+                emit(depth, f"{candidates} = ()")
+                emit(depth, f"d = pidx({predicate})")
+                emit(depth, "if d is not None:")
+                emit(depth + 1, "n = len(d)")
+                (pos, key), rest = keys[0], keys[1:]
+                emit(depth + 1, f"if {pos} < n:")
+                emit(depth + 2, f"{candidates} = d[{pos}].get({key}, ())")
+                for pos, key in rest:
+                    emit(depth + 1, f"if len({candidates}) > 1:")
+                    emit(depth + 2, f"b = d[{pos}].get({key}, ()) if {pos} < n else ()")
+                    emit(depth + 2, f"if len(b) < len({candidates}):")
+                    emit(depth + 3, f"{candidates} = b")
+            else:
+                emit(depth, f"{candidates} = store.by_predicate({predicate})")
+            fact, terms = f"f{step.atom_index}", f"t{step.atom_index}"
+            matched.append(fact)
+            emit(depth, f"for {fact} in {candidates}:")
+            depth += 1
+            if level and step.atom_index < seed.atom_index:
+                uses.add("rget")
+                emit(depth, f"if rget({fact}, 0) >= round_index:")
+                emit(depth + 1, "continue")
+            emit(depth, f"{terms} = {fact}.terms")
+            # ``is not`` first: a shared term object skips ``Term.__eq__``.
+            pairs = [(f"{terms}[{pos}]", name) for pos, name in consts]
+            pairs += [(f"{terms}[{pos}]", f"s{slot}") for pos, slot in step.bound_checks]
+            pairs += [(f"{terms}[{pos}]", f"{terms}[{p0}]") for pos, p0 in step.same_checks]
+            checks = [f"len({terms}) != {step.arity}"]
+            checks += [f"{a} is not {b} and {a} != {b}" for a, b in pairs]
+            emit(depth, f"if {' or '.join(checks)}:")
+            emit(depth + 1, "continue")
+            for pos, slot in step.writes:
+                emit(depth, f"s{slot} = {terms}[{pos}]")
+                bound.add(slot)
+            if step.conditions:
+                uses.add("slots")
+                for slot in sorted(bound):
+                    emit(depth, f"slots[{slot}] = s{slot}")
+                for _ in step.conditions:
+                    emit(depth, f"if not {value()}.holds(slots):")
+                    emit(depth + 1, "continue")
+        emit(depth, "if tick is not None:")
+        emit(depth + 1, "tick()")
+        if tests:
+            emit(depth, f"if {' and '.join(tests)}:")
+            emit(depth + 1, f"result.candidate_facts += {len(tests)}")
+            emit(depth + 1, "continue")
+        slots = ", ".join(f"s{i}" for i in range(len(plan.variables)))
+        facts = ", ".join(f"f{i}" for i in range(plan.body_length))
+        emit(depth, f"yield [{slots}], [{facts}]")
+    if not plan.seed_plans:
+        kernel.append("    yield from ()")
+    prologue = [f"    {', '.join(names)}, = K"] if names else []
+    prologue += [
+        f"    {line}"
+        for use, line in (
+            ("rows", "rows = store._rows"),
+            ("pidx", "pidx = store._position_index.get"),
+            ("rget", "rget = store._round_of.get"),
+            ("slots", f"slots = [None] * {len(plan.variables)}"),
+        )
+        if use in uses
+    ]
+    source: List[str] = []
+    for name, params, lines in functions:
+        source.append(f"def {name}(K, store, round_index, result, tick, seed_lists{params}):")
+        source += prologue + lines
+    return "\n".join(source) + "\n"
+
+
+def _kernel_for(shape: tuple, plan) -> Tuple[Callable, str]:
+    """The compiled kernel of ``shape`` and its source, rendered on first use."""
+    entry = _kernels.get(shape)
+    if entry is not None:
+        return entry
+    source = render_kernel(plan)
+    filename = f"<kernel:{zlib.crc32(source.encode()):08x}>"
+    namespace: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), namespace)
+    with _kernels_lock:
+        entry = _kernels.setdefault(shape, (namespace["kernel"], source))
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        while len(_kernels) > MAX_KERNELS:
+            dropped, _ = _kernels.pop(next(iter(_kernels)))
+            linecache.cache.pop(dropped.__code__.co_filename, None)
+    return entry

@@ -213,10 +213,10 @@ class ReasoningAccessPlan:
 # body atom becomes an :class:`AtomStep` — a purely positional recipe saying,
 # for each candidate fact, which positions must equal a constant, which must
 # equal an already-filled slot (the join key), which must repeat a position of
-# the same fact, and which positions fill new slots.  At runtime the executor
-# (:mod:`repro.engine.joins`) walks the steps with a single mutable slot
-# array: no ``dict`` copies, no ``atom.substitute``/``atom.match`` object
-# churn per candidate fact.
+# the same fact, and which positions fill new slots.  The executor
+# (:mod:`repro.engine.joins`) renders the steps into a generated join kernel
+# whose slots are local variables: no ``dict`` copies, no
+# ``atom.substitute``/``atom.match`` object churn per candidate fact.
 #
 # Semi-naive evaluation needs one decomposition per *seed* atom (the atom
 # matched against the previous round's delta), so a plan holds one

@@ -24,6 +24,7 @@ from repro import (
     reason,
     run_chase,
 )
+from repro.core.chase import ChaseEngine
 from repro.core.limits import (
     RUN_STATUSES,
     STATUS_BUDGET,
@@ -197,6 +198,55 @@ class TestMidRunCancellation:
         token.cancel("stop streaming")
         assert list(answers) == []
         assert streamed.status == STATUS_CANCELLED
+
+
+class TestTicksPerFullMatch:
+    """The compiled kernel ticks once per full match, duplicates included."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(self, *args):
+            calls[0] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_tick_count_equals_full_matches(self, monkeypatch):
+        ticks = self.count_calls(monkeypatch, ExecutionGovernor, "tick")
+        fires = self.count_calls(monkeypatch, ChaseEngine, "fire_slots")
+        db = {"E": [(i, i + 1) for i in range(30)] + [(i, i + 2) for i in range(30)]}
+        budget = ExecutionBudget(max_rounds=10**6)
+        naive = chain_reasoner("naive").reason(database=db, budget=budget)
+        naive_ticks = ticks[0]
+        ticks[0] = 0
+        result = chain_reasoner("compiled").reason(database=db, budget=budget)
+        # A single-head ground program: one candidate fact per full match,
+        # and the naive matcher ticks once per binding.
+        assert ticks[0] == result.chase.candidate_facts == naive_ticks
+        assert result.chase.candidate_facts == naive.chase.candidate_facts
+        # Most matches were dropped as duplicates before reaching fire_slots.
+        assert fires[0] == result.chase.chase_steps < ticks[0]
+
+    @pytest.mark.parametrize(
+        "limit, status",
+        [("deadline", STATUS_DEADLINE), ("cancel", STATUS_CANCELLED)],
+    )
+    def test_stops_a_run_of_duplicate_matches(self, monkeypatch, limit, status):
+        # Only the per-match ticks may stop this run: no round-boundary check.
+        monkeypatch.setattr(ExecutionGovernor, "round_status", lambda *args: None)
+        fires = self.count_calls(monkeypatch, ChaseEngine, "fire_slots")
+        token = CancellationToken()
+        token.cancel()
+        limits = {"deadline": {"deadline": 0.0}, "cancel": {"cancel": token}}[limit]
+        reasoner = VadalogReasoner('@output("T"). T(X) :- E(X, Y).')
+        db = {"E": [(1, y) for y in range(3 * ExecutionGovernor.TICK_STRIDE)], "T": [(1,)]}
+        result = reasoner.reason(database=db, **limits)
+        assert result.status == status
+        assert fires[0] == 0
 
 
 # ---------------------------------------------------------------------------

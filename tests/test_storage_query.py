@@ -110,7 +110,7 @@ class TestFactStoreRemove:
         store = FactStore([fact("P", "a"), fact("Q", "b")])
         assert store.remove(fact("P", "a"))
         assert store.predicates() == ("Q",) == store.copy().predicates()
-        assert store.position_dicts("P") is None
+        assert store._position_index.get("P") is None
         assert store.by_predicate("P") == () and store.count("P") == 0
         assert store.add(fact("P", "c"))
         assert store.position_candidates("P", 0, Constant("c")) == [fact("P", "c")]
@@ -199,7 +199,7 @@ class TestFactStoreRemove:
             assert list(store.by_predicate(predicate)) == extent
             assert store.count(predicate) == len(extent)
             assert ordered(store.by_predicate(predicate))
-            dicts = store.position_dicts(predicate)
+            dicts = store._position_index.get(predicate)
             if not extent:
                 assert dicts is None
             else:

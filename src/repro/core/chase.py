@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, ValuesView
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, ValuesView
 
 from .aggregates import AggregateRegistry
 from .atoms import Atom, Fact
@@ -56,6 +56,11 @@ from .terms import Constant, Null, NullFactory, Term, Variable
 from .termination import TerminationStrategy, WardedTerminationStrategy
 from .wardedness import ProgramAnalysis, RuleAnalysis, RuleKind, analyse_program
 from ..testing.faults import fault_point
+
+#: One rule of a seeded round (:meth:`ChaseEngine.continue_rounds`): the
+#: rule, the index of its seed atom in ``rule.relational_body`` and the
+#: facts that atom is seeded from.
+RuleSeed = Tuple[Rule, int, Sequence[Fact]]
 
 
 class InconsistencyError(Exception):
@@ -217,13 +222,6 @@ class ChaseEngine:
         self._chase_span = None
         #: When :meth:`start_run` started the run clock; ``None`` before.
         self.started_at: Optional[float] = None
-        #: Set by :meth:`continue_rounds` around a DRed rederivation round:
-        #: the delta is the whole store, so per-atom seed plans would
-        #: enumerate each join ``body_length`` times over; full-join mode
-        #: seeds only the first plan with the predicate's full extent (the
-        #: before-seed restriction passes everything — every resident fact
-        #: is stamped with an earlier round — so one seed covers the join).
-        self._full_join_round = False
         self.aggregates = AggregateRegistry()
         self._database_facts = list(database) + list(program.facts)
         self._rule_analyses: Dict[int, RuleAnalysis] = {
@@ -373,7 +371,7 @@ class ChaseEngine:
         )
 
     def continue_rounds(
-        self, delta: List[ChaseNode], rules: Optional[List[Rule]] = None
+        self, delta: List[ChaseNode], seeds: Optional[List[RuleSeed]] = None
     ) -> None:
         """Run semi-naive rounds seeded with ``delta`` until fixpoint.
 
@@ -392,18 +390,23 @@ class ChaseEngine:
         engine wraps each round in a span.  The resident reasoner's rounds
         after its first run are neither.
 
-        ``rules`` restricts the *first* round to a subset of the program
-        (the DRed rederivation phase only fires rules whose head predicate
-        was deleted); later rounds always run the full program.
+        ``seeds`` replaces the *first* round's delta with explicit seeds,
+        one ``(rule, atom index, facts)`` per rule to fire: the round fires
+        only those rules, each from the one body atom given, over the given
+        facts (a list the round may not grow), and every other atom probes
+        the store as usual.  The DRed rederivation round of
+        :mod:`repro.engine.incremental` is such a round; the before-seed
+        restriction passes every resident fact (each is stamped with an
+        earlier round), so one seed atom covers the join.  Later rounds
+        run the full program from the derived delta.
         """
         result = self.result
         store = result.store
         governor = self._governor
         tracer = self.tracer
         round_index = result.rounds
-        first_restriction = rules
         try:
-            while delta:
+            while delta or seeds:
                 if governor is not None:
                     stop = governor.round_status(
                         round_index, len(store), result.chase_steps
@@ -418,12 +421,8 @@ class ChaseEngine:
                         "round", f"round:{round_index}", round=round_index
                     )
                     round_span.counters["delta_in"] = len(delta)
-                self._full_join_round = first_restriction is not None
-                try:
-                    delta = self._evaluate_round(delta, round_index, first_restriction)
-                finally:
-                    self._full_join_round = False
-                first_restriction = None
+                delta = self._evaluate_round(delta, round_index, seeds)
+                seeds = None
                 if round_span is not None:
                     round_span.counters["derived"] = len(delta)
                     round_span.counters["resident_facts"] = len(store)
@@ -441,13 +440,14 @@ class ChaseEngine:
         self,
         delta: List[ChaseNode],
         round_index: int,
-        rules: Optional[List[Rule]] = None,
+        seeds: Optional[List[RuleSeed]] = None,
     ) -> List[ChaseNode]:
         """Evaluate one semi-naive round; returns the nodes it derived.
 
         The one round evaluator: the rules are applied in round-robin order
         against the live store, so a fact admitted earlier in the round is
-        already probed by the rules that follow it.
+        already probed by the rules that follow it.  ``seeds`` (see
+        :meth:`continue_rounds`) picks the rules and their seed facts.
         """
         result = self.result
         store = result.store
@@ -463,9 +463,15 @@ class ChaseEngine:
             store.begin_round(round_index, delta_facts)
         new_nodes: List[ChaseNode] = []
         tracer = self.tracer
-        for rule in (self.program.rules if rules is None else rules):
+        if seeds is None:
+            work = [(rule, None) for rule in self.program.rules]
+        else:
+            work = [(rule, (index, facts)) for rule, index, facts in seeds]
+        for rule, seed in work:
             if tracer is None:
-                new_nodes.extend(self._apply_rule(rule, delta_by_predicate, round_index))
+                new_nodes.extend(
+                    self._apply_rule(rule, delta_by_predicate, round_index, seed)
+                )
                 continue
             # One span per (round, rule).  Counters are set in bulk once the
             # rule has finished, never per fire: ``candidates`` is every head
@@ -475,7 +481,7 @@ class ChaseEngine:
             span = tracer.begin("rule", f"rule:{label}", rule=label, round=round_index)
             candidates_before = result.candidate_facts
             try:
-                produced = self._apply_rule(rule, delta_by_predicate, round_index)
+                produced = self._apply_rule(rule, delta_by_predicate, round_index, seed)
             except BaseException as exc:
                 tracer.end(span, status="error", error=repr(exc))
                 raise
@@ -493,11 +499,14 @@ class ChaseEngine:
         rule: Rule,
         delta_by_predicate: Dict[str, List[Fact]],
         round_index: int,
+        seed: Optional[Tuple[int, Sequence[Fact]]] = None,
     ) -> List[ChaseNode]:
+        """Fire ``rule`` on its matches seeded from the round's delta, or
+        from ``seed`` — one body atom index and its facts — when given."""
         fault_point("chase.rule", rule=rule.label or "rule", round=round_index)
         executor = self._compiled.get(id(rule))
         if executor is not None:
-            return self._apply_rule_compiled(rule, executor, round_index)
+            return self._apply_rule_compiled(rule, executor, round_index, seed)
         result = self.result
         store = result.store
         node_of = result.node_of
@@ -505,7 +514,10 @@ class ChaseEngine:
         body = rule.relational_body
         governor = self._governor
         tick = governor.tick if governor is not None else None
-        seed_range = range(1) if self._full_join_round else range(len(body))
+        seed_range = range(len(body))
+        if seed is not None:
+            seed_range = (seed[0],)
+            delta_by_predicate = {body[seed[0]].predicate: seed[1]}
         for seed_index in seed_range:
             for binding, used_facts in self._matches(
                 rule, body, seed_index, store, delta_by_predicate, round_index
@@ -520,7 +532,7 @@ class ChaseEngine:
         return produced
 
     def _apply_rule_compiled(
-        self, rule: Rule, executor, round_index: int
+        self, rule: Rule, executor, round_index: int, seed=None
     ) -> List[ChaseNode]:
         """Hot path: evaluate the rule body through its compiled join plan.
 
@@ -538,13 +550,10 @@ class ChaseEngine:
         governor = self._governor
         tick = governor.tick if governor is not None else None
         seed_lists = None
-        if self._full_join_round and plan.seed_plans:
-            # DRed full round: one seed plan over the predicate's full
-            # extent replaces body_length delta-seeded passes (see
-            # ``_full_join_round``); admission checks still run per fact.
+        if seed is not None and plan.seed_plans:
+            # Seed plan i seeds from body atom i: only the given one runs.
             seed_lists = [()] * len(plan.seed_plans)
-            # Copied: the store's bucket grows as the round admits facts.
-            seed_lists[0] = list(store.by_predicate(plan.seed_plans[0].seed.predicate))
+            seed_lists[seed[0]] = seed[1]
         fire = self.fire_slots
         for slots, used_facts in executor.matches(
             store, round_index, result=result, tick=tick, seed_lists=seed_lists

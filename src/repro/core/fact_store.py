@@ -27,7 +27,7 @@ from bisect import bisect_left
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom, Fact
-from .terms import Constant, Term, Variable
+from .terms import Constant, Null, Term, Variable
 
 _EMPTY: Tuple[Fact, ...] = ()
 
@@ -85,6 +85,11 @@ class FactStore:
         # maintained from then on, so programs without ``Dom`` never pay
         # for it; ``None`` until then.
         self._domain_counts: Optional[Dict[Hashable, int]] = None
+        # predicate -> number of its live facts holding a labelled null; a
+        # predicate without one is absent.  Answer extraction skips the
+        # isomorphism dedup of a null-free predicate, and the resident
+        # reasoner's strategy replay walks only the predicates listed here.
+        self._null_facts: Dict[str, int] = {}
         # Number of live (non-tombstoned) entries of ``_facts``; removal
         # tombstones the slot to keep row indexes stable (see :meth:`remove`).
         self._live: int = 0
@@ -114,12 +119,17 @@ class FactStore:
             position_dicts = self._position_index[fact.predicate] = []
         while len(position_dicts) < len(fact.terms):
             position_dicts.append({})
+        has_null = False
         for index, term in enumerate(fact.terms):
+            if term.__class__ is Null:
+                has_null = True
             bucket = position_dicts[index].get(term)
             if bucket is None:
                 position_dicts[index][term] = [fact]
             else:
                 bucket.append(fact)
+        if has_null:
+            self._null_facts[fact.predicate] = self._null_facts.get(fact.predicate, 0) + 1
         if self._domain_counts is not None:
             _count_constants(self._domain_counts, fact, 1)
         self._live += 1
@@ -155,11 +165,20 @@ class FactStore:
         bucket = self._by_predicate[predicate]
         self._drop(bucket, slot)
         position_dicts = self._position_index[predicate]
+        has_null = False
         for position, term in enumerate(stored.terms):
+            if term.__class__ is Null:
+                has_null = True
             entries = position_dicts[position][term]
             self._drop(entries, slot)
             if not entries:
                 del position_dicts[position][term]
+        if has_null:
+            remaining = self._null_facts[predicate] - 1
+            if remaining:
+                self._null_facts[predicate] = remaining
+            else:
+                del self._null_facts[predicate]
         if self._domain_counts is not None:
             _count_constants(self._domain_counts, stored, -1)
         if not bucket:
@@ -241,6 +260,14 @@ class FactStore:
 
     def count(self, predicate: str) -> int:
         return len(self._by_predicate.get(predicate, ()))
+
+    def null_facts(self, predicate: str) -> int:
+        """How many live facts of ``predicate`` hold a labelled null."""
+        return self._null_facts.get(predicate, 0)
+
+    def null_predicates(self) -> Tuple[str, ...]:
+        """The predicates with at least one live null-bearing fact."""
+        return tuple(self._null_facts)
 
     def active_domain(self) -> Set[Hashable]:
         """Constants occurring anywhere in the store (the ``ACDom`` relation)."""
@@ -392,11 +419,17 @@ class StoreSnapshot:
     def stale(self) -> bool:
         return self._store.epoch != self._epoch
 
-    def by_predicate(self, predicate: str) -> Sequence[Fact]:
+    def _live_store(self) -> FactStore:
         store = self._store
         if store.epoch != self._epoch:
             raise StaleSnapshotError(
                 "store mutated after the snapshot was taken "
                 f"(epoch {store.epoch} != snapshot epoch {self._epoch})"
             )
-        return store.by_predicate(predicate)
+        return store
+
+    def by_predicate(self, predicate: str) -> Sequence[Fact]:
+        return self._live_store().by_predicate(predicate)
+
+    def null_facts(self, predicate: str) -> int:
+        return self._live_store().null_facts(predicate)

@@ -121,24 +121,28 @@ class DerivationIndex:
         for fact in facts:
             self._children.pop(fact, None)
 
-    def unlink(self, fact, parent_facts) -> None:
-        """Remove the recorded edge ``parent -> fact`` for each parent.
+    def unlink(self, facts, parent_facts: Iterable) -> None:
+        """Remove the recorded edges ``parent -> f`` for every ``f`` in ``facts``.
 
-        Called when ``fact`` is deleted so surviving parents do not keep a
-        stale edge to it — a later rederivation of an equal fact records a
-        fresh derivation, and stale edges would make future overdeletions
-        cascade through justifications that no longer exist.
+        Called with the whole deleted set and the parents of its recorded
+        derivations, so surviving parents do not keep stale edges — a later
+        rederivation of an equal fact records a fresh derivation, and stale
+        edges would make future overdeletions cascade through
+        justifications that no longer exist.  ``facts`` must support fast
+        membership (a set); each parent's bucket is rebuilt once, whatever
+        number of its children were deleted.
         """
+        children = self._children
         for parent in parent_facts:
-            bucket = self._children.get(parent)
+            bucket = children.get(parent)
             if bucket is None:
                 continue
-            try:
-                bucket.remove(fact)
-            except ValueError:
-                pass
-            if not bucket:
-                del self._children[parent]
+            kept = [child for child in bucket if child not in facts]
+            if kept:
+                if len(kept) != len(bucket):
+                    children[parent] = kept
+            else:
+                del children[parent]
 
     def __len__(self) -> int:
         return sum(len(children) for children in self._children.values())

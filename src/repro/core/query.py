@@ -148,9 +148,14 @@ def extract_answers(result: ChaseResult, query: Query) -> AnswerSet:
     """Extract (and post-process) the answers of a chase run."""
     answers = AnswerSet()
     aggregated = result.aggregates.aggregated_positions()
+    store = result.store
     for predicate in query.answer_predicates:
-        facts = list(result.store.by_predicate(predicate))
-        facts = deduplicate_isomorphic(facts)
+        facts = list(store.by_predicate(predicate))
+        # The store holds each ground fact once: only a predicate holding
+        # nulls has isomorphic duplicates or uncertain answers to drop.
+        has_nulls = store.null_facts(predicate) > 0
+        if has_nulls:
+            facts = deduplicate_isomorphic(facts)
         if query.reduce_aggregates:
             positions = {
                 index: function
@@ -158,7 +163,7 @@ def extract_answers(result: ChaseResult, query: Query) -> AnswerSet:
                 if pred == predicate
             }
             facts = _final_aggregate_facts(facts, positions)
-        if query.certain:
+        if query.certain and has_nulls:
             facts = [f for f in facts if not f.has_nulls]
         if query.order_by:
             facts.sort(key=lambda f: tuple(str(f.terms[i]) for i in query.order_by if i < f.arity))

@@ -27,12 +27,42 @@ and maintains the materialisation under extensional **upserts** and
   *Overdeletion* removes the closure of the retracted facts over recorded
   derivations (skipping facts that are extensional themselves); every
   surviving fact keeps an intact recorded derivation, so overdeletion is
-  sound.  *Rederivation* then runs one full evaluation round restricted to
-  rules whose head predicate lost facts — complete because the pre-deletion
-  store was a fixpoint, so the only facts newly derivable over the
-  survivors are alternative derivations of deleted ones (isomorphism-pruned
-  twins of deleted facts share their predicate, so they are covered too) —
-  and continues semi-naive until the fixpoint returns.
+  sound.  *Rederivation* then runs one round over the rules whose head
+  predicate lost facts, each fired from one body atom seeded with
+  explicit facts (:meth:`~repro.core.chase.ChaseEngine.continue_rounds`),
+  and continues semi-naive until the fixpoint returns:
+
+  - *The full round* seeds a rule's first body atom with its whole
+    extent.  It re-derives every fact of a deleted predicate that the
+    survivors support in one step, whether the store held it before or
+    not, and the semi-naive rounds after it derive whatever follows.
+    That keeps it complete where the store is not closed under the
+    rules: after a vertical prune of the warded strategy.  A vertical
+    prune drops every fact beyond a stop-provenance — ground facts of
+    linear and warded rules too — on the strength of an isomorphism check
+    made in a tree whose root has the same pattern, possibly with other
+    constants.  The pre-deletion store is then no fixpoint, and a fact a
+    deletion exposes need not agree with any deleted fact on its
+    constants; the full round derives it all the same, and the rounds
+    after it regrow the path beyond it under the replayed strategy below,
+    which never prunes vertically.
+  - *Seeding from the deleted heads.*  While the store is closed under
+    the rules — every fact derivable from it is stored or has a stored
+    isomorphic twin — the facts the survivors support and the store lacks
+    are deleted facts and their twins, so a rule needs only the matches
+    that derive one.  Such a match binds the variables the head shares
+    with a body atom to the deleted fact's terms there, and that atom is
+    seeded with just its facts that agree with some deleted head on them,
+    in store-slot order: among the atoms sharing a variable with every
+    head atom that lost facts, the one whose candidates, estimated from
+    position-index bucket sizes, are fewest.  A deleted head holding a
+    null at a shared position rules its atom out (a twin may hold another
+    null there), and a rule with no atom left takes the full extent.
+  - *The gate.*  The reasoner records whether the warded strategy pruned
+    vertically since the last materialisation, in the initial run or in
+    an upsert's continuation rounds.  Once it has, the store is not known
+    to be closed, and every retraction until the next materialisation
+    runs the full round.
 
 **One answer memo.**  A query is a filter over the warm store.  Per
 ``(predicates, certain)`` the reasoner memoises the extracted answer set,
@@ -40,11 +70,19 @@ the point-query index built over it and the key's *footprint*: the
 backward slice of its predicates over the optimized program
 (:func:`~repro.engine.plan.backward_slice`).  Everything a write changes
 is derived from the facts it added to the store or removed from the
-extensional set, so it drops exactly the entries whose footprint meets
-those facts' predicates; a write that changes nothing drops nothing, and
-a rebuild starts from an empty memo.  The service layer
-(:class:`~repro.engine.service.ReasoningService`) keeps no cache of its
-own.
+extensional set, so it touches exactly the entries whose footprint meets
+those facts' predicates; a write that changes nothing touches nothing,
+and a rebuild starts from an empty memo.  A touched entry is *patched*
+with the write's delta when its extraction is its predicates' stored
+extents as they are — no post directive, and no predicate of it holding
+a null (nothing to deduplicate, nothing uncertain) or an aggregate
+position (nothing to reduce).  Its answers and its index buckets lose
+the facts the write removed (a retraction's overdeleted facts) and gain,
+at the end, the facts it added (an upsert's chase, a retraction's
+rederived facts); new facts take new slots, so the answers keep the
+order of a full scan.  Every other touched entry is dropped.  The
+service layer (:class:`~repro.engine.service.ReasoningService`) keeps no
+cache of its own.
 
 **Warded-null handling, honestly.** The termination strategy is stateful
 (learned stop-provenances, per-tree isomorphism sets).  For upserts the
@@ -54,7 +92,9 @@ already in the store, so ground answers are exact and null-witness
 different multiset of isomorphic null witnesses than a from-scratch chase
 (the same contract as the streaming executor).  After a
 retraction the strategy is rebuilt by replaying the surviving nodes into a
-:class:`~repro.core.termination.TrivialIsomorphismStrategy` — correct for
+:class:`~repro.core.termination.TrivialIsomorphismStrategy` (strategies
+ignore ground inputs, so the replay walks only the predicates the store
+counts null-bearing facts for) — correct for
 harmless warded programs (Theorem 2) — rather than a fresh warded one.
 The warded summary structure is unsound to re-learn mid-store: when
 rederivation re-derives a *surviving* fact and prunes it as isomorphic, it
@@ -84,14 +124,15 @@ from types import SimpleNamespace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseEngine, ChaseResult
+from ..core.chase import ChaseEngine, ChaseResult, RuleSeed
 from ..core.fact_store import FactStore, StoreSnapshot
 from ..core.forests import ChaseNode
 from ..core.limits import STATUS_COMPLETE
 from ..core.parser import parse_atom
 from ..core.provenance import DerivationIndex
 from ..core.query import AnswerSet
-from ..core.rules import Program, Rule
+from ..core.rules import Program
+from ..core.terms import Null, Term, Variable
 from ..core.termination import TrivialIsomorphismStrategy, WardedTerminationStrategy
 from .annotations import load_bound_facts
 from .plan import backward_slice
@@ -196,11 +237,14 @@ class ResidentReasoner:
             "facts_retracted": 0,
             "overdeleted": 0,
             "rederived": 0,
+            "restricted_seeds": 0,
+            "full_seeds": 0,
             "full_rebuilds": 0,
             "maintenance_seconds": 0.0,
             "cache_hits": 0,
             "cache_misses": 0,
             "invalidations": 0,
+            "patches": 0,
         }
         facts = list(VadalogReasoner._database_facts(database))
         facts.extend(load_bound_facts(bindings))
@@ -233,6 +277,13 @@ class ResidentReasoner:
         self._engine = engine
         self._derivations = DerivationIndex()
         self._record_derivations(result.nodes)
+        #: Whether the store is closed under the rules: every fact derivable
+        #: from it is stored or has a stored isomorphic twin.  A vertical
+        #: prune of the warded strategy breaks that (it drops facts, ground
+        #: ones too, on the strength of another tree with the same root
+        #: pattern), and only a materialisation restores it; the module
+        #: docstring has the argument.
+        self._closed = True
         self._dirty = False
         self._violations_stale = False
         #: The answer memo: per (predicates, certain), the extracted answer
@@ -240,7 +291,8 @@ class ResidentReasoner:
         #: footprint (the backward slice of its predicates).  Distinct point
         #: queries on one predicate share an extraction (isomorphic dedup +
         #: aggregate reduction + post directives) and only pay an index
-        #: probe; a write drops the entries whose footprint it touches.
+        #: probe; a write patches or drops the entries whose footprint it
+        #: touches (:meth:`_refresh_memo`).
         self._memo: Dict[Tuple, Tuple[AnswerSet, Dict, FrozenSet[str]]] = {}
 
     def _record_derivations(self, nodes: Iterable[ChaseNode]) -> None:
@@ -249,13 +301,19 @@ class ResidentReasoner:
             if node.parents:
                 record(node.fact, [parent.fact for parent in node.parents])
 
-    def _chase(self, delta: List[ChaseNode], rules: Optional[List[Rule]] = None) -> None:
-        """Continuation rounds from ``delta``; records the new nodes' derivations."""
+    def _chase(
+        self, delta: List[ChaseNode], seeds: Optional[List[RuleSeed]] = None
+    ) -> List[Fact]:
+        """Continuation rounds from ``delta`` (or ``seeds``); records the new
+        nodes' derivations and returns their facts in store-slot order."""
         node_of = self.result.node_of
         before = len(node_of)
-        self._engine.continue_rounds(delta, rules)
-        # New nodes are appended to the insertion-ordered node map.
-        self._record_derivations(islice(node_of.values(), before, None))
+        self._engine.continue_rounds(delta, seeds)
+        # New nodes are appended to the insertion-ordered node map, in the
+        # order their facts entered the store.
+        nodes = list(islice(node_of.values(), before, None))
+        self._record_derivations(nodes)
+        return [node.fact for node in nodes]
 
     # ------------------------------------------------------------ inspection
     @property
@@ -318,8 +376,12 @@ class ResidentReasoner:
         # change holds the added facts' predicates in its footprint.
         added = self._engine.load_inputs(new_facts)
         if added:
-            self._invalidate({node.fact.predicate for node in added})
-            self._chase(added)
+            derived = self._chase(added)
+            self._refresh_memo(
+                {node.fact.predicate for node in added},
+                set(),
+                [node.fact for node in added] + derived,
+            )
         self._stats["facts_upserted"] += len(added)
         if self._has_checks:
             self._violations_stale = True
@@ -364,17 +426,18 @@ class ResidentReasoner:
         self.maintenance_epoch += 1
         self._stats["retractions"] += 1
         self._edb.difference_update(retracted)
-        self._invalidate({fact.predicate for fact in retracted})
         self._stats["facts_retracted"] += len(retracted)
-        if not retracted or self._dirty:
+        changed = {fact.predicate for fact in retracted}
+        if not retracted or self._dirty or self._has_aggregates:
+            # No delta to patch the memo with: the dependent entries go.
+            self._invalidate(changed)
+            if retracted and self._has_aggregates:
+                # Monotone aggregate evaluators cannot un-see a contribution.
+                self._dirty = True
             self._stats["maintenance_seconds"] += time.perf_counter() - started
             return len(retracted)
-        if self._has_aggregates:
-            # Monotone aggregate evaluators cannot un-see a contribution.
-            self._dirty = True
-            self._stats["maintenance_seconds"] += time.perf_counter() - started
-            return len(retracted)
-        self._dred(retracted)
+        deleted, rederived = self._dred(retracted)
+        self._refresh_memo(changed, deleted, rederived)
         if self._has_checks:
             self._violations_stale = True
         self._stats["maintenance_seconds"] += time.perf_counter() - started
@@ -389,8 +452,52 @@ class ResidentReasoner:
             del self._memo[key]
         self._stats["invalidations"] += len(stale)
 
-    def _dred(self, retracted: List[Fact]) -> None:
-        """Delete-and-rederive: overdeletion, removal, restricted rederivation."""
+    def _refresh_memo(
+        self, predicates: Set[str], removed: Set[Fact], added: List[Fact]
+    ) -> None:
+        """Patch or drop the memo entries whose footprint meets ``predicates``
+        (see "One answer memo" in the module docstring) after a write that
+        removed ``removed`` from the store and then added ``added``, in
+        store-slot order."""
+        store = self.store
+        aggregated = {pred for pred, _ in self.result.aggregates.aggregated_positions()}
+        removed_by: Dict[str, Set[Fact]] = {}
+        for fact in removed:
+            removed_by.setdefault(fact.predicate, set()).add(fact)
+        added_by: Dict[str, List[Fact]] = {}
+        for fact in added:
+            added_by.setdefault(fact.predicate, []).append(fact)
+        for key, (answers, index, footprint) in list(self._memo.items()):
+            if predicates.isdisjoint(footprint):
+                continue
+            if self._post_directives or any(
+                store.null_facts(p) or p in aggregated for p in key[0]
+            ):
+                del self._memo[key]
+                self._stats["invalidations"] += 1
+                continue
+            patched = AnswerSet()
+            for predicate, facts in answers.facts_by_predicate.items():
+                gone = removed_by.get(predicate)
+                new = added_by.get(predicate)
+                if gone or new:
+                    # A fresh list: callers may hold the entry's old answers.
+                    facts = [f for f in facts if f not in gone] if gone else list(facts)
+                    facts += new or ()
+                patched.facts_by_predicate[predicate] = facts
+            for (predicate, position), buckets in index.items():
+                _patch_buckets(
+                    buckets, position, removed_by.get(predicate), added_by.get(predicate, ())
+                )
+            self._memo[key] = (patched, index, footprint)
+            self._stats["patches"] += 1
+
+    def _dred(self, retracted: List[Fact]) -> Tuple[Set[Fact], List[Fact]]:
+        """Delete-and-rederive: overdeletion, removal, seeded rederivation.
+
+        Returns the facts it removed from the store and the facts it added
+        back, in store-slot order (the write's delta for the memo).
+        """
         store = self.store
         node_of = self.result.node_of
         # -- overdeletion: closure over recorded derivations ------------------
@@ -405,38 +512,74 @@ class ResidentReasoner:
                 if child not in deleted and child not in self._edb and child in store:
                     stack.append(child)
         if not deleted:
-            return
+            return deleted, []
         self._stats["overdeleted"] += len(deleted)
+        # The gate of the seeded rederivation: read before the strategy goes.
+        if self._engine.strategy.stats.vertical_prunes:
+            self._closed = False
         # -- removal: store, node map, derivation index, fresh strategy -------
+        parents: Set[Fact] = set()
         for fact in deleted:
-            node = node_of.pop(fact)
-            if node.parents:
-                self._derivations.unlink(fact, [p.fact for p in node.parents])
+            for parent in node_of.pop(fact).parents:
+                parents.add(parent.fact)
             store.remove(fact)
+        self._derivations.unlink(deleted, parents - deleted)
         self._derivations.forget(deleted)
         # Replay the survivors into a summary-free strategy: a fresh warded
         # strategy would re-learn stop-provenances over the mutilated store
         # and vertically prune rederivations of just-deleted facts (see the
         # module docstring); the global-isomorphism strategy is correct for
         # harmless warded programs and has no path summaries to poison.
+        # Strategies ignore ground inputs, so only null-bearing facts replay.
         strategy = self._reasoner._make_strategy()
         if isinstance(strategy, WardedTerminationStrategy):
             strategy = TrivialIsomorphismStrategy()
-        for node in node_of.values():
-            strategy.register_input(node)
+        for predicate in store.null_predicates():
+            for fact in store.by_predicate(predicate):
+                if fact.has_nulls:
+                    strategy.register_input(node_of[fact])
         self._engine.strategy = strategy
         self.result.strategy = strategy
-        # -- rederivation: full round restricted to the deleted predicates ----
-        deleted_predicates = {f.predicate for f in deleted}
-        rules = [
-            rule
-            for rule in self.program.rules
-            if any(atom.predicate in deleted_predicates for atom in rule.head)
-        ]
-        before_facts = len(store)
-        if rules:
-            self._chase([node_of[f] for f in store.facts()], rules)
-        self._stats["rederived"] += len(store) - before_facts
+        # -- rederivation: a round over the rules whose head lost facts -------
+        lost: Dict[str, List[Fact]] = {}
+        for fact in deleted:
+            lost.setdefault(fact.predicate, []).append(fact)
+        seeds = self._rederivation_seeds(lost)
+        rederived = self._chase([], seeds) if seeds else []
+        self._stats["rederived"] += len(rederived)
+        return deleted, rederived
+
+    def _rederivation_seeds(self, lost: Dict[str, List[Fact]]) -> List[RuleSeed]:
+        """One seed per rule whose head predicate lost facts, in program order:
+        from the deleted heads on a closed store, else the full extent (see
+        the module docstring)."""
+        store = self.store
+        projections: Dict[Tuple, Optional[Set[Tuple[Term, ...]]]] = {}
+        seeds: List[RuleSeed] = []
+        for rule in self.program.rules:
+            heads = [atom for atom in rule.head if atom.predicate in lost]
+            body = rule.relational_body
+            if not heads or not body:
+                continue
+            candidates = []
+            if self._closed:
+                for index, atom in enumerate(body):
+                    probes = _seed_probes(atom, heads, lost, projections)
+                    if probes is not None:
+                        candidates.append((index, probes))
+            if not candidates:
+                self._stats["full_seeds"] += 1
+                # Copied: the store's bucket grows as the round admits facts.
+                seeds.append((rule, 0, list(store.by_predicate(body[0].predicate))))
+                continue
+            if len(candidates) > 1:
+                candidates.sort(
+                    key=lambda c: _probe_estimate(store, body[c[0]].predicate, c[1])
+                )
+            index, probes = candidates[0]
+            self._stats["restricted_seeds"] += 1
+            seeds.append((rule, index, _probe_facts(store, body[index].predicate, probes)))
+        return seeds
 
     def ensure_settled(self) -> None:
         """Resolve deferred maintenance: full rebuild and/or violation re-check."""
@@ -512,3 +655,104 @@ class ResidentReasoner:
         """The EGD/constraint violations of the current materialisation."""
         self.ensure_settled()
         return list(self.result.violations)
+
+
+#: What a seed atom's facts must meet to join the deleted facts of one head
+#: atom: the atom positions of the variables the two share, and the terms
+#: the deleted facts hold there, one row per distinct projection.
+Probe = Tuple[Tuple[int, ...], Set[Tuple[Term, ...]]]
+
+
+def _seed_probes(
+    atom: Atom,
+    heads: List[Atom],
+    lost: Dict[str, List[Fact]],
+    projections: Dict[Tuple, Optional[Set[Tuple[Term, ...]]]],
+) -> Optional[List[Probe]]:
+    """One probe per head atom for body ``atom``, or ``None`` when ``atom``
+    shares no variable with one of ``heads`` or a deleted fact holds a null
+    where it does.  ``projections`` memoises the deleted facts' projections
+    per (predicate, arity, head positions) across atoms and rules."""
+    first: Dict[Variable, int] = {}
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Variable):
+            first.setdefault(term, position)
+    probes: List[Probe] = []
+    for head in heads:
+        shared: Dict[Variable, Tuple[int, int]] = {}
+        for position, term in enumerate(head.terms):
+            if isinstance(term, Variable) and term in first and term not in shared:
+                shared[term] = (first[term], position)
+        if not shared:
+            return None
+        of = tuple([position for _, position in shared.values()])
+        key = (head.predicate, len(head.terms), of)
+        if key not in projections:
+            rows = {
+                tuple([fact.terms[position] for position in of])
+                for fact in lost[head.predicate]
+                if len(fact.terms) == key[1]
+            }
+            if any(term.__class__ is Null for row in rows for term in row):
+                rows = None
+            projections[key] = rows
+        rows = projections[key]
+        if rows is None:
+            return None
+        probes.append((tuple([at for at, _ in shared.values()]), rows))
+    return probes
+
+
+def _probe_estimate(store: FactStore, predicate: str, probes: List[Probe]) -> int:
+    """At most how many facts of ``predicate`` meet ``probes``: each row
+    meets no more than its smallest position-index bucket holds."""
+    return sum(
+        min(
+            len(store.position_candidates(predicate, at, term))
+            for at, term in zip(positions, row)
+        )
+        for positions, rows in probes
+        for row in rows
+    )
+
+
+def _probe_facts(store: FactStore, predicate: str, probes: List[Probe]) -> List[Fact]:
+    """The facts of ``predicate`` that meet some probe row, in store-slot order."""
+    found: Set[Fact] = set()
+    for positions, rows in probes:
+        for row in rows:
+            pairs = list(zip(positions, row))
+            bucket = min(
+                (store.position_candidates(predicate, at, term) for at, term in pairs), key=len
+            )
+            if len(pairs) == 1:
+                found.update(bucket)
+                continue
+            for fact in bucket:
+                terms = fact.terms
+                if all(terms[at] is term or terms[at] == term for at, term in pairs):
+                    found.add(fact)
+    return sorted(found, key=lambda fact: store.index_of_row(fact.predicate, fact.terms))
+
+
+def _patch_buckets(
+    buckets: Dict[Term, List[Fact]],
+    position: int,
+    gone: Optional[Set[Fact]],
+    new: Iterable[Fact],
+) -> None:
+    """Patch one point-query index (``{term: [facts]}`` over ``position``,
+    see :func:`~repro.engine.reasoner._filter_answers`) with a write's delta."""
+    if gone:
+        for term in {fact.terms[position] for fact in gone if position < len(fact.terms)}:
+            bucket = buckets.get(term)
+            if bucket is None:
+                continue
+            kept = [fact for fact in bucket if fact not in gone]
+            if kept:
+                buckets[term] = kept
+            else:
+                del buckets[term]
+    for fact in new:
+        if position < len(fact.terms):
+            buckets.setdefault(fact.terms[position], []).append(fact)

@@ -82,8 +82,9 @@ class CompiledRuleExecutor:
         fact the chase admits while this generator is suspended is probed
         by the remaining candidates of the same round.  ``seed_lists``, when
         given, supplies the seed candidates externally (one sequence per
-        seed plan, aligned with ``plan.seed_plans``): the DRed full-join
-        round passes a predicate's whole extent this way, bypassing the
+        seed plan, aligned with ``plan.seed_plans``): the DRed rederivation
+        round passes one seed atom's facts this way (a predicate's whole
+        extent, or the facts that can join a deleted head), bypassing the
         store's own delta lookup while every positional check still runs
         per candidate.
         """

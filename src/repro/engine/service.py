@@ -194,7 +194,7 @@ class ReasoningService:
     def stats(self) -> Dict[str, object]:
         resident = self._resident.stats()
         data: Dict[str, object] = dict(self._counters)
-        for key in ("cache_hits", "cache_misses", "invalidations", "cached_answers"):
+        for key in ("cache_hits", "cache_misses", "invalidations", "patches", "cached_answers"):
             data[key] = resident[key]
         data["resident"] = resident
         return data

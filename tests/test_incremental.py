@@ -14,6 +14,8 @@ disappear exactly when their last justification goes, retract-then-
 reinsert is idempotent, and the documented hard errors/fallbacks hold.
 """
 
+import random
+
 import pytest
 
 from differential_harness import (
@@ -27,7 +29,7 @@ from differential_harness import (
 from repro.core.atoms import Atom
 from repro.core.parser import parse_atom
 from repro.engine.incremental import ResidentError, ResidentReasoner
-from repro.engine.reasoner import VadalogReasoner
+from repro.engine.reasoner import VadalogReasoner, _answer_step
 
 REACH_PROGRAM = """
 @output("Reach").
@@ -385,13 +387,139 @@ class TestDRedEdgeCases:
         assert not resident.needs_settle
 
 
+class TestSeededRederivation:
+    """Rederivation seeds a rule from the facts that can join a deleted head
+    only while the store is closed under the rules; after a vertical prune
+    of the warded strategy every rule seeds from its whole extent."""
+
+    CHAIN = """
+    @output("P").
+    P(X, Y) :- Q(X).
+    P(Y, Z) :- P(X, Y).
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, pruned", [("trivial-isomorphism", False), ("warded", True)]
+    )
+    def test_restricted_seeds_only_on_a_closed_store(self, strategy, pruned):
+        scenario, _facts, initial, late = _scenario_split("iwarded-synthB")
+        resident = ResidentReasoner(
+            scenario.program.copy(), database=scenario.database, strategy=strategy
+        )
+        assert bool(resident.result.strategy.stats.vertical_prunes) == pruned
+        resident.retract(late)
+        stats = resident.stats()
+        assert stats["full_seeds"] > 0
+        if pruned:
+            assert stats["restricted_seeds"] == 0
+        else:
+            # Only rules whose deleted heads hold a null where the body
+            # joins them keep their whole extent.
+            assert stats["restricted_seeds"] > 5 * stats["full_seeds"]
+        assert_profiles_match(
+            "iwarded-synthB",
+            _scratch_profile("iwarded-synthB", initial),
+            _resident_profile(resident, scenario.outputs),
+            check_iso=False,
+            label=f"retract ({strategy})",
+        )
+
+    def test_a_prune_during_an_upsert_closes_the_gate(self):
+        resident = ResidentReasoner(self.CHAIN, database={"Q": [("a",)]})
+        # One tree: the chain stops on an isomorphism check, prunes nothing.
+        assert resident.result.strategy.stats.vertical_prunes == 0
+        resident.upsert({"Q": [("b",)]})
+        # The second tree stops beyond the stop-provenance the first learned.
+        assert resident.result.strategy.stats.vertical_prunes > 0
+        resident.retract({"Q": [("b",)]})
+        stats = resident.stats()
+        assert (stats["restricted_seeds"], stats["full_seeds"]) == (0, 2)
+        assert resident.query().ground_tuples("P") == set()
+        assert len(resident.query().facts("P")) == 2
+
+
+class TestMemoPatching:
+    """A write patches the null-free memo entries with its delta."""
+
+    PROGRAM = """
+    @output("Reach").
+    @output("Pair").
+    Reach(X, Y) :- Edge(X, Y).
+    Reach(X, Z) :- Reach(X, Y), Edge(Y, Z).
+    Pair(X, Y) :- Source(X), Reach(X, Y).
+    """
+
+    @staticmethod
+    def fresh_index(answers, index):
+        """The point-query index ``_filter_answers`` would build for ``answers``."""
+        fresh = {}
+        for predicate, position in index:
+            buckets = fresh[(predicate, position)] = {}
+            for fact in answers.facts(predicate):
+                buckets.setdefault(fact.terms[position], []).append(fact)
+        return fresh
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_patched_entries_equal_a_fresh_extraction(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(7)]
+        edges = set()
+        while len(edges) < 12:
+            edges.add((rng.choice(nodes), rng.choice(nodes)))
+        resident = ResidentReasoner(
+            self.PROGRAM, database={"Edge": sorted(edges), "Source": [("n0",), ("n1",)]}
+        )
+        writes = 0
+        for step in range(16):
+            # Warm every entry shape: both outputs, each output, certain or
+            # not, and a point-query index at each position.
+            for certain in (False, True):
+                resident.answers(certain=certain)
+                resident.query(outputs=["Reach"], certain=certain)
+            for node in nodes[:3]:
+                resident.query(f'Reach("{node}", Y)')
+                resident.query(f'Pair(X, "{node}")')
+            if step % 2 and edges:
+                edge = rng.choice(sorted(edges))
+                edges.discard(edge)
+                writes += resident.retract({"Edge": [edge]})
+            else:
+                edge = (rng.choice(nodes), rng.choice(nodes))
+                edges.add(edge)
+                writes += resident.upsert({"Edge": [edge]})
+            assert len(resident._memo) == 5
+            for (predicates, certain), (answers, index, _) in resident._memo.items():
+                fresh = _answer_step(resident.result, predicates, certain, ())
+                assert answers.facts_by_predicate == fresh.facts_by_predicate
+                assert index == self.fresh_index(fresh, index)
+        stats = resident.stats()
+        assert stats["invalidations"] == 0
+        assert writes > 10 and stats["patches"] == 5 * writes
+        assert stats["overdeleted"] > 0 and stats["rederived"] > 0
+
+    def test_entries_with_nulls_are_dropped(self):
+        resident = ResidentReasoner(
+            AUDIT_PROGRAM,
+            database={"Edge": [("a", "b"), ("b", "c")], "Source": [("a",)]},
+        )
+        before = resident.answers()
+        resident.query(outputs=["Reach"])
+        resident.upsert({"Edge": [("c", "d")]})
+        stats = resident.stats()
+        assert (stats["invalidations"], stats["patches"]) == (1, 1)
+        # The caller's answers are never patched in place.
+        assert ("d",) not in {row[:1] for row in before.tuples("Audit")}
+        assert ("c", "d") in resident.query(outputs=["Reach"]).ground_tuples("Reach")
+
+
 class TestPointQueries:
     """Point queries probe an index over the memoised extraction.
 
     Whatever the shape of the query atom, the answer is what a full scan
     of the extraction with ``Atom.match`` returns — same facts, same order
     — and what a one-shot ``reason(query=...)`` on the current database
-    returns; the index is rebuilt with the extraction after every write.
+    returns; after every write the index is patched with the extraction,
+    or dropped and rebuilt with it.
     """
 
     PROGRAM = """
@@ -453,7 +581,7 @@ class TestPointQueries:
         assert sizes["Reach(X, X)"] == 3 and sizes['Reach("a")'] == 0
         assert sizes['Reach("nowhere", Y)'] == 0 and sizes['Audit("b", Z)'] == 1
 
-        # The index built above must not answer for the new extraction.
+        # The index built above must answer for the new extraction.
         edges.add(("f", "g"))
         resident.upsert({"Edge": [("f", "g")]})
         assert ("a", "g") in resident.query('Reach("a", Y)').ground_tuples("Reach")

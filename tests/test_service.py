@@ -158,12 +158,14 @@ class TestAnswerCache:
         service.query("C(X)")
         service.upsert({"D": [("d2",)]})
         stats = service.stats()
-        assert stats["invalidations"] == 1  # C(X) only
+        # C(X) only: its null-free entry takes the write's delta.
+        assert (stats["invalidations"], stats["patches"]) == (0, 1)
         # A(X) survives the write to D...
         service.query("A(X)")
         assert service.stats()["cache_hits"] == 1
-        # ...and the C(X) spec recomputes fresh answers.
+        # ...and the C(X) spec answers with the patched, fresh answers.
         assert service.query("C(X)").ground_tuples("C") == {("d1",), ("d2",)}
+        assert service.stats()["cache_hits"] == 2
 
     def test_invalidated_answers_are_recomputed_not_stale(self):
         service = ReasoningService(
@@ -196,9 +198,9 @@ class TestAnswerCache:
         assert (stats["cache_misses"], stats["cache_hits"]) == (1, 2)
 
     def test_writer_waits_for_the_reader_filling_the_memo(self, monkeypatch):
-        # A reader fills the memo under the reader lock and a writer drops
-        # entries under the writer lock, so answers computed before a write
-        # can never be served after it.
+        # A reader fills the memo under the reader lock and a writer patches
+        # or drops entries under the writer lock, so answers computed before
+        # a write are never served after it unpatched.
         service = ReasoningService(REACH_PROGRAM, database={"Edge": [("a", "b")]})
         extracting = threading.Event()
         release = threading.Event()
@@ -236,8 +238,9 @@ class TestAnswerCache:
             ("a", "c"),
         }
         stats = service.stats()
-        assert (stats["cache_misses"], stats["cache_hits"]) == (2, 0)
-        assert stats["invalidations"] == 1
+        # The write patched the entry the reader filled: one miss, one hit.
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
+        assert (stats["invalidations"], stats["patches"]) == (0, 1)
 
     def test_full_extraction_and_outputs_key_separately(self):
         service = ReasoningService(

@@ -194,10 +194,14 @@ class TestFactStoreRemove:
             assert store.index_of_row(f.predicate, f.terms) == slot
             assert store.fact_at(slot) == f
             assert store.round_of(f) == rounds[f]
+        assert set(store.null_predicates()) == {f.predicate for f in facts if f.has_nulls}
         for predicate, arity in self.PREDICATES.items():
             extent = [f for f in facts if f.predicate == predicate]
             assert list(store.by_predicate(predicate)) == extent
             assert store.count(predicate) == len(extent)
+            nulls = sum(f.has_nulls for f in extent)
+            assert store.null_facts(predicate) == nulls
+            assert store.snapshot().null_facts(predicate) == nulls
             assert ordered(store.by_predicate(predicate))
             dicts = store._position_index.get(predicate)
             if not extent:

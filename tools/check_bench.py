@@ -20,8 +20,9 @@ judges can be fed synthetic numbers (``tests/test_check_bench.py``).
     ``ReasoningService`` and a from-scratch service.  It fails when the
     median queries/sec fell below the scaled ``service_throughput`` entry,
     when the resident speedup over from-scratch drops below 2x, or when the
-    two services disagree on the final ``Reach`` relation or on the nodes
-    of the final ``Audit`` relation (its second column is a labelled null).
+    two services disagree, at any query of the stream or at its end, on the
+    ground ``Reach`` answers or on the nodes of the ``Audit`` answers (its
+    second column is a labelled null).
 ``--trace-overhead``
     Runs eleven smoke scenarios untraced and with ``trace=True`` on the
     compiled and streaming executors and fails when a traced median exceeds
@@ -324,17 +325,30 @@ def gate_scaling_curves(update: bool, slowdown: float) -> int:
 
 # ------------------------------------------------------- service throughput
 def _final_outputs(answers):
-    """What both services must agree on: ``Reach`` and the audited nodes."""
+    """What both services must agree on, per query and at the end of the
+    stream: ``Reach`` and the audited nodes."""
     return {
         "Reach": sorted(answers.ground_tuples("Reach")),
         "Audit": sorted({row[0] for row in answers.tuples("Audit")}),
     }
 
 
+def _query_outputs(answers, query):
+    """:func:`_final_outputs` of one query's answers: a point query's of
+    its own predicate only."""
+    outputs = _final_outputs(answers)
+    if query is None:
+        return outputs
+    predicate = parse_atom(query).predicate
+    return {predicate: outputs[predicate]}
+
+
 def _replay_resident(scenario, operations):
-    """(seconds, query latencies, final outputs) through the resident service."""
+    """(seconds, query latencies, each query's answers, final outputs)
+    through the resident service."""
     service = ReasoningService(scenario.program.copy(), database=scenario.database)
     latencies = []
+    answers = []
     started = time.perf_counter()
     for kind, payload in operations:
         if kind == "upsert":
@@ -343,14 +357,16 @@ def _replay_resident(scenario, operations):
             service.retract(payload)
         else:
             t0 = time.perf_counter()
-            service.query(payload)
+            answer = service.query(payload)
             latencies.append(time.perf_counter() - t0)
+            answers.append(answer)
     elapsed = time.perf_counter() - started
-    return elapsed, latencies, _final_outputs(service.query())
+    return elapsed, latencies, answers, _final_outputs(service.query())
 
 
 def _replay_scratch(scenario, operations):
-    """(seconds, final outputs) through the from-scratch service.
+    """(seconds, each query's answers, final outputs) through the
+    from-scratch service.
 
     The honest non-resident service: answers and the point-query index over
     them are memoized between writes, but every write drops them and the
@@ -360,6 +376,7 @@ def _replay_scratch(scenario, operations):
     edges = {tuple(row) for row in scenario.database.relation("Edge")}
     sources = [tuple(row) for row in scenario.database.relation("Source")]
     result = None
+    answers = []
     started = time.perf_counter()
     for kind, payload in operations:
         if kind == "upsert":
@@ -376,13 +393,15 @@ def _replay_scratch(scenario, operations):
                     outputs=scenario.outputs,
                 )
                 index = {}
-            if payload is not None:
-                _filter_answers(result.answers, parse_atom(payload), index)
+            if payload is None:
+                answers.append(result.answers)
+            else:
+                answers.append(_filter_answers(result.answers, parse_atom(payload), index))
     elapsed = time.perf_counter() - started
     final = reasoner.reason(
         database={"Edge": sorted(edges), "Source": sources}, outputs=scenario.outputs
     )
-    return elapsed, _final_outputs(final.answers)
+    return elapsed, answers, _final_outputs(final.answers)
 
 
 def replay_service() -> Tuple[int, float, float, float]:
@@ -395,10 +414,21 @@ def replay_service() -> Tuple[int, float, float, float]:
     operations = list(
         service_operations(scenario, n_ops=SERVICE_OPS, update_ratio=SERVICE_RATIO)
     )
-    resident_seconds, latencies, resident_final = _replay_resident(scenario, operations)
-    scratch_seconds, scratch_final = _replay_scratch(
+    resident_seconds, latencies, resident_answers, resident_final = _replay_resident(
+        scenario, operations
+    )
+    scratch_seconds, scratch_answers, scratch_final = _replay_scratch(
         service_scenario(n_nodes=SERVICE_NODES), operations
     )
+    queries = [payload for kind, payload in operations if kind == "query"]
+    for number, (query, resident, scratch) in enumerate(
+        zip(queries, resident_answers, scratch_answers)
+    ):
+        if _query_outputs(resident, query) != _query_outputs(scratch, query):
+            raise SystemExit(
+                "service gate FAILED: resident and from-scratch services disagree "
+                f"at query {number} ({query!r}) of the stream (correctness, not noise)"
+            )
     for predicate, rows in resident_final.items():
         if rows != scratch_final[predicate]:
             raise SystemExit(

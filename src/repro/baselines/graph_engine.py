@@ -41,14 +41,8 @@ class GraphTraversalEngine:
 
     def __init__(self, edges: Iterable[Tuple[Hashable, Hashable]]) -> None:
         self._adjacency: Dict[Hashable, List[Hashable]] = {}
-        self._edge_count = 0
         for source, target in edges:
             self._adjacency.setdefault(source, []).append(target)
-            self._edge_count += 1
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
 
     def propagate_labels(
         self, seeds: Iterable[Tuple[Hashable, Hashable]]

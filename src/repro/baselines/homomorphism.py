@@ -1,4 +1,4 @@
-"""Homomorphism checks and rule matching shared by the baseline engines.
+"""Homomorphism checks of the restricted chase baseline.
 
 A homomorphism from a set of atoms ``S`` to a fact store maps labelled nulls
 (and variables) of ``S`` to terms of the store such that every atom of ``S``
@@ -6,24 +6,14 @@ becomes a fact of the store; constants map to themselves.  The restricted
 chase performs such a check before every chase step, which is exactly the
 overhead the paper attributes to the back-end based systems (Section 7,
 Example 14).
-
-Both chase baselines evaluate rule bodies naively against the full store
-(:func:`body_matches`), compute assignments and aggregates
-(:func:`evaluate_computed`) and instantiate heads (:func:`instantiate`)
-the same way; the guard, aggregate and post-condition semantics come from
-a :class:`~repro.core.chase.ChaseEngine` built per run, so aggregate state
-never outlives a run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.atoms import Atom, Fact
-from ..core.chase import ChaseEngine
-from ..core.expressions import ExpressionError
 from ..core.fact_store import FactStore
-from ..core.rules import Rule
 from ..core.terms import Constant, Term, Variable
 
 
@@ -108,60 +98,3 @@ def homomorphism_exists(
 ) -> bool:
     """Boolean version of :func:`find_homomorphism`."""
     return find_homomorphism(atoms, store, initial_mapping) is not None
-
-
-def facts_homomorphic(source: Iterable[Fact], store: FactStore) -> bool:
-    """True when the set of ``source`` facts maps homomorphically into ``store``."""
-    return homomorphism_exists(list(source), store)
-
-
-def body_matches(
-    matcher: ChaseEngine, rule: Rule, store: FactStore
-) -> Iterator[Dict[Variable, Term]]:
-    """All bindings of the rule body against the full store (naive evaluation)."""
-    body = rule.relational_body
-
-    def recurse(index: int, binding: Dict[Variable, Term]):
-        if index == len(body):
-            if matcher._guards_hold(rule, binding, store):
-                yield dict(binding)
-            return
-        atom = body[index].substitute(binding)
-        for fact in store.candidates(atom, binding):
-            extension = atom.match(fact)
-            if extension is None:
-                continue
-            merged = dict(binding)
-            merged.update(extension)
-            yield from recurse(index + 1, merged)
-
-    yield from recurse(0, {})
-
-
-def evaluate_computed(
-    matcher: ChaseEngine, rule: Rule, binding: Dict[Variable, Term]
-) -> Optional[Dict[Variable, Term]]:
-    """``binding`` plus the rule's assignments and aggregate, or ``None``
-    when a computation fails or a post condition rejects the result."""
-    full_binding = dict(binding)
-    try:
-        for assignment in rule.assignments:
-            full_binding[assignment.variable] = assignment.compute(full_binding)
-        if rule.aggregate is not None:
-            value = matcher._aggregate_value(rule, rule.aggregate, full_binding)
-            if value is None:
-                return None
-            full_binding[rule.aggregate.variable] = value
-    except ExpressionError:
-        return None
-    if not matcher._post_conditions_hold(rule, full_binding):
-        return None
-    return full_binding
-
-
-def instantiate(atom: Atom, binding: Dict[Variable, Term]) -> Fact:
-    """The ground fact ``atom`` becomes under ``binding``."""
-    return Fact(
-        atom.predicate,
-        [binding[term] if isinstance(term, Variable) else term for term in atom.terms],
-    )

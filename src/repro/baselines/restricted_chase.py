@@ -8,9 +8,17 @@ it is not.  The check is re-executed for every candidate trigger, which is
 exactly the per-step query overhead discussed around Example 14 of the
 paper.  Existential witnesses are fresh labelled nulls.
 
-The engine supports the same rule features as the main chase (conditions,
-assignments, ``Dom`` guards, monotonic aggregations) so that certain answers
-can be compared against the warded engine in differential tests.
+Both chase baselines run one round loop, :class:`BaselineChaseEngine`:
+every round matches each rule body against the whole store and fires
+every match, until a round adds nothing.  The loop matches, computes and
+instantiates through a :class:`~repro.core.chase.ChaseEngine` built per run
+(:meth:`~repro.core.chase.ChaseEngine.match_body`,
+:meth:`~repro.core.chase.ChaseEngine.computed_binding`), so the baselines
+support the same rule features as the main chase (conditions, assignments,
+``Dom`` guards, monotonic aggregations) and certain answers can be compared
+against the warded engine in differential tests; aggregate state never
+outlives a run.  The two engines differ only in how an existential gets its
+witness and whether a trigger whose head already holds is skipped.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from typing import Dict, Iterable, Optional, Tuple
 from ..core.atoms import Fact
 from ..core.chase import ChaseEngine
 from ..core.fact_store import FactStore
-from ..core.rules import Program
-from ..core.terms import NullFactory, Term, Variable
+from ..core.rules import Program, Rule
+from ..core.terms import Term, Variable
 from ..core.wardedness import analyse_program
-from .homomorphism import body_matches, evaluate_computed, find_homomorphism, instantiate
+from .homomorphism import find_homomorphism
 
 
 class ChaseLimitError(Exception):
@@ -46,6 +54,8 @@ class BaselineResult:
     rounds: int = 0
     applied_steps: int = 0
     homomorphism_checks: int = 0
+    #: Rule-body matches enumerated (the grounding volume of the Skolem chase).
+    grounded_instances: int = 0
     elapsed_seconds: float = 0.0
 
     def facts(self, predicate: Optional[str] = None) -> Tuple[Fact, ...]:
@@ -66,8 +76,15 @@ class BaselineResult:
         }
 
 
-class RestrictedChaseEngine:
-    """Restricted chase: fire a trigger only when its head is not yet satisfied."""
+class BaselineChaseEngine:
+    """The one round loop of the chase baselines.
+
+    Subclasses name the chase in their :class:`ChaseLimitError` messages
+    and give each trigger its existential witnesses in
+    :meth:`_bind_witnesses`, which may also skip the trigger.
+    """
+
+    name = "chase"
 
     def __init__(
         self,
@@ -85,49 +102,59 @@ class RestrictedChaseEngine:
         store = FactStore()
         for fact in list(database) + list(self.program.facts):
             store.add(fact)
-        null_factory = NullFactory()
-        # A fresh matcher per run: its aggregate evaluators start empty.
+        # A fresh matcher per run: its aggregate evaluators and nulls start empty.
         matcher = ChaseEngine(program=self.program, analysis=self._analysis, executor="naive")
         result = BaselineResult(store=store)
-
         changed = True
-        rounds = 0
         while changed:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise ChaseLimitError(
-                    f"restricted chase exceeded {self.max_rounds} rounds"
-                )
+            result.rounds += 1
+            if result.rounds > self.max_rounds:
+                raise ChaseLimitError(f"{self.name} exceeded {self.max_rounds} rounds")
             changed = False
             for rule in self.program.rules:
-                for binding in body_matches(matcher, rule, store):
-                    full_binding = evaluate_computed(matcher, rule, binding)
-                    if full_binding is None:
+                for binding, _used in matcher.match_body(rule, store):
+                    result.grounded_instances += 1
+                    full_binding = matcher.computed_binding(rule, binding)
+                    if full_binding is None or not self._bind_witnesses(
+                        rule, full_binding, store, matcher, result
+                    ):
                         continue
-                    result.homomorphism_checks += 1
-                    if self._head_satisfied(rule, full_binding, store):
-                        continue
-                    for variable in rule.existential_variables():
-                        full_binding[variable] = null_factory.fresh()
                     for head_atom in rule.head:
-                        head_fact = instantiate(head_atom, full_binding)
-                        if store.add(head_fact):
+                        if store.add(matcher.instantiate_head(head_atom, full_binding)):
                             changed = True
                             result.applied_steps += 1
                     if self.max_facts is not None and len(store) > self.max_facts:
-                        raise ChaseLimitError(
-                            f"restricted chase exceeded {self.max_facts} facts"
-                        )
-        result.rounds = rounds
+                        raise ChaseLimitError(f"{self.name} exceeded {self.max_facts} facts")
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    # ------------------------------------------------------------------ helpers
-    def _head_satisfied(self, rule, binding: Dict[Variable, Term], store: FactStore) -> bool:
-        """Restricted-chase check: does the head already hold (homomorphically)?"""
+    def _bind_witnesses(
+        self,
+        rule: Rule,
+        binding: Dict[Variable, Term],
+        store: FactStore,
+        matcher: ChaseEngine,
+        result: BaselineResult,
+    ) -> bool:
+        """Bind the rule's existential variables in ``binding``; ``False``
+        skips the trigger."""
+        raise NotImplementedError
+
+
+class RestrictedChaseEngine(BaselineChaseEngine):
+    """Restricted chase: fire a trigger only when its head is not yet satisfied."""
+
+    name = "restricted chase"
+
+    def _bind_witnesses(self, rule, binding, store, matcher, result) -> bool:
+        """Skip a trigger whose head already holds; else fresh labelled nulls."""
+        result.homomorphism_checks += 1
+        head_variables = set(rule.head_variables())
         initial: Dict[Term, Term] = {
-            variable: term
-            for variable, term in binding.items()
-            if variable in set(rule.head_variables())
+            variable: term for variable, term in binding.items() if variable in head_variables
         }
-        return find_homomorphism(list(rule.head), store, initial) is not None
+        if find_homomorphism(list(rule.head), store, initial) is not None:
+            return False
+        for variable in rule.existential_variables():
+            binding[variable] = matcher.null_factory.fresh()
+        return True

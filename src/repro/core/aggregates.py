@@ -159,16 +159,8 @@ class AggregateRegistry:
                 f"{function}; a position must always use the same aggregation"
             )
 
-    def position_function(self, predicate: str, index: int) -> Optional[str]:
-        return self._position_functions.get((predicate, index))
-
     def aggregated_positions(self) -> Dict[Tuple[str, int], str]:
         return dict(self._position_functions)
 
     def evaluators(self) -> Dict[str, MonotonicAggregate]:
         return dict(self._evaluators)
-
-
-def select_final_facts(values: Dict[Hashable, Any]) -> Dict[Hashable, Any]:
-    """Identity helper documenting that final per-group values are already reduced."""
-    return values

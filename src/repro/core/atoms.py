@@ -128,9 +128,6 @@ class Atom:
             tuple(apply_substitution(t, substitution) for t in self.terms),
         )
 
-    def rename_predicate(self, new_name: str) -> "Atom":
-        return Atom(new_name, self.terms)
-
     def match(self, fact: "Fact") -> Optional[Dict[Variable, Term]]:
         """Match this (possibly non-ground) atom against a ground fact.
 

@@ -25,9 +25,14 @@ for ``run()`` and the streaming driver alike.  There is one chase step,
 reached two ways: :meth:`ChaseEngine.fire_slots` takes a full match in a
 compiled plan's slot array (the compiled round evaluator calls it) and
 :meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
-of ``fire_slots`` and the naive reference matcher).  There is one limit
-mechanism: the run's :class:`~repro.core.limits.ExecutionBudget` /
-:class:`~repro.core.limits.CancellationToken`, which end a run with a
+of ``fire_slots`` and the naive executor).  There is one interpreted body
+matcher, :meth:`ChaseEngine.match_body`, with three callers: the naive
+executor (seeded from the round's delta), the EGD and negative-constraint
+checks (:meth:`ChaseEngine.check_violations`) and the chase baselines of
+:mod:`repro.baselines`, which also share ``fire_binding``'s prelude
+(:meth:`ChaseEngine.computed_binding`) and head instantiation.  There is
+one limit mechanism: the run's :class:`~repro.core.limits.ExecutionBudget`
+/ :class:`~repro.core.limits.CancellationToken`, which end a run with a
 structured status and a sound partial result — the engine never raises on
 a ceiling.
 """
@@ -185,9 +190,9 @@ class ChaseEngine:
         join kernel shared by every rule of the plan's shape
         (:class:`repro.engine.joins.CompiledRuleExecutor`, built here).
     ``"naive"``
-        The original interpreted backtracking matcher building a binding
-        ``dict`` per candidate fact.  Kept as the reference implementation
-        for differential testing and as an escape hatch.
+        The interpreted backtracking matcher (:meth:`match_body`) building
+        a binding ``dict`` per candidate fact.  Kept as the reference
+        implementation for differential testing and as an escape hatch.
     """
 
     def __init__(
@@ -450,17 +455,8 @@ class ChaseEngine:
         :meth:`continue_rounds`) picks the rules and their seed facts.
         """
         result = self.result
-        store = result.store
-        delta_facts = [node.fact for node in delta]
-        delta_by_predicate: Dict[str, List[Fact]] = {}
-        if self.executor == "naive":
-            store.current_round = round_index
-            for fact in delta_facts:
-                delta_by_predicate.setdefault(fact.predicate, []).append(fact)
-        else:
-            # Stamp the round and build the per-round delta indexes used
-            # by the compiled executors' seed probes.
-            store.begin_round(round_index, delta_facts)
+        # Stamp the round and index the delta the executors seed from.
+        result.store.begin_round(round_index, [node.fact for node in delta])
         new_nodes: List[ChaseNode] = []
         tracer = self.tracer
         if seeds is None:
@@ -470,7 +466,7 @@ class ChaseEngine:
         for rule, seed in work:
             if tracer is None:
                 new_nodes.extend(
-                    self._apply_rule(rule, delta_by_predicate, round_index, seed)
+                    self._apply_rule(rule, round_index, seed)
                 )
                 continue
             # One span per (round, rule).  Counters are set in bulk once the
@@ -481,7 +477,7 @@ class ChaseEngine:
             span = tracer.begin("rule", f"rule:{label}", rule=label, round=round_index)
             candidates_before = result.candidate_facts
             try:
-                produced = self._apply_rule(rule, delta_by_predicate, round_index, seed)
+                produced = self._apply_rule(rule, round_index, seed)
             except BaseException as exc:
                 tracer.end(span, status="error", error=repr(exc))
                 raise
@@ -497,7 +493,6 @@ class ChaseEngine:
     def _apply_rule(
         self,
         rule: Rule,
-        delta_by_predicate: Dict[str, List[Fact]],
         round_index: int,
         seed: Optional[Tuple[int, Sequence[Fact]]] = None,
     ) -> List[ChaseNode]:
@@ -511,17 +506,17 @@ class ChaseEngine:
         store = result.store
         node_of = result.node_of
         produced: List[ChaseNode] = []
-        body = rule.relational_body
         governor = self._governor
         tick = governor.tick if governor is not None else None
-        seed_range = range(len(body))
-        if seed is not None:
-            seed_range = (seed[0],)
-            delta_by_predicate = {body[seed[0]].predicate: seed[1]}
-        for seed_index in seed_range:
-            for binding, used_facts in self._matches(
-                rule, body, seed_index, store, delta_by_predicate, round_index
-            ):
+        if seed is None:
+            seeds = [
+                (index, store.delta_facts(atom.predicate))
+                for index, atom in enumerate(rule.relational_body)
+            ]
+        else:
+            seeds = [seed]
+        for seed in seeds:
+            for binding, used_facts in self.match_body(rule, store, seed, round_index):
                 if tick is not None:
                     tick()
                 produced.extend(
@@ -592,7 +587,7 @@ class ChaseEngine:
             residual = plan.residual_conditions
             if residual and not all(c.holds(binding) for c in residual):
                 return
-            if not self._dom_guards_hold(rule, binding, store):
+            if not self._dom_guards_hold(rule.dom_guards, binding, store):
                 return
             produced.extend(
                 self.fire_binding(rule, binding, used_facts, store, node_of, step, result)
@@ -657,101 +652,66 @@ class ChaseEngine:
                 return node_of[fact]
         return None
 
-    def _matches(
+    def match_body(
         self,
-        rule: Rule,
-        body: Tuple[Atom, ...],
-        seed_index: int,
+        owner,
         store: FactStore,
-        delta_by_predicate: Dict[str, List[Fact]],
-        round_index: int,
-        ) -> Iterator[Tuple[Dict[Variable, Term], List[Fact]]]:
-        """Enumerate bindings where atom ``seed_index`` matches a delta fact.
-
-        To avoid producing the same join twice across different seed choices,
-        atoms before the seed are restricted to facts of *earlier* rounds
-        while atoms after the seed may match any fact (the standard semi-naive
-        decomposition).
-        """
-        seed_atom = body[seed_index]
-        other_atoms = [(i, atom) for i, atom in enumerate(body) if i != seed_index]
-
-        for seed_fact in delta_by_predicate.get(seed_atom.predicate, ()):
-            seed_binding = seed_atom.match(seed_fact)
-            if seed_binding is None:
-                continue
-            used: List[Optional[Fact]] = [None] * len(body)
-            used[seed_index] = seed_fact
-            yield from self._extend_match(
-                rule,
-                other_atoms,
-                0,
-                dict(seed_binding),
-                used,
-                store,
-                round_index,
-                seed_index,
-            )
-
-    def _extend_match(
-        self,
-        rule: Rule,
-        other_atoms: List[Tuple[int, Atom]],
-        position: int,
-        binding: Dict[Variable, Term],
-        used: List[Optional[Fact]],
-        store: FactStore,
-        round_index: int,
-        seed_index: int,
+        seed: Optional[Tuple[int, Sequence[Fact]]] = None,
+        round_index: int = 0,
     ) -> Iterator[Tuple[Dict[Variable, Term], List[Fact]]]:
-        if position == len(other_atoms):
-            if self._guards_hold(rule, binding, store):
-                yield dict(binding), [f for f in used if f is not None]
-            return
-        atom_index, atom = other_atoms[position]
-        ground_atom = atom.substitute(binding)
-        for fact in store.candidates(ground_atom, binding):
-            if atom_index < seed_index and store.round_of(fact) >= round_index:
-                # Atoms before the seed may only use facts from earlier rounds,
-                # otherwise the same join would be enumerated once per seed.
-                continue
-            extension = ground_atom.match(fact)
-            if extension is None:
-                continue
-            new_binding = dict(binding)
-            new_binding.update(extension)
-            used[atom_index] = fact
-            yield from self._extend_match(
-                rule,
-                other_atoms,
-                position + 1,
-                new_binding,
-                used,
-                store,
-                round_index,
-                seed_index,
-            )
-            used[atom_index] = None
+        """Every full match of the body of ``owner`` — a rule, an EGD or a
+        negative constraint — in ``store``: ``(binding, used facts)`` pairs.
 
-    def _guards_hold(
-        self, rule: Rule, binding: Dict[Variable, Term], store: FactStore
-    ) -> bool:
-        """Check ``Dom`` guards and comparison conditions for a full body match."""
-        if not self._dom_guards_hold(rule, binding, store):
-            return False
-        post = self._post_conditions.get(id(rule), ())
-        for condition in rule.conditions:
-            if condition in post:
-                continue
-            if not condition.holds(binding):
-                return False
-        return True
+        The one interpreted body matcher (the naive executor, the EGD and
+        constraint checks and the chase baselines call it): a backtracking
+        join over the relational atoms in body order, candidates from
+        :meth:`FactStore.candidates`; each full match must pass the ``Dom``
+        guards (:meth:`_dom_guards_hold`) and the conditions that need no
+        computed value.  With ``seed`` — a body atom index and its facts —
+        that atom is matched first, against those facts only, and the atoms
+        before it only against facts of rounds before ``round_index``, so a
+        semi-naive round enumerates each join once over all seed choices.
+        """
+        body = [atom for atom in owner.body if atom.predicate != DOM_PREDICATE]
+        guards = [atom for atom in owner.body if atom.predicate == DOM_PREDICATE]
+        post = self._post_conditions.get(id(owner), ())
+        conditions = [c for c in owner.conditions if c not in post]
+        atoms = [(index, atom, None) for index, atom in enumerate(body)]
+        seed_index = -1
+        if seed is not None:
+            seed_index = seed[0]
+            del atoms[seed_index]
+            atoms.insert(0, (seed_index, body[seed_index], seed[1]))
+        used: List[Optional[Fact]] = [None] * len(body)
+
+        def extend(position: int, binding: Dict[Variable, Term]):
+            if position == len(atoms):
+                if self._dom_guards_hold(guards, binding, store) and all(
+                    c.holds(binding) for c in conditions
+                ):
+                    yield dict(binding), [f for f in used if f is not None]
+                return
+            index, atom, facts = atoms[position]
+            atom = atom.substitute(binding)
+            for fact in store.candidates(atom, binding) if facts is None else facts:
+                if index < seed_index and store.round_of(fact) >= round_index:
+                    continue
+                extension = atom.match(fact)
+                if extension is None:
+                    continue
+                extended = dict(binding)
+                extended.update(extension)
+                used[index] = fact
+                yield from extend(position + 1, extended)
+                used[index] = None
+
+        return extend(0, {})
 
     def _dom_guards_hold(
-        self, rule: Rule, binding: Dict[Variable, Term], store: FactStore
+        self, guards: Sequence[Atom], binding: Dict[Variable, Term], store: FactStore
     ) -> bool:
         """Check the ``Dom`` active-domain guards for a full body match."""
-        for guard in rule.dom_guards:
+        for guard in guards:
             for term in guard.terms:
                 if isinstance(term, Variable):
                     if term.name == "_STAR":
@@ -769,13 +729,6 @@ class ChaseEngine:
                     return False
         return True
 
-    def _post_conditions_hold(self, rule: Rule, binding: Dict[Variable, Term]) -> bool:
-        """Evaluate the conditions deferred until computed values are available."""
-        for condition in self._post_conditions.get(id(rule), ()):
-            if not condition.holds(binding):
-                return False
-        return True
-
     # ----------------------------------------------------------------- firing
     def fire_binding(
         self,
@@ -789,25 +742,14 @@ class ChaseEngine:
     ) -> List[ChaseNode]:
         """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
 
-        This is the one dict-binding chase-step kernel: assignments,
-        aggregations, post conditions, fresh-null generation, forest
-        metadata and the termination check all happen here.  The naive
-        reference matcher calls it directly; every compiled-plan driver
-        reaches it through :meth:`fire_slots`, so all executors share one
-        firing semantics.
+        This is the one dict-binding chase-step kernel: the computed values
+        (:meth:`computed_binding`), fresh-null generation, forest metadata
+        and the termination check all happen here.  The naive executor
+        calls it directly; every compiled-plan driver reaches it through
+        :meth:`fire_slots`, so all executors share one firing semantics.
         """
-        full_binding = dict(binding)
-        try:
-            for assignment in rule.assignments:
-                full_binding[assignment.variable] = assignment.compute(full_binding)
-            if rule.aggregate is not None:
-                aggregate_value = self._aggregate_value(rule, rule.aggregate, full_binding)
-                if aggregate_value is None:
-                    return []
-                full_binding[rule.aggregate.variable] = aggregate_value
-        except ExpressionError:
-            return []
-        if not self._post_conditions_hold(rule, full_binding):
+        full_binding = self.computed_binding(rule, binding)
+        if full_binding is None:
             return []
 
         existentials = rule.existential_variables()
@@ -821,7 +763,7 @@ class ChaseEngine:
         ward_parent = self._ward_parent(rule, analysis, used_facts, node_of)
 
         for head_atom in rule.head:
-            head_fact = self._instantiate_head(head_atom, full_binding)
+            head_fact = self.instantiate_head(head_atom, full_binding)
             result.candidate_facts += 1
             if head_fact in store:
                 continue
@@ -841,14 +783,33 @@ class ChaseEngine:
             produced.append(node)
         return produced
 
-    def check_violations(self) -> None:
-        """Run the deferred EGD and negative-constraint checks on the result."""
-        if self.program.egds:
-            self._apply_egds(self.result)
-        if self.program.constraints:
-            self._check_constraints(self.result)
+    def computed_binding(
+        self, rule: Rule, binding: Dict[Variable, Term]
+    ) -> Optional[Dict[Variable, Term]]:
+        """``binding`` plus the rule's assignments and aggregate, or ``None``
+        when a computation fails or a post condition rejects the result.
 
-    def _instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
+        The prelude of every chase step: :meth:`fire_binding` and the chase
+        baselines of :mod:`repro.baselines` share it.
+        """
+        full_binding = dict(binding)
+        try:
+            for assignment in rule.assignments:
+                full_binding[assignment.variable] = assignment.compute(full_binding)
+            if rule.aggregate is not None:
+                aggregate_value = self._aggregate_value(rule, rule.aggregate, full_binding)
+                if aggregate_value is None:
+                    return None
+                full_binding[rule.aggregate.variable] = aggregate_value
+        except ExpressionError:
+            return None
+        for condition in self._post_conditions.get(id(rule), ()):
+            if not condition.holds(full_binding):
+                return None
+        return full_binding
+
+    def instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
+        """The fact a head ``atom`` becomes under a full ``binding``."""
         terms: List[Term] = []
         for term in atom.terms:
             if isinstance(term, Variable):
@@ -904,67 +865,31 @@ class ChaseEngine:
         raise TypeError(f"unexpected non-ground binding {term!r}")
 
     # ------------------------------------------------------------ constraints
-    def _check_constraints(self, result: ChaseResult) -> None:
-        for constraint in self.program.constraints:
-            for binding, used in self._constraint_matches(constraint.body, result.store):
-                if all(c.holds(binding) for c in constraint.conditions):
-                    violation = Violation(
-                        kind="negative-constraint",
-                        label=constraint.label,
-                        witnesses=tuple(used),
-                    )
-                    result.violations.append(violation)
-                    if self.config.fail_on_violation:
-                        raise InconsistencyError(str(violation))
+    def check_violations(self) -> None:
+        """Run the deferred EGD and negative-constraint checks on the result.
 
-    def _apply_egds(self, result: ChaseResult) -> None:
+        Their bodies go through :meth:`match_body`, so ``Dom`` guards —
+        ``Dom(*)`` included — mean what they mean in a rule body.
+        """
+        store = self.result.store
         for egd in self.program.egds:
-            for binding, used in self._constraint_matches(egd.body, result.store):
-                if not all(c.holds(binding) for c in egd.conditions):
-                    continue
+            for binding, used in self.match_body(egd, store):
                 left = binding.get(egd.left)
                 right = binding.get(egd.right)
                 if left is None or right is None or left == right:
                     continue
                 if isinstance(left, Constant) and isinstance(right, Constant):
-                    violation = Violation(
-                        kind="egd",
-                        label=egd.label,
-                        witnesses=tuple(used),
-                        detail=f"({left} != {right})",
+                    self._record(
+                        Violation("egd", egd.label, tuple(used), f"({left} != {right})")
                     )
-                    result.violations.append(violation)
-                    if self.config.fail_on_violation:
-                        raise InconsistencyError(str(violation))
+        for constraint in self.program.constraints:
+            for _binding, used in self.match_body(constraint, store):
+                self._record(Violation("negative-constraint", constraint.label, tuple(used)))
 
-    def _constraint_matches(
-        self, body: Tuple[Atom, ...], store: FactStore
-    ) -> Iterator[Tuple[Dict[Variable, Term], List[Fact]]]:
-        relational = [a for a in body if a.predicate != DOM_PREDICATE]
-        dom_guards = [a for a in body if a.predicate == DOM_PREDICATE]
-
-        def recurse(index: int, binding: Dict[Variable, Term], used: List[Fact]):
-            if index == len(relational):
-                for guard in dom_guards:
-                    for term in guard.terms:
-                        if isinstance(term, Variable):
-                            bound = binding.get(term)
-                            if bound is None or not isinstance(bound, Constant):
-                                return
-                yield dict(binding), list(used)
-                return
-            atom = relational[index].substitute(binding)
-            for fact in store.candidates(atom, binding):
-                extension = atom.match(fact)
-                if extension is None:
-                    continue
-                new_binding = dict(binding)
-                new_binding.update(extension)
-                used.append(fact)
-                yield from recurse(index + 1, new_binding, used)
-                used.pop()
-
-        yield from recurse(0, {}, [])
+    def _record(self, violation: Violation) -> None:
+        self.result.violations.append(violation)
+        if self.config.fail_on_violation:
+            raise InconsistencyError(str(violation))
 
 
 def run_chase(

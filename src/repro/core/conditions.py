@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from .expressions import Binding, Expression, ExpressionError
 from .terms import Constant, Null, Term, Variable
@@ -155,8 +155,3 @@ def comparison_between_terms(op: str, left: Term, right: Term) -> Comparison:
     from .expressions import term_expression
 
     return Comparison(op, term_expression(left), term_expression(right))
-
-
-def binding_from_terms(mapping: Mapping[Variable, Term]) -> Binding:
-    """Identity helper that documents the binding type used by conditions."""
-    return mapping

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from .terms import Constant, Null, Term, Variable
 
@@ -244,8 +244,3 @@ def term_expression(term: Term) -> Expression:
     if isinstance(term, Constant):
         return Literal(term.value)
     raise ExpressionError("labelled nulls cannot appear in source expressions")
-
-
-def evaluate_all(expressions: Sequence[Expression], binding: Binding) -> Tuple[Any, ...]:
-    """Evaluate a sequence of expressions under the same binding."""
-    return tuple(e.evaluate(binding) for e in expressions)

@@ -135,10 +135,6 @@ class FactStore:
         self._live += 1
         return True
 
-    def add_all(self, facts: Iterable[Fact]) -> int:
-        """Insert many facts, returning the number actually added."""
-        return sum(1 for fact in facts if self.add(fact))
-
     def remove(self, fact: Fact) -> bool:
         """Retract a fact; returns ``False`` when it is not in the store.
 
@@ -372,18 +368,6 @@ class FactStore:
         if best is not None:
             return best
         return self._by_predicate.get(atom.predicate, ())
-
-    def matches(self, atom: Atom, binding: Optional[Dict[Variable, Term]] = None) -> Iterator[Dict[Variable, Term]]:
-        """Yield extensions of ``binding`` that match ``atom`` against the store."""
-        binding = dict(binding or {})
-        ground_atom = atom.substitute(binding)
-        for fact in self.candidates(ground_atom, binding):
-            extension = ground_atom.match(fact)
-            if extension is None:
-                continue
-            merged = dict(binding)
-            merged.update(extension)
-            yield merged
 
     def copy(self) -> "FactStore":
         return FactStore(self.facts())

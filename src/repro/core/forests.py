@@ -19,10 +19,10 @@ and the figures-style introspection offered by the public API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import Fact
-from .isomorphism import isomorphism_key, pattern_key
+from .isomorphism import isomorphism_key
 from .provenance import EMPTY_PROVENANCE, Provenance
 from .wardedness import RuleKind
 
@@ -90,10 +90,6 @@ class ChaseNode:
     @property
     def is_input(self) -> bool:
         return self.kind == INPUT_KIND
-
-    @property
-    def depth_in_linear_forest(self) -> int:
-        return len(self.provenance)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChaseNode({self.fact!r}, kind={self.kind}, step={self.step})"
@@ -204,13 +200,6 @@ class Forest:
     def max_depth(self) -> int:
         return max((self.depth(n) for n in self._nodes), default=0)
 
-    def tree_sizes(self) -> Dict[ChaseNode, int]:
-        """Size of each tree keyed by its root node."""
-        sizes: Dict[ChaseNode, int] = {}
-        for root in self.roots():
-            sizes[root] = len(self.subtree(root))
-        return sizes
-
     def subtree_signature(self, node: ChaseNode, key=isomorphism_key) -> Hashable:
         """A canonical signature of the subtree rooted in ``node``.
 
@@ -240,37 +229,3 @@ class LinearForest(Forest):
 
     def __init__(self, nodes: Iterable[ChaseNode]) -> None:
         super().__init__(nodes, lambda n: n.linear_parent)
-
-
-class LiftedLinearForest:
-    """The lifted linear forest: linear-forest trees grouped by root pattern.
-
-    Each equivalence class (keyed by the pattern of the root fact) stores the
-    set of distinct *provenance paths* observed in the class — the compact
-    representation used by the summary structure of Algorithm 1.
-    """
-
-    def __init__(self, linear_forest: LinearForest) -> None:
-        self._classes: Dict[Hashable, Set[Provenance]] = {}
-        self._members: Dict[Hashable, List[ChaseNode]] = {}
-        for node in linear_forest.nodes():
-            root_pattern = pattern_key(node.l_root.fact)
-            self._classes.setdefault(root_pattern, set()).add(node.provenance)
-            self._members.setdefault(root_pattern, []).append(node)
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def class_keys(self) -> Tuple[Hashable, ...]:
-        return tuple(self._classes)
-
-    def paths(self, class_key: Hashable) -> Set[Provenance]:
-        return set(self._classes.get(class_key, set()))
-
-    def members(self, class_key: Hashable) -> Sequence[ChaseNode]:
-        return self._members.get(class_key, ())
-
-    def compression_ratio(self, linear_forest: LinearForest) -> float:
-        """#linear-forest trees per lifted class (≥ 1; higher = more sharing)."""
-        roots = len(linear_forest.roots())
-        return roots / len(self._classes) if self._classes else 1.0

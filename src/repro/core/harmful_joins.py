@@ -171,12 +171,6 @@ def _track_predicate_name(cause: DirectCause, position: Position) -> str:
     )
 
 
-def _atom_without_position(atom: Atom, index: int) -> Tuple[Tuple, Tuple]:
-    """Split an atom's terms into (terms without ``index``, the dropped term)."""
-    kept = tuple(t for i, t in enumerate(atom.terms) if i != index)
-    return kept, (atom.terms[index],)
-
-
 @dataclass
 class HarmfulJoinEliminationResult:
     """Outcome of the rewriting: the new program plus bookkeeping."""
@@ -194,9 +188,9 @@ class HarmfulJoinEliminationResult:
 class HarmfulJoinEliminator:
     """Rewrites a warded program into an equivalent harmless warded program."""
 
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program, analysis: Optional[ProgramAnalysis] = None) -> None:
         self.program = program
-        self.analysis = analyse_program(program)
+        self.analysis = analysis or analyse_program(program)
 
     def eliminate(self) -> HarmfulJoinEliminationResult:
         """Run the rewriting; raises :class:`UnsupportedHarmfulJoin` if needed."""
@@ -471,9 +465,12 @@ class HarmfulJoinEliminator:
         ]
 
 
-def eliminate_harmful_joins(program: Program) -> HarmfulJoinEliminationResult:
-    """Convenience wrapper around :class:`HarmfulJoinEliminator`."""
-    return HarmfulJoinEliminator(program).eliminate()
+def eliminate_harmful_joins(
+    program: Program, analysis: Optional[ProgramAnalysis] = None
+) -> HarmfulJoinEliminationResult:
+    """Convenience wrapper around :class:`HarmfulJoinEliminator`;
+    ``analysis`` is the program's, when the caller already has it."""
+    return HarmfulJoinEliminator(program, analysis).eliminate()
 
 
 # ---------------------------------------------------------------------------

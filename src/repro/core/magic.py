@@ -143,15 +143,6 @@ def _unchanged(program: Program, query: Atom, reason: str) -> MagicRewriteResult
     return MagicRewriteResult(program=program, query=query, changed=False, reason=reason)
 
 
-def _constraint_predicates(program: Program) -> Set[str]:
-    """Body predicates of negative constraints and EGDs (checked in full)."""
-    needed: Set[str] = set()
-    for checked in list(program.constraints) + list(program.egds):
-        for atom in checked.body:
-            needed.add(atom.predicate)
-    return needed
-
-
 def _rule_static_guardable(rule: Rule) -> bool:
     """Structural per-rule check: may this rule carry a magic guard at all?"""
     return len(rule.head) == 1 and not rule.has_existentials()
@@ -335,7 +326,7 @@ def rewrite_with_magic(
     # derives them — must be materialised in full for the deferred checks.
     from ..engine.plan import backward_slice
 
-    constraint_preds = _constraint_predicates(program)
+    constraint_preds = program.constraint_predicates()
     full_predicates, _ = backward_slice(program, sorted(constraint_preds))
     full_predicates |= constraint_preds
 

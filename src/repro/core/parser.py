@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .atoms import Atom, Fact
 from .conditions import AggregateSpec, Assignment, Comparison
@@ -610,8 +610,3 @@ def parse_fact(text: str) -> Fact:
     if len(program.facts) != 1:
         raise ValueError("expected exactly one fact")
     return program.facts[0]
-
-
-def parse_facts(lines: Sequence[str]) -> List[Fact]:
-    """Parse many facts, one statement per entry."""
-    return [parse_fact(line) for line in lines]

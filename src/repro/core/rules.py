@@ -166,11 +166,6 @@ class Rule:
             seen.setdefault(atom.predicate, None)
         return tuple(seen)
 
-    def is_recursive_with(self, other: "Rule") -> bool:
-        """True when this rule's head feeds the other rule's body (direct edge)."""
-        heads = set(self.head_predicate_names())
-        return any(p in heads for p in other.body_predicate_names())
-
     # -- presentation ----------------------------------------------------------
     def __str__(self) -> str:
         body_parts: List[str] = [repr(a) for a in self.body]
@@ -292,18 +287,18 @@ class Program:
             return set(self.outputs)
         return self.idb_predicates()
 
+    def constraint_predicates(self) -> Set[str]:
+        """The predicates the deferred EGD and negative-constraint checks
+        scan (``Dom`` guards are not stored)."""
+        return {
+            atom.predicate
+            for check in (*self.constraints, *self.egds)
+            for atom in check.body
+            if atom.predicate != DOM_PREDICATE
+        }
+
     def rules_defining(self, predicate: str) -> List[Rule]:
         return [r for r in self.rules if predicate in r.head_predicate_names()]
-
-    def rules_using(self, predicate: str) -> List[Rule]:
-        return [r for r in self.rules if predicate in r.body_predicate_names()]
-
-    def dependency_edges(self) -> Iterator[Tuple[str, str]]:
-        """Yield predicate dependency edges body-predicate → head-predicate."""
-        for rule in self.rules:
-            for body_pred in rule.body_predicate_names():
-                for head_pred in rule.head_predicate_names():
-                    yield body_pred, head_pred
 
     def __len__(self) -> int:
         return len(self.rules)

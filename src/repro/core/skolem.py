@@ -90,13 +90,6 @@ class SkolemFactory:
             return ("n", term.ident)
         raise TypeError("Skolem arguments must be ground terms")
 
-    def term_for(self, null: Null) -> SkolemTerm | None:
-        """Inverse lookup: the Skolem term a null was generated from, if any."""
-        for term, candidate in self._cache.items():
-            if candidate == null:
-                return term
-        return None
-
 
 def skolem_name(rule_label: str, variable_name: str) -> str:
     """Conventional Skolem-function name for rule ``β`` and existential ``z``.

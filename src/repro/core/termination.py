@@ -201,9 +201,6 @@ class WardedTerminationStrategy(TerminationStrategy):
     def ground_structure_size(self) -> int:
         return sum(len(tree) for tree in self._ground.values())
 
-    def summary_structure_size(self) -> int:
-        return sum(len(entry) for entry in self._summary.values())
-
     def tree_count(self) -> int:
         return len(self._ground)
 

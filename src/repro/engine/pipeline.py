@@ -50,13 +50,13 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from itertools import islice
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.atoms import Fact
 from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
 from ..core.forests import ChaseNode
 from ..core.limits import STATUS_COMPLETE
-from ..core.rules import DOM_PREDICATE, Program
+from ..core.rules import Program
 from ..core.termination import TerminationStrategy
 from ..core.wardedness import ProgramAnalysis
 from ..obs.trace import activate
@@ -101,7 +101,7 @@ class PipelineExecutor:
 
         # ---- query-driven slice: outputs plus what the deferred EGD and
         # constraint checks will scan ------------------------------------
-        self.drains = sorted(_constraint_predicates(program) - set(self.outputs))
+        self.drains = sorted(program.constraint_predicates() - set(self.outputs))
         relevant, rules = backward_slice(program, self.outputs + self.drains)
         #: Predicate → record manager, for the predicates in the slice.
         self.sources: Dict[str, RecordManager] = {
@@ -281,13 +281,3 @@ class PipelineExecutor:
         lines.extend(f"  sink:{predicate}" for predicate in self.outputs)
         lines.extend(f"  drain:{predicate}" for predicate in self.drains)
         return "\n".join(lines)
-
-
-def _constraint_predicates(program: Program) -> Set[str]:
-    """Predicates the deferred EGD/constraint checks will scan."""
-    return {
-        atom.predicate
-        for check in (*program.constraints, *program.egds)
-        for atom in check.body
-        if atom.predicate != DOM_PREDICATE
-    }

@@ -363,7 +363,6 @@ class VadalogReasoner:
         self.base_path = base_path
         self.executor = executor
         self.warnings: List[str] = []
-        self.harmful_join_rewriting: Optional[HarmfulJoinEliminationResult] = None
         #: ``@bind`` resolution is memoized across runs so the per-source
         #: page caches persist — a second ``reason()`` on the same reasoner
         #: reads sources from memory, not the backend.
@@ -373,7 +372,10 @@ class VadalogReasoner:
         #: analysis and join plans are reused, only the chase re-runs).
         self._magic_cache: Dict[Tuple[str, Tuple], _RunSpec] = {}
 
-        self.program = self._optimize(self.original_program)
+        self.program, self.harmful_join_rewriting, warnings = optimize_program(
+            self.original_program
+        )
+        self.warnings.extend(warnings)
         self.analysis = analyse_program(self.program)
         self.plan, self.scheduler_report = _plan_and_order(self.program)
         # Step 4a (query compiler): compile every rule body into its
@@ -382,28 +384,6 @@ class VadalogReasoner:
         self.join_plans: Dict[int, RuleJoinPlan] = (
             compile_join_plans(self.program) if executor != "naive" else {}
         )
-
-    # -------------------------------------------------------------- compilation
-    def _optimize(self, program: Program) -> Program:
-        """Step 1: the logic optimizer (elementary + complex rewritings)."""
-        optimized = program
-        analysis = analyse_program(optimized)
-        if not analysis.is_warded:
-            self.warnings.append(
-                "the program is not warded: termination of the chase is not guaranteed "
-                "by the warded strategy"
-            )
-        if analysis.has_harmful_joins:
-            try:
-                rewriting = eliminate_harmful_joins(optimized)
-                self.harmful_join_rewriting = rewriting
-                optimized = rewriting.program
-            except UnsupportedHarmfulJoin as exc:
-                self.warnings.append(
-                    f"harmful-join elimination skipped ({exc}); answers involving "
-                    "labelled nulls joined harmfully may be incomplete"
-                )
-        return normalize_for_chase(optimized)
 
     def _make_strategy(self) -> TerminationStrategy:
         if isinstance(self._strategy_spec, TerminationStrategy):
@@ -818,6 +798,36 @@ class VadalogReasoner:
             lines.append(f"  warning: {warning}")
         lines.append(self.plan.describe())
         return "\n".join(lines)
+
+
+def optimize_program(
+    program: Program,
+) -> Tuple[Program, Optional[HarmfulJoinEliminationResult], List[str]]:
+    """Step 1: the logic optimizer (elementary + complex rewritings).
+
+    Returns the program the chase runs, the harmful-join rewriting applied
+    (``None`` when there was none) and the optimizer's warnings.  The one
+    analysis of the input program serves both the wardedness check and the
+    harmful-join elimination.
+    """
+    warnings: List[str] = []
+    rewriting = None
+    analysis = analyse_program(program)
+    if not analysis.is_warded:
+        warnings.append(
+            "the program is not warded: termination of the chase is not guaranteed "
+            "by the warded strategy"
+        )
+    if analysis.has_harmful_joins:
+        try:
+            rewriting = eliminate_harmful_joins(program, analysis)
+            program = rewriting.program
+        except UnsupportedHarmfulJoin as exc:
+            warnings.append(
+                f"harmful-join elimination skipped ({exc}); answers involving "
+                "labelled nulls joined harmfully may be incomplete"
+            )
+    return normalize_for_chase(program), rewriting, warnings
 
 
 def _plan_and_order(program: Program) -> Tuple[ReasoningAccessPlan, SchedulerReport]:

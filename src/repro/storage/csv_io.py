@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from .database import Database, Relation
+from .database import Relation
 
 
 def _coerce(value: str) -> object:
@@ -66,14 +66,3 @@ def save_relation_csv(
         for row in relation.tuples:
             writer.writerow(row)
     return path
-
-
-def load_database_csv(
-    paths: Iterable[Union[str, Path]], has_header: bool = False
-) -> Database:
-    """Load several CSV files (named after their stem) into a database."""
-    database = Database()
-    for path in paths:
-        relation = load_relation_csv(path, has_header=has_header)
-        database.add_tuples(relation.name, relation.tuples)
-    return database

@@ -237,10 +237,6 @@ class RowPageCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def resident_pages(self) -> int:
-        return self._total_pages
-
     def get(self, key: Tuple) -> Optional[List[List[Tuple[object, ...]]]]:
         pages = self._entries.get(key)
         if pages is not None:

@@ -34,13 +34,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.atoms import Atom, Fact
-from ..core.harmful_joins import UnsupportedHarmfulJoin, eliminate_harmful_joins
 from ..core.parser import parse_atom, parse_program
 from ..core.rules import Program
-from ..core.terms import Constant
-from ..core.transform import apply_transform, normalize_for_chase
+from ..core.transform import apply_transform
 from ..core.wardedness import analyse_program
-from ..engine.reasoner import VadalogReasoner
+from ..engine.reasoner import VadalogReasoner, optimize_program
 from ..storage.datasources import Pushdown
 from .encode import Bounds, EncodingUnsupported, encode_task, py_eval
 
@@ -128,16 +126,10 @@ class EquivalenceReport:
 
 
 def _pipeline_program(program: Union[Program, str]) -> Program:
-    """Mirror the reasoner's pre-chase pipeline (harmful joins + normalise)."""
+    """The reasoner's pre-chase pipeline (harmful joins + normalise)."""
     if isinstance(program, str):
         program = parse_program(program)
-    analysis = analyse_program(program)
-    if analysis.has_harmful_joins:
-        try:
-            program = eliminate_harmful_joins(program).program
-        except UnsupportedHarmfulJoin:
-            pass
-    return normalize_for_chase(program)
+    return optimize_program(program)[0]
 
 
 def _edb_schema(program: Program) -> Dict[str, int]:

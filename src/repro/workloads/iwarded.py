@@ -630,11 +630,6 @@ def iwarded_scenario(name: str, facts_per_predicate: int | None = None) -> Scena
     )
 
 
-def all_scenarios(facts_per_predicate: int | None = None) -> List[Scenario]:
-    """All eight Figure-6 scenarios."""
-    return [iwarded_scenario(name, facts_per_predicate) for name in SCENARIO_CONFIGS]
-
-
 #: Base rule mix of the parametric family: a small SynthC-flavoured blend
 #: of every rule kind, scaled down so knob sweeps stay laptop-sized.
 PARAMETRIC_BASE = IWardedConfig(

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import Database, ExecutionBudget, VadalogReasoner, reason
+from repro.core.atoms import fact
 from repro.core.chase import ChaseConfig
 from repro.engine.annotations import AnnotationError, collect_bindings
+from repro.engine.incremental import ResidentReasoner
 from repro.core.parser import parse_program
 
 EXAMPLE_1 = """
@@ -27,6 +29,24 @@ Own(Z, X, W1), Own(Z, Y, W2) :- Incorp(X, Y).
 X1 = X2 :- Dom(*), Incorp(Y, Z), Own(X1, Y, W1), Own(X2, Z, W1).
 :- Own(X, X, W).
 """
+
+#: A constraint whose ``Dom`` guard rejects the null-bearing ``Own`` fact the
+#: existential rule derives; ``{guard}`` is ``*`` or a body variable.
+DOM_GUARDED_CONSTRAINT = """
+@output("Own").
+Own(Z, Y, W) :- Incorp(Y).
+:- Own(X, Y, W), Dom({guard}).
+"""
+
+#: Every path that runs the EGD and constraint checks.
+CHECK_PATHS = ["compiled", "naive", "streaming", "resident"]
+
+
+def check_violations(program, database, path):
+    """The violations one check path reports for ``program`` on ``database``."""
+    if path == "resident":
+        return ResidentReasoner(program, database=database).violations()
+    return VadalogReasoner(program, executor=path).reason(database=database).chase.violations
 
 
 class TestPaperExamples:
@@ -84,6 +104,27 @@ class TestPaperExamples:
         soft_links = result.ground_tuples("SoftLink")
         assert ("x", "y") in soft_links and ("y", "x") in soft_links
         assert result.chase.violations == []
+
+    @pytest.mark.parametrize("path", CHECK_PATHS)
+    def test_example_6_egd_with_dom_star_over_two_owners(self, path):
+        database = {"Own": [("a", "x", 1), ("b", "y", 1)], "Incorp": [("x", "y")]}
+        violations = check_violations(EXAMPLE_6, database, path)
+        assert [(v.kind, v.detail) for v in violations] == [("egd", "('a' != 'b')")]
+        assert {f.predicate for f in violations[0].witnesses} == {"Incorp", "Own"}
+
+    @pytest.mark.parametrize("guard", ["*", "X"])
+    @pytest.mark.parametrize("path", CHECK_PATHS)
+    def test_dom_guarded_constraint_skips_null_bindings(self, path, guard):
+        database = {"Own": [("a", "x", 1), ("b", "y", 2)], "Incorp": [("x",)]}
+        program = DOM_GUARDED_CONSTRAINT.format(guard=guard)
+        violations = check_violations(program, database, path)
+        # One violation per ground Own fact; the derived Own(ν, x, ν') has
+        # labelled nulls under the guard and reports none.
+        assert sorted((v.witnesses for v in violations), key=repr) == [
+            (fact("Own", "a", "x", 1),),
+            (fact("Own", "b", "y", 2),),
+        ]
+        assert all(v.kind == "negative-constraint" for v in violations)
 
     def test_example_6_detects_self_ownership(self):
         database = {"Own": [("x", "x", 1.0)], "Incorp": []}

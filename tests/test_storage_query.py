@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.atoms import Atom, Fact, fact
-from repro.core.chase import run_chase
+from repro.core.chase import ChaseEngine, run_chase
 from repro.core.fact_store import FactStore, StaleSnapshotError
 from repro.core.parser import parse_program
 from repro.core.query import Query, certain_answer, extract_answers, universal_answer
@@ -90,10 +90,17 @@ class TestFactStore:
         assert len(candidates) == 1
 
     def test_matches_with_partial_binding(self):
+        # The seed atom binds X; the second atom then matches under it.
         store = FactStore([fact("E", "a", "b"), fact("E", "a", "c"), fact("E", "z", "b")])
-        atom = Atom("E", (Variable("X"), Variable("Y")))
-        results = list(store.matches(atom, {Variable("X"): Constant("a")}))
-        assert len(results) == 2
+        program = parse_program("T(X, Z) :- E(X, Y), E(X, Z).")
+        engine = ChaseEngine(program, executor="naive")
+        seed = (0, [fact("E", "a", "b")])
+        results = list(engine.match_body(program.rules[0], store, seed))
+        assert [binding[Variable("Z")] for binding, _ in results] == [
+            Constant("b"),
+            Constant("c"),
+        ]
+        assert [used for _, used in results][1] == [fact("E", "a", "b"), fact("E", "a", "c")]
 
     def test_nulls_indexed_separately_from_constants(self):
         store = FactStore([Fact("P", (Null(0),)), fact("P", 0)])

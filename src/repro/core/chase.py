@@ -10,11 +10,18 @@ deterministic for a fixed program and database.
 
 Every derived fact is wrapped in a :class:`~repro.core.forests.ChaseNode`
 carrying the linear-forest / warded-forest metadata needed by Algorithm 1
-(:mod:`repro.core.termination`).
+(:mod:`repro.core.termination`).  An extensional fact gets its node only
+when a derivation first takes it as a parent, or at load when it holds a
+labelled null (the termination strategy registers it): chase metadata
+only where a later step reads it, the space argument of the
+space-efficient warded chase (arXiv:1809.05951).
 
 The engine is the one owner of its run's state: its :class:`ChaseResult`,
-built once, holds the store, the one fact → node map (``result.nodes`` is a
-read-only view of it) and the round count.  There is one round loop,
+built once, holds the store, the one fact → node map and the round count.
+The map holds every derived fact's node and the extensional nodes made so
+far; ``result.nodes`` is the complete view, one node per stored fact in
+store order, and makes the missing extensional nodes as it is read.
+There is one round loop,
 :meth:`ChaseEngine.continue_rounds`, fed by one input-load step,
 :meth:`ChaseEngine.load_inputs`; both read and write that result, so a
 driver hands them only facts or a delta: ``run()`` feeds the whole
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, ValuesView
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .aggregates import AggregateRegistry
 from .atoms import Atom, Fact
@@ -66,6 +73,55 @@ from ..testing.faults import fault_point
 #: rule, the index of its seed atom in ``rule.relational_body`` and the
 #: facts that atom is seeded from.
 RuleSeed = Tuple[Rule, int, Sequence[Fact]]
+
+
+class _RuleConstants(NamedTuple):
+    """What the firing path reads of a rule on every chase step, computed
+    once per engine."""
+
+    analysis: RuleAnalysis
+    #: Conditions over assignment/aggregate variables, checked after those
+    #: values are computed; the others are checked while matching the body.
+    post_conditions: Tuple
+    existentials: Tuple[Variable, ...]
+    dom_guards: Tuple[Atom, ...]
+    #: Index in ``rule.relational_body`` of the atom bound to the ward
+    #: (warded rules), ``None`` otherwise.
+    ward_index: Optional[int]
+    #: The aggregate's group-by variables: the head variables bound by the
+    #: body or an assignment, but the aggregate's own.
+    group_variables: Tuple[Variable, ...]
+
+
+def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
+    body_vars = set(rule.body_variables())
+    head_vars = rule.head_variables()
+    computed = rule.computed_variables()
+    # ``rule.existential_variables()``, from the variable lists read once.
+    existentials = tuple(v for v in head_vars if v not in body_vars and v not in computed)
+    ward_index = None
+    if analysis.kind is RuleKind.WARDED and analysis.ward is not None:
+        body = rule.relational_body
+        # The ward atom itself, else the first atom equal to it.
+        at = [i for i, atom in enumerate(body) if atom is analysis.ward]
+        at = at or [i for i, atom in enumerate(body) if atom == analysis.ward]
+        ward_index = at[0] if at else None
+    group_variables = ()
+    if rule.aggregate is not None:
+        aggregated = rule.aggregate.variable
+        group_variables = tuple(
+            v for v in head_vars if v != aggregated and v not in existentials
+        )
+    return _RuleConstants(
+        analysis=analysis,
+        post_conditions=tuple(
+            c for c in rule.conditions if any(v not in body_vars for v in c.variables())
+        ),
+        existentials=existentials,
+        dom_guards=rule.dom_guards,
+        ward_index=ward_index,
+        group_variables=group_variables,
+    )
 
 
 class InconsistencyError(Exception):
@@ -110,8 +166,9 @@ class ChaseResult:
     program: Program
     strategy: TerminationStrategy
     aggregates: AggregateRegistry
-    #: The one fact → chase node map, in insertion order: every stored fact
-    #: has exactly one node and every node's fact is stored.
+    #: The one fact → chase node map: every derived fact's node and the
+    #: extensional nodes made so far (:meth:`input_node_of`); every node's fact
+    #: is stored.  :attr:`nodes` is the complete view.
     node_of: Dict[Fact, ChaseNode] = field(default_factory=dict)
     violations: List[Violation] = field(default_factory=list)
     rounds: int = 0
@@ -140,9 +197,19 @@ class ChaseResult:
     warnings: List[str] = field(default_factory=list)
 
     @property
-    def nodes(self) -> ValuesView[ChaseNode]:
-        """Every chase node in insertion order: a read-only view of :attr:`node_of`."""
-        return self.node_of.values()
+    def nodes(self) -> Tuple[ChaseNode, ...]:
+        """One chase node per stored fact, in store order.
+
+        Makes the node of every extensional fact no derivation has read yet.
+        """
+        node_of = self.node_of
+        return tuple(node_of.get(f) or self.input_node_of(f) for f in self.store.facts())
+
+    def input_node_of(self, fact: Fact) -> ChaseNode:
+        """The node of a stored extensional ``fact`` that has none yet, stamped
+        with the round it was loaded in."""
+        node = self.node_of[fact] = input_node(fact, step=self.store.round_of(fact))
+        return node
 
     def facts(self, predicate: Optional[str] = None) -> Tuple[Fact, ...]:
         """All facts of the result, optionally restricted to one predicate."""
@@ -228,9 +295,10 @@ class ChaseEngine:
         #: When :meth:`start_run` started the run clock; ``None`` before.
         self.started_at: Optional[float] = None
         self.aggregates = AggregateRegistry()
-        self._database_facts = list(database) + list(program.facts)
-        self._rule_analyses: Dict[int, RuleAnalysis] = {
-            id(rule): self.analysis.analysis_for(rule) for rule in program.rules
+        self._database = database
+        self._rules: Dict[int, _RuleConstants] = {
+            id(rule): _rule_constants(rule, self.analysis.analysis_for(rule))
+            for rule in program.rules
         }
         self._compiled: Dict[int, object] = {}
         if executor == "compiled":
@@ -243,16 +311,6 @@ class ChaseEngine:
                 if plan is None:
                     plan = compile_rule_join_plan(rule)
                 self._compiled[id(rule)] = CompiledRuleExecutor(plan)
-        # Conditions mentioning assignment/aggregate variables can only be
-        # evaluated after those values are computed ("post" conditions); the
-        # remaining ones are checked while matching the body.
-        self._post_conditions: Dict[int, Tuple] = {}
-        for rule in program.rules:
-            body_vars = set(rule.body_variables())
-            post = tuple(
-                c for c in rule.conditions if any(v not in body_vars for v in c.variables())
-            )
-            self._post_conditions[id(rule)] = post
         self._register_aggregated_positions()
         #: The run's state, built once: store, node map and round count.
         self.result = ChaseResult(
@@ -285,21 +343,26 @@ class ChaseEngine:
         feeds later deltas to the same engine.  Runs once per engine.
         """
         chase_span = self.start_run()
-        delta = self.load_inputs(self._database_facts)
+        delta = self.load_inputs(self._database)
+        delta += self.load_inputs(self.program.facts)
+        self._database = ()
         if chase_span is not None:
             chase_span.counters["input_facts"] = len(self.result.store)
         self.continue_rounds(delta)
         self.finish_run()
         return self.result
 
-    def load_inputs(self, facts: Iterable[Fact]) -> List[ChaseNode]:
-        """Add extensional ``facts`` to the store; returns the new input nodes.
+    def load_inputs(self, facts: Iterable[Fact]) -> List[Fact]:
+        """Add extensional ``facts`` to the store; returns the ones it added.
 
         The one input-load step: :meth:`run` (the whole database), the
         resident reasoner's upsert and the streaming driver's batches all
         enter facts here, stamped with the last completed round so the
         store's round stamps stay monotone.  A fact already in the store
-        gets no node.  The returned nodes are the delta to hand to
+        is skipped.  A ground fact gets its chase node only when a
+        derivation takes it as a parent (:meth:`ChaseResult.input_node_of`);
+        one holding a labelled null gets it here, for the termination
+        strategy to register.  The returned facts are the delta to hand to
         :meth:`continue_rounds`.
         """
         result = self.result
@@ -307,13 +370,15 @@ class ChaseEngine:
         node_of = result.node_of
         step = store.current_round = result.rounds
         register = self.strategy.register_input
-        loaded: List[ChaseNode] = []
+        add = store.add
+        loaded: List[Fact] = []
         for fact in facts:
-            if not store.add(fact):
+            if not add(fact):
                 continue
-            node = node_of[fact] = input_node(fact, step=step)
-            register(node)
-            loaded.append(node)
+            if fact.has_nulls:
+                node = node_of[fact] = input_node(fact, step=step)
+                register(node)
+            loaded.append(fact)
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
         return loaded
@@ -376,7 +441,7 @@ class ChaseEngine:
         )
 
     def continue_rounds(
-        self, delta: List[ChaseNode], seeds: Optional[List[RuleSeed]] = None
+        self, delta: Sequence[Fact], seeds: Optional[List[RuleSeed]] = None
     ) -> None:
         """Run semi-naive rounds seeded with ``delta`` until fixpoint.
 
@@ -426,7 +491,7 @@ class ChaseEngine:
                         "round", f"round:{round_index}", round=round_index
                     )
                     round_span.counters["delta_in"] = len(delta)
-                delta = self._evaluate_round(delta, round_index, seeds)
+                delta = [node.fact for node in self._evaluate_round(delta, round_index, seeds)]
                 seeds = None
                 if round_span is not None:
                     round_span.counters["derived"] = len(delta)
@@ -443,7 +508,7 @@ class ChaseEngine:
 
     def _evaluate_round(
         self,
-        delta: List[ChaseNode],
+        delta: Sequence[Fact],
         round_index: int,
         seeds: Optional[List[RuleSeed]] = None,
     ) -> List[ChaseNode]:
@@ -456,7 +521,7 @@ class ChaseEngine:
         """
         result = self.result
         # Stamp the round and index the delta the executors seed from.
-        result.store.begin_round(round_index, [node.fact for node in delta])
+        result.store.begin_round(round_index, delta)
         new_nodes: List[ChaseNode] = []
         tracer = self.tracer
         if seeds is None:
@@ -587,7 +652,7 @@ class ChaseEngine:
             residual = plan.residual_conditions
             if residual and not all(c.holds(binding) for c in residual):
                 return
-            if not self._dom_guards_hold(rule.dom_guards, binding, store):
+            if not self._dom_guards_hold(self._rules[id(rule)].dom_guards, binding, store):
                 return
             produced.extend(
                 self.fire_binding(rule, binding, used_facts, store, node_of, step, result)
@@ -598,7 +663,7 @@ class ChaseEngine:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
             nulls = ()
-        analysis = parents = ward_parent = None
+        constants = parents = ward_parent = None
         contains_row = store.contains_row
         for predicate, entries in head_templates:
             result.candidate_facts += 1
@@ -616,12 +681,11 @@ class ChaseEngine:
                 continue
             head_fact = Fact.from_ground(predicate, terms)
             if parents is None:
-                analysis = self._rule_analyses[id(rule)]
-                parents = [node_of[f] for f in used_facts if f in node_of]
-                ward_parent = self._ward_parent(rule, analysis, used_facts, node_of)
+                constants = self._rules[id(rule)]
+                parents, ward_parent = self._parents(constants, used_facts, result)
             node = derived_node(
                 fact=head_fact,
-                kind=analysis.kind,
+                kind=constants.analysis.kind,
                 rule_label=rule.label or "rule",
                 parents=parents,
                 ward_parent=ward_parent,
@@ -634,23 +698,16 @@ class ChaseEngine:
             result.chase_steps += 1
             produced.append(node)
 
-    def _ward_parent(
-        self,
-        rule: Rule,
-        analysis: RuleAnalysis,
-        used_facts: List[Fact],
-        node_of: Dict[Fact, ChaseNode],
-    ) -> Optional[ChaseNode]:
-        """The chase node bound to the rule's ward, if any (warded rules)."""
-        if analysis.kind is not RuleKind.WARDED or analysis.ward is None:
-            return None
-        for atom, fact in zip(rule.relational_body, used_facts):
-            if atom is analysis.ward and fact in node_of:
-                return node_of[fact]
-        for atom, fact in zip(rule.relational_body, used_facts):
-            if atom == analysis.ward and fact in node_of:
-                return node_of[fact]
-        return None
+    @staticmethod
+    def _parents(
+        constants: _RuleConstants, used_facts: List[Fact], result: ChaseResult
+    ) -> Tuple[List[ChaseNode], Optional[ChaseNode]]:
+        """The chase nodes of a step's body facts, an extensional fact's made
+        on this first read, and the one bound to the rule's ward (if any)."""
+        node_of = result.node_of
+        parents = [node_of.get(f) or result.input_node_of(f) for f in used_facts]
+        ward = constants.ward_index
+        return parents, (parents[ward] if ward is not None else None)
 
     def match_body(
         self,
@@ -674,7 +731,8 @@ class ChaseEngine:
         """
         body = [atom for atom in owner.body if atom.predicate != DOM_PREDICATE]
         guards = [atom for atom in owner.body if atom.predicate == DOM_PREDICATE]
-        post = self._post_conditions.get(id(owner), ())
+        constants = self._rules.get(id(owner))
+        post = constants.post_conditions if constants is not None else ()
         conditions = [c for c in owner.conditions if c not in post]
         atoms = [(index, atom, None) for index, atom in enumerate(body)]
         seed_index = -1
@@ -752,24 +810,24 @@ class ChaseEngine:
         if full_binding is None:
             return []
 
-        existentials = rule.existential_variables()
-        for variable in existentials:
+        constants = self._rules[id(rule)]
+        for variable in constants.existentials:
             full_binding[variable] = self.null_factory.fresh()
 
         admit = self.strategy.admit
-        analysis = self._rule_analyses[id(rule)]
         produced: List[ChaseNode] = []
-        parents = [node_of[f] for f in used_facts if f in node_of]
-        ward_parent = self._ward_parent(rule, analysis, used_facts, node_of)
+        parents = ward_parent = None
 
         for head_atom in rule.head:
             head_fact = self.instantiate_head(head_atom, full_binding)
             result.candidate_facts += 1
             if head_fact in store:
                 continue
+            if parents is None:
+                parents, ward_parent = self._parents(constants, used_facts, result)
             node = derived_node(
                 fact=head_fact,
-                kind=analysis.kind,
+                kind=constants.analysis.kind,
                 rule_label=rule.label or "rule",
                 parents=parents,
                 ward_parent=ward_parent,
@@ -803,7 +861,7 @@ class ChaseEngine:
                 full_binding[rule.aggregate.variable] = aggregate_value
         except ExpressionError:
             return None
-        for condition in self._post_conditions.get(id(rule), ()):
+        for condition in self._rules[id(rule)].post_conditions:
             if not condition.holds(full_binding):
                 return None
         return full_binding
@@ -828,25 +886,19 @@ class ChaseEngine:
         self, rule: Rule, spec: AggregateSpec, binding: Dict[Variable, Term]
     ) -> Optional[Term]:
         evaluator = self.aggregates.evaluator_for(rule.label or str(id(rule)), spec)
-        group_variables = tuple(
-            v
-            for v in rule.head_variables()
-            if v != spec.variable and v in binding
-        )
-        group_key = tuple(self._binding_key(binding[v]) for v in group_variables)
-        if any(isinstance(binding[v], Null) for v in group_variables):
+        # Groups and contributors are keyed by the terms themselves: a
+        # constant hashes by value, a null by ident, with distinct salts.
+        group_key = tuple(binding[v] for v in self._rules[id(rule)].group_variables)
+        if any(term.__class__ is Null for term in group_key):
             # Group-by arguments must be non-null (Section 5 constraint 1).
             return None
         if spec.contributors:
-            contributor_terms = [binding.get(v) for v in spec.contributors]
-            if any(t is None or isinstance(t, Null) for t in contributor_terms):
+            contributor_key: Hashable = tuple(binding.get(v) for v in spec.contributors)
+            if any(t is None or t.__class__ is Null for t in contributor_key):
                 # Contributors must be non-null values (Section 5, constraint 1).
                 return None
-            contributor_key: Hashable = tuple(self._binding_key(t) for t in contributor_terms)
         else:
-            contributor_key = tuple(
-                sorted((v.name, str(self._binding_key(t))) for v, t in binding.items())
-            )
+            contributor_key = frozenset(binding.items())
         value = spec.argument.evaluate(binding)
         if isinstance(value, Null):
             # Counting/collecting aggregations treat labelled nulls by identity;
@@ -855,14 +907,6 @@ class ChaseEngine:
                 return None
             value = ("null", value.ident)
         return Constant(evaluator.update(group_key, contributor_key, value))
-
-    @staticmethod
-    def _binding_key(term: Term) -> Hashable:
-        if isinstance(term, Constant):
-            return ("c", term.value)
-        if isinstance(term, Null):
-            return ("n", term.ident)
-        raise TypeError(f"unexpected non-ground binding {term!r}")
 
     # ------------------------------------------------------------ constraints
     def check_violations(self) -> None:

@@ -64,6 +64,10 @@ class FactStore:
     of :mod:`repro.engine.joins` read the store's private layout: ``_rows``
     (the dedup map), ``_position_index`` (the per-position buckets) and
     ``_round_of`` (insertion rounds), each bound once per kernel call.
+    ``_round_of`` holds only the facts that entered after round 0: a fact
+    it lacks entered in round 0, which is what :meth:`round_of` and the
+    kernels' ``rget(fact, 0)`` read for a missing entry, so the extensional
+    facts of a one-shot run cost no entry.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
@@ -112,7 +116,8 @@ class FactStore:
         self._rows[key] = len(self._facts)
         self._facts.append(fact)
         self._facts_cache = None
-        self._round_of[fact] = self.current_round
+        if self.current_round:
+            self._round_of[fact] = self.current_round
         self._by_predicate.setdefault(fact.predicate, []).append(fact)
         position_dicts = self._position_index.get(fact.predicate)
         if position_dicts is None:

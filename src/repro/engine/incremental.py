@@ -276,7 +276,9 @@ class ResidentReasoner:
         #: The one owner of the materialisation's state (``result``).
         self._engine = engine
         self._derivations = DerivationIndex()
-        self._record_derivations(result.nodes)
+        # The node map, not ``result.nodes``: the view would make a node for
+        # every extensional fact no step read, and it has nothing to record.
+        self._record_derivations(result.node_of.values())
         #: Whether the store is closed under the rules: every fact derivable
         #: from it is stored or has a stored isomorphic twin.  A vertical
         #: prune of the warded strategy breaks that (it drops facts, ground
@@ -302,16 +304,18 @@ class ResidentReasoner:
                 record(node.fact, [parent.fact for parent in node.parents])
 
     def _chase(
-        self, delta: List[ChaseNode], seeds: Optional[List[RuleSeed]] = None
+        self, delta: List[Fact], seeds: Optional[List[RuleSeed]] = None
     ) -> List[Fact]:
         """Continuation rounds from ``delta`` (or ``seeds``); records the new
         nodes' derivations and returns their facts in store-slot order."""
         node_of = self.result.node_of
         before = len(node_of)
         self._engine.continue_rounds(delta, seeds)
-        # New nodes are appended to the insertion-ordered node map, in the
-        # order their facts entered the store.
-        nodes = list(islice(node_of.values(), before, None))
+        # Derived nodes are appended to the insertion-ordered node map in the
+        # order their facts entered the store.  So are the nodes of stored
+        # extensional facts a derivation read for the first time: those
+        # are no part of the write's delta.
+        nodes = [n for n in islice(node_of.values(), before, None) if not n.is_input]
         self._record_derivations(nodes)
         return [node.fact for node in nodes]
 
@@ -377,11 +381,7 @@ class ResidentReasoner:
         added = self._engine.load_inputs(new_facts)
         if added:
             derived = self._chase(added)
-            self._refresh_memo(
-                {node.fact.predicate for node in added},
-                set(),
-                [node.fact for node in added] + derived,
-            )
+            self._refresh_memo({fact.predicate for fact in added}, set(), added + derived)
         self._stats["facts_upserted"] += len(added)
         if self._has_checks:
             self._violations_stale = True
@@ -520,8 +520,10 @@ class ResidentReasoner:
         # -- removal: store, node map, derivation index, fresh strategy -------
         parents: Set[Fact] = set()
         for fact in deleted:
-            for parent in node_of.pop(fact).parents:
-                parents.add(parent.fact)
+            # An extensional fact no derivation read has no node.
+            node = node_of.pop(fact, None)
+            if node is not None:
+                parents.update(parent.fact for parent in node.parents)
             store.remove(fact)
         self._derivations.unlink(deleted, parents - deleted)
         self._derivations.forget(deleted)

@@ -54,7 +54,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.atoms import Fact
 from ..core.chase import ChaseConfig, ChaseEngine, ChaseResult
-from ..core.forests import ChaseNode
 from ..core.limits import STATUS_COMPLETE
 from ..core.rules import Program
 from ..core.termination import TerminationStrategy
@@ -134,8 +133,8 @@ class PipelineExecutor:
         #: an exhausted source leaves the dict.
         self._cursors: Optional[Dict[str, Iterator[Fact]]] = None
         self._batch = FIRST_BATCH
-        #: Loaded input nodes not chased yet: the next rounds' delta.
-        self._pending: List[ChaseNode] = []
+        #: Loaded input facts not chased yet: the next rounds' delta.
+        self._pending: List[Fact] = []
         self._first: Optional[Fact] = None
         #: Per output predicate, how many facts of its bucket were handed out.
         self._read = [0] * len(self.outputs)

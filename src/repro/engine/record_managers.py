@@ -41,12 +41,16 @@ class DataSourceRecordManager(RecordManager):
     ``pushdown`` (when the reasoner compiled one for this predicate) is
     forwarded to ``source.scan`` so selection happens at the source —
     natively for SQLite, at the read boundary for CSV/JSONL.  ``stream`` is
-    a generator: no rows are read until the first fact is pulled.
+    lazy: no rows are read until the first fact is pulled.
 
-    Each scan interns its constants: a value that repeats across rows (a
-    key column, a join column) becomes one :class:`Constant` object.  The
-    intern key is ``(type(value), value)``, so ``1``, ``1.0`` and ``True``
-    stay distinct Python values, exactly as the rows held them.
+    Each stream hands the scan its own row → :class:`Fact` converter with a
+    per-scan intern table: a value that repeats across rows (a key column,
+    a join column) becomes one :class:`Constant` object.  The intern key is
+    ``(type(value), value)``, so ``1``, ``1.0`` and ``True`` stay distinct
+    Python values, exactly as the rows held them.  The source's page cache
+    keeps the facts the converter built, so they are the one copy of the
+    relation in memory, and a repeated stream (a second ``reason()``)
+    yields those same facts without building a term.
     """
 
     def __init__(self, predicate: str, source, pushdown=None) -> None:
@@ -57,7 +61,8 @@ class DataSourceRecordManager(RecordManager):
     def stream(self) -> Iterator[Fact]:
         predicate = self.predicate
         interned: Dict[Tuple[type, object], Constant] = {}
-        for row in self.source.scan(self.pushdown):
+
+        def convert(row: Tuple[object, ...]) -> Fact:
             terms = []
             for value in row:
                 key = (type(value), value)
@@ -65,7 +70,9 @@ class DataSourceRecordManager(RecordManager):
                 if constant is None:
                     constant = interned[key] = Constant(value)
                 terms.append(constant)
-            yield Fact.from_ground(predicate, tuple(terms))
+            return Fact.from_ground(predicate, tuple(terms))
+
+        return self.source.scan(self.pushdown, convert)
 
 
 class DatabaseRecordManager(RecordManager):

@@ -23,7 +23,10 @@ Every source keeps :class:`SourceStats` counters (scans, rows scanned vs.
 relation size, cache traffic, rows written) and serves repeated scans from
 a per-source :class:`RowPageCache` — an LRU cache of result pages keyed by
 the pushdown that produced them, so a reasoner that is run twice (or an
-executor that re-reads an input) does not re-hit the backend.
+executor that re-reads an input) does not re-hit the backend.  A scan
+given a row converter (the record manager's row → fact step) yields and
+caches the converted items, so the facts a load built are the cache's
+one copy of the relation and a repeated load does not rebuild them.
 
 Row scans are *lazy*: ``scan()`` is a generator and backends read rows
 only as they are pulled, which is what lets the streaming pipeline avoid
@@ -44,6 +47,7 @@ import sqlite3
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (
     Callable,
@@ -51,6 +55,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -216,6 +221,15 @@ class SourceStats:
         }
 
 
+class CachedScan(NamedTuple):
+    """One completed scan result held by a :class:`RowPageCache`."""
+
+    pages: List[List[object]]
+    #: True when the items are a row converter's output (see
+    #: :meth:`DataSource.scan`), False for raw row tuples.
+    converted: bool
+
+
 class RowPageCache:
     """An LRU cache of completed scan results, stored in fixed-size pages.
 
@@ -231,19 +245,21 @@ class RowPageCache:
             raise ValueError("page_size and max_pages must be positive")
         self.page_size = page_size
         self.max_pages = max_pages
-        self._entries: "OrderedDict[Tuple, List[List[Tuple[object, ...]]]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, CachedScan]" = OrderedDict()
         self._total_pages = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple) -> Optional[List[List[Tuple[object, ...]]]]:
-        pages = self._entries.get(key)
-        if pages is not None:
+    def get(self, key: Tuple) -> Optional[CachedScan]:
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-        return pages
+        return entry
 
-    def put(self, key: Tuple, rows: Sequence[Tuple[object, ...]], stats: SourceStats) -> bool:
+    def put(
+        self, key: Tuple, rows: Sequence[object], stats: SourceStats, converted: bool = False
+    ) -> bool:
         """Admit a completed scan result; returns False when it cannot fit."""
         pages = [
             list(rows[i : i + self.page_size])
@@ -252,12 +268,12 @@ class RowPageCache:
         if len(pages) > self.max_pages:
             return False
         if key in self._entries:
-            self._total_pages -= len(self._entries.pop(key))
+            self._total_pages -= len(self._entries.pop(key).pages)
         while self._total_pages + len(pages) > self.max_pages and self._entries:
             _evicted_key, evicted = self._entries.popitem(last=False)
-            self._total_pages -= len(evicted)
-            stats.pages_evicted += len(evicted)
-        self._entries[key] = pages
+            self._total_pages -= len(evicted.pages)
+            stats.pages_evicted += len(evicted.pages)
+        self._entries[key] = CachedScan(pages, converted)
         self._total_pages += len(pages)
         return True
 
@@ -298,12 +314,24 @@ class DataSource:
         self._cache = RowPageCache(page_size=page_size, max_pages=max_cache_pages)
 
     # -- reading ---------------------------------------------------------------
-    def scan(self, pushdown: Optional[Pushdown] = None) -> Iterator[Tuple[object, ...]]:
+    def scan(
+        self,
+        pushdown: Optional[Pushdown] = None,
+        convert: Optional[Callable[[Tuple[object, ...]], object]] = None,
+    ) -> Iterator[object]:
         """Stream the relation's rows, restricted by ``pushdown``.
 
         Lazy: nothing is read until the first row is pulled.  A completed
         scan is admitted to the page cache; subsequent scans with the same
         pushdown are served from memory without touching the backend.
+
+        ``convert``, when given, turns each row into the item the scan
+        yields, and the cache keeps those items, not the rows: a later
+        converting scan yields the very same objects.  A converted item
+        gives its row back through ``values()`` (a :class:`Fact` does), so
+        a scan without ``convert`` still yields raw tuples whichever kind
+        of scan filled the cache, and a converting scan served from raw
+        rows converts them.
         """
         if pushdown is not None and pushdown.is_empty():
             pushdown = None
@@ -317,16 +345,20 @@ class DataSource:
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_served_scans += 1
-            self.stats.page_hits += len(cached)
-            for page in cached:
-                for row in page:
-                    self.stats.rows_emitted += 1
-                    yield row
+            self.stats.page_hits += len(cached.pages)
+            items = chain.from_iterable(cached.pages)
+            if cached.converted and convert is None:
+                items = (item.values() for item in items)
+            elif convert is not None and not cached.converted:
+                items = map(convert, items)
+            for item in items:
+                self.stats.rows_emitted += 1
+                yield item
             if tracer is not None:
                 self._emit_scan_span(
                     tracer,
                     t_start,
-                    emitted=sum(len(page) for page in cached),
+                    emitted=sum(len(page) for page in cached.pages),
                     scanned=0,
                     cache_served=True,
                     pushdown=pushdown,
@@ -339,16 +371,19 @@ class DataSource:
         # page budget; a scan larger than the whole cache is streamed through
         # without being retained (the memory bound stays the cache budget).
         budget = self._cache.page_size * self._cache.max_pages
-        rows: Optional[List[Tuple[object, ...]]] = []
-        for row in self._scan_resilient(pushdown):
+        kept: Optional[List[object]] = []
+        items = self._scan_resilient(pushdown)
+        if convert is not None:
+            items = map(convert, items)
+        for item in items:
             self.stats.rows_emitted += 1
-            if rows is not None:
-                rows.append(row)
-                if len(rows) > budget:
-                    rows = None
-            yield row
-        if rows is not None:
-            self._cache.put(key, rows, self.stats)
+            if kept is not None:
+                kept.append(item)
+                if len(kept) > budget:
+                    kept = None
+            yield item
+        if kept is not None:
+            self._cache.put(key, kept, self.stats, converted=convert is not None)
         if tracer is not None:
             self._emit_scan_span(
                 tracer,

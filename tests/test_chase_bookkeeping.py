@@ -15,6 +15,7 @@ Each test pins behaviour with counts rather than timings.
 
 import gc
 import json
+from collections import Counter
 import os
 import sqlite3
 import subprocess
@@ -29,6 +30,7 @@ from repro.core.chase import run_chase
 from repro.core.forests import ChaseNode
 from repro.core.parser import parse_program
 from repro.core.termination import WardedTerminationStrategy
+from repro.engine.incremental import ResidentReasoner
 from repro.engine.reasoner import VadalogReasoner
 from repro.engine.record_managers import DataSourceRecordManager
 from repro.storage.datasources import CsvDataSource, JsonlDataSource, SQLiteDataSource
@@ -194,6 +196,46 @@ class TestAcyclicChaseNodes:
             gc.garbage.clear()
             gc.enable()
         assert leaked == 0
+
+
+class TestLazyInputNodes:
+    """An extensional fact gets its chase node when a derivation reads it."""
+
+    def test_unread_inputs_get_their_nodes_from_the_view(self):
+        program = parse_program("Big(X) :- N(X), X > 90.")
+        result = run_chase(program, [fact("N", i) for i in range(100)])
+        # Nine derived facts and the nine inputs they were derived from.
+        assert len(result.node_of) == 18 < len(result.store) == 109
+        nodes = result.nodes
+        assert Counter(n.fact for n in nodes) == Counter(result.store.facts())
+        inputs = [n for n in nodes if n.is_input]
+        assert len(inputs) == 100
+        assert all(n.l_root is n and n.w_root is n and not n.parents for n in inputs)
+        by_fact = {n.fact: n for n in nodes}
+        for node in nodes:
+            if not node.is_input:
+                assert node.parents[0] is by_fact[node.parents[0].fact]
+        assert all(a is b for a, b in zip(nodes, result.nodes))
+
+    def test_retracting_an_unread_input_matches_a_fresh_run(self):
+        program = """
+        @output("Big"). @output("Pair").
+        Big(X) :- N(X), X > 90.
+        Pair(X, Y) :- Big(X), N(Y), Y > 95.
+        """
+        rows = [(i,) for i in range(100)]
+        resident = ResidentReasoner(program, database={"N": rows})
+        assert fact("N", 5) not in resident.result.node_of
+        assert fact("N", 97) in resident.result.node_of
+        resident.retract({"N": [(5,), (97,)]})
+        fresh = VadalogReasoner(program).reason(
+            database={"N": [row for row in rows if row[0] not in (5, 97)]}
+        )
+        answers = resident.query()
+        for predicate in ("Big", "Pair"):
+            assert set(answers.tuples(predicate)) == fresh.ground_tuples(predicate)
+        result = resident.result
+        assert Counter(n.fact for n in result.nodes) == Counter(result.store.facts())
 
 
 class TestInternedLoadConstants:

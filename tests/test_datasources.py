@@ -258,6 +258,68 @@ class TestPageCache:
         assert own["rows_scanned"] == 1         # lifetime counter: one real scan
 
 
+class TestLoadedFactsCache:
+    """The page cache keeps the facts a load built, not a copy of the rows."""
+
+    PROGRAM = """
+    @bind("Own", "sqlite", "in.db").
+    @output("Control").
+    Control(X, Y) :- Own(X, Y, W).
+    """
+
+    def test_second_reason_serves_the_first_runs_facts(self, tmp_path):
+        make_sqlite(tmp_path / "in.db")
+        reasoner = VadalogReasoner(self.PROGRAM, base_path=str(tmp_path))
+        first = reasoner.reason()
+        scanned = first.source_stats["Own"]["rows_scanned"]
+        second = reasoner.reason()
+        own = second.source_stats["Own"]
+        assert own["cache_served_scans"] == 1
+        assert own["rows_scanned"] == scanned == 2
+        before, after = first.chase.facts("Own"), second.chase.facts("Own")
+        assert len(after) == 2 and all(a is b for a, b in zip(before, after))
+        # A raw scan of the same source still yields the rows themselves.
+        source = reasoner._bindings.sources["Own"]
+        assert list(source.scan()) == [("a", "b", 0.6), ("b", "c", 0.4)]
+        assert source.stats.cache_served_scans == 2
+
+    def test_raw_scan_first_serves_a_later_load(self, tmp_path):
+        make_sqlite(tmp_path / "in.db")
+        reasoner = VadalogReasoner(self.PROGRAM, base_path=str(tmp_path))
+        reasoner.reason()  # resolves the bindings
+        source = reasoner._bindings.sources["Own"]
+        source.write_rows([("x", "y", 0.9)])
+        assert list(source.scan()) == [("x", "y", 0.9)]
+        result = reasoner.reason()
+        assert result.source_stats["Own"]["cache_served_scans"] == 1
+        assert result.ground_tuples("Control") == {("x", "y")}
+
+    def test_writeback_to_the_source_reads_it_again(self, tmp_path):
+        make_sqlite(tmp_path / "in.db")
+        reasoner = VadalogReasoner(self.PROGRAM, base_path=str(tmp_path))
+        reasoner.reason()
+        reasoner._bindings.sources["Own"].write_rows([("x", "y", 0.9)])
+        result = reasoner.reason()
+        own = result.source_stats["Own"]
+        assert own["cache_served_scans"] == 0
+        assert own["rows_scanned"] == 3
+        assert result.ground_tuples("Control") == {("x", "y")}
+
+    def test_abandoned_streaming_scan_admits_nothing(self, tmp_path):
+        make_sqlite(tmp_path / "in.db", rows=[(f"c{i}", f"c{i + 1}", 0.5) for i in range(40)])
+        reasoner = VadalogReasoner(
+            self.PROGRAM, executor="streaming", base_path=str(tmp_path)
+        )
+        lazy = reasoner.stream()
+        assert lazy.first_answer() is not None
+        source = reasoner._bindings.sources["Own"]
+        assert len(source._cache) == 0
+        reasoner.reason()
+        assert source.stats.cache_served_scans == 0
+        reasoner.reason()
+        assert source.stats.cache_served_scans == 1
+
+
 # ---------------------------------------------------------------------------
 # Pushdown compilation soundness
 # ---------------------------------------------------------------------------

@@ -102,6 +102,22 @@ class TestFactStore:
         ]
         assert [used for _, used in results][1] == [fact("E", "a", "b"), fact("E", "a", "c")]
 
+    def test_round_zero_facts_take_no_round_entry(self):
+        store = FactStore([fact("P", 1)])
+        store.begin_round(1, [])
+        store.add(fact("P", 2))
+        assert store._round_of == {fact("P", 2): 1}
+        assert store.round_of(fact("P", 1)) == 0
+        assert store.round_of(fact("P", 2)) == 1
+
+    def test_chased_inputs_take_no_round_entry(self):
+        program = parse_program("T(X, Y) :- E(X, Y). T(X, Z) :- T(X, Y), E(Y, Z).")
+        database = [fact("E", i, i + 1) for i in range(5)]
+        store = run_chase(program, database).store
+        assert not set(database) & set(store._round_of)
+        assert all(store.round_of(f) == 0 for f in database)
+        assert store._round_of and all(r > 0 for r in store._round_of.values())
+
     def test_nulls_indexed_separately_from_constants(self):
         store = FactStore([Fact("P", (Null(0),)), fact("P", 0)])
         assert len(store) == 2

@@ -20,7 +20,10 @@ The engine is the one owner of its run's state: its :class:`ChaseResult`,
 built once, holds the store, the one fact → node map and the round count.
 The map holds every derived fact's node and the extensional nodes made so
 far; ``result.nodes`` is the complete view, one node per stored fact in
-store order, and makes the missing extensional nodes as it is read.
+store order, and makes the missing extensional nodes as it is read.  It
+appends any node whose fact is no longer stored and checks its input
+nodes against ``result.extensional_facts``, so a stale node or a derived
+fact stored without one still shows.
 There is one round loop,
 :meth:`ChaseEngine.continue_rounds`, fed by one input-load step,
 :meth:`ChaseEngine.load_inputs`; both read and write that result, so a
@@ -124,6 +127,25 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
     )
 
 
+class _RuleTable(dict):
+    """``id(rule)`` → the rule's :class:`_RuleConstants`, computed on its
+    first lookup (a construction-heavy program fires few of its rules);
+    ``None`` for an owner that is no rule of the program, such as an EGD
+    or a negative constraint."""
+
+    def __init__(self, rules: Sequence[Rule], analysis: ProgramAnalysis) -> None:
+        super().__init__()
+        self._rule_of = {id(rule): rule for rule in rules}
+        self._analysis = analysis
+
+    def __missing__(self, key: int) -> Optional[_RuleConstants]:
+        rule = self._rule_of.get(key)
+        if rule is None:
+            return None
+        constants = self[key] = _rule_constants(rule, self._analysis.analysis_for(rule))
+        return constants
+
+
 class InconsistencyError(Exception):
     """Raised when a negative constraint or EGD is violated (fail-fast mode)."""
 
@@ -170,6 +192,9 @@ class ChaseResult:
     #: extensional nodes made so far (:meth:`input_node_of`); every node's fact
     #: is stored.  :attr:`nodes` is the complete view.
     node_of: Dict[Fact, ChaseNode] = field(default_factory=dict)
+    #: How many stored facts entered through :meth:`ChaseEngine.load_inputs`
+    #: (the extensional ones); :attr:`nodes` checks its input nodes against it.
+    extensional_facts: int = 0
     violations: List[Violation] = field(default_factory=list)
     rounds: int = 0
     chase_steps: int = 0
@@ -198,16 +223,37 @@ class ChaseResult:
 
     @property
     def nodes(self) -> Tuple[ChaseNode, ...]:
-        """One chase node per stored fact, in store order.
+        """One chase node per stored fact, in store order, then the node of
+        every fact the map holds that is no longer stored (none, in a sound
+        run).
 
-        Makes the node of every extensional fact no derivation has read yet.
+        Makes the node of every extensional fact no derivation has read yet
+        and keeps it in :attr:`node_of`, so reading the view gives up the
+        memory the lazy input nodes saved.  Raises ``RuntimeError`` when the
+        input nodes do not match :attr:`extensional_facts`: a derived fact
+        stored without its node would otherwise read as an input root.
         """
         node_of = self.node_of
-        return tuple(node_of.get(f) or self.input_node_of(f) for f in self.store.facts())
+        store = self.store
+        view = [node_of.get(f) or self.input_node_of(f) for f in store.facts()]
+        if len(node_of) > len(view):
+            view.extend(n for n in node_of.values() if n.fact not in store)
+        inputs = sum(1 for n in view if n.is_input)
+        if inputs != self.extensional_facts:
+            raise RuntimeError(
+                f"{inputs} input nodes for {self.extensional_facts} extensional "
+                "facts: a derived fact was stored without its chase node, or a "
+                "node outlived its fact"
+            )
+        return tuple(view)
 
     def input_node_of(self, fact: Fact) -> ChaseNode:
         """The node of a stored extensional ``fact`` that has none yet, stamped
-        with the round it was loaded in."""
+        with the round it was loaded in.
+
+        Derived facts get their node when they are stored; :attr:`nodes`
+        catches one that did not, which this would have labelled an input.
+        """
         node = self.node_of[fact] = input_node(fact, step=self.store.round_of(fact))
         return node
 
@@ -296,10 +342,7 @@ class ChaseEngine:
         self.started_at: Optional[float] = None
         self.aggregates = AggregateRegistry()
         self._database = database
-        self._rules: Dict[int, _RuleConstants] = {
-            id(rule): _rule_constants(rule, self.analysis.analysis_for(rule))
-            for rule in program.rules
-        }
+        self._rules = _RuleTable(program.rules, self.analysis)
         self._compiled: Dict[int, object] = {}
         if executor == "compiled":
             # Imported lazily: the engine package imports this module.
@@ -379,6 +422,7 @@ class ChaseEngine:
                 node = node_of[fact] = input_node(fact, step=step)
                 register(node)
             loaded.append(fact)
+        result.extensional_facts += len(loaded)
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
         return loaded
@@ -731,7 +775,7 @@ class ChaseEngine:
         """
         body = [atom for atom in owner.body if atom.predicate != DOM_PREDICATE]
         guards = [atom for atom in owner.body if atom.predicate == DOM_PREDICATE]
-        constants = self._rules.get(id(owner))
+        constants = self._rules[id(owner)]
         post = constants.post_conditions if constants is not None else ()
         conditions = [c for c in owner.conditions if c not in post]
         atoms = [(index, atom, None) for index, atom in enumerate(body)]

@@ -519,10 +519,16 @@ class ResidentReasoner:
             self._closed = False
         # -- removal: store, node map, derivation index, fresh strategy -------
         parents: Set[Fact] = set()
+        extensional = set(retracted)
         for fact in deleted:
-            # An extensional fact no derivation read has no node.
             node = node_of.pop(fact, None)
-            if node is not None:
+            if node is None or node.is_input:
+                # Only a retracted fact is deleted as an extensional one, and
+                # one no derivation read has no node.
+                if fact not in extensional:
+                    raise KeyError(f"{fact!r} was deleted without a derived chase node")
+                self.result.extensional_facts -= 1
+            else:
                 parents.update(parent.fact for parent in node.parents)
             store.remove(fact)
         self._derivations.unlink(deleted, parents - deleted)

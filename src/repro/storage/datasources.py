@@ -330,8 +330,9 @@ class DataSource:
         converting scan yields the very same objects.  A converted item
         gives its row back through ``values()`` (a :class:`Fact` does), so
         a scan without ``convert`` still yields raw tuples whichever kind
-        of scan filled the cache, and a converting scan served from raw
-        rows converts them.
+        of scan filled the cache.  A converting scan that finds raw rows
+        cached is a miss: it reads the backend again and its converted
+        items replace the entry.
         """
         if pushdown is not None and pushdown.is_empty():
             pushdown = None
@@ -343,14 +344,12 @@ class DataSource:
         tracer = get_tracer()
         t_start = time.perf_counter() if tracer is not None else 0.0
         cached = self._cache.get(key)
-        if cached is not None:
+        if cached is not None and (cached.converted or convert is None):
             self.stats.cache_served_scans += 1
             self.stats.page_hits += len(cached.pages)
             items = chain.from_iterable(cached.pages)
             if cached.converted and convert is None:
                 items = (item.values() for item in items)
-            elif convert is not None and not cached.converted:
-                items = map(convert, items)
             for item in items:
                 self.stats.rows_emitted += 1
                 yield item

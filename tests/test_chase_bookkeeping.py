@@ -172,7 +172,7 @@ class TestAcyclicChaseNodes:
         result = VadalogReasoner(self.PROGRAM).reason(
             database={"E": [(i, i + 1) for i in range(10)]}
         )
-        nodes = result.chase.nodes  # a read-only view of the node map
+        nodes = result.chase.nodes  # one node per stored fact; makes the missing input nodes
         assert nodes and not hasattr(next(iter(nodes)), "__dict__")
         for node in nodes:
             assert all(getattr(node, slot) is not node for slot in ChaseNode.__slots__)
@@ -236,6 +236,19 @@ class TestLazyInputNodes:
             assert set(answers.tuples(predicate)) == fresh.ground_tuples(predicate)
         result = resident.result
         assert Counter(n.fact for n in result.nodes) == Counter(result.store.facts())
+
+    def test_the_view_shows_a_derived_fact_without_a_node(self):
+        program = parse_program("Big(X) :- N(X), X > 90.")
+        result = run_chase(program, [fact("N", i) for i in range(100)])
+        del result.node_of[fact("Big", 95)]
+        with pytest.raises(RuntimeError, match="without its chase node"):
+            result.nodes
+
+    def test_the_view_shows_a_node_whose_fact_is_gone(self):
+        program = parse_program("Big(X) :- N(X), X > 90.")
+        result = run_chase(program, [fact("N", i) for i in range(100)])
+        result.store.remove(fact("Big", 95))
+        assert Counter(n.fact for n in result.nodes) != Counter(result.store.facts())
 
 
 class TestInternedLoadConstants:

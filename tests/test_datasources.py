@@ -283,7 +283,7 @@ class TestLoadedFactsCache:
         assert list(source.scan()) == [("a", "b", 0.6), ("b", "c", 0.4)]
         assert source.stats.cache_served_scans == 2
 
-    def test_raw_scan_first_serves_a_later_load(self, tmp_path):
+    def test_load_after_a_raw_scan_replaces_the_raw_entry(self, tmp_path):
         make_sqlite(tmp_path / "in.db")
         reasoner = VadalogReasoner(self.PROGRAM, base_path=str(tmp_path))
         reasoner.reason()  # resolves the bindings
@@ -291,8 +291,12 @@ class TestLoadedFactsCache:
         source.write_rows([("x", "y", 0.9)])
         assert list(source.scan()) == [("x", "y", 0.9)]
         result = reasoner.reason()
-        assert result.source_stats["Own"]["cache_served_scans"] == 1
+        own = result.source_stats["Own"]
+        assert own["cache_served_scans"] == 0
+        assert own["rows_scanned"] == 4
         assert result.ground_tuples("Control") == {("x", "y")}
+        assert list(source.scan()) == [("x", "y", 0.9)]
+        assert source.stats.cache_served_scans == 1
 
     def test_writeback_to_the_source_reads_it_again(self, tmp_path):
         make_sqlite(tmp_path / "in.db")

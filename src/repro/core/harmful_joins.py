@@ -33,6 +33,11 @@ and same frontier values) and then propagated to both atoms.  We therefore
    (b) one rule per direct cause β joining the two tracking atoms on the
    *origin* (the frontier of β) instead of on the null itself.
 
+Each tracking rule is built, and rendered, once: one creation rule per
+direct cause and one mirrored rule per (cause, propagation step), however
+many harmful joins reach that cause.  The rewritten program keeps the rules
+in first-emission order, deduplicated by their text.
+
 The result contains no harmful joins, uses only ground auxiliary facts and
 computes the same answers for the original predicates — the transitive
 closure of Example 9 is exactly what the tracking predicates unfold to for
@@ -50,7 +55,7 @@ completeness and for the unit tests that mirror the paper's discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom, Position
 from .rules import DOM_PREDICATE, Program, Rule
@@ -191,6 +196,11 @@ class HarmfulJoinEliminator:
     def __init__(self, program: Program, analysis: Optional[ProgramAnalysis] = None) -> None:
         self.program = program
         self.analysis = analysis or analyse_program(program)
+        #: Tracking rules as ``(text, rule)``, built and rendered once per
+        #: direct cause (its creation rule) and per (cause, propagation step)
+        #: of one run: keyed by the identity of that run's flow-graph
+        #: objects, which every harmful join reaching a cause walks.
+        self._built: Dict[object, Optional[Tuple[str, Rule]]] = {}
 
     def eliminate(self) -> HarmfulJoinEliminationResult:
         """Run the rewriting; raises :class:`UnsupportedHarmfulJoin` if needed."""
@@ -202,12 +212,13 @@ class HarmfulJoinEliminator:
                 "harmful-join elimination requires a warded program"
             )
         flow = build_null_flow_graph(self.program, self.analysis)
+        self._built = {}  # a new graph: earlier ids may be reused
         rewritten = self.program.copy()
-        rewritten.rules = [r for r in self.program.rules]
         result = HarmfulJoinEliminationResult(program=rewritten)
 
-        track_rules: List[Rule] = []
-        track_rule_keys: Set[str] = set()
+        # Keyed by text, in first-emission order: the causes of several
+        # harmful joins share their tracking rules.
+        track_rules: Dict[str, Rule] = {}
         replacement_rules: List[Rule] = []
 
         for rule_analysis in harmful:
@@ -220,31 +231,33 @@ class HarmfulJoinEliminator:
                     f"rule {rule.label}: aggregation over a harmfully joined variable"
                 )
             for variable in rule_analysis.harmful_join_variables:
-                grounded, replacements, new_track_rules, track_names = self._eliminate_one(
-                    rule, variable, flow
+                grounded, replacements = self._eliminate_one(
+                    rule, variable, flow, track_rules
                 )
                 result.grounded_rules.append(grounded)
                 replacement_rules.append(grounded)
                 replacement_rules.extend(replacements)
-                for track_rule in new_track_rules:
-                    key = str(track_rule)
-                    if key not in track_rule_keys:
-                        track_rule_keys.add(key)
-                        track_rules.append(track_rule)
-                result.tracking_predicates.extend(track_names)
             result.eliminated_rules.append(rule)
 
         eliminated = {id(r) for r in result.eliminated_rules}
         rewritten.rules = [r for r in rewritten.rules if id(r) not in eliminated]
-        for new_rule in track_rules + replacement_rules:
+        for new_rule in [*track_rules.values(), *replacement_rules]:
             rewritten.add_rule(new_rule)
-        result.tracking_predicates = sorted(set(result.tracking_predicates))
+        result.tracking_predicates = sorted(
+            {track_rule.head[0].predicate for track_rule in track_rules.values()}
+        )
         return result
 
     # ------------------------------------------------------------------ steps
     def _eliminate_one(
-        self, rule: Rule, variable: Variable, flow: NullFlowGraph
-    ) -> Tuple[Rule, List[Rule], List[Rule], List[str]]:
+        self,
+        rule: Rule,
+        variable: Variable,
+        flow: NullFlowGraph,
+        track_rules: Dict[str, Rule],
+    ) -> Tuple[Rule, List[Rule]]:
+        """The grounded copy and the replacements of one harmful join; the
+        tracking rules its causes need are added to ``track_rules``."""
         join_atoms = [
             (index, atom)
             for index, atom in enumerate(rule.relational_body)
@@ -274,18 +287,12 @@ class HarmfulJoinEliminator:
             label=f"{rule.label or 'rule'}_ground",
         )
 
-        # Steps 2-3 (direct and indirect causes) via origin tracking.
+        # Steps 2-3 (direct and indirect causes) via origin tracking.  With no
+        # cause the harmful variable can never bind to a null: the grounded
+        # copy is already equivalent and nothing else is needed.
         reachable = flow.positions_flowing_into(join_positions)
-        causes = flow.causes_for(reachable)
-        if not causes:
-            # The harmful variable can never bind to a null: the grounded copy
-            # is already equivalent and nothing else is needed.
-            return grounded, [], [], []
-
-        track_rules: List[Rule] = []
-        track_names: List[str] = []
         replacements: List[Rule] = []
-        for cause in causes:
+        for cause in flow.causes_for(reachable):
             if not cause.frontier:
                 raise UnsupportedHarmfulJoin(
                     f"rule {cause.rule.label}: a direct cause without frontier variables "
@@ -299,13 +306,12 @@ class HarmfulJoinEliminator:
                 raise UnsupportedHarmfulJoin(
                     f"rule {cause.rule.label}: the frontier of a direct cause carries nulls"
                 )
-            cause_track_rules, names = self._tracking_rules_for(cause, reachable, flow)
-            track_rules.extend(cause_track_rules)
-            track_names.extend(names)
+            for text, track_rule in self._tracking_rules_for(cause, reachable, flow):
+                track_rules.setdefault(text, track_rule)
             replacements.extend(
                 self._replacement_rules_for(rule, variable, join_atoms, cause)
             )
-        return grounded, replacements, track_rules, track_names
+        return grounded, replacements
 
     @staticmethod
     def _origin_variables(cause: DirectCause) -> Tuple[Variable, ...]:
@@ -320,38 +326,38 @@ class HarmfulJoinEliminator:
 
     def _tracking_rules_for(
         self, cause: DirectCause, reachable: Set[Position], flow: NullFlowGraph
-    ) -> Tuple[List[Rule], List[str]]:
+    ) -> Iterator[Tuple[str, Rule]]:
         """Creation and propagation rules for the tracking predicate of ``cause``."""
-        rules: List[Rule] = []
-        names: List[str] = []
-
+        built = self._built
         # Creation: the body of the cause produces the initial tracking fact,
         # whose origin key is the cause's own frontier.
-        creation_atom = self._track_atom(
-            cause, cause.position, self._cause_head_atom(cause), cause.frontier
-        )
-        rules.append(
-            Rule(
-                body=cause.rule.body,
-                head=(creation_atom,),
-                conditions=cause.rule.conditions,
-                assignments=cause.rule.assignments,
-                aggregate=None,
-                label=f"{cause.rule.label or 'rule'}_track_{cause.position.predicate}",
-            )
-        )
-        names.append(creation_atom.predicate)
+        if id(cause) not in built:
+            built[id(cause)] = _rendered(self._creation_rule(cause))
+        yield built[id(cause)]
 
         # Propagation: mirror every propagation step between reachable positions.
         for target in reachable:
-            for step in flow.propagations.get(target, []):
+            for step in flow.propagations.get(target, ()):
                 if step.source not in reachable:
                     continue
-                mirrored = self._mirror_propagation(cause, step)
-                if mirrored is not None:
-                    rules.append(mirrored)
-                    names.append(self._track_predicate_name_for(cause, step.target))
-        return rules, sorted(set(names))
+                key = (id(cause), id(step))
+                if key not in built:
+                    built[key] = _rendered(self._mirror_propagation(cause, step))
+                if built[key] is not None:
+                    yield built[key]
+
+    def _creation_rule(self, cause: DirectCause) -> Rule:
+        creation_atom = self._track_atom(
+            cause, cause.position, self._cause_head_atom(cause), cause.frontier
+        )
+        return Rule(
+            body=cause.rule.body,
+            head=(creation_atom,),
+            conditions=cause.rule.conditions,
+            assignments=cause.rule.assignments,
+            aggregate=None,
+            label=f"{cause.rule.label or 'rule'}_track_{cause.position.predicate}",
+        )
 
     def _cause_head_atom(self, cause: DirectCause) -> Atom:
         for atom in cause.rule.head:
@@ -363,9 +369,6 @@ class HarmfulJoinEliminator:
         raise UnsupportedHarmfulJoin(
             f"rule {cause.rule.label}: cannot locate the existential head atom"
         )
-
-    def _track_predicate_name_for(self, cause: DirectCause, position: Position) -> str:
-        return _track_predicate_name(cause, position)
 
     def _track_atom(
         self,
@@ -463,6 +466,10 @@ class HarmfulJoinEliminator:
                 label=f"{rule.label or 'rule'}_via_{cause.rule.label or 'cause'}",
             )
         ]
+
+
+def _rendered(rule: Optional[Rule]) -> Optional[Tuple[str, Rule]]:
+    return None if rule is None else (str(rule), rule)
 
 
 def eliminate_harmful_joins(

@@ -15,10 +15,10 @@ memorisation structures of Algorithm 1 into hash look-ups.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List
 
 from .atoms import Fact
-from .terms import Constant, Null, Term, Variable
+from .terms import Constant, Null, Term
 
 
 def isomorphism_key(fact: Fact) -> Hashable:
@@ -131,24 +131,3 @@ def deduplicate_isomorphic(facts: Iterable[Fact]) -> List[Fact]:
             seen[key] = None
             result.append(fact)
     return result
-
-
-def atom_structure_key(predicate: str, terms: Tuple[Term, ...]) -> Hashable:
-    """Pattern key for a (possibly non-ground) atom, used by rule rewritings.
-
-    Variables are treated like nulls (renamed by first occurrence), which lets
-    rewriting steps detect structurally identical rule atoms.
-    """
-    placeholder_index: Dict[Term, int] = {}
-    const_index: Dict[object, int] = {}
-    key: List[Hashable] = [predicate]
-    for term in terms:
-        if isinstance(term, Constant):
-            index = const_index.setdefault(term.value, len(const_index))
-            key.append(("const", index))
-        elif isinstance(term, (Null, Variable)):
-            index = placeholder_index.setdefault(term, len(placeholder_index))
-            key.append(("ph", index))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected term {term!r}")
-    return tuple(key)

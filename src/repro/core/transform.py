@@ -17,12 +17,11 @@ outputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .atoms import Atom, Fact
-from .isomorphism import atom_structure_key
 from .rules import Program, Rule
-from .terms import Variable
+from .terms import Constant, Variable
 
 AUX_PREFIX = "_aux_"
 """Prefix of auxiliary predicates introduced by rewritings."""
@@ -33,14 +32,24 @@ def is_auxiliary_predicate(name: str) -> bool:
     return name.startswith(AUX_PREFIX)
 
 
-def _fresh_aux_name(base: str, used: set) -> str:
-    candidate = f"{AUX_PREFIX}{base}"
-    counter = 0
-    while candidate in used:
-        counter += 1
-        candidate = f"{AUX_PREFIX}{base}_{counter}"
-    used.add(candidate)
-    return candidate
+class _AuxNames:
+    """Fresh auxiliary predicate names, clear of every name in ``program``
+    (read at the first request: most programs need none)."""
+
+    def __init__(self, program: Program) -> None:
+        self._program = program
+        self._used: Optional[Set[str]] = None
+
+    def fresh(self, base: str) -> str:
+        if self._used is None:
+            self._used = {p.name for p in self._program.predicates()}
+        candidate = f"{AUX_PREFIX}{base}"
+        counter = 0
+        while candidate in self._used:
+            counter += 1
+            candidate = f"{AUX_PREFIX}{base}_{counter}"
+        self._used.add(candidate)
+        return candidate
 
 
 def split_multiple_heads(program: Program) -> Program:
@@ -54,7 +63,7 @@ def split_multiple_heads(program: Program) -> Program:
     """
     rewritten = program.copy()
     rewritten.rules = []
-    used_predicates = {p.name for p in program.predicates()}
+    aux_names = _AuxNames(program)
     for rule in program.rules:
         if len(rule.head) == 1:
             rewritten.add_rule(rule)
@@ -74,7 +83,7 @@ def split_multiple_heads(program: Program) -> Program:
                     )
                 )
             continue
-        aux_name = _fresh_aux_name(f"{rule.label or 'rule'}_head", used_predicates)
+        aux_name = aux_names.fresh(f"{rule.label or 'rule'}_head")
         head_variables = tuple(rule.head_variables())
         aux_atom = Atom(aux_name, head_variables)
         rewritten.add_rule(
@@ -118,7 +127,7 @@ def isolate_existentials(program: Program) -> Program:
     """
     rewritten = program.copy()
     rewritten.rules = []
-    used_predicates = {p.name for p in program.predicates()}
+    aux_names = _AuxNames(program)
     for rule in program.rules:
         if rule.is_linear() or not rule.has_existentials():
             rewritten.add_rule(rule)
@@ -128,7 +137,7 @@ def isolate_existentials(program: Program) -> Program:
             for v in rule.head_variables()
             if v not in set(rule.existential_variables())
         )
-        aux_name = _fresh_aux_name(f"{rule.label or 'rule'}_exist", used_predicates)
+        aux_name = aux_names.fresh(f"{rule.label or 'rule'}_exist")
         aux_atom = Atom(aux_name, frontier)
         rewritten.add_rule(
             Rule(
@@ -150,25 +159,30 @@ def isolate_existentials(program: Program) -> Program:
     return rewritten
 
 
+def _atom_pattern(atom: Atom) -> Tuple:
+    """The predicate, then per term its first-occurrence number within the
+    atom: from 0 for variables, from -1 down for constant values."""
+    variables: Dict[object, int] = {}
+    constants: Dict[object, int] = {}
+    pattern: list = [atom.predicate]
+    for term in atom.terms:
+        if isinstance(term, Constant):
+            pattern.append(-1 - constants.setdefault(term.value, len(constants)))
+        else:
+            pattern.append(variables.setdefault(term, len(variables)))
+    return tuple(pattern)
+
+
 def _rule_structure_key(rule: Rule) -> Tuple:
-    """Canonical key of a rule up to variable renaming (for redundancy removal)."""
-    renaming: Dict[Variable, Variable] = {}
-
-    def canon(atom: Atom) -> Atom:
-        terms = []
-        for term in atom.terms:
-            if isinstance(term, Variable):
-                terms.append(renaming.setdefault(term, Variable(f"_c{len(renaming)}")))
-            else:
-                terms.append(term)
-        return Atom(atom.predicate, terms)
-
-    body_key = tuple(atom_structure_key(a.predicate, canon(a).terms) for a in rule.body)
-    head_key = tuple(atom_structure_key(a.predicate, canon(a).terms) for a in rule.head)
-    condition_key = tuple(str(c) for c in rule.conditions)
-    assignment_key = tuple(str(a) for a in rule.assignments)
-    aggregate_key = str(rule.aggregate) if rule.aggregate else ""
-    return (body_key, head_key, condition_key, assignment_key, aggregate_key)
+    """Key of a rule for redundancy removal: each atom's pattern, plus the
+    text of its conditions, assignments and aggregate."""
+    return (
+        tuple(_atom_pattern(a) for a in rule.body),
+        tuple(_atom_pattern(a) for a in rule.head),
+        tuple(str(c) for c in rule.conditions),
+        tuple(str(a) for a in rule.assignments),
+        str(rule.aggregate) if rule.aggregate else "",
+    )
 
 
 def remove_duplicate_rules(program: Program) -> Program:

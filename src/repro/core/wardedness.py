@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .atoms import Atom, Position
 from .rules import DOM_PREDICATE, Program, Rule
@@ -166,33 +166,55 @@ def affected_positions(program: Program) -> FrozenSet[Position]:
     ``Dom`` guard positions are never affected: the active-domain relation
     contains ground constants only (Section 2, "Modeling Features").
     """
+    return _affected_fixpoint(
+        program.rules, [_body_positions_by_variable(rule) for rule in program.rules]
+    )
+
+
+def _affected_fixpoint(
+    rules: Sequence[Rule], body_positions: Sequence[Dict[Variable, List[Position]]]
+) -> FrozenSet[Position]:
+    """:func:`affected_positions` over each rule's precomputed body positions.
+
+    Base case: positions of existentially quantified head variables.
+    Inductive case: a variable whose body positions are all affected makes
+    its head positions affected.  Each rule's (body positions, head
+    positions) flows are collected once; a worklist then visits each newly
+    affected position once and counts down, per flow reading it, the body
+    occurrences not yet affected.
+    """
     affected: Set[Position] = set()
-    # Base case: positions of existentially quantified head variables.
-    for rule in program.rules:
-        existentials = set(rule.existential_variables())
+    flows: List[Tuple[List[Position], List[Position]]] = []
+    for rule, positions in zip(rules, body_positions):
+        # A head variable is existential when neither a body variable (a
+        # key of ``positions``) nor computed.
+        computed = rule.computed_variables()
+        head_positions: Dict[Variable, List[Position]] = {}
         for atom in rule.head:
             for index, term in enumerate(atom.terms):
-                if isinstance(term, Variable) and term in existentials:
-                    affected.add(Position(atom.predicate, index))
+                if isinstance(term, Variable):
+                    position = Position(atom.predicate, index)
+                    if term not in positions and term not in computed:
+                        affected.add(position)
+                    head_positions.setdefault(term, []).append(position)
+        for variable, body in positions.items():
+            if body and variable in head_positions:
+                flows.append((body, head_positions[variable]))
 
-    # Inductive case: propagation of all-affected body variables to the head.
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            body_positions = _body_positions_by_variable(rule)
-            for variable, positions in body_positions.items():
-                if not positions:
-                    continue
-                if not all(p in affected for p in positions):
-                    continue
-                for atom in rule.head:
-                    for index, term in enumerate(atom.terms):
-                        if term == variable:
-                            position = Position(atom.predicate, index)
-                            if position not in affected:
-                                affected.add(position)
-                                changed = True
+    missing = [len(body) for body, _ in flows]
+    readers: Dict[Position, List[int]] = {}
+    for flow, (body, _) in enumerate(flows):
+        for position in body:
+            readers.setdefault(position, []).append(flow)
+    pending = list(affected)
+    while pending:
+        for flow in readers.get(pending.pop(), ()):
+            missing[flow] -= 1
+            if not missing[flow]:
+                for position in flows[flow][1]:
+                    if position not in affected:
+                        affected.add(position)
+                        pending.append(position)
     return frozenset(affected)
 
 
@@ -216,16 +238,24 @@ def _body_positions_by_variable(rule: Rule) -> Dict[Variable, List[Position]]:
 
 
 def classify_variables(
-    rule: Rule, affected: FrozenSet[Position]
+    rule: Rule,
+    affected: FrozenSet[Position],
+    body_positions: Optional[Dict[Variable, List[Position]]] = None,
 ) -> Dict[Variable, VariableRole]:
-    """Classify each body variable of ``rule`` as harmless/harmful/dangerous."""
+    """Classify each body variable of ``rule`` as harmless/harmful/dangerous.
+
+    ``body_positions`` is ``_body_positions_by_variable(rule)``, when the
+    caller already has it.
+    """
+    if body_positions is None:
+        body_positions = _body_positions_by_variable(rule)
     roles: Dict[Variable, VariableRole] = {}
     head_vars = set(rule.head_variables())
     dom_vars = {v for atom in rule.dom_guards for v in atom.variables()}
-    for variable, positions in _body_positions_by_variable(rule).items():
+    for variable, positions in body_positions.items():
         occurs_non_affected = (
             not positions  # Dom-only variables bind to constants
-            or any(p not in affected for p in positions)
+            or not affected.issuperset(positions)
             or variable in dom_vars
         )
         if occurs_non_affected:
@@ -280,9 +310,13 @@ def harmful_join_variables(
     return tuple(joined)
 
 
-def analyse_rule(rule: Rule, affected: FrozenSet[Position]) -> RuleAnalysis:
+def analyse_rule(
+    rule: Rule,
+    affected: FrozenSet[Position],
+    body_positions: Optional[Dict[Variable, List[Position]]] = None,
+) -> RuleAnalysis:
     """Run the per-rule part of the wardedness analysis."""
-    roles = classify_variables(rule, affected)
+    roles = classify_variables(rule, affected, body_positions)
     dangerous = tuple(v for v, r in roles.items() if r is VariableRole.DANGEROUS)
     harmful = tuple(v for v, r in roles.items() if r is VariableRole.HARMFUL)
     harmless = tuple(v for v, r in roles.items() if r is VariableRole.HARMLESS)
@@ -313,12 +347,36 @@ def analyse_rule(rule: Rule, affected: FrozenSet[Position]) -> RuleAnalysis:
     )
 
 
-def analyse_program(program: Program) -> ProgramAnalysis:
-    """Run the full wardedness analysis over a program."""
-    affected = affected_positions(program)
+def analyse_program(
+    program: Program, reuse: Optional[ProgramAnalysis] = None
+) -> ProgramAnalysis:
+    """Run the full wardedness analysis over a program.
+
+    ``reuse`` is the analysis of a program this one was rewritten from (the
+    logic optimizer's input).  The affected positions are always computed
+    afresh for ``program``; the per-rule part is taken over for every rule
+    *object* of ``reuse`` whose relational body positions are affected in
+    both programs alike, and computed only for the other rules.  This is
+    sound because a rule's analysis is a function of the rule and of the
+    affected status of its own body positions alone:
+    :func:`classify_variables` reads nothing else of the program, and the
+    ward (:func:`find_ward`), the harmful-join variables
+    (:func:`harmful_join_variables`), ``is_warded`` and the kind read only
+    the rule and those roles.
+    """
+    positions = [_body_positions_by_variable(rule) for rule in program.rules]
+    affected = _affected_fixpoint(program.rules, positions)
     analysis = ProgramAnalysis(program=program, affected=affected)
-    for rule in program.rules:
-        analysis.rule_analyses.append(analyse_rule(rule, affected))
+    previous = {id(a.rule): a for a in reuse.rule_analyses} if reuse else {}
+    for rule, body_positions in zip(program.rules, positions):
+        kept = previous.get(id(rule))
+        if kept is None or any(
+            (p in affected) != (p in reuse.affected)
+            for rule_positions in body_positions.values()
+            for p in rule_positions
+        ):
+            kept = analyse_rule(rule, affected, body_positions)
+        analysis.rule_analyses.append(kept)
     return analysis
 
 

@@ -34,7 +34,7 @@ from typing import (
 )
 
 from ..core.conditions import Comparison
-from ..core.rules import Program, Rule
+from ..core.rules import DOM_PREDICATE, Program, Rule
 from ..core.terms import Term, Variable
 
 
@@ -478,9 +478,168 @@ def compile_rule_join_plan(rule: Rule) -> RuleJoinPlan:
     )
 
 
+def _rule_shape(rule: Rule) -> Tuple[tuple, List[Variable], List[Tuple[Variable, ...]]]:
+    """A rule's structure up to renaming of predicates, variables and constants.
+
+    Returns the key, the rule's variables by canonical number and each
+    condition's variables.  Variables are numbered by first occurrence (body,
+    head, conditions, computed variables); the key holds each body atom's
+    ``Dom`` flag and variable/constant pattern (``None`` for a constant, the
+    length being the arity), the head patterns, each condition's variable
+    numbers, the computed variables' numbers and whether the rule has
+    assignments or an aggregate.  Everything :func:`compile_rule_join_plan`
+    decides about a rule, apart from the values bound into it, is a function
+    of this key.
+    """
+    numbering: Dict[Variable, int] = {}
+
+    def pattern(atom) -> Tuple[Optional[int], ...]:
+        numbers: List[Optional[int]] = []
+        for term in atom.terms:
+            if isinstance(term, Variable):
+                number = numbering.get(term)
+                if number is None:
+                    number = numbering[term] = len(numbering)
+                numbers.append(number)
+            else:
+                numbers.append(None)
+        return tuple(numbers)
+
+    body = tuple([(atom.predicate == DOM_PREDICATE, pattern(atom)) for atom in rule.body])
+    head = tuple([pattern(atom) for atom in rule.head])
+    condition_variables = [condition.variables() for condition in rule.conditions]
+    conditions = tuple(
+        tuple(numbering.setdefault(v, len(numbering)) for v in variables)
+        for variables in condition_variables
+    )
+    computed = tuple(
+        numbering.setdefault(v, len(numbering)) for v in rule.computed_variables()
+    )
+    key = (body, head, conditions, computed, bool(rule.assignments), rule.aggregate is not None)
+    return key, list(numbering), condition_variables
+
+
+class _PlanShape:
+    """One compiled plan, and where another rule of its shape binds into it.
+
+    The plan's slots, existentials, condition indexes, constant positions
+    and head-template ground positions are recorded once; :meth:`bind` reads
+    the other rule's variables, predicates, constants and conditions at
+    those places and shares every purely positional tuple of the plan.
+    """
+
+    def __init__(self, plan: RuleJoinPlan, numbering: List[Variable]) -> None:
+        number = {variable: index for index, variable in enumerate(numbering)}
+        condition_index = {id(c): index for index, c in enumerate(plan.rule.conditions)}
+        self.plan = plan
+        self.slots = tuple(number[v] for v in plan.variables)
+        self.existentials = tuple(number[v] for v in plan.existentials)
+        self.residual = tuple(condition_index[id(c)] for c in plan.residual_conditions)
+        #: Per seed plan, per step: the step, its constant positions and its
+        #: (condition index, slots) pairs.
+        self.seeds = tuple(
+            tuple(
+                (
+                    step,
+                    tuple(pos for pos, _ in step.const_checks),
+                    tuple(
+                        (condition_index[id(c.comparison)], tuple(s for _, s in c.var_slots))
+                        for c in step.conditions
+                    ),
+                )
+                for step in (seed_plan.seed, *seed_plan.probes)
+            )
+            for seed_plan in plan.seed_plans
+        )
+        #: Per head atom: its template entries and their ground positions.
+        self.heads = None
+        if plan.head_templates is not None:
+            self.heads = tuple(
+                (entries, tuple(i for i, (kind, _) in enumerate(entries) if kind == HEAD_GROUND))
+                for _, entries in plan.head_templates
+            )
+
+    def bind(
+        self,
+        rule: Rule,
+        numbering: List[Variable],
+        condition_variables: List[Tuple[Variable, ...]],
+    ) -> RuleJoinPlan:
+        """The plan :func:`compile_rule_join_plan` gives for ``rule``."""
+        body = rule.relational_body
+        conditions = rule.conditions
+        seed_plans = []
+        for steps in self.seeds:
+            bound = []
+            for step, const_positions, compiled in steps:
+                atom = body[step.atom_index]
+                terms = atom.terms
+                bound.append(
+                    AtomStep(
+                        step.atom_index,
+                        atom.predicate,
+                        step.arity,
+                        tuple([(pos, terms[pos]) for pos in const_positions]),
+                        step.bound_checks,
+                        step.same_checks,
+                        step.writes,
+                        tuple(
+                            [
+                                CompiledCondition(
+                                    conditions[index], tuple(zip(condition_variables[index], slots))
+                                )
+                                for index, slots in compiled
+                            ]
+                        )
+                        if compiled
+                        else (),
+                    )
+                )
+            seed_plans.append(SeedJoinPlan(bound[0], tuple(bound[1:])))
+
+        head_templates = None
+        if self.heads is not None:
+            templates = []
+            for atom, (entries, ground) in zip(rule.head, self.heads):
+                if ground:
+                    entries = list(entries)
+                    for position in ground:
+                        entries[position] = (HEAD_GROUND, atom.terms[position])
+                    entries = tuple(entries)
+                templates.append((atom.predicate, entries))
+            head_templates = tuple(templates)
+
+        variables = tuple([numbering[n] for n in self.slots])
+        return RuleJoinPlan(
+            rule=rule,
+            variables=variables,
+            slot_of=dict(zip(variables, range(len(variables)))),
+            seed_plans=tuple(seed_plans),
+            residual_conditions=tuple([conditions[i] for i in self.residual]),
+            body_length=self.plan.body_length,
+            existentials=tuple([numbering[n] for n in self.existentials]),
+            head_templates=head_templates,
+        )
+
+
 def compile_join_plans(program: Program) -> Dict[int, RuleJoinPlan]:
-    """Compile every rule of a program, keyed by rule identity."""
-    return {id(rule): compile_rule_join_plan(rule) for rule in program.rules}
+    """Compile every rule of a program, keyed by rule identity.
+
+    One plan is compiled per rule shape (:func:`_rule_shape`); every other
+    rule of the shape is bound into it.
+    """
+    shapes: Dict[tuple, _PlanShape] = {}
+    plans: Dict[int, RuleJoinPlan] = {}
+    for rule in program.rules:
+        key, numbering, condition_variables = _rule_shape(rule)
+        shape = shapes.get(key)
+        if shape is None:
+            plan = compile_rule_join_plan(rule)
+            shapes[key] = _PlanShape(plan, numbering)
+        else:
+            plan = shape.bind(rule, numbering, condition_variables)
+        plans[id(rule)] = plan
+    return plans
 
 
 # --------------------------------------------------------------------------

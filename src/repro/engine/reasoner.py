@@ -372,11 +372,10 @@ class VadalogReasoner:
         #: analysis and join plans are reused, only the chase re-runs).
         self._magic_cache: Dict[Tuple[str, Tuple], _RunSpec] = {}
 
-        self.program, self.harmful_join_rewriting, warnings = optimize_program(
-            self.original_program
+        self.program, self.analysis, self.harmful_join_rewriting, warnings = (
+            optimize_program(self.original_program)
         )
         self.warnings.extend(warnings)
-        self.analysis = analyse_program(self.program)
         self.plan, self.scheduler_report = _plan_and_order(self.program)
         # Step 4a (query compiler): compile every rule body into its
         # slot-machine join plan once; reasoning runs reuse the plans (the
@@ -802,13 +801,15 @@ class VadalogReasoner:
 
 def optimize_program(
     program: Program,
-) -> Tuple[Program, Optional[HarmfulJoinEliminationResult], List[str]]:
+) -> Tuple[Program, ProgramAnalysis, Optional[HarmfulJoinEliminationResult], List[str]]:
     """Step 1: the logic optimizer (elementary + complex rewritings).
 
-    Returns the program the chase runs, the harmful-join rewriting applied
-    (``None`` when there was none) and the optimizer's warnings.  The one
-    analysis of the input program serves both the wardedness check and the
-    harmful-join elimination.
+    Returns the program the chase runs, its analysis, the harmful-join
+    rewriting applied (``None`` when there was none) and the optimizer's
+    warnings.  The one analysis of the input program serves the wardedness
+    check and the harmful-join elimination, and lends its per-rule results
+    to the optimized program's analysis for every rule the rewritings
+    passed through unchanged.
     """
     warnings: List[str] = []
     rewriting = None
@@ -827,7 +828,8 @@ def optimize_program(
                 f"harmful-join elimination skipped ({exc}); answers involving "
                 "labelled nulls joined harmfully may be incomplete"
             )
-    return normalize_for_chase(program), rewriting, warnings
+    optimized = normalize_for_chase(program)
+    return optimized, analyse_program(optimized, analysis), rewriting, warnings
 
 
 def _plan_and_order(program: Program) -> Tuple[ReasoningAccessPlan, SchedulerReport]:

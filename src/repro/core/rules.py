@@ -188,6 +188,44 @@ class Rule:
         )
 
 
+def rule_shape(rule: Rule) -> Tuple[tuple, List[Variable], List[Tuple[Variable, ...]]]:
+    """A rule's structure up to renaming of predicates, variables and constants.
+
+    Returns the key, the rule's variables by canonical number and each
+    condition's variables.  Variables are numbered across the whole rule by
+    first occurrence (body, head, conditions, computed variables); the key
+    holds each body atom's ``Dom`` flag and variable/constant pattern
+    (``None`` for a constant, the length being the arity), the head
+    patterns, each condition's variable numbers, the computed variables'
+    numbers and whether the rule has assignments or an aggregate.  Every
+    structural grouping of rules reads this key: duplicate-rule removal adds
+    the values to it, and a rule's join plan and join kernel are functions
+    of it alone.
+    """
+    numbering: Dict[Variable, int] = {}
+
+    def pattern(atom: Atom) -> Tuple[Optional[int], ...]:
+        return tuple(
+            [
+                numbering.setdefault(term, len(numbering)) if isinstance(term, Variable) else None
+                for term in atom.terms
+            ]
+        )
+
+    body = tuple([(atom.predicate == DOM_PREDICATE, pattern(atom)) for atom in rule.body])
+    head = tuple([pattern(atom) for atom in rule.head])
+    condition_variables = [condition.variables() for condition in rule.conditions]
+    conditions = tuple(
+        tuple(numbering.setdefault(v, len(numbering)) for v in variables)
+        for variables in condition_variables
+    )
+    computed = tuple(
+        numbering.setdefault(v, len(numbering)) for v in rule.computed_variables()
+    )
+    key = (body, head, conditions, computed, bool(rule.assignments), rule.aggregate is not None)
+    return key, list(numbering), condition_variables
+
+
 @dataclass(frozen=True)
 class NegativeConstraint:
     """A negative constraint ``φ(x̄) → ⊥`` (Section 2, "Modeling Features")."""
@@ -273,9 +311,9 @@ class Program:
 
     def edb_predicates(self) -> Set[str]:
         """Predicates that never occur in a rule head (extensional predicates)."""
-        heads = {name for rule in self.rules for name in rule.head_predicate_names()}
-        all_preds = {p.name for p in self.predicates()}
-        return (all_preds - heads) - {DOM_PREDICATE}
+        names = {atom.predicate for rule in self.rules for atom in rule.body}
+        names.update(fact.predicate for fact in self.facts)
+        return names - self.idb_predicates() - {DOM_PREDICATE}
 
     def idb_predicates(self) -> Set[str]:
         """Predicates defined by at least one rule head (intensional predicates)."""

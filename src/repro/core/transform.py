@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from .atoms import Atom, Fact
-from .rules import Program, Rule
-from .terms import Constant, Variable
+from .rules import Program, Rule, rule_shape
+from .terms import Variable
 
 AUX_PREFIX = "_aux_"
 """Prefix of auxiliary predicates introduced by rewritings."""
@@ -159,39 +159,31 @@ def isolate_existentials(program: Program) -> Program:
     return rewritten
 
 
-def _atom_pattern(atom: Atom) -> Tuple:
-    """The predicate, then per term its first-occurrence number within the
-    atom: from 0 for variables, from -1 down for constant values."""
-    variables: Dict[object, int] = {}
-    constants: Dict[object, int] = {}
-    pattern: list = [atom.predicate]
-    for term in atom.terms:
-        if isinstance(term, Constant):
-            pattern.append(-1 - constants.setdefault(term.value, len(constants)))
-        else:
-            pattern.append(variables.setdefault(term, len(variables)))
-    return tuple(pattern)
-
-
-def _rule_structure_key(rule: Rule) -> Tuple:
-    """Key of a rule for redundancy removal: each atom's pattern, plus the
-    text of its conditions, assignments and aggregate."""
-    return (
-        tuple(_atom_pattern(a) for a in rule.body),
-        tuple(_atom_pattern(a) for a in rule.head),
-        tuple(str(c) for c in rule.conditions),
-        tuple(str(a) for a in rule.assignments),
-        str(rule.aggregate) if rule.aggregate else "",
-    )
-
-
 def remove_duplicate_rules(program: Program) -> Program:
-    """Drop rules that are structurally identical up to variable renaming."""
+    """Drop rules that are identical up to variable renaming.
+
+    A rule is keyed by its :func:`~repro.core.rules.rule_shape`, its
+    predicates and constants in occurrence order (constants compared as the
+    matcher compares them), and the text of each condition, assignment and
+    aggregate with the shape numbers of the variables it reads: two rules
+    of one key map onto each other by the bijection of their numberings.
+    """
     rewritten = program.copy()
     rewritten.rules = []
     seen: set = set()
     for rule in program.rules:
-        key = _rule_structure_key(rule)
+        shape, numbering, _ = rule_shape(rule)
+        key = [shape]
+        for atom in (*rule.body, *rule.head):
+            key.append(atom.predicate)
+            key += [term for term in atom.terms if not isinstance(term, Variable)]
+        computations = [*rule.conditions, *rule.assignments]
+        if rule.aggregate is not None:
+            computations.append(rule.aggregate)
+        if computations:
+            number = dict(zip(numbering, range(len(numbering))))
+            key += [(str(c), tuple([number[v] for v in c.variables()])) for c in computations]
+        key = tuple(key)
         if key in seen:
             continue
         seen.add(key)

@@ -248,7 +248,9 @@ class ResidentReasoner:
         }
         facts = list(VadalogReasoner._database_facts(database))
         facts.extend(load_bound_facts(bindings))
-        self._edb: Set[Fact] = set(facts) | set(self._program_facts)
+        #: The extensional facts, in load order: a materialisation loads
+        #: them as ``reason()`` loads its database.
+        self._edb: Dict[Fact, None] = dict.fromkeys([*facts, *reasoner.program.facts])
         self._dirty = False
         self._violations_stale = False
         self._materialise()
@@ -372,7 +374,7 @@ class ResidentReasoner:
         ]
         self.maintenance_epoch += 1
         self._stats["upserts"] += 1
-        self._edb.update(new_facts)
+        self._edb.update(dict.fromkeys(new_facts))
         if self._dirty:
             return 0
         # A fact already derived only gains extensional status: no new node,
@@ -425,7 +427,8 @@ class ResidentReasoner:
         # extensional set and the materialisation move together.
         self.maintenance_epoch += 1
         self._stats["retractions"] += 1
-        self._edb.difference_update(retracted)
+        for fact in retracted:
+            del self._edb[fact]
         self._stats["facts_retracted"] += len(retracted)
         changed = {fact.predicate for fact in retracted}
         if not retracted or self._dirty or self._has_aggregates:

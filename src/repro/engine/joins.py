@@ -13,9 +13,10 @@ compiles the access plan into an executable pipeline; here that goes down to
 the interpreter's level.  Each plan is rendered into Python source — one
 generator function in which every seed plan is a nest of ``for`` loops,
 every positional check and slot write a line of straight code and every
-slot a local variable — and compiled once per *shape*: the plan with its
-predicate names, constants and conditions taken out.  Those reach the
-kernel as a positional tuple, one entry per occurrence, so the source
+slot a local variable — and compiled once per rule shape
+(:func:`~repro.core.rules.rule_shape`, carried as ``plan.shape``): the rule
+with its predicate names, constants and conditions taken out.  Those reach
+the kernel as a positional tuple, one entry per occurrence, so the source
 holds no program text and rules of one shape share one function.  A seed
 plan longer than :data:`MAX_NESTING` atoms continues in a further function
 of the same source, so no function nests more blocks than CPython allows.
@@ -62,8 +63,8 @@ class CompiledRuleExecutor:
 
     def __init__(self, plan) -> None:
         self.plan = plan
-        shape, self._values = kernel_shape(plan)
-        self._kernel, self.source = _kernel_for(shape, plan)
+        self._values = kernel_values(plan)
+        self._kernel, self.source = _kernel_for(plan)
 
     def matches(
         self, store, round_index: int, *, result, tick=None, seed_lists=None
@@ -96,51 +97,30 @@ def _drops_duplicates(plan) -> bool:
     return plan.head_templates is not None and not plan.existentials
 
 
-def kernel_shape(plan) -> Tuple[tuple, tuple]:
-    """The plan's structural key and its values, one per occurrence.
+def kernel_values(plan) -> tuple:
+    """The values the plan's kernel unpacks, one per occurrence.
 
-    The values are the head predicates and ground head terms of a rule that
-    drops duplicates, then the predicates, constants and pushed conditions
-    of every step, in the order the rendered kernel unpacks them.  Equal
-    values are never merged: the key alone decides the source.
+    The head predicates and ground head terms of a rule that drops
+    duplicates, then the predicates, constants and pushed conditions of
+    every step, in the order the rendered kernel unpacks them.  Equal values
+    are never merged: the plan's rule shape alone decides the source.
     """
     values: List[object] = []
-    heads = None
     if _drops_duplicates(plan):
-        heads = []
         for predicate, entries in plan.head_templates:
             values.append(predicate)
-            values.extend(payload for kind, payload in entries if kind != HEAD_SLOT)
-            heads.append(tuple(p if k == HEAD_SLOT else None for k, p in entries))
-        heads = tuple(heads)
-    seeds = []
+            values += [payload for kind, payload in entries if kind != HEAD_SLOT]
     for seed_plan in plan.seed_plans:
-        steps = []
         for step in (seed_plan.seed,) + seed_plan.probes:
-            consts = step.const_checks
             values.append(step.predicate)
-            if consts:
-                values += [term for _, term in consts]
-                consts = tuple([pos for pos, _ in consts])
+            values += [term for _, term in step.const_checks]
             values += step.conditions
-            steps.append(
-                (
-                    step.atom_index,
-                    step.arity,
-                    consts,
-                    step.bound_checks,
-                    step.same_checks,
-                    step.writes,
-                    len(step.conditions),
-                )
-            )
-        seeds.append(tuple(steps))
-    return (len(plan.variables), tuple(seeds), heads), tuple(values)
+    return tuple(values)
 
 
 def render_kernel(plan) -> str:
     """The kernel's source: the plan's enumeration as straight-line code."""
-    names: List[str] = []  # k0, k1, ...: the values, in kernel_shape's order
+    names: List[str] = []  # k0, k1, ...: the values, in kernel_values' order
     uses = set()
     kernel: List[str] = []
     functions = [("kernel", "", kernel)]  # (name, extra parameters, body)
@@ -266,9 +246,10 @@ def render_kernel(plan) -> str:
     return "\n".join(source) + "\n"
 
 
-def _kernel_for(shape: tuple, plan) -> Tuple[Callable, str]:
-    """The compiled kernel of ``shape`` and its source, rendered on first use."""
-    entry = _kernels.get(shape)
+def _kernel_for(plan) -> Tuple[Callable, str]:
+    """The compiled kernel of the plan's rule shape and its source, rendered
+    on first use."""
+    entry = _kernels.get(plan.shape)
     if entry is not None:
         return entry
     source = render_kernel(plan)
@@ -276,7 +257,7 @@ def _kernel_for(shape: tuple, plan) -> Tuple[Callable, str]:
     namespace: Dict[str, object] = {}
     exec(compile(source, filename, "exec"), namespace)
     with _kernels_lock:
-        entry = _kernels.setdefault(shape, (namespace["kernel"], source))
+        entry = _kernels.setdefault(plan.shape, (namespace["kernel"], source))
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         while len(_kernels) > MAX_KERNELS:
             dropped, _ = _kernels.pop(next(iter(_kernels)))

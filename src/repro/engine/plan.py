@@ -34,7 +34,7 @@ from typing import (
 )
 
 from ..core.conditions import Comparison
-from ..core.rules import DOM_PREDICATE, Program, Rule
+from ..core.rules import Program, Rule, rule_shape
 from ..core.terms import Term, Variable
 
 
@@ -281,6 +281,9 @@ class RuleJoinPlan:
     # needs the generic dict-binding fire path (assignments, aggregation,
     # post conditions, Dom guards or residual conditions).
     head_templates: Optional[Tuple[Tuple[str, Tuple[Tuple[int, object], ...]], ...]]
+    # The rule's :func:`~repro.core.rules.rule_shape` key: every field above
+    # apart from the values bound in is a function of it.
+    shape: tuple
 
     @property
     def simple_fire(self) -> bool:
@@ -475,48 +478,8 @@ def compile_rule_join_plan(rule: Rule) -> RuleJoinPlan:
         body_length=len(body),
         existentials=existentials,
         head_templates=head_templates,
+        shape=rule_shape(rule)[0],
     )
-
-
-def _rule_shape(rule: Rule) -> Tuple[tuple, List[Variable], List[Tuple[Variable, ...]]]:
-    """A rule's structure up to renaming of predicates, variables and constants.
-
-    Returns the key, the rule's variables by canonical number and each
-    condition's variables.  Variables are numbered by first occurrence (body,
-    head, conditions, computed variables); the key holds each body atom's
-    ``Dom`` flag and variable/constant pattern (``None`` for a constant, the
-    length being the arity), the head patterns, each condition's variable
-    numbers, the computed variables' numbers and whether the rule has
-    assignments or an aggregate.  Everything :func:`compile_rule_join_plan`
-    decides about a rule, apart from the values bound into it, is a function
-    of this key.
-    """
-    numbering: Dict[Variable, int] = {}
-
-    def pattern(atom) -> Tuple[Optional[int], ...]:
-        numbers: List[Optional[int]] = []
-        for term in atom.terms:
-            if isinstance(term, Variable):
-                number = numbering.get(term)
-                if number is None:
-                    number = numbering[term] = len(numbering)
-                numbers.append(number)
-            else:
-                numbers.append(None)
-        return tuple(numbers)
-
-    body = tuple([(atom.predicate == DOM_PREDICATE, pattern(atom)) for atom in rule.body])
-    head = tuple([pattern(atom) for atom in rule.head])
-    condition_variables = [condition.variables() for condition in rule.conditions]
-    conditions = tuple(
-        tuple(numbering.setdefault(v, len(numbering)) for v in variables)
-        for variables in condition_variables
-    )
-    computed = tuple(
-        numbering.setdefault(v, len(numbering)) for v in rule.computed_variables()
-    )
-    key = (body, head, conditions, computed, bool(rule.assignments), rule.aggregate is not None)
-    return key, list(numbering), condition_variables
 
 
 class _PlanShape:
@@ -619,19 +582,21 @@ class _PlanShape:
             body_length=self.plan.body_length,
             existentials=tuple([numbering[n] for n in self.existentials]),
             head_templates=head_templates,
+            shape=self.plan.shape,
         )
 
 
 def compile_join_plans(program: Program) -> Dict[int, RuleJoinPlan]:
     """Compile every rule of a program, keyed by rule identity.
 
-    One plan is compiled per rule shape (:func:`_rule_shape`); every other
-    rule of the shape is bound into it.
+    One plan is compiled per rule shape
+    (:func:`~repro.core.rules.rule_shape`); every other rule of the shape is
+    bound into it.
     """
     shapes: Dict[tuple, _PlanShape] = {}
     plans: Dict[int, RuleJoinPlan] = {}
     for rule in program.rules:
-        key, numbering, condition_variables = _rule_shape(rule)
+        key, numbering, condition_variables = rule_shape(rule)
         shape = shapes.get(key)
         if shape is None:
             plan = compile_rule_join_plan(rule)

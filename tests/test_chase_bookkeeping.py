@@ -79,7 +79,7 @@ class TestGroundFactsSkipTermination:
             "doctors": (80, 0, 0, 0, 0),
             "doctors-fd": (80, 0, 0, 0, 0),
             "ds-er-fusion": (140, 0, 0, 0, 0),
-            "ds-label-prop": (218, 0, 0, 0, 0),
+            "ds-label-prop": (303, 0, 0, 0, 0),
             "ibench-ont": (167, 0, 0, 0, 0),
             "ibench-stb": (136, 0, 0, 0, 0),
             "iwarded-parametric": (190, 0, 0, 0, 0),

@@ -27,7 +27,7 @@ from repro.core.chase import run_chase
 from repro.core.parser import escape_string_literal, parse_program
 from repro.engine import joins
 from repro.engine.incremental import ResidentReasoner
-from repro.engine.joins import CompiledRuleExecutor, kernel_shape, render_kernel
+from repro.engine.joins import CompiledRuleExecutor, render_kernel
 from repro.engine.plan import CompiledCondition, compile_rule_join_plan
 from repro.engine.reasoner import VadalogReasoner
 
@@ -344,7 +344,7 @@ class TestKernelSource:
             reasoner = VadalogReasoner(scenario.program.copy())
             for plan in reasoner.join_plans.values():
                 source = render_kernel(plan)
-                assert by_shape.setdefault(kernel_shape(plan)[0], source) == source
+                assert by_shape.setdefault(plan.shape, source) == source
                 rules += 1
         assert len(by_shape) < rules
 

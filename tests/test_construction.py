@@ -3,11 +3,13 @@
 The logic optimizer mirrors each tracking rule once, the optimized
 program's analysis reuses the input analysis for every rule the rewritings
 passed through, and one join plan is compiled per rule shape.  These tests
-pin that the shortcuts give exactly what the from-scratch computations give.
+pin that the shortcuts give exactly what the from-scratch computations give,
+and that duplicate removal drops only renamings of a kept rule.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -18,21 +20,24 @@ import pytest
 
 from differential_harness import SCENARIOS
 from repro import VadalogReasoner
+from repro.core import transform
 from repro.core.atoms import Position
 from repro.core.harmful_joins import HarmfulJoinEliminator, eliminate_harmful_joins
 from repro.core.parser import parse_program
-from repro.core.rules import DOM_PREDICATE, Program
+from repro.core.rules import DOM_PREDICATE, Program, Rule, rule_shape
 from repro.core.terms import Variable
 from repro.core.transform import remove_duplicate_rules
 from repro.core.wardedness import affected_positions, analyse_program
 from repro.engine import plan as plan_module
-from repro.engine.joins import kernel_shape
+from repro.engine.joins import kernel_values
 from repro.engine.plan import RuleJoinPlan, compile_rule_join_plan
+from repro.engine.reasoner import optimize_program
 from repro.testing.fuzz import N_CASES, generate_case, grid_indices
 from repro.workloads import SCENARIO_CONFIGS, generate_iwarded
 
 _LABEL = re.compile(r"^\[[^\]]*\]\s*")
 _PREDICATE = re.compile(r"\b([A-Za-z_]\w*)\(")
+_TOKEN = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"|\w+|\S")
 
 
 def renamed_synthb_copies(copies: int = 3) -> str:
@@ -194,7 +199,7 @@ def test_shape_bound_plans_equal_compiled_plans(reasoners):
                 assert getattr(bound, field.name) == getattr(compiled, field.name), (
                     name, str(rule), field.name,
                 )
-            assert kernel_shape(bound) == kernel_shape(compiled), (name, str(rule))
+            assert kernel_values(bound) == kernel_values(compiled), (name, str(rule))
 
 
 def test_one_plan_is_compiled_per_shape(monkeypatch):
@@ -230,13 +235,80 @@ def test_shapes_bind_values_and_separate_structure():
     plans = plan_module.compile_join_plans(program)
     for rule in program.rules:
         assert plans[id(rule)] == compile_rule_join_plan(rule), str(rule)
-    shapes = {plan_module._rule_shape(rule)[0] for rule in program.rules}
+    shapes = {rule_shape(rule)[0] for rule in program.rules}
     assert len(shapes) == len(program.rules) - 1
 
 
 def test_duplicate_removal_keeps_its_equivalence():
-    # The structural key is plain tuples now; the rules it merges on the
-    # benchmark-sized program are unchanged.
+    # The rule-wide key merges the same rules on the benchmark-sized
+    # program as the per-atom key it replaced.
     program = parse_program(renamed_synthb_copies())
     rewritten = eliminate_harmful_joins(program).program
     assert (len(rewritten.rules), len(remove_duplicate_rules(rewritten).rules)) == (1110, 966)
+
+
+def test_edb_predicates_are_the_body_and_fact_predicates_no_head_defines():
+    for name, program in corpus().items():
+        every = {p.name for p in program.predicates()}
+        expected = every - program.idb_predicates() - {DOM_PREDICATE}
+        assert program.edb_predicates() == expected, name
+
+
+def _renamable(rule: Rule):
+    """The rule's text as tokens (quoted constants whole, label dropped) and
+    the indexes of its variable tokens (a name followed by ``(`` is a
+    predicate or a function)."""
+    names = {v.name for v in (*rule.body_variables(), *rule.head_variables())}
+    names.update(v.name for v in rule.computed_variables())
+    for item in (*rule.conditions, *rule.assignments, *filter(None, [rule.aggregate])):
+        names.update(v.name for v in item.variables())
+    tokens = _TOKEN.findall(str(rule.with_label("")))
+    where = tuple(
+        i for i, t in enumerate(tokens) if t in names and tokens[i + 1 : i + 2] != ["("]
+    )
+    return tokens, where
+
+
+def _is_renaming(dropped, kept) -> bool:
+    """True when some bijection of variable names, tried one by one, turns
+    the ``dropped`` rule's text into the ``kept`` one's (both as given by
+    :func:`_renamable`)."""
+    (source, source_at), (target, target_at) = dropped, kept
+    if len(source) != len(target) or source_at != target_at:
+        return False
+    if any(source[i] != target[i] for i in range(len(source)) if i not in source_at):
+        return False
+    names = sorted({source[i] for i in source_at})
+    images = sorted({target[i] for i in target_at})
+    return len(names) == len(images) and any(
+        all(renaming[source[i]] == target[i] for i in source_at)
+        for renaming in (dict(zip(names, image)) for image in itertools.permutations(images))
+    )
+
+
+def test_dropped_duplicates_are_renamings_of_kept_rules(monkeypatch):
+    # An oracle that does not use the structural key: every rule duplicate
+    # removal drops, on the program the optimizer hands it, turns into a
+    # kept rule's text by a bijection of its variables.
+    calls = []
+    original = transform.remove_duplicate_rules
+
+    def recording(program):
+        kept = original(program)
+        calls.append((program, kept))
+        return kept
+
+    monkeypatch.setattr(transform, "remove_duplicate_rules", recording)
+    dropped = 0
+    for name, program in corpus().items():
+        calls.clear()
+        optimize_program(program)
+        ((before, after),) = calls
+        kept = {id(rule) for rule in after.rules}
+        texts = [_renamable(rule) for rule in after.rules]
+        for rule in before.rules:
+            if id(rule) not in kept:
+                dropped += 1
+                text = _renamable(rule)
+                assert any(_is_renaming(text, k) for k in texts), (name, str(rule))
+    assert dropped

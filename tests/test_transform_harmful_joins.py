@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import VadalogReasoner
 from repro.core.atoms import fact
 from repro.core.chase import run_chase
 from repro.core.harmful_joins import (
@@ -88,6 +89,40 @@ class TestElementaryRewritings:
     def test_remove_duplicate_rules(self):
         program = parse_program("P(X) :- Q(X).\nP(Y) :- Q(Y).\nR(X) :- Q(X).")
         assert len(remove_duplicate_rules(program).rules) == 2
+
+    @pytest.mark.parametrize(
+        "output, first, second, database",
+        [
+            # Same atom pattern, other constant.
+            ("P", 'P(X) :- Q(X, "b").', 'P(X) :- Q(X, "a").', {"Q": [(1, "a"), (2, "b")]}),
+            # Per atom the same pattern, but the head swaps the body's variables.
+            ("E", "E(B, A) :- L(A, B).", "E(A, B) :- L(A, B).", {"L": [(1, 2)]}),
+            # Per atom the same pattern, but one head variable is existential.
+            ("T", "T(X, Z) :- L(X, Y).", "T(X, Y) :- L(X, Y).", {"L": [(1, 2)]}),
+            # Same assignment text over another body variable.
+            (
+                "P",
+                "P(Y, Z) :- Q(Y, X), Z = X + 1.",
+                "P(X, Z) :- Q(X, Y), Z = X + 1.",
+                {"Q": [(1, 10)]},
+            ),
+            # Same condition text over another body variable.
+            ("P", "P(Y) :- Q(Y, X), Y > 5.", "P(X) :- Q(X, Y), Y > 5.", {"Q": [(1, 10), (10, 1)]}),
+        ],
+        ids=["constant", "swapped-head", "existential-head", "assignment", "condition"],
+    )
+    def test_remove_duplicate_rules_keeps_rules_that_are_not_renamings(
+        self, output, first, second, database
+    ):
+        assert len(remove_duplicate_rules(parse_program(f"{first}\n{second}")).rules) == 2
+
+        def answers(rules: str):
+            reasoner = VadalogReasoner(f'@output("{output}").\n{rules}')
+            return reasoner.reason(database=database).ground_tuples(output)
+
+        alone = answers(first), answers(second)
+        assert alone[0] != alone[1]
+        assert answers(f"{first}\n{second}") == alone[0] | alone[1]
 
     def test_normalize_pipeline_preserves_wardedness(self):
         program = parse_program(EXAMPLE_7)

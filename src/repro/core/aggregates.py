@@ -47,7 +47,7 @@ class AggregateError(Exception):
     """Raised on invalid aggregate usage (e.g. null group-by values)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _GroupState:
     """Aggregation state of a single group-by key."""
 

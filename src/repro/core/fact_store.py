@@ -1,18 +1,20 @@
-"""In-memory fact store with dynamic per-position hash indexes.
+"""In-memory fact store with per-position hash indexes built on first probe.
 
 This is the data substrate shared by the chase engine and the baselines: a
 set of facts grouped by predicate, with hash indexes on (predicate,
-position, value) built *dynamically* as facts are inserted, mirroring the
+position, value) built *dynamically, as they are needed*, mirroring the
 "dynamic indexing" idea of the slot-machine join (Section 4): there is no
-persistent pre-computed index, the indexes grow with the derived facts and
-can be consulted even while incomplete.
+persistent pre-computed index.  A position's index is built from the
+predicate's extent the first time something probes it, and from then on
+every insert extends it; a position nothing probes costs nothing.
 
 The indexes are keyed by the terms themselves (constants, nulls): terms
 cache their hash at construction (:mod:`repro.core.terms`), so a probe costs
-two dictionary lookups and no tuple allocation.  On top of the full indexes
-the store maintains **per-round delta indexes** (:meth:`begin_round`) used
-by the compiled rule executors for semi-naive evaluation, plus the insertion
-round of every fact so executors can restrict probes to earlier rounds.
+one dictionary lookup and no tuple allocation.  On top of the full indexes
+the store keeps **per-round delta lists** (:meth:`begin_round`), indexed per
+position on first probe too, used by the compiled rule executors for
+semi-naive evaluation, plus the insertion round of every fact so executors
+can restrict probes to earlier rounds.
 
 Every write goes through :meth:`FactStore.add` or :meth:`FactStore.remove`,
 and each bumps the store's mutation epoch.  :meth:`FactStore.snapshot`
@@ -31,6 +33,9 @@ from .terms import Constant, Null, Term, Variable
 
 _EMPTY: Tuple[Fact, ...] = ()
 
+#: One position's index: term -> the facts holding it there, in slot order.
+PositionIndex = Dict[Term, List[Fact]]
+
 
 def _count_constants(counts: Dict[Hashable, int], fact: Fact, delta: int) -> None:
     """Add ``delta`` to the occurrence count of each constant of ``fact``."""
@@ -41,6 +46,22 @@ def _count_constants(counts: Dict[Hashable, int], fact: Fact, delta: int) -> Non
                 counts[term.value] = count
             else:
                 del counts[term.value]
+
+
+def _build_index(facts: Iterable[Fact], position: int) -> PositionIndex:
+    """Index slot-ordered ``facts`` by their term at ``position``; the
+    buckets come out slot-ordered too.  A fact too short for the position
+    is left out."""
+    index: PositionIndex = {}
+    for fact in facts:
+        terms = fact.terms
+        if position < len(terms):
+            bucket = index.get(terms[position])
+            if bucket is None:
+                index[terms[position]] = [fact]
+            else:
+                bucket.append(fact)
+    return index
 
 
 class StaleSnapshotError(RuntimeError):
@@ -54,35 +75,44 @@ class FactStore:
     sequence (what :meth:`index_of_row` returns); slots are never reused.
     Every bucket — a predicate's extent, each per-position ``{term: [facts]}``
     entry, each per-round delta list — is a plain list that is only ever
-    appended to, in insertion order, so it is sorted by slot.  That is what
-    lets :meth:`remove` find its victim by binary search while buckets stay
-    lists: the compiled probe loop iterates a live bucket while the fire path
-    appends to it, and the order-sensitive null witnesses depend on
-    insertion order.
+    appended to, in insertion order, so it is sorted by slot.  A position
+    index is built on its first probe by one pass over the slot-ordered
+    extent, so its buckets start sorted, and every later insert appends.
+    That is what lets :meth:`remove` find its victim by binary search while
+    buckets stay lists: the compiled probe loop iterates a live bucket while
+    the fire path appends to it, and the order-sensitive null witnesses
+    depend on insertion order.
+
+    **Built positions.**  :meth:`index` returns a position's index, building
+    it on first call; :meth:`candidates` and :meth:`position_candidates`
+    probe through it.  Once built, an index is kept for the life of the
+    store — inserts extend it, removals shrink it, and it outlives its
+    predicate's last fact — so a reference bound once stays the live index.
 
     **Layout readers.**  Besides this class, only the generated join kernels
-    of :mod:`repro.engine.joins` read the store's private layout: ``_rows``
-    (the dedup map), ``_position_index`` (the per-position buckets) and
-    ``_round_of`` (insertion rounds), each bound once per kernel call.
-    ``_round_of`` holds only the facts that entered after round 0: a fact
-    it lacks entered in round 0, which is what :meth:`round_of` and the
-    kernels' ``rget(fact, 0)`` read for a missing entry, so the extensional
-    facts of a one-shot run cost no entry.
+    of :mod:`repro.engine.joins` read the store's layout: :meth:`index` (a
+    probed position's buckets) and :meth:`rows` (a head predicate's dedup
+    map), bound once per seed plan whose seed is not empty, and
+    ``_round_of`` (insertion rounds), bound once per kernel call.  It holds
+    only the facts that entered after round 0: a fact it lacks entered in
+    round 0, which is what :meth:`round_of` and the kernels' ``rget(fact,
+    0)`` read for a missing entry, so the extensional facts of a one-shot
+    run cost no entry.
     """
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
-        self._facts: List[Fact] = []
-        # Dedup map keyed by (predicate, terms) — the exact equality of Fact
-        # itself — so membership works for whole facts and for rows the
-        # compiled fire path has not turned into Fact objects yet.  The value
-        # is the fact's slot, its position in ``_facts``.
-        self._rows: Dict[Tuple[str, Tuple[Term, ...]], int] = {}
+        self._facts: List[Optional[Fact]] = []
+        # predicate -> dedup map {terms: slot}, keyed by the fact's own terms
+        # tuple, so membership works for whole facts and for rows the
+        # compiled fire path has not turned into Fact objects yet.  The slot
+        # is the fact's position in ``_facts``.
+        self._rows: Dict[str, Dict[Tuple[Term, ...], int]] = {}
         # Incremented on every mutation; snapshots record it and refuse
         # reads once it moved on (see :class:`StoreSnapshot`).
         self._epoch: int = 0
         self._by_predicate: Dict[str, List[Fact]] = {}
-        # predicate -> list of per-position {term: [facts]} dictionaries
-        self._position_index: Dict[str, List[Dict[Term, List[Fact]]]] = {}
+        # predicate -> {position: index}, only the positions probed so far
+        self._position_index: Dict[str, Dict[int, PositionIndex]] = {}
         # The active domain as occurrence counts per constant value (its keys
         # are the domain; retraction may only drop a constant when its last
         # occurrence leaves the store).  Built on the first domain query and
@@ -102,39 +132,45 @@ class FactStore:
         self.current_round: int = 0
         self._round_of: Dict[Fact, int] = {}
         self._delta_by_predicate: Dict[str, List[Fact]] = {}
-        self._delta_index: Dict[str, List[Dict[Term, List[Fact]]]] = {}
+        self._delta_index: Dict[str, Dict[int, PositionIndex]] = {}
         for fact in facts:
             self.add(fact)
 
     # -- mutation ------------------------------------------------------------
     def add(self, fact: Fact) -> bool:
         """Insert a fact; returns ``False`` when an identical fact is present."""
-        key = (fact.predicate, fact.terms)
-        if key in self._rows:
+        predicate = fact.predicate
+        terms = fact.terms
+        rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._rows[predicate] = {}
+        elif terms in rows:
             return False
         self._epoch += 1
-        self._rows[key] = len(self._facts)
+        rows[terms] = len(self._facts)
         self._facts.append(fact)
         self._facts_cache = None
         if self.current_round:
             self._round_of[fact] = self.current_round
-        self._by_predicate.setdefault(fact.predicate, []).append(fact)
-        position_dicts = self._position_index.get(fact.predicate)
-        if position_dicts is None:
-            position_dicts = self._position_index[fact.predicate] = []
-        while len(position_dicts) < len(fact.terms):
-            position_dicts.append({})
-        has_null = False
-        for index, term in enumerate(fact.terms):
+        extent = self._by_predicate.get(predicate)
+        if extent is None:
+            self._by_predicate[predicate] = [fact]
+        else:
+            extent.append(fact)
+        built = self._position_index.get(predicate)
+        if built:
+            arity = len(terms)
+            for position, index in built.items():
+                if position < arity:
+                    bucket = index.get(terms[position])
+                    if bucket is None:
+                        index[terms[position]] = [fact]
+                    else:
+                        bucket.append(fact)
+        for term in terms:
             if term.__class__ is Null:
-                has_null = True
-            bucket = position_dicts[index].get(term)
-            if bucket is None:
-                position_dicts[index][term] = [fact]
-            else:
-                bucket.append(fact)
-        if has_null:
-            self._null_facts[fact.predicate] = self._null_facts.get(fact.predicate, 0) + 1
+                self._null_facts[predicate] = self._null_facts.get(predicate, 0) + 1
+                break
         if self._domain_counts is not None:
             _count_constants(self._domain_counts, fact, 1)
         self._live += 1
@@ -153,28 +189,34 @@ class FactStore:
 
         Every bucket the fact sits in is sorted by slot (see the class
         docstring), so each is edited by binary search: a removal costs
-        O(arity · log n) slot lookups and no fact comparison.  A predicate
-        whose last fact leaves is forgotten, as if it had never been added.
+        O(built positions · log n) slot lookups and no fact comparison.  A
+        predicate whose last fact leaves drops out of :meth:`predicates`;
+        its (empty) dedup map and built indexes stay.
         """
-        key = (fact.predicate, fact.terms)
-        slot = self._rows.get(key)
+        predicate = fact.predicate
+        rows = self._rows.get(predicate)
+        slot = None if rows is None else rows.get(fact.terms)
         if slot is None:
             return False
         self._epoch += 1
         stored = self._facts[slot]
-        predicate = stored.predicate
-        bucket = self._by_predicate[predicate]
-        self._drop(bucket, slot)
-        position_dicts = self._position_index[predicate]
-        has_null = False
-        for position, term in enumerate(stored.terms):
-            if term.__class__ is Null:
-                has_null = True
-            entries = position_dicts[position][term]
-            self._drop(entries, slot)
-            if not entries:
-                del position_dicts[position][term]
-        if has_null:
+        terms = stored.terms
+
+        def slot_of(member: Fact) -> int:
+            return rows[member.terms]
+
+        extent = self._by_predicate[predicate]
+        _drop(extent, slot, slot_of)
+        built = self._position_index.get(predicate)
+        if built:
+            arity = len(terms)
+            for position, index in built.items():
+                if position < arity:
+                    entries = index[terms[position]]
+                    _drop(entries, slot, slot_of)
+                    if not entries:
+                        del index[terms[position]]
+        if stored.has_nulls:
             remaining = self._null_facts[predicate] - 1
             if remaining:
                 self._null_facts[predicate] = remaining
@@ -182,30 +224,17 @@ class FactStore:
                 del self._null_facts[predicate]
         if self._domain_counts is not None:
             _count_constants(self._domain_counts, stored, -1)
-        if not bucket:
+        if not extent:
             del self._by_predicate[predicate]
-            del self._position_index[predicate]
         delta_bucket = self._delta_by_predicate.get(predicate)
-        if delta_bucket and self._drop(delta_bucket, slot):
+        if delta_bucket and _drop(delta_bucket, slot, slot_of):
             self._delta_index.pop(predicate, None)
         # The slot lookups above resolve the victim too: forget it last.
-        del self._rows[key]
+        del rows[terms]
         self._facts[slot] = None
         self._facts_cache = None
         self._live -= 1
         self._round_of.pop(stored, None)
-        return True
-
-    def _slot_of(self, fact: Fact) -> int:
-        return self._rows[(fact.predicate, fact.terms)]
-
-    def _drop(self, bucket: List[Fact], slot: int) -> bool:
-        """Delete the fact stored at ``slot`` from a slot-ordered bucket."""
-        slot_of = self._slot_of
-        at = bisect_left(bucket, slot, key=slot_of)
-        if at == len(bucket) or slot_of(bucket[at]) != slot:
-            return False
-        del bucket[at]
         return True
 
     def remove_all(self, facts: Iterable[Fact]) -> int:
@@ -214,7 +243,8 @@ class FactStore:
 
     # -- inspection ----------------------------------------------------------
     def __contains__(self, fact: Fact) -> bool:
-        return (fact.predicate, fact.terms) in self._rows
+        rows = self._rows.get(fact.predicate)
+        return rows is not None and fact.terms in rows
 
     def contains_row(self, predicate: str, terms: Tuple[Term, ...]) -> bool:
         """Duplicate check without constructing a :class:`Fact` object.
@@ -223,7 +253,17 @@ class FactStore:
         and a tuple membership test is far cheaper than building the fact
         first.
         """
-        return (predicate, terms) in self._rows
+        rows = self._rows.get(predicate)
+        return rows is not None and terms in rows
+
+    def rows(self, predicate: str) -> Dict[Tuple[Term, ...], int]:
+        """The live dedup map ``{terms: slot}`` of ``predicate``, made empty
+        for a predicate with no fact yet; the generated kernels bind it once
+        and test head rows with ``in``."""
+        rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._rows[predicate] = {}
+        return rows
 
     def __len__(self) -> int:
         return self._live
@@ -251,7 +291,7 @@ class FactStore:
         tombstones, it never compacts), so :meth:`fact_at` resolves a
         position handed out earlier to the same fact.
         """
-        return self._rows[(predicate, terms)]
+        return self._rows[predicate][terms]
 
     def predicates(self) -> Tuple[str, ...]:
         return tuple(self._by_predicate)
@@ -289,13 +329,12 @@ class FactStore:
 
     # -- rounds and deltas ---------------------------------------------------
     def begin_round(self, round_index: int, delta_facts: Iterable[Fact]) -> None:
-        """Start a semi-naive round: stamp new facts and index the delta.
+        """Start a semi-naive round: stamp new facts and group the delta.
 
         ``delta_facts`` are the facts derived in the previous round, in the
         order they entered the store (the bucket invariant covers the delta
-        lists); they are grouped by predicate and indexed per position so
-        compiled executors can seed their joins from the delta with indexed
-        probes.
+        lists); they are grouped by predicate, and :meth:`delta_candidates`
+        indexes a position of a group on its first probe.
         """
         self._epoch += 1
         self.current_round = round_index
@@ -315,55 +354,60 @@ class FactStore:
     def delta_candidates(self, predicate: str, position: int, term: Term) -> Sequence[Fact]:
         """Delta facts with ``term`` at ``position`` (indexed probe).
 
-        The per-position delta index of a predicate is built lazily on first
-        probe: most seed atoms carry no constants, so eagerly indexing every
-        delta predicate each round would be wasted work.
+        Only the probed position of the predicate's delta is indexed, on its
+        first probe in the round: most seed atoms carry no constants, so
+        indexing every delta position each round would be wasted work.
         """
-        position_dicts = self._delta_index.get(predicate)
-        if position_dicts is None:
-            position_dicts = self._delta_index[predicate] = []
-            for fact in self._delta_by_predicate.get(predicate, ()):
-                while len(position_dicts) < len(fact.terms):
-                    position_dicts.append({})
-                for index, fact_term in enumerate(fact.terms):
-                    bucket = position_dicts[index].get(fact_term)
-                    if bucket is None:
-                        position_dicts[index][fact_term] = [fact]
-                    else:
-                        bucket.append(fact)
-        if position >= len(position_dicts):
-            return _EMPTY
-        return position_dicts[position].get(term, _EMPTY)
+        built = self._delta_index.get(predicate)
+        if built is None:
+            built = self._delta_index[predicate] = {}
+        index = built.get(position)
+        if index is None:
+            index = built[position] = _build_index(
+                self._delta_by_predicate.get(predicate, ()), position
+            )
+        return index.get(term, _EMPTY)
 
     # -- matching ------------------------------------------------------------
+    def index(self, predicate: str, position: int) -> PositionIndex:
+        """The live ``{term: [facts]}`` index of ``predicate`` at ``position``.
+
+        Built from the slot-ordered extent on the first call for the pair
+        (empty for a predicate with no fact yet) and maintained by every
+        later :meth:`add` and :meth:`remove`: the generated kernels bind it
+        once and see facts admitted while they are suspended.
+        """
+        try:
+            return self._position_index[predicate][position]
+        except KeyError:
+            built = self._position_index.setdefault(predicate, {})
+            index = built[position] = _build_index(self._by_predicate.get(predicate, ()), position)
+            return index
+
     def position_candidates(self, predicate: str, position: int, term: Term) -> Sequence[Fact]:
         """Facts of ``predicate`` with ``term`` at ``position`` (indexed probe)."""
-        position_dicts = self._position_index.get(predicate)
-        if position_dicts is None or position >= len(position_dicts):
-            return _EMPTY
-        return position_dicts[position].get(term, _EMPTY)
+        return self.index(predicate, position).get(term, _EMPTY)
 
     def candidates(self, atom: Atom, binding: Dict[Variable, Term]) -> Sequence[Fact]:
         """Facts that could match ``atom`` under the (partial) ``binding``.
 
-        Uses the most selective available position index: among the atom
-        positions holding a constant or an already-bound variable, the one
-        whose candidate bucket is smallest.  Falls back to a full scan of the
-        predicate when the atom has no bound position.
+        Uses the most selective position index: among the atom positions
+        holding a constant or an already-bound variable, the one whose
+        candidate bucket is smallest (a bucket of at most one fact ends the
+        search).  Falls back to a full scan of the predicate when the atom
+        has no bound position.
         """
-        position_dicts = self._position_index.get(atom.predicate)
-        if position_dicts is None:
-            return _EMPTY if atom.predicate not in self._by_predicate else self._by_predicate[atom.predicate]
+        predicate = atom.predicate
+        if predicate not in self._by_predicate:
+            return _EMPTY
         best: Optional[Sequence[Fact]] = None
-        for index, term in enumerate(atom.terms):
+        for position, term in enumerate(atom.terms):
             if isinstance(term, Variable):
                 bound = binding.get(term)
                 if bound is None:
                     continue
                 term = bound
-            if index >= len(position_dicts):
-                return _EMPTY
-            bucket = position_dicts[index].get(term)
+            bucket = self.index(predicate, position).get(term)
             if bucket is None:
                 return _EMPTY
             if best is None or len(bucket) < len(best):
@@ -372,7 +416,7 @@ class FactStore:
                     break
         if best is not None:
             return best
-        return self._by_predicate.get(atom.predicate, ())
+        return self._by_predicate[predicate]
 
     def copy(self) -> "FactStore":
         return FactStore(self.facts())
@@ -386,6 +430,16 @@ class FactStore:
     def snapshot(self) -> "StoreSnapshot":
         """A read-only view of the store at the current mutation epoch."""
         return StoreSnapshot(self)
+
+
+def _drop(bucket: List[Fact], slot: int, slot_of) -> bool:
+    """Delete the fact stored at ``slot`` from a slot-ordered bucket of one
+    predicate, ``slot_of`` mapping its facts to their slots."""
+    at = bisect_left(bucket, slot, key=slot_of)
+    if at == len(bucket) or slot_of(bucket[at]) != slot:
+        return False
+    del bucket[at]
+    return True
 
 
 class StoreSnapshot:

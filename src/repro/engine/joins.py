@@ -2,24 +2,34 @@
 
 The join technique of the paper is an indexed nested-loop join over a set of
 iterators, one per joined predicate, enhanced with **dynamic in-memory
-indexing**: hash indexes keyed by the join attributes are built as the facts
-arrive, and probes go through them.  With hash indexes the cost of the join
+indexing**: hash indexes keyed by the join attributes are built as they are
+needed, and probes go through them.  With hash indexes the cost of the join
 tends to the number of facts of the first predicate.
 
 :class:`CompiledRuleExecutor` is that join: the indexes are the fact store's
-per-position dictionaries, maintained on every insert, and the iterators are
-the steps of a compiled :class:`~repro.engine.plan.RuleJoinPlan`.  Section 4
-compiles the access plan into an executable pipeline; here that goes down to
-the interpreter's level.  Each plan is rendered into Python source — one
-generator function in which every seed plan is a nest of ``for`` loops,
-every positional check and slot write a line of straight code and every
-slot a local variable — and compiled once per rule shape
-(:func:`~repro.core.rules.rule_shape`, carried as ``plan.shape``): the rule
-with its predicate names, constants and conditions taken out.  Those reach
-the kernel as a positional tuple, one entry per occurrence, so the source
-holds no program text and rules of one shape share one function.  A seed
-plan longer than :data:`MAX_NESTING` atoms continues in a further function
-of the same source, so no function nests more blocks than CPython allows.
+per-position dictionaries (:meth:`~repro.core.fact_store.FactStore.index`),
+each built on its first probe and maintained by every insert from then on,
+and the iterators are the steps of a compiled
+:class:`~repro.engine.plan.RuleJoinPlan`.  Section 4 compiles the access
+plan into an executable pipeline; here that goes down to the interpreter's
+level.  Each plan is rendered into Python source — one generator function
+in which every seed plan is a nest of ``for`` loops, every positional check
+and slot write a line of straight code and every slot a local variable —
+and compiled once per rule shape (:func:`~repro.core.rules.rule_shape`,
+carried as ``plan.shape``): the rule with its predicate names, constants and
+conditions taken out.  Those reach the kernel as a positional tuple, one
+entry per occurrence, so the source holds no program text and rules of one
+shape share one function; two shapes that render the same source share it
+too.  A seed plan longer than :data:`MAX_NESTING` atoms continues in a
+further function of the same source, so no function nests more blocks than
+CPython allows.
+
+A seed plan whose seed is not empty first binds what it probes, once: the
+index of every probed position (the positions of the step's constants and
+already-bound variables) and the dedup map of every head predicate
+(:meth:`~repro.core.fact_store.FactStore.rows`).  Both are the store's live
+objects, so a fact the fire path admits while the kernel is suspended is
+seen by the remaining probes.
 
 At the leaf of a rule with head templates and no existential, the kernel
 tests the head rows against the store and drops a match whose heads are
@@ -54,7 +64,7 @@ class CompiledRuleExecutor:
 
     This is the slot-machine join, on the chase hot path of every executor:
     the seed step scans (or index-probes) the current semi-naive delta,
-    every further step probes the store's dynamic per-position indexes —
+    every further step probes the store's per-position indexes —
     choosing the most selective bound position, i.e. the smallest bucket —
     and variable bindings live in the kernel's local variables.
     ``source`` is the kernel's Python source, shared by every rule of the
@@ -134,22 +144,34 @@ def render_kernel(plan) -> str:
         return names[-1]
 
     tests = []  # one membership test per head row
+    heads = []  # binds each head predicate's dedup map
     if _drops_duplicates(plan):
-        uses.add("rows")
-        for _predicate, entries in plan.head_templates:
-            head = value()
+        for number, (_predicate, entries) in enumerate(plan.head_templates):
+            heads.append(f"r{number} = store.rows({value()})")
             row = [f"s{p}" if k == HEAD_SLOT else value() for k, p in entries]
-            tests.append(f"({head}, ({', '.join(row)}{',' * (len(row) == 1)})) in rows")
+            tests.append(f"({', '.join(row)}{',' * (len(row) == 1)}) in r{number}")
     for index, seed_plan in enumerate(plan.seed_plans):
         seed = seed_plan.seed
+        steps = (seed,) + seed_plan.probes
+        # What the seed plan probes is bound once, when its seed is not
+        # empty, and handed to each further function: the head dedup maps
+        # and one index x<level>_<position> per probed position.
+        binds = list(heads)
+        shared = [f"r{number}" for number in range(len(heads))]
+        shared += [
+            f"x{level}_{pos}"
+            for level, step in enumerate(steps)
+            if level
+            for pos, _ in step.const_checks + step.bound_checks
+        ]
         bound = set()
         matched: List[str] = []  # the fact locals bound so far
         body, depth = kernel, 1
-        for level, step in enumerate((seed,) + seed_plan.probes):
+        for level, step in enumerate(steps):
             if level and not level % MAX_NESTING:
                 # Carry on in a fresh function: its locals are passed in.
                 name = f"kernel_{index}_{level}"
-                args = ", ".join([f"s{slot}" for slot in sorted(bound)] + matched)
+                args = ", ".join([f"s{slot}" for slot in sorted(bound)] + matched + shared)
                 call = f"{name}(K, store, round_index, result, tick, seed_lists, {args})"
                 emit(depth, f"yield from {call}")
                 body, depth = [], 1
@@ -171,23 +193,22 @@ def render_kernel(plan) -> str:
                     emit(2, f"c0 = store.delta_facts({predicate})")
                 emit(1, "else:")
                 emit(2, f"c0 = seed_lists[{index}]")
+                if shared:
+                    emit(1, "if c0:")
+                    depth, binding_at = 2, len(kernel)
             elif consts or step.bound_checks:
                 # The most selective bucket: an absent key empties it, and a
                 # bucket of at most one fact ends the search.
                 keys = consts + [(pos, f"s{slot}") for pos, slot in step.bound_checks]
-                uses.add("pidx")
-                emit(depth, f"{candidates} = ()")
-                emit(depth, f"d = pidx({predicate})")
-                emit(depth, "if d is not None:")
-                emit(depth + 1, "n = len(d)")
+                for pos, _ in keys:
+                    binds.append(f"x{level}_{pos} = store.index({predicate}, {pos})")
                 (pos, key), rest = keys[0], keys[1:]
-                emit(depth + 1, f"if {pos} < n:")
-                emit(depth + 2, f"{candidates} = d[{pos}].get({key}, ())")
+                emit(depth, f"{candidates} = x{level}_{pos}.get({key}, ())")
                 for pos, key in rest:
-                    emit(depth + 1, f"if len({candidates}) > 1:")
-                    emit(depth + 2, f"b = d[{pos}].get({key}, ()) if {pos} < n else ()")
-                    emit(depth + 2, f"if len(b) < len({candidates}):")
-                    emit(depth + 3, f"{candidates} = b")
+                    emit(depth, f"if len({candidates}) > 1:")
+                    emit(depth + 1, f"b = x{level}_{pos}.get({key}, ())")
+                    emit(depth + 1, f"if len(b) < len({candidates}):")
+                    emit(depth + 2, f"{candidates} = b")
             else:
                 emit(depth, f"{candidates} = store.by_predicate({predicate})")
             fact, terms = f"f{step.atom_index}", f"t{step.atom_index}"
@@ -226,14 +247,14 @@ def render_kernel(plan) -> str:
         slots = ", ".join(f"s{i}" for i in range(len(plan.variables)))
         facts = ", ".join(f"f{i}" for i in range(plan.body_length))
         emit(depth, f"yield [{slots}], [{facts}]")
+        if shared:
+            kernel[binding_at:binding_at] = [f"        {line}" for line in binds]
     if not plan.seed_plans:
         kernel.append("    yield from ()")
     prologue = [f"    {', '.join(names)}, = K"] if names else []
     prologue += [
         f"    {line}"
         for use, line in (
-            ("rows", "rows = store._rows"),
-            ("pidx", "pidx = store._position_index.get"),
             ("rget", "rget = store._round_of.get"),
             ("slots", f"slots = [None] * {len(plan.variables)}"),
         )
@@ -248,18 +269,25 @@ def render_kernel(plan) -> str:
 
 def _kernel_for(plan) -> Tuple[Callable, str]:
     """The compiled kernel of the plan's rule shape and its source, rendered
-    on first use."""
+    on first use; a shape whose source an earlier shape already rendered
+    shares that shape's function."""
     entry = _kernels.get(plan.shape)
     if entry is not None:
         return entry
     source = render_kernel(plan)
-    filename = f"<kernel:{zlib.crc32(source.encode()):08x}>"
-    namespace: Dict[str, object] = {}
-    exec(compile(source, filename, "exec"), namespace)
     with _kernels_lock:
-        entry = _kernels.setdefault(plan.shape, (namespace["kernel"], source))
+        entry = next((known for known in _kernels.values() if known[1] == source), None)
+    if entry is None:
+        filename = f"<kernel:{zlib.crc32(source.encode()):08x}>"
+        namespace: Dict[str, object] = {}
+        exec(compile(source, filename, "exec"), namespace)
+        entry = (namespace["kernel"], source)
+    with _kernels_lock:
+        entry = _kernels.setdefault(plan.shape, entry)
+        filename = entry[0].__code__.co_filename
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         while len(_kernels) > MAX_KERNELS:
             dropped, _ = _kernels.pop(next(iter(_kernels)))
-            linecache.cache.pop(dropped.__code__.co_filename, None)
+            if all(kept is not dropped for kept, _ in _kernels.values()):
+                linecache.cache.pop(dropped.__code__.co_filename, None)
     return entry

@@ -348,6 +348,19 @@ class TestKernelSource:
                 rules += 1
         assert len(by_shape) < rules
 
+    def test_equal_sources_share_one_kernel(self, monkeypatch):
+        # A fresh table, so no shape is evicted while the registry fills it.
+        monkeypatch.setattr(joins, "_kernels", {})
+        shapes, kernels, sources = set(), set(), set()
+        for name in scenario_names():
+            reasoner = VadalogReasoner(SCENARIOS[name]().program.copy())
+            for plan in reasoner.join_plans.values():
+                executor = CompiledRuleExecutor(plan)
+                shapes.add(plan.shape)
+                kernels.add(executor._kernel)
+                sources.add(executor.source)
+        assert len(kernels) == len(sources) < len(shapes) <= joins.MAX_KERNELS
+
     def test_rules_of_one_shape_share_one_kernel(self):
         plans = _plans(
             """

@@ -1,6 +1,8 @@
 """Tests for the storage substrate, the fact store and answer extraction."""
 
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,8 +12,20 @@ from repro.core.fact_store import FactStore, StaleSnapshotError
 from repro.core.parser import parse_program
 from repro.core.query import Query, certain_answer, extract_answers, universal_answer
 from repro.core.terms import Constant, Null, Variable
+from repro.engine.joins import CompiledRuleExecutor
+from repro.engine.plan import compile_rule_join_plan
+from repro.engine.reasoner import VadalogReasoner
 from repro.storage.csv_io import load_relation_csv, save_relation_csv
 from repro.storage.database import Database, Relation
+
+
+def built_positions(store):
+    """The positions a store has indexed so far, per predicate."""
+    return {
+        predicate: tuple(sorted(built))
+        for predicate, built in store._position_index.items()
+        if built
+    }
 
 
 class TestRelationDatabase:
@@ -149,6 +163,12 @@ class TestFactStoreRemove:
     def test_random_interleavings_match_the_model(self, seed):
         rng = random.Random(seed)
         store = FactStore()
+        # Each position is first probed at its own step, some only by the
+        # final check: an index built after interleaved adds and removals
+        # must still equal the model, and so must every later state of it.
+        positions = [(p, i) for p, arity in sorted(self.PREDICATES.items()) for i in range(arity)]
+        probe_rng = random.Random(1000 + seed)
+        first_probe = {pair: probe_rng.choice((0, 60, 150, 280, 400)) for pair in positions}
         live = {}  # fact -> slot; dict order is insertion order
         rounds = {}  # fact -> round it entered in
         next_slot = 0
@@ -191,10 +211,20 @@ class TestFactStoreRemove:
                 since_round = []
                 store.begin_round(current_round, delta)
             delta = [f for f in delta if f in live]
-            self.check(store, live, rounds, delta, domain=step >= domain_from)
-        self.check(store, live, rounds, delta, domain=True)
+            probed = {pair for pair, first in first_probe.items() if first <= step}
+            self.check(store, live, rounds, delta, domain=step >= domain_from, probed=probed)
+        self.check(store, live, rounds, delta, domain=True, probed=set(positions))
 
-    def check(self, store, live, rounds, delta, domain):
+    def test_built_index_outlives_its_predicate(self):
+        store = FactStore([fact("P", "a", 1)])
+        index = store.index("P", 0)
+        assert store.remove(fact("P", "a", 1))
+        assert store.predicates() == () and index == {}
+        store.add(fact("P", "b", 2))
+        assert store.index("P", 0) is index and index == {Constant("b"): [fact("P", "b", 2)]}
+        assert built_positions(store) == {"P": (0,)}
+
+    def check(self, store, live, rounds, delta, domain, probed):
         def slots(bucket):
             return [store.index_of_row(f.predicate, f.terms) for f in bucket]
 
@@ -226,24 +256,31 @@ class TestFactStoreRemove:
             assert store.null_facts(predicate) == nulls
             assert store.snapshot().null_facts(predicate) == nulls
             assert ordered(store.by_predicate(predicate))
-            dicts = store._position_index.get(predicate)
-            if not extent:
-                assert dicts is None
-            else:
-                assert len(dicts) == arity
-                assert all(bucket for index in dicts for bucket in index.values())
             in_delta = [f for f in delta if f.predicate == predicate]
             assert list(store.delta_facts(predicate)) == in_delta
             assert ordered(store.delta_facts(predicate))
             for position in range(arity):
                 for term in self.TERMS:
+                    assert list(store.delta_candidates(predicate, position, term)) == [
+                        f for f in in_delta if f.terms[position] == term
+                    ]
+                    if (predicate, position) not in probed:
+                        continue
                     expected = [f for f in extent if f.terms[position] == term]
                     bucket = store.position_candidates(predicate, position, term)
                     assert list(bucket) == expected
                     assert ordered(bucket)
-                    assert list(store.delta_candidates(predicate, position, term)) == [
-                        f for f in in_delta if f.terms[position] == term
-                    ]
+            # The built indexes are exactly the probed positions, and each
+            # holds the model's non-empty, slot-ordered buckets.
+            built = built_positions(store).get(predicate, ())
+            assert set(built) == {i for p, i in probed if p == predicate}
+            for position in built:
+                index = store.index(predicate, position)
+                assert all(index.values()) and all(map(ordered, index.values()))
+                model = {}
+                for f in extent:
+                    model.setdefault(f.terms[position], []).append(f)
+                assert index == model
         gone = Fact("P", (Constant(99), Constant(99)))
         assert gone not in store
         with pytest.raises(KeyError):
@@ -253,6 +290,7 @@ class TestFactStoreRemove:
         """Cost by count: 500 removals out of a 5 000-fact predicate."""
         facts = [fact("P", i % 50, i) for i in range(5000)]
         store = FactStore(facts)
+        store.index("P", 0)  # removals edit a built index's buckets too
         store.begin_round(1, facts[2500:])
         calls = 0
         original = Atom.__eq__
@@ -271,6 +309,80 @@ class TestFactStoreRemove:
         assert store.facts() == tuple(survivors)
         assert list(store.by_predicate("P")) == survivors
         assert list(store.delta_facts("P")) == [f for f in facts[2500:] if f in store]
+        assert store.index("P", 0)[Constant(7)] == [f for f in survivors if f.terms[0] == Constant(7)]
+
+    def test_blocks_per_stored_fact(self):
+        """Memory by count: 10 000 arity-3 facts, one position probed."""
+        facts = [fact("P", i, i % 100, i % 7) for i in range(10_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            store = FactStore(facts)
+            store.index("P", 1)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        stored = [
+            stat
+            for stat in after.compare_to(before, "filename")
+            if "fact_store" in str(stat.traceback)
+        ]
+        blocks = sum(stat.count_diff for stat in stored)
+        # Per fact only its slot number (an int beyond the small-int cache);
+        # the extent, the dedup map and the probed index's 100 buckets grow
+        # in few blocks.  Indexing the unprobed, all-distinct position 0
+        # would add a bucket list (two blocks) per fact, and a dedup key
+        # tuple per fact one more.
+        assert len(store) == 10_000
+        assert blocks / len(facts) < 1.1
+
+
+class TestProbedIndexes:
+    """A position is indexed when something probes it, and only then."""
+
+    def test_company_control_builds_only_the_probed_positions(self):
+        program = """
+        @output("Control").
+        Control(X, Y) :- Own(X, Y, W), W > 0.5.
+        Control(X, Z) :- Control(X, Y), Own(Y, Z, W), V = msum(W, <Y>), V > 0.5.
+        """
+        own = [
+            ("a", "b", 0.6), ("b", "c", 0.6), ("c", "d", 0.7),
+            ("a", "e", 0.7), ("b", "f", 0.3), ("e", "f", 0.3),
+        ]
+        result = VadalogReasoner(program).reason(database={"Own": own})
+        assert result.ground_tuples("Control") == {
+            ("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"),
+            ("a", "c"), ("a", "d"), ("b", "d"), ("a", "f"),
+        }
+        # The recursive rule seeds from Control's delta and probes Own on
+        # its first position, or seeds from Own's and probes Control on its
+        # second; nothing reads the other three positions through an index.
+        assert built_positions(result.chase.store) == {"Own": (0,), "Control": (1,)}
+
+    def test_kernel_sees_facts_added_while_suspended(self):
+        program = parse_program("Out(X, Z) :- E(X, Y), T(Y, Z).")
+        (rule,) = program.rules
+        executor = CompiledRuleExecutor(compile_rule_join_plan(rule))
+        store = FactStore([fact("T", "b", "x")])
+        store.begin_round(1, [])
+        for edge in (fact("E", "a", "b"), fact("E", "c", "d")):
+            store.add(edge)
+        store.begin_round(2, [fact("E", "a", "b"), fact("E", "c", "d")])
+        result = SimpleNamespace(candidate_facts=0)  # what the kernel writes
+        matches = executor.matches(store, 2, result=result)
+        _, used = next(matches)
+        assert used == [fact("E", "a", "b"), fact("T", "b", "x")]
+        # Both land in T's position-0 index the kernel bound before its
+        # first yield: one in the bucket it is iterating, one under a key
+        # it has not probed yet.
+        store.add(fact("T", "b", "y"))
+        store.add(fact("T", "d", "z"))
+        assert [used for _, used in matches] == [
+            [fact("E", "a", "b"), fact("T", "b", "y")],
+            [fact("E", "c", "d"), fact("T", "d", "z")],
+        ]
+        assert built_positions(store) == {"T": (0,)}
 
 
 class TestStoreSnapshot:

@@ -72,6 +72,11 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt, not restored: the cached hash is one of this process's
+        # interned terms.
+        return self.__class__, (self.predicate, self.terms)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(str(t) for t in self.terms)
         return f"{self.predicate}({inner})"

@@ -931,7 +931,7 @@ class ChaseEngine:
     ) -> Optional[Term]:
         evaluator = self.aggregates.evaluator_for(rule.label or str(id(rule)), spec)
         # Groups and contributors are keyed by the terms themselves: a
-        # constant hashes by value, a null by ident, with distinct salts.
+        # constant by identity (one object per type and value), a null by ident.
         group_key = tuple(binding[v] for v in self._rules[id(rule)].group_variables)
         if any(term.__class__ is Null for term in group_key):
             # Group-by arguments must be non-null (Section 5 constraint 1).

@@ -18,6 +18,7 @@ and the figures-style introspection offered by the public API.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -205,16 +206,15 @@ class Forest:
 
         Two subtrees with equal signatures are isomorphic in the sense of the
         paper (node-wise fact isomorphism plus coinciding edge structure by
-        generating rule).  Children are sorted by signature so the result does
-        not depend on insertion order.
+        generating rule).  The children form a multiset, so the result does
+        not depend on insertion order (keys hold constants, which have no
+        order to sort by).
         """
-        child_signatures = tuple(
-            sorted(
-                (self.subtree_signature(child, key), child.rule_label)
-                for child in self.children(node)
-            )
+        child_signatures = Counter(
+            (self.subtree_signature(child, key), child.rule_label)
+            for child in self.children(node)
         )
-        return (key(node.fact), child_signatures)
+        return (key(node.fact), frozenset(child_signatures.items()))
 
 
 class WardedForest(Forest):

@@ -24,9 +24,10 @@ from .terms import Constant, Null, Term
 def isomorphism_key(fact: Fact) -> Hashable:
     """Canonical key identifying facts up to bijective renaming of nulls.
 
-    Constants are kept as-is (wrapped with a marker so a constant can never
-    collide with a null index); nulls are replaced by the index of their first
-    occurrence within the fact.
+    Constants are kept as themselves: one object per type and value, so
+    ``P(1, ν)`` and ``P(1.0, ν)`` are not isomorphic, and a constant never
+    equals a null's ``("null", index)`` marker.  Nulls are replaced by the
+    index of their first occurrence within the fact.
     """
     null_index: Dict[Null, int] = {}
     key: List[Hashable] = [fact.predicate]
@@ -35,7 +36,7 @@ def isomorphism_key(fact: Fact) -> Hashable:
             index = null_index.setdefault(term, len(null_index))
             key.append(("null", index))
         elif isinstance(term, Constant):
-            key.append(("const", term.value))
+            key.append(term)
         else:  # pragma: no cover - facts are ground by construction
             raise TypeError(f"fact contains a variable term: {term}")
     return tuple(key)
@@ -50,14 +51,14 @@ def pattern_key(fact: Fact) -> Hashable:
     structure (``P(5, 5)`` ≠ ``P(5, 6)`` as patterns).
     """
     null_index: Dict[Null, int] = {}
-    const_index: Dict[object, int] = {}
+    const_index: Dict[Constant, int] = {}
     key: List[Hashable] = [fact.predicate]
     for term in fact.terms:
         if isinstance(term, Null):
             index = null_index.setdefault(term, len(null_index))
             key.append(("null", index))
         elif isinstance(term, Constant):
-            index = const_index.setdefault(term.value, len(const_index))
+            index = const_index.setdefault(term, len(const_index))
             key.append(("const", index))
         else:  # pragma: no cover - facts are ground by construction
             raise TypeError(f"fact contains a variable term: {term}")
@@ -103,14 +104,14 @@ def canonical_pattern(fact: Fact) -> Fact:
     deterministic and human-readable.
     """
     null_index: Dict[Null, int] = {}
-    const_index: Dict[object, int] = {}
+    const_index: Dict[Constant, int] = {}
     terms: List[Term] = []
     for term in fact.terms:
         if isinstance(term, Null):
             index = null_index.setdefault(term, len(null_index))
             terms.append(Null(index))
         elif isinstance(term, Constant):
-            index = const_index.setdefault(term.value, len(const_index))
+            index = const_index.setdefault(term, len(const_index))
             terms.append(Constant(f"c{index}"))
         else:  # pragma: no cover - facts are ground by construction
             raise TypeError(f"fact contains a variable term: {term}")

@@ -11,11 +11,35 @@ The paper distinguishes three disjoint, countably infinite sets of symbols
 This module provides immutable, hashable Python representations of each of
 these symbol classes plus small utilities (fresh-name generators and
 substitution application) used throughout the reasoner.
+
+**One object per constant and per variable.**  ``Constant(v)`` returns the
+one constant of ``v`` and ``Variable(name)`` the one variable of ``name``,
+so both compare and hash by identity (``object.__eq__`` and
+``object.__hash__``, in C): every join probe, dedup-map test and fact hash
+over a terms tuple runs without a Python-level call.  Constants are
+*typed* (Section 5, "Data Types"): a constant is its Python type together
+with its value, so ``1``, ``1.0`` and ``True`` are three constants that
+neither join nor deduplicate with each other, whatever ``==`` says of the
+Python values.  Each type has its own table keyed by the value itself; a
+tuple or frozenset is keyed by a type-tagged form of its elements, so
+``Constant((1.0,)).value`` holds a float even after ``Constant((1,))`` was
+made.  Pickling, ``copy.copy`` and ``copy.deepcopy`` return the same object.
+
+The tables are bounded: a miss takes one lock and re-checks, and once the
+tables have doubled since the last sweep, it sweeps them, dropping every
+entry that no other object holds (``sys.getrefcount``).  A hit takes no
+lock; a dictionary read or deletion is atomic under the GIL, so a
+constant somebody holds is never dropped, and one that nobody holds can be
+made afresh without two live objects of one value ever existing.
+
+A :class:`Null` keeps value equality: two nulls are equal when their
+identifiers are.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Tuple, Union
@@ -24,9 +48,9 @@ from typing import Any, Dict, Iterable, Mapping, Tuple, Union
 class Term:
     """Abstract base class of all term kinds.
 
-    Terms are value objects: they are immutable, hashable and compare by
-    value.  The concrete subclasses are :class:`Constant`, :class:`Variable`
-    and :class:`Null`.
+    Terms are immutable and hashable.  Constants and variables are interned
+    and compare by identity, nulls compare by identifier.  The concrete
+    subclasses are :class:`Constant`, :class:`Variable` and :class:`Null`.
     """
 
     __slots__ = ()
@@ -49,37 +73,106 @@ class Term:
         return not isinstance(self, Variable)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+#: The intern tables: one per scalar value type (keyed by the value), one
+#: for tuples and frozensets (keyed by :func:`_tagged`), one for variables.
+_constants: Dict[type, Dict[Any, "Constant"]] = {}
+_composites: Dict[Any, "Constant"] = {}
+_variables: Dict[str, "Variable"] = {}
+_lock = threading.Lock()
+#: Entries in the tables (those the last sweep kept plus those added
+#: since), and the count that starts the next sweep: twice what the last
+#: sweep kept, and never below the floor.
+_SWEEP_FLOOR = 4096
+_entries = 0
+_sweep_at = _SWEEP_FLOOR
+
+
+def _tagged(value: Any) -> Any:
+    """A composite's intern key: each element paired with its type, recursively."""
+    if isinstance(value, tuple):
+        return (value.__class__, tuple(map(_tagged, value)))
+    if isinstance(value, frozenset):
+        return (value.__class__, frozenset(map(_tagged, value)))
+    return (value.__class__, value)
+
+
+def _intern(table: Dict[Any, Term], key: Any, cls: type, slot, payload: Any) -> Term:
+    """The miss path: under the lock, re-check, add, and sweep when due."""
+    global _entries
+    with _lock:
+        found = table.get(key)
+        if found is None:
+            found = object.__new__(cls)
+            slot.__set__(found, payload)
+            table[key] = found
+            _entries += 1
+            if _entries >= _sweep_at:
+                _sweep()
+    return found
+
+
+def _sweep() -> None:
+    """Drop every interned term no other object holds; called under the lock.
+
+    A term whose count shows a holder besides its table and this frame
+    stays.  Any other is removed, and put back if a lock-free hit took it
+    between the count and the removal.
+    """
+    global _entries, _sweep_at
+    probe = object()
+    unheld = sys.getrefcount(probe)  # what a term held by this frame alone reads
+    live = 0
+    for table in (_composites, _variables, *_constants.values()):
+        for key in list(table):
+            term = table[key]
+            if sys.getrefcount(term) <= unheld + 1:
+                del table[key]
+                if sys.getrefcount(term) <= unheld:
+                    continue
+                table[key] = term
+            live += 1
+    _entries = live
+    _sweep_at = max(2 * live, _SWEEP_FLOOR)
+
+
 class Constant(Term):
     """A ground constant wrapping an arbitrary hashable Python value.
 
     Vadalog terms are typed (Section 5 "Data Types"); we support the basic
     types by simply wrapping the corresponding Python value (``int``,
     ``float``, ``str``, ``bool``, ``date`` …) as well as frozen composites
-    (tuples, frozensets) for the set/list data types.
-
-    Terms are the keys of every hot index of the engine (fact-store position
-    indexes, join probes, binding slots), so the hash is computed once at
-    construction and cached (the class-specific salt keeps constants, nulls
-    and variables from colliding in mixed dictionaries) and ``__eq__`` takes
-    an identity fast path before comparing values.
+    (tuples, frozensets) for the set/list data types.  There is one
+    constant per type and value (see the module docstring), so constants
+    compare and hash by identity.
     """
 
+    __slots__ = ("value",)
     value: Any
-    _hash: int = field(init=False, repr=False, default=0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("c", self.value)))
+    def __new__(cls, value: Any) -> "Constant":
+        table = _constants.get(value.__class__)
+        if table is not None:
+            found = table.get(value)
+            if found is not None:
+                return found
+            return _intern(table, value, Constant, _VALUE, value)
+        if isinstance(value, (tuple, frozenset)):
+            key = _tagged(value)
+            found = _composites.get(key)
+            if found is not None:
+                return found
+            return _intern(_composites, key, Constant, _VALUE, value)
+        table = _constants.setdefault(value.__class__, {})
+        return _intern(table, value, Constant, _VALUE, value)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Constant:
-            return self.value == other.value
-        return NotImplemented
+    def __reduce__(self):
+        # Pickling and copying rebuild through ``Constant(value)``: the same object.
+        return Constant, (self.value,)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: constants are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Constant({self.value!r})"
@@ -88,31 +181,36 @@ class Constant(Term):
         return repr(self.value) if isinstance(self.value, str) else str(self.value)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Variable(Term):
-    """A (universally or existentially quantified) rule variable."""
+    """A (universally or existentially quantified) rule variable, one object per name."""
 
+    __slots__ = ("name",)
     name: str
-    _hash: int = field(init=False, repr=False, default=0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("v", self.name)))
+    def __new__(cls, name: str) -> "Variable":
+        found = _variables.get(name)
+        if found is not None:
+            return found
+        return _intern(_variables, name, Variable, _NAME, name)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Variable:
-            return self.name == other.name
-        return NotImplemented
+    def __reduce__(self):
+        return Variable, (self.name,)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: variables are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Variable({self.name!r})"
 
     def __str__(self) -> str:
         return self.name
+
+
+#: The slot descriptors the miss path fills in (``__setattr__`` refuses).
+_VALUE = Constant.value
+_NAME = Variable.name
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -456,7 +456,7 @@ class ResidentReasoner:
         self._stats["invalidations"] += len(stale)
 
     def _refresh_memo(
-        self, predicates: Set[str], removed: Set[Fact], added: List[Fact]
+        self, predicates: Set[str], removed: Iterable[Fact], added: List[Fact]
     ) -> None:
         """Patch or drop the memo entries whose footprint meets ``predicates``
         (see "One answer memo" in the module docstring) after a write that
@@ -495,7 +495,7 @@ class ResidentReasoner:
             self._memo[key] = (patched, index, footprint)
             self._stats["patches"] += 1
 
-    def _dred(self, retracted: List[Fact]) -> Tuple[Set[Fact], List[Fact]]:
+    def _dred(self, retracted: List[Fact]) -> Tuple[Dict[Fact, None], List[Fact]]:
         """Delete-and-rederive: overdeletion, removal, seeded rederivation.
 
         Returns the facts it removed from the store and the facts it added
@@ -504,13 +504,15 @@ class ResidentReasoner:
         store = self.store
         node_of = self.result.node_of
         # -- overdeletion: closure over recorded derivations ------------------
-        deleted: Set[Fact] = set()
+        # Insertion-ordered (a dict, not a set): facts hash by their terms'
+        # identities, so a set would remove and rederive in address order.
+        deleted: Dict[Fact, None] = {}
         stack = [f for f in retracted if f in store]
         while stack:
             fact = stack.pop()
             if fact in deleted:
                 continue
-            deleted.add(fact)
+            deleted[fact] = None
             for child in self._derivations.children_of(fact):
                 if child not in deleted and child not in self._edb and child in store:
                     stack.append(child)
@@ -534,7 +536,7 @@ class ResidentReasoner:
             else:
                 parents.update(parent.fact for parent in node.parents)
             store.remove(fact)
-        self._derivations.unlink(deleted, parents - deleted)
+        self._derivations.unlink(deleted, parents.difference(deleted))
         self._derivations.forget(deleted)
         # Replay the survivors into a summary-free strategy: a fresh warded
         # strategy would re-learn stop-provenances over the mutilated store

@@ -43,14 +43,12 @@ class DataSourceRecordManager(RecordManager):
     natively for SQLite, at the read boundary for CSV/JSONL.  ``stream`` is
     lazy: no rows are read until the first fact is pulled.
 
-    Each stream hands the scan its own row → :class:`Fact` converter with a
-    per-scan intern table: a value that repeats across rows (a key column,
-    a join column) becomes one :class:`Constant` object.  The intern key is
-    ``(type(value), value)``, so ``1``, ``1.0`` and ``True`` stay distinct
-    Python values, exactly as the rows held them.  The source's page cache
-    keeps the facts the converter built, so they are the one copy of the
-    relation in memory, and a repeated stream (a second ``reason()``)
-    yields those same facts without building a term.
+    Each row becomes a :class:`Fact` of interned constants (one object per
+    type and value, see :mod:`repro.core.terms`), so ``1``, ``1.0`` and
+    ``True`` stay distinct, exactly as the rows held them.  The source's
+    page cache keeps the facts the converter built, so they are the one
+    copy of the relation in memory, and a repeated stream (a second
+    ``reason()``) yields those same facts without building a term.
     """
 
     def __init__(self, predicate: str, source, pushdown=None) -> None:
@@ -60,17 +58,9 @@ class DataSourceRecordManager(RecordManager):
 
     def stream(self) -> Iterator[Fact]:
         predicate = self.predicate
-        interned: Dict[Tuple[type, object], Constant] = {}
 
         def convert(row: Tuple[object, ...]) -> Fact:
-            terms = []
-            for value in row:
-                key = (type(value), value)
-                constant = interned.get(key)
-                if constant is None:
-                    constant = interned[key] = Constant(value)
-                terms.append(constant)
-            return Fact.from_ground(predicate, tuple(terms))
+            return Fact.from_ground(predicate, tuple(map(Constant, row)))
 
         return self.source.scan(self.pushdown, convert)
 

@@ -6,7 +6,8 @@
   themselves;
 * chase nodes are slotted and never refer to themselves, so a dropped chase
   graph is freed by reference counting;
-* a datasource scan interns its constants per ``(type, value)``;
+* a datasource scan builds one :class:`Constant` object per type and value
+  (constants are interned globally, see :mod:`repro.core.terms`);
 * the fact store builds its active domain only when a ``Dom`` guard (or a
   caller) first asks for it.
 

@@ -80,9 +80,11 @@ RuleSeed = Tuple[Rule, int, Sequence[Fact]]
 
 class _RuleConstants(NamedTuple):
     """What the firing path reads of a rule on every chase step, computed
-    once per engine."""
+    once per engine; each derived fact's chase node holds its rule's."""
 
-    analysis: RuleAnalysis
+    kind: RuleKind
+    #: ``rule.label or "rule"``: the label provenances record.
+    label: str
     #: Conditions over assignment/aggregate variables, checked after those
     #: values are computed; the others are checked while matching the body.
     post_conditions: Tuple
@@ -116,7 +118,8 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
             v for v in head_vars if v != aggregated and v not in existentials
         )
     return _RuleConstants(
-        analysis=analysis,
+        kind=analysis.kind,
+        label=rule.label or "rule",
         post_conditions=tuple(
             c for c in rule.conditions if any(v not in body_vars for v in c.variables())
         ),
@@ -248,13 +251,12 @@ class ChaseResult:
         return tuple(view)
 
     def input_node_of(self, fact: Fact) -> ChaseNode:
-        """The node of a stored extensional ``fact`` that has none yet, stamped
-        with the round it was loaded in.
+        """The node of a stored extensional ``fact`` that has none yet.
 
         Derived facts get their node when they are stored; :attr:`nodes`
         catches one that did not, which this would have labelled an input.
         """
-        node = self.node_of[fact] = input_node(fact, step=self.store.round_of(fact))
+        node = self.node_of[fact] = input_node(fact)
         return node
 
     def facts(self, predicate: Optional[str] = None) -> Tuple[Fact, ...]:
@@ -411,7 +413,7 @@ class ChaseEngine:
         result = self.result
         store = result.store
         node_of = result.node_of
-        step = store.current_round = result.rounds
+        store.current_round = result.rounds
         register = self.strategy.register_input
         add = store.add
         loaded: List[Fact] = []
@@ -419,7 +421,7 @@ class ChaseEngine:
             if not add(fact):
                 continue
             if fact.has_nulls:
-                node = node_of[fact] = input_node(fact, step=step)
+                node = node_of[fact] = input_node(fact)
                 register(node)
             loaded.append(fact)
         result.extensional_facts += len(loaded)
@@ -629,9 +631,7 @@ class ChaseEngine:
                 if tick is not None:
                     tick()
                 produced.extend(
-                    self.fire_binding(
-                        rule, binding, used_facts, store, node_of, round_index, result
-                    )
+                    self.fire_binding(rule, binding, used_facts, store, node_of, result)
                 )
         return produced
 
@@ -662,7 +662,7 @@ class ChaseEngine:
         for slots, used_facts in executor.matches(
             store, round_index, result=result, tick=tick, seed_lists=seed_lists
         ):
-            fire(rule, plan, slots, used_facts, store, node_of, round_index, result, produced)
+            fire(rule, plan, slots, used_facts, store, node_of, result, produced)
         return produced
 
     def fire_slots(
@@ -673,7 +673,6 @@ class ChaseEngine:
         used_facts: List[Fact],
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
-        step: int,
         result: ChaseResult,
         produced: List[ChaseNode],
     ) -> None:
@@ -699,7 +698,7 @@ class ChaseEngine:
             if not self._dom_guards_hold(self._rules[id(rule)].dom_guards, binding, store):
                 return
             produced.extend(
-                self.fire_binding(rule, binding, used_facts, store, node_of, step, result)
+                self.fire_binding(rule, binding, used_facts, store, node_of, result)
             )
             return
         admit = self.strategy.admit
@@ -707,7 +706,7 @@ class ChaseEngine:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
             nulls = ()
-        constants = parents = ward_parent = None
+        constants = parents = None
         contains_row = store.contains_row
         for predicate, entries in head_templates:
             result.candidate_facts += 1
@@ -726,15 +725,8 @@ class ChaseEngine:
             head_fact = Fact.from_ground(predicate, terms)
             if parents is None:
                 constants = self._rules[id(rule)]
-                parents, ward_parent = self._parents(constants, used_facts, result)
-            node = derived_node(
-                fact=head_fact,
-                kind=constants.analysis.kind,
-                rule_label=rule.label or "rule",
-                parents=parents,
-                ward_parent=ward_parent,
-                step=step,
-            )
+                parents = self._parents(used_facts, result)
+            node = derived_node(head_fact, constants, parents)
             if not admit(node):
                 continue
             store.add(head_fact)
@@ -743,15 +735,11 @@ class ChaseEngine:
             produced.append(node)
 
     @staticmethod
-    def _parents(
-        constants: _RuleConstants, used_facts: List[Fact], result: ChaseResult
-    ) -> Tuple[List[ChaseNode], Optional[ChaseNode]]:
+    def _parents(used_facts: List[Fact], result: ChaseResult) -> Tuple[ChaseNode, ...]:
         """The chase nodes of a step's body facts, an extensional fact's made
-        on this first read, and the one bound to the rule's ward (if any)."""
+        on this first read."""
         node_of = result.node_of
-        parents = [node_of.get(f) or result.input_node_of(f) for f in used_facts]
-        ward = constants.ward_index
-        return parents, (parents[ward] if ward is not None else None)
+        return tuple([node_of.get(f) or result.input_node_of(f) for f in used_facts])
 
     def match_body(
         self,
@@ -839,7 +827,6 @@ class ChaseEngine:
         used_facts: List[Fact],
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
-        step: int,
         result: ChaseResult,
     ) -> List[ChaseNode]:
         """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
@@ -860,7 +847,7 @@ class ChaseEngine:
 
         admit = self.strategy.admit
         produced: List[ChaseNode] = []
-        parents = ward_parent = None
+        parents = None
 
         for head_atom in rule.head:
             head_fact = self.instantiate_head(head_atom, full_binding)
@@ -868,15 +855,8 @@ class ChaseEngine:
             if head_fact in store:
                 continue
             if parents is None:
-                parents, ward_parent = self._parents(constants, used_facts, result)
-            node = derived_node(
-                fact=head_fact,
-                kind=constants.analysis.kind,
-                rule_label=rule.label or "rule",
-                parents=parents,
-                ward_parent=ward_parent,
-                step=step,
-            )
+                parents = self._parents(used_facts, result)
+            node = derived_node(head_fact, constants, parents)
             if not admit(node):
                 continue
             store.add(head_fact)
@@ -994,11 +974,6 @@ def run_chase(
     tracer must call ``tracer.finish()`` themselves (the reasoner does this
     for ``reason()``).
     """
-    if executor not in ("compiled", "naive"):
-        raise ValueError(
-            f"unknown executor {executor!r}; run_chase supports 'compiled' "
-            "and 'naive' (use VadalogReasoner/reason() for 'streaming')"
-        )
     engine = ChaseEngine(
         program, database, strategy=strategy, config=config, executor=executor,
         tracer=tracer,

@@ -27,31 +27,25 @@ from .isomorphism import isomorphism_key
 from .provenance import EMPTY_PROVENANCE, Provenance
 from .wardedness import RuleKind
 
-#: Kind marker for facts loaded from the extensional database.
-INPUT_KIND = "input"
-
 
 @dataclass(eq=False, slots=True)
 class ChaseNode:
     """A node of the chase graph: a fact plus the Section-3.4 metadata.
 
+    A node stores only what a later step reads; whatever is the same for
+    every node of one rule lives once, in the rule's record.
+
     Attributes
     ----------
     fact:
-        The derived fact.
-    kind:
-        The generating-rule kind (:class:`RuleKind`) or :data:`INPUT_KIND`
-        for database facts.
-    rule_label:
-        Label of the rule that generated the fact (empty for input facts).
+        The fact.
+    rule:
+        The engine's per-rule record of the generating rule
+        (``repro.core.chase._RuleConstants``: its ``kind``, ``label`` and
+        ``ward_index``), ``None`` for a database fact.
     parents:
-        The body facts of the generating chase step.
-    linear_parent:
-        The parent in the *linear forest* (single body fact of a linear rule),
-        ``None`` otherwise.
-    warded_parent:
-        The parent in the *warded forest*: the linear parent for linear rules,
-        the fact bound to the ward for warded rules, ``None`` otherwise.
+        The nodes of the body facts of the generating chase step, in body
+        order.
     l_root / w_root:
         Roots of the containing trees in the linear and warded forest, read
         through properties.  A node that roots its own tree stores ``None``
@@ -60,23 +54,19 @@ class ChaseNode:
         by reference counting, without the cyclic collector.
     provenance:
         Rule labels applied from ``l_root`` to this fact in the linear forest.
-    step:
-        Chase-step counter at creation (for reporting and ordering).
 
-    Nodes compare and hash by identity; forests and the termination
-    strategies key their per-tree structures by the root node itself.
+    ``is_input``, ``rule_label``, ``linear_parent`` and ``warded_parent``
+    are derived from ``rule`` and ``parents`` on read.  Nodes compare and
+    hash by identity; forests and the termination strategies key their
+    per-tree structures by the root node itself.
     """
 
     fact: Fact
-    kind: object = INPUT_KIND
-    rule_label: str = ""
+    rule: Optional[object] = None
     parents: Tuple["ChaseNode", ...] = ()
-    linear_parent: Optional["ChaseNode"] = None
-    warded_parent: Optional["ChaseNode"] = None
     _l_root: Optional["ChaseNode"] = None
     _w_root: Optional["ChaseNode"] = None
     provenance: Provenance = EMPTY_PROVENANCE
-    step: int = 0
 
     @property
     def l_root(self) -> "ChaseNode":
@@ -90,26 +80,50 @@ class ChaseNode:
 
     @property
     def is_input(self) -> bool:
-        return self.kind == INPUT_KIND
+        return self.rule is None
+
+    @property
+    def rule_label(self) -> str:
+        """Label of the generating rule (empty for input facts)."""
+        rule = self.rule
+        return "" if rule is None else rule.label
+
+    @property
+    def linear_parent(self) -> Optional["ChaseNode"]:
+        """The parent in the *linear forest*: the single body fact of a
+        linear rule, ``None`` otherwise."""
+        rule = self.rule
+        if rule is not None and rule.kind is RuleKind.LINEAR:
+            return self.parents[0]
+        return None
+
+    @property
+    def warded_parent(self) -> Optional["ChaseNode"]:
+        """The parent in the *warded forest*: the linear parent for linear
+        rules, the fact bound to the ward for warded rules, ``None``
+        otherwise."""
+        rule = self.rule
+        if rule is None:
+            return None
+        if rule.kind is RuleKind.LINEAR:
+            return self.parents[0]
+        ward = rule.ward_index
+        return None if ward is None else self.parents[ward]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ChaseNode({self.fact!r}, kind={self.kind}, step={self.step})"
+        return f"ChaseNode({self.fact!r}, rule={self.rule_label or 'input'})"
 
 
-def input_node(fact: Fact, step: int = 0) -> ChaseNode:
+def input_node(fact: Fact) -> ChaseNode:
     """Create a chase node for an extensional (database) fact."""
-    return ChaseNode(fact=fact, kind=INPUT_KIND, step=step)
+    return ChaseNode(fact)
 
 
-def derived_node(
-    fact: Fact,
-    kind: RuleKind,
-    rule_label: str,
-    parents: Sequence[ChaseNode],
-    ward_parent: Optional[ChaseNode],
-    step: int,
-) -> ChaseNode:
+def derived_node(fact: Fact, rule, parents: Tuple[ChaseNode, ...]) -> ChaseNode:
     """Create a chase node for a derived fact, wiring the forest metadata.
+
+    ``rule`` is the generating rule's record (``kind``, ``label`` and
+    ``ward_index``); ``parents`` are in body order.
 
     * linear rules: the single parent is both the linear and the warded parent;
       the new node inherits ``l_root``, ``w_root`` and extends the provenance;
@@ -117,43 +131,18 @@ def derived_node(
       inherits its ``w_root``) while the node starts a new linear-forest tree;
     * other non-linear rules: the node roots new trees in both forests.
     """
-    parents = tuple(parents)
-    if kind is RuleKind.LINEAR:
+    l_root = w_root = None
+    provenance = EMPTY_PROVENANCE
+    if rule.kind is RuleKind.LINEAR:
         parent = parents[0]
-        return ChaseNode(
-            fact=fact,
-            kind=kind,
-            rule_label=rule_label,
-            parents=parents,
-            linear_parent=parent,
-            warded_parent=parent,
-            _l_root=parent.l_root,
-            _w_root=parent.w_root,
-            provenance=parent.provenance + (rule_label,),
-            step=step,
-        )
-    if kind is RuleKind.WARDED and ward_parent is not None:
-        return ChaseNode(
-            fact=fact,
-            kind=kind,
-            rule_label=rule_label,
-            parents=parents,
-            linear_parent=None,
-            warded_parent=ward_parent,
-            _w_root=ward_parent.w_root,
-            provenance=EMPTY_PROVENANCE,
-            step=step,
-        )
-    return ChaseNode(
-        fact=fact,
-        kind=kind,
-        rule_label=rule_label,
-        parents=parents,
-        linear_parent=None,
-        warded_parent=None,
-        provenance=EMPTY_PROVENANCE,
-        step=step,
-    )
+        # ``parent.l_root`` / ``parent.w_root`` without the property calls.
+        l_root = parent._l_root or parent
+        w_root = parent._w_root or parent
+        provenance = parent.provenance + (rule.label,)
+    elif rule.ward_index is not None:
+        ward = parents[rule.ward_index]
+        w_root = ward._w_root or ward
+    return ChaseNode(fact, rule, parents, l_root, w_root, provenance)
 
 
 class Forest:

@@ -8,8 +8,9 @@ every other answer.  This module extracts answers from a
 directives of Section 5:
 
 * dropping facts with labelled nulls yields the **certain answer**;
-* reducing monotonic aggregates to their **final value** per group;
-* sorting by selected attributes.
+* reducing monotonic aggregates to their **final value** per group.
+
+Sorting and limits are ``@post`` directives, applied by the reasoner.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ from .terms import Constant, Null
 
 @dataclass(frozen=True)
 class Query:
-    """A reasoning query: the answer predicates plus post-processing options."""
+    """A reasoning query: the answer predicates, and whether only the
+    certain (null-free) answers are wanted."""
 
     answer_predicates: Tuple[str, ...]
     certain: bool = False
-    reduce_aggregates: bool = True
-    order_by: Tuple[int, ...] = ()
-    limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "answer_predicates", tuple(self.answer_predicates))
-        object.__setattr__(self, "order_by", tuple(self.order_by))
 
 
 @dataclass
@@ -156,19 +154,14 @@ def extract_answers(result: ChaseResult, query: Query) -> AnswerSet:
         has_nulls = store.null_facts(predicate) > 0
         if has_nulls:
             facts = deduplicate_isomorphic(facts)
-        if query.reduce_aggregates:
-            positions = {
-                index: function
-                for (pred, index), function in aggregated.items()
-                if pred == predicate
-            }
-            facts = _final_aggregate_facts(facts, positions)
+        positions = {
+            index: function
+            for (pred, index), function in aggregated.items()
+            if pred == predicate
+        }
+        facts = _final_aggregate_facts(facts, positions)
         if query.certain and has_nulls:
             facts = [f for f in facts if not f.has_nulls]
-        if query.order_by:
-            facts.sort(key=lambda f: tuple(str(f.terms[i]) for i in query.order_by if i < f.arity))
-        if query.limit is not None:
-            facts = facts[: query.limit]
         answers.facts_by_predicate[predicate] = facts
     return answers
 

@@ -157,7 +157,7 @@ class WardedTerminationStrategy(TerminationStrategy):
 
     def admit(self, node: ChaseNode) -> bool:
         fact = node.fact
-        if node.kind in (RuleKind.LINEAR, RuleKind.WARDED):
+        if node.rule.kind in (RuleKind.LINEAR, RuleKind.WARDED):
             summary = self._summary_for(node)
             if summary.covers(node.provenance):
                 # Beyond a known stop-provenance: the whole path would only

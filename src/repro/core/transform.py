@@ -201,22 +201,6 @@ def normalize_for_chase(program: Program) -> Program:
     return isolate_existentials(split_multiple_heads(remove_duplicate_rules(program)))
 
 
-def optimize_for_query(program: Program, query, analysis=None):
-    """Query-driven entry point of the logic optimizer (magic sets).
-
-    Applied *after* :func:`normalize_for_chase` (the rewriting assumes
-    single-head rules for guarding; multi-head rules simply fall back).
-    ``query`` is an :class:`~repro.core.atoms.Atom` whose constant
-    arguments are the bound positions.  Returns a
-    :class:`~repro.core.magic.MagicRewriteResult`; see
-    :func:`repro.core.magic.rewrite_with_magic` for the soundness
-    conditions (existential safety, constraint handling, ``Dom`` veto).
-    """
-    from .magic import rewrite_with_magic
-
-    return rewrite_with_magic(program, query, analysis)
-
-
 # --------------------------------------------------------------------------
 # Uniform view of the answer-preserving transforms (translation validation)
 # --------------------------------------------------------------------------
@@ -261,10 +245,10 @@ def apply_transform(
     to keep :mod:`repro.core` import-light.
     """
     if name == "magic" or name == "magic-unsound":
-        result = optimize_for_query(program, query, analysis)
-        if name == "magic-unsound":
-            from .magic import unsound_variant
+        from .magic import rewrite_with_magic, unsound_variant
 
+        result = rewrite_with_magic(program, query, analysis)
+        if name == "magic-unsound":
             result = unsound_variant(result)
         return TransformApplication(
             name=name,

@@ -22,7 +22,6 @@ from .datasources import (
     load_database_sqlite,
     publish_memory_relation,
     clear_memory_relations,
-    register_datasource,
     save_database_sqlite,
 )
 from .csv_io import load_relation_csv, save_relation_csv
@@ -46,6 +45,5 @@ __all__ = [
     "load_database_sqlite",
     "publish_memory_relation",
     "clear_memory_relations",
-    "register_datasource",
     "save_database_sqlite",
 ]

@@ -303,15 +303,13 @@ class DataSource:
         self,
         predicate: str,
         arity: Optional[int] = None,
-        page_size: int = 1024,
-        max_cache_pages: int = 64,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.predicate = predicate
         self.arity = arity
         self.stats = SourceStats()
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
-        self._cache = RowPageCache(page_size=page_size, max_pages=max_cache_pages)
+        self._cache = RowPageCache()
 
     # -- reading ---------------------------------------------------------------
     def scan(
@@ -956,11 +954,6 @@ DATASOURCE_KINDS: Dict[str, Callable[..., DataSource]] = {
     "jsonl": _make_jsonl,
     "sqlite": _make_sqlite,
 }
-
-
-def register_datasource(kind: str, factory: Callable[..., DataSource]) -> None:
-    """Add (or replace) a backend in the ``@bind`` registry."""
-    DATASOURCE_KINDS[kind.lower()] = factory
 
 
 def datasource_kinds() -> Tuple[str, ...]:

@@ -6,6 +6,8 @@
   themselves;
 * chase nodes are slotted and never refer to themselves, so a dropped chase
   graph is freed by reference counting;
+* a chase node stores six fields; its forest parents, rule label and input
+  flag are read off its rule's record and its parents;
 * a datasource scan builds one :class:`Constant` object per type and value
   (constants are interned globally, see :mod:`repro.core.terms`);
 * the fact store builds its active domain only when a ``Dom`` guard (or a
@@ -36,6 +38,8 @@ from repro.engine.reasoner import VadalogReasoner
 from repro.engine.record_managers import DataSourceRecordManager
 from repro.storage.datasources import CsvDataSource, JsonlDataSource, SQLiteDataSource
 from repro.workloads import control_scenario
+
+from differential_harness import SCENARIOS
 
 
 def _count_calls(monkeypatch, module, name):
@@ -197,6 +201,55 @@ class TestAcyclicChaseNodes:
             gc.garbage.clear()
             gc.enable()
         assert leaked == 0
+
+
+def _walk(node, parent_of):
+    """The end of the parent chain from ``node``, and its length."""
+    steps = 0
+    parent = parent_of(node)
+    while parent is not None:
+        node, steps = parent, steps + 1
+        parent = parent_of(node)
+    return node, steps
+
+
+class TestDerivedForestMetadata:
+    """A node stores its rule's record and its parents; the forest parents,
+    the rule label and the input flag are read off them."""
+
+    SCENARIOS = ("iwarded-synthA", "iwarded-parametric-deep", "psc", "ds-label-prop")
+
+    def test_a_node_stores_six_fields(self):
+        assert ChaseNode.__slots__ == (
+            "fact", "rule", "parents", "_l_root", "_w_root", "provenance"
+        )
+        assert len(ChaseNode.__slots__) == 6
+
+    @pytest.mark.parametrize("executor", ["compiled", "streaming"])
+    def test_roots_and_provenance_follow_the_derived_parents(self, executor):
+        seen = Counter()
+        for name in self.SCENARIOS:
+            scenario = SCENARIOS[name]()
+            reasoner = VadalogReasoner(scenario.program.copy(), executor=executor)
+            result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
+            for node in result.chase.nodes:
+                w_end, _ = _walk(node, lambda n: n.warded_parent)
+                l_end, depth = _walk(node, lambda n: n.linear_parent)
+                assert w_end is node.w_root, (name, node.fact)
+                assert l_end is node.l_root, (name, node.fact)
+                assert len(node.provenance) == depth, (name, node.fact)
+                if node.is_input:
+                    assert node.rule_label == "" and not node.parents
+                    seen["input"] += 1
+                elif node.linear_parent is not None:
+                    assert node.provenance[-1] == node.rule_label
+                    assert node.linear_parent is node.warded_parent is node.parents[0]
+                    seen["linear"] += 1
+                elif node.warded_parent is not None:
+                    assert node.warded_parent in node.parents and not node.provenance
+                    seen["warded"] += 1
+        # Every branch of the derivation is exercised.
+        assert min(seen["input"], seen["linear"], seen["warded"]) > 0, seen
 
 
 class TestLazyInputNodes:

@@ -28,7 +28,7 @@ from repro.core.magic import (
     rewrite_with_magic,
 )
 from repro.core.parser import parse_atom, parse_program
-from repro.core.transform import normalize_for_chase, optimize_for_query
+from repro.core.transform import normalize_for_chase
 from repro.core.wardedness import analyse_program
 from repro.engine.reasoner import VadalogReasoner
 from repro.workloads import (
@@ -243,7 +243,7 @@ class TestRewriteStructure:
 
     def test_transform_entry_point(self):
         program = _normalized("@output(\"T\").\nT(X, Y) :- E(X, Y).")
-        result = optimize_for_query(program, parse_atom('T("a", Y)'))
+        result = rewrite_with_magic(program, parse_atom('T("a", Y)'))
         assert result.changed
         assert result.guarded_rules == 1
 

@@ -10,7 +10,7 @@ from repro.core.atoms import Atom, Fact, fact
 from repro.core.chase import ChaseEngine, run_chase
 from repro.core.fact_store import FactStore, StaleSnapshotError
 from repro.core.parser import parse_program
-from repro.core.query import Query, certain_answer, extract_answers, universal_answer
+from repro.core.query import certain_answer, universal_answer
 from repro.core.terms import Constant, Null, Variable
 from repro.engine.joins import CompiledRuleExecutor
 from repro.engine.plan import compile_rule_join_plan
@@ -430,13 +430,6 @@ class TestAnswers:
         answers = universal_answer(result, ["KeyPerson"])
         assert ("Bob", "a") in answers.ground_tuples("KeyPerson")
         assert len(answers.tuples("KeyPerson")) >= len(answers.ground_tuples("KeyPerson"))
-
-    def test_order_and_limit(self):
-        result = self.make_result()
-        answers = extract_answers(
-            result, Query(("KeyPerson",), certain=True, order_by=(1,), limit=1)
-        )
-        assert answers.count("KeyPerson") == 1
 
     def test_isomorphic_duplicates_removed(self):
         result = self.make_result()

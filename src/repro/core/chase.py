@@ -14,7 +14,9 @@ carrying the linear-forest / warded-forest metadata needed by Algorithm 1
 when a derivation first takes it as a parent, or at load when it holds a
 labelled null (the termination strategy registers it): chase metadata
 only where a later step reads it, the space argument of the
-space-efficient warded chase (arXiv:1809.05951).
+space-efficient warded chase (arXiv:1809.05951).  By the same argument a
+head whose predicate no labelled null can reach is admitted without asking
+the termination strategy (:func:`~repro.core.termination.null_reach`).
 
 The engine is the one owner of its run's state: its :class:`ChaseResult`,
 built once, holds the store, the one fact → node map and the round count.
@@ -51,7 +53,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .aggregates import AggregateRegistry
 from .atoms import Atom, Fact
@@ -68,7 +82,7 @@ from .limits import (
 )
 from .rules import DOM_PREDICATE, Program, Rule
 from .terms import Constant, Null, NullFactory, Term, Variable
-from .termination import TerminationStrategy, WardedTerminationStrategy
+from .termination import TerminationStrategy, WardedTerminationStrategy, null_reach
 from .wardedness import ProgramAnalysis, RuleAnalysis, RuleKind, analyse_program
 from ..testing.faults import fault_point
 
@@ -93,9 +107,26 @@ class _RuleConstants(NamedTuple):
     #: Index in ``rule.relational_body`` of the atom bound to the ward
     #: (warded rules), ``None`` otherwise.
     ward_index: Optional[int]
-    #: The aggregate's group-by variables: the head variables bound by the
-    #: body or an assignment, but the aggregate's own.
-    group_variables: Tuple[Variable, ...]
+    #: Binding → the aggregate's group key: the values of the head
+    #: variables bound by the body or an assignment, but the aggregate's
+    #: own.  ``None`` without an aggregate.
+    group_key: Optional[Callable[[Dict[Variable, Term]], Tuple[Term, ...]]]
+    #: Binding → the values of the aggregate's contributors, ``None``
+    #: without contributors.
+    contributor_key: Optional[Callable[[Dict[Variable, Term]], Tuple[Term, ...]]]
+
+
+def _key_getter(
+    variables: Sequence[Variable],
+) -> Callable[[Dict[Variable, Term]], Tuple[Term, ...]]:
+    """Binding → the tuple of its values of ``variables``: one C call for
+    two or more (``itemgetter`` returns a scalar for one)."""
+    if len(variables) > 1:
+        return itemgetter(*variables)
+    if variables:
+        one = itemgetter(variables[0])
+        return lambda binding: (one(binding),)
+    return lambda binding: ()
 
 
 def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
@@ -111,12 +142,14 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
         at = [i for i, atom in enumerate(body) if atom is analysis.ward]
         at = at or [i for i, atom in enumerate(body) if atom == analysis.ward]
         ward_index = at[0] if at else None
-    group_variables = ()
+    group_key = contributor_key = None
     if rule.aggregate is not None:
         aggregated = rule.aggregate.variable
-        group_variables = tuple(
-            v for v in head_vars if v != aggregated and v not in existentials
+        group_key = _key_getter(
+            [v for v in head_vars if v != aggregated and v not in existentials]
         )
+        if rule.aggregate.contributors:
+            contributor_key = _key_getter(rule.aggregate.contributors)
     return _RuleConstants(
         kind=analysis.kind,
         label=rule.label or "rule",
@@ -126,7 +159,8 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
         existentials=existentials,
         dom_guards=rule.dom_guards,
         ward_index=ward_index,
-        group_variables=group_variables,
+        group_key=group_key,
+        contributor_key=contributor_key,
     )
 
 
@@ -345,6 +379,13 @@ class ChaseEngine:
         self.aggregates = AggregateRegistry()
         self._database = database
         self._rules = _RuleTable(program.rules, self.analysis)
+        #: ``F``, the predicates a labelled null can reach
+        #: (:func:`~repro.core.termination.null_reach`): a head outside it
+        #: asks a strategy that ``admits_null_free`` nothing.  Widened by
+        #: :meth:`load_inputs` when a loaded fact brings a null outside it.
+        self._null_reach = null_reach(
+            program.rules, {position.predicate for position in self.analysis.affected}
+        )
         self._compiled: Dict[int, object] = {}
         if executor == "compiled":
             # Imported lazily: the engine package imports this module.
@@ -407,8 +448,9 @@ class ChaseEngine:
         is skipped.  A ground fact gets its chase node only when a
         derivation takes it as a parent (:meth:`ChaseResult.input_node_of`);
         one holding a labelled null gets it here, for the termination
-        strategy to register.  The returned facts are the delta to hand to
-        :meth:`continue_rounds`.
+        strategy to register, and puts its predicate in ``F`` (the
+        predicates a null can reach) if it was not there.  The returned
+        facts are the delta to hand to :meth:`continue_rounds`.
         """
         result = self.result
         store = result.store
@@ -423,6 +465,10 @@ class ChaseEngine:
             if fact.has_nulls:
                 node = node_of[fact] = input_node(fact)
                 register(node)
+                if fact.predicate not in self._null_reach:
+                    self._null_reach = null_reach(
+                        self.program.rules, {*self._null_reach, fact.predicate}
+                    )
             loaded.append(fact)
         result.extensional_facts += len(loaded)
         if len(store) > result.peak_resident_facts:
@@ -701,7 +747,11 @@ class ChaseEngine:
                 self.fire_binding(rule, binding, used_facts, store, node_of, result)
             )
             return
-        admit = self.strategy.admit
+        strategy = self.strategy
+        admit = strategy.admit
+        # Heads outside ``reach`` are admitted without asking (module
+        # docstring of repro.core.termination).
+        reach = self._null_reach if strategy.admits_null_free else None
         if plan.existentials:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
@@ -727,8 +777,11 @@ class ChaseEngine:
                 constants = self._rules[id(rule)]
                 parents = self._parents(used_facts, result)
             node = derived_node(head_fact, constants, parents)
-            if not admit(node):
-                continue
+            if reach is None or predicate in reach:
+                if not admit(node):
+                    continue
+            else:
+                strategy.stats.admitted += 1
             store.add(head_fact)
             node_of[head_fact] = node
             result.chase_steps += 1
@@ -845,7 +898,9 @@ class ChaseEngine:
         for variable in constants.existentials:
             full_binding[variable] = self.null_factory.fresh()
 
-        admit = self.strategy.admit
+        strategy = self.strategy
+        admit = strategy.admit
+        reach = self._null_reach if strategy.admits_null_free else None
         produced: List[ChaseNode] = []
         parents = None
 
@@ -857,8 +912,11 @@ class ChaseEngine:
             if parents is None:
                 parents = self._parents(used_facts, result)
             node = derived_node(head_fact, constants, parents)
-            if not admit(node):
-                continue
+            if reach is None or head_fact.predicate in reach:
+                if not admit(node):
+                    continue
+            else:
+                strategy.stats.admitted += 1
             store.add(head_fact)
             node_of[head_fact] = node
             result.chase_steps += 1
@@ -910,15 +968,17 @@ class ChaseEngine:
         self, rule: Rule, spec: AggregateSpec, binding: Dict[Variable, Term]
     ) -> Optional[Term]:
         evaluator = self.aggregates.evaluator_for(rule.label or str(id(rule)), spec)
+        constants = self._rules[id(rule)]
         # Groups and contributors are keyed by the terms themselves: a
         # constant by identity (one object per type and value), a null by ident.
-        group_key = tuple(binding[v] for v in self._rules[id(rule)].group_variables)
-        if any(term.__class__ is Null for term in group_key):
+        group_key = constants.group_key(binding)
+        if Null in map(type, group_key):
             # Group-by arguments must be non-null (Section 5 constraint 1).
             return None
-        if spec.contributors:
-            contributor_key: Hashable = tuple(binding.get(v) for v in spec.contributors)
-            if any(t is None or t.__class__ is Null for t in contributor_key):
+        if constants.contributor_key is not None:
+            # Bound: a rule's aggregate reads only body or assigned variables.
+            contributor_key: Hashable = constants.contributor_key(binding)
+            if Null in map(type, contributor_key):
                 # Contributors must be non-null values (Section 5, constraint 1).
                 return None
         else:

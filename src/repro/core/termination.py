@@ -21,17 +21,50 @@ implemented here are:
 
 All strategies expose counters (isomorphism checks performed, facts pruned)
 used by the Figure-7 ablation benchmark.
+
+**Where no null can reach.**  The chase asks a strategy about a head only
+when a labelled null can reach its predicate (the termination state of "The
+Space-Efficient Core of Vadalog" is kept only where nulls can appear).
+:func:`null_reach` computes that set, ``F``: the predicates holding an
+affected position (where an existential puts a null, or a rule carries one)
+and the predicates of any loaded fact that holds a null, closed forward
+along the rules — a rule reading or writing a predicate of ``F`` puts all
+its heads in ``F``, and so does every rule sharing its label.  A strategy
+whose ``admits_null_free`` is true admits every fact outside ``F``, so the
+chase counts such a fact as admitted without the call:
+
+* Every fact outside ``F`` is ground, and so is each of its ancestors,
+  which lies outside ``F`` too: a rule with a body fact in ``F`` has its
+  heads in ``F``, and no predicate outside ``F`` has an affected position.
+  The isomorphism-based strategies admit a ground fact the store found new.
+* :class:`WardedTerminationStrategy` rejects a ground fact only when a
+  stop-provenance *covers* its provenance.  Stop-provenances are learned
+  at null-bearing facts, hence in ``F``.  One learned at a fact that roots
+  its own linear tree is empty, but it is stored under the pattern of that
+  fact, whose predicate is in ``F``; a fact outside ``F`` looks up the
+  pattern of its linear root, an ancestor outside ``F``.  Any other ends
+  with the label of the rule that derived the fact, whose heads are in
+  ``F``, while each label of a provenance outside ``F`` is that of a rule
+  deriving one of its ancestors, whose heads are outside ``F``.  A label
+  names one rule or rules on one side of ``F`` only (the closure over
+  shared labels), so the stored provenance is no prefix of it.
+* Whether a stop-provenance lies *within* the provenance of a fact
+  outside ``F`` changes only the ``horizontal_skips`` counter, never the
+  decision: the fact is admitted either way.
+* :class:`DepthBoundedStrategy` rejects by provenance length, ground
+  facts too, so it sees every head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from .atoms import Fact
 from .forests import ChaseNode
 from .isomorphism import isomorphism_key, pattern_key
 from .provenance import StopProvenanceSet
+from .rules import Rule
 from .wardedness import RuleKind
 
 
@@ -67,10 +100,46 @@ class TerminationStats:
         }
 
 
+def null_reach(rules: Sequence[Rule], seeds: Iterable[str]) -> Set[str]:
+    """``F``: the predicates a labelled null can reach from ``seeds``.
+
+    One worklist pass (the module docstring has the argument): a predicate
+    entering ``F`` puts the heads of every rule that reads or writes it in
+    ``F``, with the heads of every rule sharing that rule's label.
+    """
+    touching: Dict[str, List[int]] = {}
+    by_label: Dict[str, List[int]] = {}
+    for index, rule in enumerate(rules):
+        for atom in (*rule.body, *rule.head):
+            touching.setdefault(atom.predicate, []).append(index)
+        by_label.setdefault(rule.label or "rule", []).append(index)
+    entered = [False] * len(rules)
+    reach: Set[str] = set()
+    pending = list(seeds)
+    while pending:
+        predicate = pending.pop()
+        if predicate in reach:
+            continue
+        reach.add(predicate)
+        for index in touching.get(predicate, ()):
+            if entered[index]:
+                continue
+            for sibling in by_label[rules[index].label or "rule"]:
+                if not entered[sibling]:
+                    entered[sibling] = True
+                    for atom in rules[sibling].head:
+                        pending.append(atom.predicate)
+    return reach
+
+
 class TerminationStrategy:
     """Interface of a termination strategy (the ``check_termination`` oracle)."""
 
     name = "abstract"
+    #: Whether :meth:`admit` admits every fact no labelled null can reach
+    #: (outside :func:`null_reach`), so the chase may count it as admitted
+    #: without asking.  ``False`` keeps every call.
+    admits_null_free = False
 
     def __init__(self) -> None:
         self.stats = TerminationStats()
@@ -125,6 +194,7 @@ class WardedTerminationStrategy(TerminationStrategy):
     """
 
     name = "warded"
+    admits_null_free = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -216,6 +286,7 @@ class TrivialIsomorphismStrategy(TerminationStrategy):
     """
 
     name = "trivial-isomorphism"
+    admits_null_free = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -242,6 +313,7 @@ class UnboundedStrategy(TerminationStrategy):
     """No pruning beyond exact duplicates (the chase engine already removes those)."""
 
     name = "unbounded"
+    admits_null_free = True
 
     def admit(self, node: ChaseNode) -> bool:
         return self._record(True)

@@ -43,13 +43,14 @@ from __future__ import annotations
 import csv
 import json
 import operator
-import sqlite3
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -66,9 +67,24 @@ from ..obs.trace import get_tracer
 from ..testing.faults import fault_point
 from .database import Database
 
+if TYPE_CHECKING:
+    import sqlite3
+
 
 class DataSourceError(Exception):
     """Raised when a datasource cannot be resolved, read or written."""
+
+
+def _transient_errors() -> Tuple[type, ...]:
+    """``OSError`` and ``sqlite3.OperationalError`` (a locked or busy file).
+
+    :mod:`sqlite3` is imported here and by the SQLite helpers, not with
+    this module: ``import sqlite3`` costs about 1.5 MB of resident memory,
+    which a program that binds no source should not pay.
+    """
+    import sqlite3
+
+    return (OSError, sqlite3.OperationalError)
 
 
 @dataclass(frozen=True)
@@ -87,15 +103,17 @@ class RetryPolicy:
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
-    retry_on: Tuple[type, ...] = (OSError, sqlite3.OperationalError)
+    retry_on: Tuple[type, ...] = field(default_factory=_transient_errors)
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
         return min(self.base_delay * (self.multiplier ** (attempt - 1)), self.max_delay)
 
 
-#: Policy used when a source is created without an explicit one.
-DEFAULT_RETRY_POLICY = RetryPolicy()
+@cache
+def _default_retry_policy() -> RetryPolicy:
+    """The policy of a source created without an explicit one."""
+    return RetryPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +326,7 @@ class DataSource:
         self.predicate = predicate
         self.arity = arity
         self.stats = SourceStats()
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
+        self.retry_policy = retry_policy or _default_retry_policy()
         self._cache = RowPageCache()
 
     # -- reading ---------------------------------------------------------------
@@ -721,6 +739,8 @@ class SQLiteDataSource(DataSource):
             raise DataSourceError(
                 f"sqlite source for {self.predicate!r} not found: {self.path}"
             )
+        import sqlite3
+
         return sqlite3.connect(str(self.path), timeout=self.busy_timeout)
 
     def _table_columns(self, connection: sqlite3.Connection) -> List[str]:
@@ -831,6 +851,8 @@ class SQLiteDataSource(DataSource):
             )
         columns = self._columns or [f"c{i}" for i in range(arity)]
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        import sqlite3
+
         with sqlite3.connect(str(self.path)) as connection:
             column_ddl = ", ".join(f'"{c}"' for c in columns)
             connection.execute(f'DROP TABLE IF EXISTS "{self.table}"')
@@ -1007,6 +1029,8 @@ def save_database_sqlite(
     Column names default to ``c0..cN-1``; booleans are stored as integers
     (SQLite has no boolean storage class).
     """
+    import sqlite3
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with sqlite3.connect(str(path)) as connection:
@@ -1037,6 +1061,8 @@ def save_database_sqlite(
 
 def load_database_sqlite(path: Union[str, Path]) -> Database:
     """Load every table of a SQLite file back into an in-memory database."""
+    import sqlite3
+
     path = Path(path)
     if not path.exists():
         raise DataSourceError(f"sqlite database does not exist: {path}")

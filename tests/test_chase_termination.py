@@ -258,3 +258,105 @@ class TestConstraintsAndEgds:
         stats = result.stats()
         assert stats["facts"] == len(result.store)
         assert "strategy_isomorphism_checks" in stats
+
+
+class _AskEveryHead(WardedTerminationStrategy):
+    """Algorithm 1 asked about every head, as before the null-reach skip."""
+
+    admits_null_free = False
+
+
+class TestNullReach:
+    """``F``, the predicates a labelled null can reach: heads outside it are
+    admitted without asking the strategy (repro.core.termination)."""
+
+    EXECUTORS = ("compiled", "naive", "streaming")
+
+    @staticmethod
+    def _record_reach(monkeypatch):
+        import repro.core.chase as chase_module
+        import repro.core.termination as termination_module
+
+        computed = []
+
+        def recording(rules, seeds):
+            reach = termination_module.null_reach(rules, seeds)
+            computed.append(reach)
+            return reach
+
+        monkeypatch.setattr(chase_module, "null_reach", recording)
+        return computed
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_facts_outside_the_reach_are_ground(self, monkeypatch, executor):
+        from differential_harness import SCENARIOS
+        from repro.engine.reasoner import VadalogReasoner
+
+        computed = self._record_reach(monkeypatch)
+        outside = inside_with_nulls = 0
+        for name in sorted(SCENARIOS):
+            scenario = SCENARIOS[name]()
+            computed.clear()
+            reasoner = VadalogReasoner(scenario.program.copy(), executor=executor)
+            result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
+            reach = computed[-1]  # a widening load computes it again
+            for stored in result.chase.store.facts():
+                if stored.predicate in reach:
+                    inside_with_nulls += stored.has_nulls
+                else:
+                    assert not stored.has_nulls, (name, stored)
+                    outside += 1
+        assert outside and inside_with_nulls
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_skipping_moves_no_counter(self, executor):
+        from differential_harness import SCENARIOS
+        from repro.engine.reasoner import VadalogReasoner
+
+        for name in ("iwarded-synthA", "iwarded-parametric-deep", "scaling-dbsize", "psc"):
+            runs = []
+            for strategy in (WardedTerminationStrategy(), _AskEveryHead()):
+                scenario = SCENARIOS[name]()
+                reasoner = VadalogReasoner(
+                    scenario.program.copy(), executor=executor, strategy=strategy
+                )
+                result = reasoner.reason(database=scenario.database, outputs=scenario.outputs)
+                counters = {
+                    k: v for k, v in result.chase.stats().items() if isinstance(v, int)
+                }
+                runs.append((result.chase.store.facts(), counters))
+            assert runs[0] == runs[1], name
+
+    def test_a_null_bearing_input_widens_the_reach(self, monkeypatch):
+        from repro.core.terms import Null
+
+        computed = self._record_reach(monkeypatch)
+        program = parse_program("B(X, Y) :- A(X, Y).\nC(Y) :- B(X, Y).")
+        null = Null(7)
+        result = run_chase(program, [fact("A", "a", "b"), fact("A", "c", null)])
+        assert computed[0] == set()
+        assert computed[-1] == {"A", "B", "C"}
+        assert fact("C", null) in result.store
+
+    def test_a_shared_label_pulls_its_rules_into_the_reach(self):
+        from repro.core.rules import Program
+        from repro.core.termination import null_reach
+
+        rules = parse_program("Q(X, Z) :- P(X).\nR(X) :- S(X).\nT(X) :- R(X).").rules
+        assert null_reach(rules, {"Q"}) == {"Q"}
+        shared = Program()
+        for rule in rules[:2]:
+            shared.add_rule(rule.with_label("same"))
+        shared.add_rule(rules[2])
+        assert null_reach(shared.rules, {"Q"}) == {"Q", "R", "T"}
+
+    @pytest.mark.parametrize("executor", ["compiled", "naive"])
+    def test_depth_bound_still_sees_every_head(self, executor):
+        # A ground linear chain: no null reaches B, C or D.
+        program = parse_program("B(X) :- A(X).\nC(X) :- B(X).\nD(X) :- C(X).")
+        strategy = DepthBoundedStrategy(max_depth=1)
+        database = [fact("A", f"a{i}") for i in range(5)]
+        result = run_chase(program, database, strategy=strategy, executor=executor)
+        assert len(result.facts("B")) == 5
+        assert result.facts("C") == () and result.facts("D") == ()
+        assert strategy.stats.rejected == 5 and strategy.stats.admitted == 5

@@ -7,8 +7,10 @@ read-only) in a fresh ``PYTHONHASHSEED=0`` process, under one cProfile for
 set-up (the reasoner or service constructor) and one for reasoning
 (``reason()``, the streaming pulls, or the service operations): exactly the
 regions the benchmark times.  The report gives total calls, calls per
-function and the chase counters of each phase; two runs on one tree print
-the same numbers.
+function and the chase counters of each phase, and the modules that
+``import repro`` loads in a bare interpreter of the same environment (a
+workload's child has loaded some, such as ``sqlite3``, for its own ends);
+two runs on one tree print the same numbers.
 
     python tools/cost_ledger.py --report head.json            # this tree
     python tools/cost_ledger.py --src BASE/src --report base.json
@@ -43,6 +45,12 @@ def _load_inputs():
 
 
 inputs = _load_inputs()
+
+#: Prints the modules ``import repro`` loads in a bare interpreter.
+IMPORTS = (
+    "import sys; before = set(sys.modules); import repro; "
+    "print(' '.join(sorted(set(sys.modules) - before)))"
+)
 
 
 def _label(code) -> str:
@@ -111,6 +119,9 @@ def measure(workloads: List[str], seed: int, scale: float, src: Path) -> Dict[st
     if str(ROOT / "src") not in sys.path:
         sys.path.append(str(ROOT / "src"))  # inputs.build reads program texts
     report = {}
+    imports = subprocess.run(
+        [sys.executable, "-c", IMPORTS], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
     with tempfile.TemporaryDirectory() as scratch:
         for workload in workloads:
             directory = Path(scratch) / workload
@@ -122,11 +133,13 @@ def measure(workloads: List[str], seed: int, scale: float, src: Path) -> Dict[st
             if child.returncode:
                 raise RuntimeError(f"{workload} failed:\n{child.stderr}")
             report[workload] = json.loads(child.stdout.splitlines()[-1])
+            report[workload]["imports"] = imports
     return report
 
 
 def compare(base: Dict[str, object], head: Dict[str, object], top: int = 12) -> List[str]:
-    """Exact base -> head deltas: totals, the largest per-function moves, counters."""
+    """Exact base -> head deltas: totals, the largest per-function moves,
+    counters and the modules ``import repro`` stopped or started loading."""
     lines = []
     for workload in [w for w in base if w in head]:
         for phase in ("setup", "reason"):
@@ -138,6 +151,11 @@ def compare(base: Dict[str, object], head: Dict[str, object], top: int = 12) -> 
             moved = sorted((n for n in deltas if deltas[n]), key=lambda n: (-abs(deltas[n]), n))
             for n in moved[:top]:
                 lines.append(f"  {deltas[n]:+9d}  {bf.get(n, 0):>9d} -> {hf.get(n, 0):<9d} {n}")
+        imports_b = set(base[workload].get("imports", ()))
+        imports_h = set(head[workload].get("imports", ()))
+        for sign, modules in (("+", imports_h - imports_b), ("-", imports_b - imports_h)):
+            if modules:
+                lines.append(f"  imports {sign}{len(modules)}: {' '.join(sorted(modules))}")
         counters_b, counters_h = base[workload]["counters"], head[workload]["counters"]
         for key in sorted(set(counters_b) | set(counters_h)):
             if counters_b.get(key) != counters_h.get(key):

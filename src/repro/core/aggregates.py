@@ -23,8 +23,7 @@ the usual SQL aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple, Union
 
 from .conditions import AggregateSpec
 
@@ -47,24 +46,18 @@ class AggregateError(Exception):
     """Raised on invalid aggregate usage (e.g. null group-by values)."""
 
 
-@dataclass(slots=True)
-class _GroupState:
-    """Aggregation state of a single group-by key."""
-
-    contributions: Dict[Hashable, Any] = field(default_factory=dict)
-    union_value: FrozenSet[Any] = frozenset()
-
-    def retained_values(self) -> Tuple[Any, ...]:
-        return tuple(self.contributions.values())
-
-
 class MonotonicAggregate:
-    """Stateful evaluator of one aggregation (one rule, all groups)."""
+    """Stateful evaluator of one aggregation (one rule, all groups).
+
+    A group maps straight to its state: the ``{contributor: retained
+    value}`` dict, or for ``munion`` the frozenset collected so far.
+    """
 
     def __init__(self, spec: AggregateSpec) -> None:
         self.spec = spec
         self.function = spec.function
-        self._groups: Dict[Hashable, _GroupState] = {}
+        self._increasing = is_increasing(spec.function)
+        self._groups: Dict[Hashable, Union[Dict[Hashable, Any], FrozenSet[Any]]] = {}
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -77,22 +70,28 @@ class MonotonicAggregate:
         contributor tuple (or the whole-match key when the rule declares no
         contributors), ``value`` the evaluated aggregation argument.
         """
-        state = self._groups.setdefault(group_key, _GroupState())
-        if self.function == "munion":
+        groups = self._groups
+        function = self.function
+        if function == "munion":
             addition = frozenset(value) if isinstance(value, (set, frozenset)) else frozenset({value})
-            state.union_value = state.union_value | addition
-            return state.union_value
-        if self.function == "mcount":
-            state.contributions.setdefault(contributor_key, 1)
-            return len(state.contributions)
-        previous = state.contributions.get(contributor_key)
+            union = groups[group_key] = groups.get(group_key, frozenset()) | addition
+            return union
+        contributions = groups.get(group_key)
+        if contributions is None:
+            contributions = groups[group_key] = {}
+        if function == "mcount":
+            if contributor_key not in contributions:
+                contributions[contributor_key] = 1
+            return len(contributions)
+        previous = contributions.get(contributor_key)
         if previous is None:
-            state.contributions[contributor_key] = value
-        elif is_increasing(self.function):
-            state.contributions[contributor_key] = max(previous, value)
-        else:
-            state.contributions[contributor_key] = min(previous, value)
-        return self.current(group_key)
+            contributions[contributor_key] = value
+        elif self._increasing:
+            if value > previous:
+                contributions[contributor_key] = value
+        elif value < previous:
+            contributions[contributor_key] = value
+        return self._combine(contributions)
 
     # -- read ----------------------------------------------------------------
     def current(self, group_key: Hashable) -> Optional[Any]:
@@ -101,24 +100,29 @@ class MonotonicAggregate:
         if state is None:
             return None
         if self.function == "munion":
-            return state.union_value
+            return state
         if self.function == "mcount":
-            return len(state.contributions)
-        values = state.retained_values()
+            return len(state)
+        return self._combine(state)
+
+    def _combine(self, contributions: Dict[Hashable, Any]) -> Optional[Any]:
+        """The value of a numeric aggregation over its retained values."""
+        values = contributions.values()
         if not values:
             return None
-        if self.function == "msum":
+        function = self.function
+        if function == "msum":
             return sum(values)
-        if self.function == "mprod":
+        if function == "mprod":
             result = 1
             for value in values:
                 result *= value
             return result
-        if self.function == "mmax":
+        if function == "mmax":
             return max(values)
-        if self.function == "mmin":
+        if function == "mmin":
             return min(values)
-        raise AggregateError(f"unknown aggregation {self.function!r}")
+        raise AggregateError(f"unknown aggregation {function!r}")
 
     def groups(self) -> Tuple[Hashable, ...]:
         return tuple(self._groups)

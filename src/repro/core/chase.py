@@ -8,24 +8,33 @@ the facts derived in the previous round (semi-naive evaluation), which keeps
 the fact propagation uniform across rules and makes the derivation order
 deterministic for a fixed program and database.
 
-Every derived fact is wrapped in a :class:`~repro.core.forests.ChaseNode`
-carrying the linear-forest / warded-forest metadata needed by Algorithm 1
-(:mod:`repro.core.termination`).  An extensional fact gets its node only
-when a derivation first takes it as a parent, or at load when it holds a
-labelled null (the termination strategy registers it): chase metadata
-only where a later step reads it, the space argument of the
-space-efficient warded chase (arXiv:1809.05951).  By the same argument a
-head whose predicate no labelled null can reach is admitted without asking
-the termination strategy (:func:`~repro.core.termination.null_reach`).
+A derived fact whose predicate can reach a labelled null is wrapped in a
+:class:`~repro.core.forests.ChaseNode` carrying the linear-forest /
+warded-forest metadata needed by Algorithm 1 (:mod:`repro.core.termination`).
+Chase metadata is kept only where a later step reads it, the space argument
+of the space-efficient warded chase (arXiv:1809.05951):
+
+* a head whose predicate no labelled null can reach (outside ``F``,
+  :func:`~repro.core.termination.null_reach`) is admitted without asking
+  the termination strategy;
+* a derived fact gets a node only when its predicate is in ``N``, the
+  predicates that can reach ``F`` (:func:`~repro.core.termination.reaching`):
+  no node of ``N`` has a parent outside ``N``, so no step reads the node
+  of such a fact.  The resident reasoner's engines keep a node for every
+  fact, for the derivations delete-and-rederive follows;
+* an extensional fact gets its node only when a derivation first takes it
+  as a parent, or at load when it holds a labelled null (the termination
+  strategy registers it).
 
 The engine is the one owner of its run's state: its :class:`ChaseResult`,
 built once, holds the store, the one fact → node map and the round count.
-The map holds every derived fact's node and the extensional nodes made so
-far; ``result.nodes`` is the complete view, one node per stored fact in
-store order, and makes the missing extensional nodes as it is read.  It
-appends any node whose fact is no longer stored and checks its input
-nodes against ``result.extensional_facts``, so a stale node or a derived
-fact stored without one still shows.
+The map holds the node of every derived fact that carries one and the
+extensional nodes made so far; ``result.nodes`` is the complete view, one
+node per stored fact that carries one, in store order, and makes the
+missing extensional nodes as it is read.  It appends any node whose fact
+is no longer stored and checks its input nodes against the extensional
+facts that carry a node, so a stale node or a derived fact stored without
+one still shows.
 There is one round loop,
 :meth:`ChaseEngine.continue_rounds`, fed by one input-load step,
 :meth:`ChaseEngine.load_inputs`; both read and write that result, so a
@@ -64,6 +73,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -82,7 +92,12 @@ from .limits import (
 )
 from .rules import DOM_PREDICATE, Program, Rule
 from .terms import Constant, Null, NullFactory, Term, Variable
-from .termination import TerminationStrategy, WardedTerminationStrategy, null_reach
+from .termination import (
+    TerminationStrategy,
+    WardedTerminationStrategy,
+    null_reach,
+    reaching,
+)
 from .wardedness import ProgramAnalysis, RuleAnalysis, RuleKind, analyse_program
 from ..testing.faults import fault_point
 
@@ -225,13 +240,23 @@ class ChaseResult:
     program: Program
     strategy: TerminationStrategy
     aggregates: AggregateRegistry
-    #: The one fact → chase node map: every derived fact's node and the
-    #: extensional nodes made so far (:meth:`input_node_of`); every node's fact
-    #: is stored.  :attr:`nodes` is the complete view.
+    #: The one fact → chase node map: the node of every derived fact that
+    #: carries one (:attr:`node_reach`) and the extensional nodes made so far
+    #: (:meth:`input_node_of`); every node's fact is stored.  :attr:`nodes`
+    #: is the complete view.
     node_of: Dict[Fact, ChaseNode] = field(default_factory=dict)
+    #: ``N``, the predicates whose facts carry a chase node: those that can
+    #: reach a labelled null (:func:`~repro.core.termination.reaching`).
+    #: ``None`` when every fact carries one (the resident reasoner's
+    #: engines, and strategies that ask about every head).
+    node_reach: Optional[Set[str]] = None
     #: How many stored facts entered through :meth:`ChaseEngine.load_inputs`
-    #: (the extensional ones); :attr:`nodes` checks its input nodes against it.
+    #: (the extensional ones).
     extensional_facts: int = 0
+    #: The store slots those facts took, as ``[start, stop)`` ranges, one
+    #: per load (a load appends its facts to the store in one run of
+    #: slots); every other slot holds a derived fact or a tombstone.
+    input_slots: List[Tuple[int, int]] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
     rounds: int = 0
     chase_steps: int = 0
@@ -260,35 +285,60 @@ class ChaseResult:
 
     @property
     def nodes(self) -> Tuple[ChaseNode, ...]:
-        """One chase node per stored fact, in store order, then the node of
-        every fact the map holds that is no longer stored (none, in a sound
-        run).
+        """One chase node per stored fact that carries one (its predicate is
+        in :attr:`node_reach`), in store order, then the node of every fact
+        the map holds that is no longer stored (none, in a sound run).
 
-        Makes the node of every extensional fact no derivation has read yet
-        and keeps it in :attr:`node_of`, so reading the view gives up the
+        Makes the node of every such extensional fact no derivation has read
+        yet and keeps it in :attr:`node_of`, so reading the view gives up the
         memory the lazy input nodes saved.  Raises ``RuntimeError`` when the
-        input nodes do not match :attr:`extensional_facts`: a derived fact
-        stored without its node would otherwise read as an input root.
+        input nodes do not match the extensional facts that carry a node: a
+        derived fact stored without its node would otherwise read as an
+        input root.
         """
         node_of = self.node_of
         store = self.store
-        view = [node_of.get(f) or self.input_node_of(f) for f in store.facts()]
+        carried = self._carry_nodes(store.facts())
+        view = [node_of.get(f) or self.input_node_of(f) for f in carried]
         if len(node_of) > len(view):
             view.extend(n for n in node_of.values() if n.fact not in store)
         inputs = sum(1 for n in view if n.is_input)
-        if inputs != self.extensional_facts:
+        extensional = len(self._carry_nodes(self._split_by_origin()[0]))
+        if inputs != extensional:
             raise RuntimeError(
-                f"{inputs} input nodes for {self.extensional_facts} extensional "
-                "facts: a derived fact was stored without its chase node, or a "
-                "node outlived its fact"
+                f"{inputs} input nodes for {extensional} extensional facts "
+                "that carry a node: a derived fact was stored without its "
+                "chase node, or a node outlived its fact"
             )
         return tuple(view)
+
+    def _carry_nodes(self, facts: Sequence[Fact]) -> Sequence[Fact]:
+        """The ``facts`` that carry a chase node."""
+        reach = self.node_reach
+        if reach is None:
+            return facts
+        return [f for f in facts if f.predicate in reach]
+
+    def _split_by_origin(self) -> Tuple[List[Fact], List[Fact]]:
+        """The stored facts inside :attr:`input_slots` (the extensional
+        ones) and outside them (the derived ones), each in store order."""
+        store = self.store
+        extensional: List[Fact] = []
+        derived: List[Fact] = []
+        start = 0
+        for low, high in self.input_slots:
+            derived += store.facts_in(start, low)
+            extensional += store.facts_in(low, high)
+            start = high
+        derived += store.facts_in(start, store.next_slot)
+        return extensional, derived
 
     def input_node_of(self, fact: Fact) -> ChaseNode:
         """The node of a stored extensional ``fact`` that has none yet.
 
-        Derived facts get their node when they are stored; :attr:`nodes`
-        catches one that did not, which this would have labelled an input.
+        A derived fact that carries a node gets it when it is stored;
+        :attr:`nodes` catches one that did not, which this would have
+        labelled an input.
         """
         node = self.node_of[fact] = input_node(fact)
         return node
@@ -300,13 +350,14 @@ class ChaseResult:
         return tuple(self.store.by_predicate(predicate))
 
     def derived_facts(self) -> Tuple[Fact, ...]:
-        """Facts produced by rules (excluding the extensional input)."""
-        return tuple(n.fact for n in self.node_of.values() if not n.is_input)
+        """Facts produced by rules (excluding the extensional input), in
+        store order."""
+        return tuple(self._split_by_origin()[1])
 
     def stats(self) -> Dict[str, object]:
         data: Dict[str, object] = {
             "facts": len(self.store),
-            "derived_facts": len(self.derived_facts()),
+            "derived_facts": len(self.store) - self.extensional_facts,
             "rounds": self.rounds,
             "chase_steps": self.chase_steps,
             "candidate_facts": self.candidate_facts,
@@ -342,6 +393,10 @@ class ChaseEngine:
         The interpreted backtracking matcher (:meth:`match_body`) building
         a binding ``dict`` per candidate fact.  Kept as the reference
         implementation for differential testing and as an escape hatch.
+
+    A derived fact gets a chase node when its predicate is in ``N``
+    (``result.node_reach``, the module docstring has the argument), or
+    always after :meth:`keep_every_node`.
     """
 
     def __init__(
@@ -386,6 +441,9 @@ class ChaseEngine:
         self._null_reach = null_reach(
             program.rules, {position.predicate for position in self.analysis.affected}
         )
+        node_reach = None
+        if self.strategy.admits_null_free:
+            node_reach = reaching(program.rules, self._null_reach)
         self._compiled: Dict[int, object] = {}
         if executor == "compiled":
             # Imported lazily: the engine package imports this module.
@@ -405,6 +463,7 @@ class ChaseEngine:
             strategy=self.strategy,
             aggregates=self.aggregates,
             executor=executor,
+            node_reach=node_reach,
         )
 
     # ------------------------------------------------------------------ setup
@@ -418,6 +477,17 @@ class ChaseEngine:
                         self.aggregates.register_position(
                             atom.predicate, index, rule.aggregate.function
                         )
+
+    def keep_every_node(self) -> None:
+        """Give every fact derived from now on a chase node.
+
+        For the resident reasoner, whose retractions follow the recorded
+        derivation of every fact, and for a driver that loads facts after
+        the first round (the streaming driver's partial batches): a
+        labelled null among them could widen ``F`` over facts already
+        derived without a node.  Called before the first round.
+        """
+        self.result.node_reach = None
 
     # -------------------------------------------------------------------- run
     def run(self) -> ChaseResult:
@@ -449,8 +519,10 @@ class ChaseEngine:
         derivation takes it as a parent (:meth:`ChaseResult.input_node_of`);
         one holding a labelled null gets it here, for the termination
         strategy to register, and puts its predicate in ``F`` (the
-        predicates a null can reach) if it was not there.  The returned
-        facts are the delta to hand to :meth:`continue_rounds`.
+        predicates a null can reach) if it was not there, and what reaches
+        ``F`` then in ``N`` (a driver that loads after the first round
+        keeps every node, :meth:`keep_every_node`).  The returned facts are
+        the delta to hand to :meth:`continue_rounds`.
         """
         result = self.result
         store = result.store
@@ -458,6 +530,7 @@ class ChaseEngine:
         store.current_round = result.rounds
         register = self.strategy.register_input
         add = store.add
+        start = store.next_slot
         loaded: List[Fact] = []
         for fact in facts:
             if not add(fact):
@@ -466,10 +539,18 @@ class ChaseEngine:
                 node = node_of[fact] = input_node(fact)
                 register(node)
                 if fact.predicate not in self._null_reach:
-                    self._null_reach = null_reach(
-                        self.program.rules, {*self._null_reach, fact.predicate}
-                    )
+                    rules = self.program.rules
+                    self._null_reach = null_reach(rules, {*self._null_reach, fact.predicate})
+                    if result.node_reach is not None:
+                        result.node_reach |= reaching(rules, self._null_reach)
             loaded.append(fact)
+        if loaded:
+            # The added facts took one run of slots; it extends the last
+            # load's when nothing was derived in between.
+            slots = result.input_slots
+            if slots and slots[-1][1] == start:
+                start = slots.pop()[0]
+            slots.append((start, store.next_slot))
         result.extensional_facts += len(loaded)
         if len(store) > result.peak_resident_facts:
             result.peak_resident_facts = len(store)
@@ -583,7 +664,7 @@ class ChaseEngine:
                         "round", f"round:{round_index}", round=round_index
                     )
                     round_span.counters["delta_in"] = len(delta)
-                delta = [node.fact for node in self._evaluate_round(delta, round_index, seeds)]
+                delta = self._evaluate_round(delta, round_index, seeds)
                 seeds = None
                 if round_span is not None:
                     round_span.counters["derived"] = len(delta)
@@ -603,8 +684,8 @@ class ChaseEngine:
         delta: Sequence[Fact],
         round_index: int,
         seeds: Optional[List[RuleSeed]] = None,
-    ) -> List[ChaseNode]:
-        """Evaluate one semi-naive round; returns the nodes it derived.
+    ) -> List[Fact]:
+        """Evaluate one semi-naive round; returns the facts it derived.
 
         The one round evaluator: the rules are applied in round-robin order
         against the live store, so a fact admitted earlier in the round is
@@ -614,7 +695,7 @@ class ChaseEngine:
         result = self.result
         # Stamp the round and index the delta the executors seed from.
         result.store.begin_round(round_index, delta)
-        new_nodes: List[ChaseNode] = []
+        derived: List[Fact] = []
         tracer = self.tracer
         if seeds is None:
             work = [(rule, None) for rule in self.program.rules]
@@ -622,9 +703,7 @@ class ChaseEngine:
             work = [(rule, (index, facts)) for rule, index, facts in seeds]
         for rule, seed in work:
             if tracer is None:
-                new_nodes.extend(
-                    self._apply_rule(rule, round_index, seed)
-                )
+                derived.extend(self._apply_rule(rule, round_index, seed))
                 continue
             # One span per (round, rule).  Counters are set in bulk once the
             # rule has finished, never per fire: ``candidates`` is every head
@@ -643,8 +722,8 @@ class ChaseEngine:
             span.counters["candidates"] = candidates
             span.counters["deduped"] = candidates - len(produced)
             tracer.end(span)
-            new_nodes.extend(produced)
-        return new_nodes
+            derived.extend(produced)
+        return derived
 
     # ---------------------------------------------------------- rule matching
     def _apply_rule(
@@ -652,7 +731,7 @@ class ChaseEngine:
         rule: Rule,
         round_index: int,
         seed: Optional[Tuple[int, Sequence[Fact]]] = None,
-    ) -> List[ChaseNode]:
+    ) -> List[Fact]:
         """Fire ``rule`` on its matches seeded from the round's delta, or
         from ``seed`` — one body atom index and its facts — when given."""
         fault_point("chase.rule", rule=rule.label or "rule", round=round_index)
@@ -662,7 +741,7 @@ class ChaseEngine:
         result = self.result
         store = result.store
         node_of = result.node_of
-        produced: List[ChaseNode] = []
+        produced: List[Fact] = []
         governor = self._governor
         tick = governor.tick if governor is not None else None
         if seed is None:
@@ -683,7 +762,7 @@ class ChaseEngine:
 
     def _apply_rule_compiled(
         self, rule: Rule, executor, round_index: int, seed=None
-    ) -> List[ChaseNode]:
+    ) -> List[Fact]:
         """Hot path: evaluate the rule body through its compiled join plan.
 
         The executor already evaluated every comparison that only needs body
@@ -696,7 +775,7 @@ class ChaseEngine:
         store = result.store
         node_of = result.node_of
         plan = executor.plan
-        produced: List[ChaseNode] = []
+        produced: List[Fact] = []
         governor = self._governor
         tick = governor.tick if governor is not None else None
         seed_lists = None
@@ -720,11 +799,11 @@ class ChaseEngine:
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
         result: ChaseResult,
-        produced: List[ChaseNode],
+        produced: List[Fact],
     ) -> None:
         """Fire ``rule`` on one full body match held in a slot array.
 
-        The one slots→fire kernel; admitted nodes are appended to
+        The one slots→fire kernel; admitted facts are appended to
         ``produced``.
         Rules whose plan has head templates (no assignments, aggregation,
         post conditions, ``Dom`` guards or residual conditions) instantiate
@@ -750,8 +829,10 @@ class ChaseEngine:
         strategy = self.strategy
         admit = strategy.admit
         # Heads outside ``reach`` are admitted without asking (module
-        # docstring of repro.core.termination).
+        # docstring of repro.core.termination), and heads outside
+        # ``node_reach`` without a node (module docstring).
         reach = self._null_reach if strategy.admits_null_free else None
+        node_reach = result.node_reach
         if plan.existentials:
             nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
         else:
@@ -773,19 +854,22 @@ class ChaseEngine:
             if contains_row(predicate, terms):
                 continue
             head_fact = Fact.from_ground(predicate, terms)
-            if parents is None:
-                constants = self._rules[id(rule)]
-                parents = self._parents(used_facts, result)
-            node = derived_node(head_fact, constants, parents)
-            if reach is None or predicate in reach:
-                if not admit(node):
-                    continue
+            if node_reach is None or predicate in node_reach:
+                if parents is None:
+                    constants = self._rules[id(rule)]
+                    parents = self._parents(used_facts, result)
+                node = derived_node(head_fact, constants, parents)
+                if reach is None or predicate in reach:
+                    if not admit(node):
+                        continue
+                else:
+                    strategy.stats.admitted += 1
+                node_of[head_fact] = node
             else:
                 strategy.stats.admitted += 1
             store.add(head_fact)
-            node_of[head_fact] = node
             result.chase_steps += 1
-            produced.append(node)
+            produced.append(head_fact)
 
     @staticmethod
     def _parents(used_facts: List[Fact], result: ChaseResult) -> Tuple[ChaseNode, ...]:
@@ -827,7 +911,11 @@ class ChaseEngine:
             atoms.insert(0, (seed_index, body[seed_index], seed[1]))
         used: List[Optional[Fact]] = [None] * len(body)
 
-        def extend(position: int, binding: Dict[Variable, Term]):
+        # ``extend`` recurses through its own argument, not through the
+        # enclosing scope: a function held by its own closure cell would
+        # keep the engine, and so the chase graph, alive until the cyclic
+        # collector runs.
+        def extend(position: int, binding: Dict[Variable, Term], extend):
             if position == len(atoms):
                 if self._dom_guards_hold(guards, binding, store) and all(
                     c.holds(binding) for c in conditions
@@ -845,10 +933,10 @@ class ChaseEngine:
                 extended = dict(binding)
                 extended.update(extension)
                 used[index] = fact
-                yield from extend(position + 1, extended)
+                yield from extend(position + 1, extended, extend)
                 used[index] = None
 
-        return extend(0, {})
+        return extend(0, {}, extend)
 
     def _dom_guards_hold(
         self, guards: Sequence[Atom], binding: Dict[Variable, Term], store: FactStore
@@ -881,8 +969,8 @@ class ChaseEngine:
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
         result: ChaseResult,
-    ) -> List[ChaseNode]:
-        """Fire ``rule`` on a full body ``binding``; returns the admitted nodes.
+    ) -> List[Fact]:
+        """Fire ``rule`` on a full body ``binding``; returns the admitted facts.
 
         This is the one dict-binding chase-step kernel: the computed values
         (:meth:`computed_binding`), fresh-null generation, forest metadata
@@ -901,7 +989,8 @@ class ChaseEngine:
         strategy = self.strategy
         admit = strategy.admit
         reach = self._null_reach if strategy.admits_null_free else None
-        produced: List[ChaseNode] = []
+        node_reach = result.node_reach
+        produced: List[Fact] = []
         parents = None
 
         for head_atom in rule.head:
@@ -909,18 +998,22 @@ class ChaseEngine:
             result.candidate_facts += 1
             if head_fact in store:
                 continue
-            if parents is None:
-                parents = self._parents(used_facts, result)
-            node = derived_node(head_fact, constants, parents)
-            if reach is None or head_fact.predicate in reach:
-                if not admit(node):
-                    continue
+            predicate = head_fact.predicate
+            if node_reach is None or predicate in node_reach:
+                if parents is None:
+                    parents = self._parents(used_facts, result)
+                node = derived_node(head_fact, constants, parents)
+                if reach is None or predicate in reach:
+                    if not admit(node):
+                        continue
+                else:
+                    strategy.stats.admitted += 1
+                node_of[head_fact] = node
             else:
                 strategy.stats.admitted += 1
             store.add(head_fact)
-            node_of[head_fact] = node
             result.chase_steps += 1
-            produced.append(node)
+            produced.append(head_fact)
         return produced
 
     def computed_binding(

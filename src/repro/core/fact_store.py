@@ -284,6 +284,15 @@ class FactStore:
         """
         return self._facts[index]
 
+    @property
+    def next_slot(self) -> int:
+        """The slot the next inserted fact takes: how many were handed out."""
+        return len(self._facts)
+
+    def facts_in(self, start: int, stop: int) -> List[Fact]:
+        """The live facts at slots ``start`` to ``stop - 1``, in slot order."""
+        return [f for f in self._facts[start:stop] if f is not None]
+
     def index_of_row(self, predicate: str, terms: Tuple[Term, ...]) -> int:
         """Insertion position of a stored row; raises ``KeyError`` when absent.
 

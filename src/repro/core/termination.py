@@ -53,6 +53,11 @@ chase counts such a fact as admitted without the call:
   decision: the fact is admitted either way.
 * :class:`DepthBoundedStrategy` rejects by provenance length, ground
   facts too, so it sees every head.
+
+Since no strategy reads a node outside ``F`` and a node's forest metadata
+is read off its parents' nodes, the chase gives a derived fact a node only
+when its predicate is in ``N`` (:func:`reaching`), the predicates that can
+reach ``F``.
 """
 
 from __future__ import annotations
@@ -130,6 +135,40 @@ def null_reach(rules: Sequence[Rule], seeds: Iterable[str]) -> Set[str]:
                     for atom in rules[sibling].head:
                         pending.append(atom.predicate)
     return reach
+
+
+def reaching(rules: Sequence[Rule], targets: Iterable[str]) -> Set[str]:
+    """``N``: the predicates that can reach ``targets`` (``F``) along the
+    rules — ``targets`` and, transitively, every body predicate of a rule
+    with a head among them.
+
+    The chase gives a derived fact a chase node only when its predicate is
+    in ``N`` (:class:`~repro.core.chase.ChaseEngine`): a rule that reads a
+    fact outside ``N`` has all its heads outside ``N``, so no node of ``N``
+    ever has that fact as a parent, and Algorithm 1 reads no node outside
+    ``F``.
+    """
+    # One pass over the rules, then one set comprehension per wave of the
+    # walk: no per-predicate calls (the chase computes this per run).
+    body_of: Dict[str, tuple] = {}
+    for rule in rules:
+        for atom in rule.head:
+            predicate = atom.predicate
+            if predicate in body_of:
+                body_of[predicate] += rule.body
+            else:
+                body_of[predicate] = rule.body
+    found: Set[str] = set()
+    wave = set(targets)
+    while wave:
+        found |= wave
+        wave = {
+            atom.predicate
+            for predicate in wave
+            if predicate in body_of
+            for atom in body_of[predicate]
+        } - found
+    return found
 
 
 class TerminationStrategy:

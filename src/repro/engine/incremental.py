@@ -269,6 +269,8 @@ class ResidentReasoner:
             executor=self._executor,
             join_plans=reasoner.join_plans or None,
         )
+        # Retraction follows the recorded derivation of every fact.
+        engine.keep_every_node()
         result = engine.run()
         if result.status != STATUS_COMPLETE:
             raise ResidentError(

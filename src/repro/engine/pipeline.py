@@ -161,6 +161,9 @@ class PipelineExecutor:
                 predicate: manager.stream()
                 for predicate, manager in self.sources.items()
             }
+            if size is not None:
+                # Later batches load after rounds have run.
+                self.engine.keep_every_node()
         self._pending.extend(self.engine.load_inputs(self._rows(size)))
         self._note_first_answer()
 

@@ -45,8 +45,7 @@ import json
 import operator
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import (
@@ -75,18 +74,6 @@ class DataSourceError(Exception):
     """Raised when a datasource cannot be resolved, read or written."""
 
 
-def _transient_errors() -> Tuple[type, ...]:
-    """``OSError`` and ``sqlite3.OperationalError`` (a locked or busy file).
-
-    :mod:`sqlite3` is imported here and by the SQLite helpers, not with
-    this module: ``import sqlite3`` costs about 1.5 MB of resident memory,
-    which a program that binds no source should not pay.
-    """
-    import sqlite3
-
-    return (OSError, sqlite3.OperationalError)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry-with-exponential-backoff policy for transient scan failures.
@@ -96,24 +83,25 @@ class RetryPolicy:
     :class:`DataSourceError` (chained to the last transient error).  Only
     the exception types in ``retry_on`` are considered transient — semantic
     errors (malformed rows, missing tables, arity mismatches) are raised as
-    :class:`DataSourceError` immediately and never retried.
+    :class:`DataSourceError` immediately and never retried.  ``None`` (the
+    default) means the source's own :meth:`DataSource.transient_errors`:
+    ``OSError``, and for a SQLite source also ``sqlite3.OperationalError``
+    (a locked or busy file).
     """
 
     attempts: int = 3
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
-    retry_on: Tuple[type, ...] = field(default_factory=_transient_errors)
+    retry_on: Optional[Tuple[type, ...]] = None
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
         return min(self.base_delay * (self.multiplier ** (attempt - 1)), self.max_delay)
 
 
-@cache
-def _default_retry_policy() -> RetryPolicy:
-    """The policy of a source created without an explicit one."""
-    return RetryPolicy()
+#: The policy of a source created without an explicit one.
+DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +314,7 @@ class DataSource:
         self.predicate = predicate
         self.arity = arity
         self.stats = SourceStats()
-        self.retry_policy = retry_policy or _default_retry_policy()
+        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self._cache = RowPageCache()
 
     # -- reading ---------------------------------------------------------------
@@ -442,14 +430,15 @@ class DataSource:
     def _scan_resilient(self, pushdown: Optional[Pushdown]) -> Iterator[Tuple[object, ...]]:
         """Backend scan wrapped in retry-with-exponential-backoff.
 
-        Transient failures (``retry_policy.retry_on``, by default ``OSError``
-        and ``sqlite3.OperationalError``) restart the backend scan; rows
+        Transient failures (``retry_policy.retry_on``, by default
+        :meth:`transient_errors`) restart the backend scan; rows
         already handed to the consumer are skipped on the restarted pass —
         backend scans are deterministic, so resume-by-skip neither drops nor
         duplicates rows.  Exhausting the retry budget raises a
         :class:`DataSourceError` chained to the last transient error.
         """
         policy = self.retry_policy
+        retry_on = self.transient_errors() if policy.retry_on is None else policy.retry_on
         emitted = 0
         attempt = 0
         while True:
@@ -465,7 +454,7 @@ class DataSource:
                     emitted += 1
                     yield row
                 return
-            except policy.retry_on as exc:
+            except retry_on as exc:
                 attempt += 1
                 if attempt > policy.attempts:
                     self.stats.retry_giveups += 1
@@ -477,6 +466,10 @@ class DataSource:
                 self.stats.retries += 1
                 self._emit_retry_span(exc, attempt, "retry")
                 time.sleep(policy.delay_for(attempt))
+
+    def transient_errors(self) -> Tuple[type, ...]:
+        """The errors a scan retries when its policy names none."""
+        return (OSError,)
 
     def _emit_retry_span(self, exc: BaseException, attempt: int, action: str) -> None:
         """Record one absorbed retry (or final giveup) as an error-tagged span."""
@@ -732,6 +725,15 @@ class SQLiteDataSource(DataSource):
         self.busy_timeout = busy_timeout
         if not create:
             self._validate_schema()
+
+    def transient_errors(self) -> Tuple[type, ...]:
+        """``OSError`` and ``sqlite3.OperationalError`` (a locked or busy
+        file).  :mod:`sqlite3` is imported by the SQLite source and helpers
+        only: ``import sqlite3`` costs about 1.5 MB of resident memory, which
+        a program that binds no SQLite file should not pay."""
+        import sqlite3
+
+        return (OSError, sqlite3.OperationalError)
 
     # -- schema ----------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:

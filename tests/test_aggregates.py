@@ -88,6 +88,40 @@ class TestOperators:
         assert forward.final_values() == backward.final_values()
 
 
+#: (group, contributor, value) updates: group "one" has one contributor,
+#: group "many" three, each seen more than once.
+UPDATES = [
+    ("one", "a", 2), ("many", "a", 4), ("many", "b", 3), ("one", "a", 5),
+    ("many", "c", 1.5), ("many", "a", 1), ("many", "b", 6), ("one", "a", 3),
+]
+
+#: The final value per group of each function over :data:`UPDATES`: per
+#: contributor the largest value (the smallest for ``mmin``), combined.
+FINAL_VALUES = {
+    "msum": {("one",): 5, ("many",): 11.5},
+    "mprod": {("one",): 5, ("many",): 36.0},
+    "mmax": {("one",): 5, ("many",): 6},
+    "mmin": {("one",): 2, ("many",): 1},
+    "mcount": {("one",): 1, ("many",): 3},
+    "munion": {("one",): frozenset({2, 3, 5}), ("many",): frozenset({1, 1.5, 3, 4, 6})},
+}
+
+
+class TestFinalValues:
+    """``final_values()`` of every function, over a group with one
+    contributor and a group with several."""
+
+    @pytest.mark.parametrize("function", sorted(FINAL_VALUES))
+    def test_final_values(self, function):
+        evaluator = MonotonicAggregate(spec(function, ("Y",)))
+        for group, contributor, value in UPDATES:
+            evaluator.update((group,), (contributor,), value)
+        assert evaluator.final_values() == FINAL_VALUES[function]
+        assert evaluator.groups() == (("one",), ("many",)) and len(evaluator) == 2
+        for group, value in FINAL_VALUES[function].items():
+            assert evaluator.current(group) == value
+
+
 class TestRegistry:
     def test_position_consistency_enforced(self):
         registry = AggregateRegistry()

@@ -6,6 +6,9 @@
   themselves;
 * chase nodes are slotted and never refer to themselves, so a dropped chase
   graph is freed by reference counting;
+* a derived fact carries a chase node only when its predicate can reach a
+  labelled null (``N``), except under the resident reasoner, which keeps
+  one per fact;
 * a chase node stores six fields; its forest parents, rule label and input
   flag are read off its rule's record and its parents;
 * a datasource scan builds one :class:`Constant` object per type and value
@@ -29,10 +32,10 @@ import pytest
 import repro.core.isomorphism as isomorphism_module
 import repro.core.termination as termination_module
 from repro.core.atoms import fact
-from repro.core.chase import run_chase
+from repro.core.chase import ChaseEngine, run_chase
 from repro.core.forests import ChaseNode
 from repro.core.parser import parse_program
-from repro.core.termination import WardedTerminationStrategy
+from repro.core.termination import DepthBoundedStrategy, WardedTerminationStrategy
 from repro.engine.incremental import ResidentReasoner
 from repro.engine.reasoner import VadalogReasoner
 from repro.engine.record_managers import DataSourceRecordManager
@@ -174,29 +177,45 @@ class TestGroundFactsSkipTermination:
         assert len(compares) <= strategy.stats.rejected
 
 
+def _chase_of(mode, program, database):
+    """The chase result of ``program`` on ``database`` under ``mode``: an
+    executor's ``reason()``, the streaming executor driven lazily (the
+    input arrives in several batches), or the resident reasoner."""
+    if mode == "resident":
+        return ResidentReasoner(program, database=database).result
+    if mode == "streaming-lazy":
+        run = VadalogReasoner(program, executor="streaming").stream(database=database)
+        run.first_answer()
+        run.complete()
+        return run.chase
+    return VadalogReasoner(program, executor=mode).reason(database=database).chase
+
+
+NODE_MODES = ("compiled", "naive", "streaming-lazy", "resident")
+
+
 class TestAcyclicChaseNodes:
     PROGRAM = '@output("Q"). P(X, Z) :- E(X, Y). Q(X, Z) :- P(X, Z). E(Y, X) :- E(X, Y).'
 
-    def test_nodes_are_slotted_and_never_refer_to_themselves(self):
-        result = VadalogReasoner(self.PROGRAM).reason(
-            database={"E": [(i, i + 1) for i in range(10)]}
-        )
-        nodes = result.chase.nodes  # one node per stored fact; makes the missing input nodes
+    @pytest.mark.parametrize("mode", NODE_MODES)
+    def test_nodes_are_slotted_and_never_refer_to_themselves(self, mode):
+        chase = _chase_of(mode, self.PROGRAM, {"E": [(i, i + 1) for i in range(10)]})
+        nodes = chase.nodes  # one node per stored fact; makes the missing input nodes
+        assert len(nodes) == len(chase.store)
         assert nodes and not hasattr(next(iter(nodes)), "__dict__")
         for node in nodes:
             assert all(getattr(node, slot) is not node for slot in ChaseNode.__slots__)
         roots = [n for n in nodes if n.w_root is n]
         assert roots and all(n.l_root is n for n in nodes if n.is_input)
 
-    def test_dropped_chase_graph_is_freed_without_the_collector(self):
+    @pytest.mark.parametrize("mode", NODE_MODES)
+    def test_dropped_chase_graph_is_freed_without_the_collector(self, mode):
         gc.collect()
         gc.disable()
         try:
-            result = VadalogReasoner(self.PROGRAM).reason(
-                database={"E": [(i, i + 1) for i in range(50)]}
-            )
-            assert len(result.chase.nodes) == 300
-            del result
+            chase = _chase_of(mode, self.PROGRAM, {"E": [(i, i + 1) for i in range(50)]})
+            assert len(chase.nodes) == 300
+            del chase
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
             leaked = sum(1 for o in gc.garbage if isinstance(o, ChaseNode))
@@ -205,6 +224,77 @@ class TestAcyclicChaseNodes:
             gc.garbage.clear()
             gc.enable()
         assert leaked == 0
+
+
+class TestWhichFactsCarryANode:
+    """A derived fact gets a chase node only when its predicate is in ``N``,
+    the predicates that can reach ``F`` (where a labelled null can go):
+    Algorithm 1 and the forests read no other node."""
+
+    GROUND = '@output("T"). T(X, Y) :- R(X, Y). T(X, Z) :- T(X, Y), R(Y, Z).'
+    # ``P`` holds a null and ``Q`` reads it (``F``); ``S`` feeds ``P2``,
+    # which holds a null, so ``E`` and ``S`` reach ``F``; ``G`` and ``H``
+    # reach nothing.
+    MIXED = """
+    @output("Q"). @output("P2"). @output("H").
+    P(X, Z) :- E(X, Y).
+    Q(X) :- P(X, Z).
+    S(X, Y) :- E(X, Y).
+    P2(X, Z) :- S(X, Y).
+    G(X, Y) :- E(X, Y), X > 1.
+    H(X) :- G(X, Y).
+    """
+    EDGES = [(i, i + 1) for i in range(6)]
+
+    @pytest.mark.parametrize("executor", ["compiled", "naive", "streaming"])
+    def test_a_ground_only_program_keeps_no_node(self, executor):
+        chase = _chase_of(executor, self.GROUND, {"R": self.EDGES})
+        assert chase.node_reach == set()
+        assert chase.node_of == {} and chase.nodes == ()
+        derived = chase.derived_facts()
+        assert len(derived) == 21 == chase.stats()["derived_facts"] == chase.chase_steps
+        assert {f.predicate for f in derived} == {"T"}
+
+    @pytest.mark.parametrize("executor", ["compiled", "naive", "streaming"])
+    def test_exactly_the_predicates_that_reach_a_null_carry_nodes(self, executor):
+        chase = _chase_of(executor, self.MIXED, {"E": self.EDGES})
+        assert chase.node_reach == {"E", "P", "Q", "S", "P2"}
+        stored = {f.predicate for f in chase.store.facts()}
+        assert {"G", "H"} <= stored
+        assert {f.predicate for f in chase.node_of} == chase.node_reach
+        assert Counter(n.fact for n in chase.nodes) == Counter(
+            f for f in chase.store.facts() if f.predicate in chase.node_reach
+        )
+        derived = chase.derived_facts()
+        assert len(derived) == chase.stats()["derived_facts"] == len(chase.store) - 6
+        assert [f for f in chase.store.facts() if f.predicate != "E"] == list(derived)
+
+    @pytest.mark.parametrize("mode", ["streaming-lazy", "resident"])
+    def test_lazy_and_resident_runs_keep_every_node(self, mode):
+        chase = _chase_of(mode, self.MIXED, {"E": self.EDGES})
+        assert chase.node_reach is None
+        assert Counter(n.fact for n in chase.nodes) == Counter(chase.store.facts())
+        assert {"G", "H"} <= {f.predicate for f in chase.node_of}
+
+    def test_a_strategy_that_asks_about_every_head_gets_every_node(self):
+        program = parse_program(self.GROUND)
+        strategy = DepthBoundedStrategy(max_depth=50)
+        result = run_chase(program, [fact("R", *row) for row in self.EDGES], strategy=strategy)
+        assert result.node_reach is None
+        assert len(result.node_of) == len(result.derived_facts()) + 6
+
+    def test_derived_facts_follow_the_store_across_loads(self):
+        # Inputs entering after rounds have run take later slots: the
+        # derived facts are the slots no load took, in store order.
+        engine = ChaseEngine(parse_program(self.GROUND))
+        engine.load_inputs([fact("R", 0, 1)])
+        engine.continue_rounds([fact("R", 0, 1)])
+        late = engine.load_inputs([fact("R", 1, 2), fact("R", 0, 1)])
+        engine.continue_rounds(late)
+        result = engine.result
+        assert result.input_slots == [(0, 1), (2, 3)]
+        assert [f.values() for f in result.derived_facts()] == [(0, 1), (1, 2), (0, 2)]
+        assert result.stats()["derived_facts"] == 3
 
 
 def _walk(node, parent_of):
@@ -257,10 +347,20 @@ class TestDerivedForestMetadata:
 
 
 class TestLazyInputNodes:
-    """An extensional fact gets its chase node when a derivation reads it."""
+    """An extensional fact gets its chase node when a derivation reads it.
+
+    ``Big``'s existential puts ``Big`` and ``N`` in ``N``, the predicates
+    whose facts carry a node.
+    """
+
+    PROGRAM = "Big(X, Z) :- N(X), X > 90."
+
+    @staticmethod
+    def _big(result, value):
+        return next(f for f in result.facts("Big") if f.terms[0].value == value)
 
     def test_unread_inputs_get_their_nodes_from_the_view(self):
-        program = parse_program("Big(X) :- N(X), X > 90.")
+        program = parse_program(self.PROGRAM)
         result = run_chase(program, [fact("N", i) for i in range(100)])
         # Nine derived facts and the nine inputs they were derived from.
         assert len(result.node_of) == 18 < len(result.store) == 109
@@ -296,16 +396,16 @@ class TestLazyInputNodes:
         assert Counter(n.fact for n in result.nodes) == Counter(result.store.facts())
 
     def test_the_view_shows_a_derived_fact_without_a_node(self):
-        program = parse_program("Big(X) :- N(X), X > 90.")
+        program = parse_program(self.PROGRAM)
         result = run_chase(program, [fact("N", i) for i in range(100)])
-        del result.node_of[fact("Big", 95)]
+        del result.node_of[self._big(result, 95)]
         with pytest.raises(RuntimeError, match="without its chase node"):
             result.nodes
 
     def test_the_view_shows_a_node_whose_fact_is_gone(self):
-        program = parse_program("Big(X) :- N(X), X > 90.")
+        program = parse_program(self.PROGRAM)
         result = run_chase(program, [fact("N", i) for i in range(100)])
-        result.store.remove(fact("Big", 95))
+        result.store.remove(self._big(result, 95))
         assert Counter(n.fact for n in result.nodes) != Counter(result.store.facts())
 
 

@@ -214,7 +214,8 @@ class TestForestsMetadata:
             assert input_fact in root_facts
 
     def test_provenance_grows_along_linear_rules(self):
-        program = parse_program("B(X) :- A(X).\nC(X) :- B(X).\nD(X) :- C(X).")
+        # The existential puts every predicate in ``N``: their facts carry nodes.
+        program = parse_program("B(X, Z) :- A(X).\nC(X, Z) :- B(X, Z).\nD(X, Z) :- C(X, Z).")
         result = run_chase(program, [fact("A", "v")])
         depths = {node.fact.predicate: len(node.provenance) for node in result.nodes}
         assert depths["A"] == 0 and depths["B"] == 1 and depths["C"] == 2 and depths["D"] == 3

@@ -39,12 +39,9 @@ from .rules import (
     NegativeConstraint,
     Program,
     Rule,
-    make_rule,
-    program_from_rules,
 )
 from .terms import Constant, Null, NullFactory, Term, Variable
 from .termination import (
-    DepthBoundedStrategy,
     TerminationStrategy,
     TrivialIsomorphismStrategy,
     UnboundedStrategy,
@@ -100,14 +97,11 @@ __all__ = [
     "NegativeConstraint",
     "Program",
     "Rule",
-    "make_rule",
-    "program_from_rules",
     "Constant",
     "Null",
     "NullFactory",
     "Term",
     "Variable",
-    "DepthBoundedStrategy",
     "TerminationStrategy",
     "TrivialIsomorphismStrategy",
     "UnboundedStrategy",

@@ -14,9 +14,9 @@ warded-forest metadata needed by Algorithm 1 (:mod:`repro.core.termination`).
 Chase metadata is kept only where a later step reads it, the space argument
 of the space-efficient warded chase (arXiv:1809.05951):
 
-* a head whose predicate no labelled null can reach (outside ``F``,
-  :func:`~repro.core.termination.null_reach`) is admitted without asking
-  the termination strategy;
+* the termination strategy sees only heads whose predicate a labelled null
+  can reach (``F``, :func:`~repro.core.termination.null_reach`); every
+  other new head is admitted without asking;
 * a derived fact gets a node only when its predicate is in ``N``, the
   predicates that can reach ``F`` (:func:`~repro.core.termination.reaching`):
   no node of ``N`` has a parent outside ``N``, so no step reads the node
@@ -42,16 +42,18 @@ driver hands them only facts or a delta: ``run()`` feeds the whole
 database, the resident reasoner an upsert, the streaming driver a lazily
 read batch.  :meth:`ChaseEngine.start_run` and :meth:`ChaseEngine.finish_run`
 open and close a run — the chase span, the clock and the budget governor —
-for ``run()`` and the streaming driver alike.  There is one chase step,
-reached two ways: :meth:`ChaseEngine.fire_slots` takes a full match in a
-compiled plan's slot array (the compiled round evaluator calls it) and
-:meth:`ChaseEngine.fire_binding` takes a dict binding (the general branch
-of ``fire_slots`` and the naive executor).  There is one interpreted body
+for ``run()`` and the streaming driver alike.  There is one admission
+loop, :meth:`ChaseEngine.fire_slots`: it turns a full match's head rows
+into stored facts, reading them from a compiled plan's slot array (the
+compiled round evaluator) or from a dict binding, which
+:meth:`ChaseEngine.fire_binding` completes first (the naive executor and
+the compiled plans without head templates).  There is one interpreted body
 matcher, :meth:`ChaseEngine.match_body`, with three callers: the naive
 executor (seeded from the round's delta), the EGD and negative-constraint
 checks (:meth:`ChaseEngine.check_violations`) and the chase baselines of
 :mod:`repro.baselines`, which also share ``fire_binding``'s prelude
-(:meth:`ChaseEngine.computed_binding`) and head instantiation.  There is
+(:meth:`ChaseEngine.computed_binding`) and instantiate heads with
+:meth:`ChaseEngine.instantiate_head`.  There is
 one limit mechanism: the run's :class:`~repro.core.limits.ExecutionBudget`
 / :class:`~repro.core.limits.CancellationToken`, which end a run with a
 structured status and a sound partial result — the engine never raises on
@@ -118,6 +120,11 @@ class _RuleConstants(NamedTuple):
     #: values are computed; the others are checked while matching the body.
     post_conditions: Tuple
     existentials: Tuple[Variable, ...]
+    #: ``plan.head_templates`` over a binding (:meth:`ChaseEngine.fire_slots`):
+    #: entries ``(1, variable)``, ``(2, null index)`` or ``(0, ground term)``.
+    #: ``None`` when the rule's compiled plan has its own: it never fires
+    #: from a binding.
+    head_templates: Optional[Tuple[Tuple[str, Tuple[Tuple[int, object], ...]], ...]]
     dom_guards: Tuple[Atom, ...]
     #: Index in ``rule.relational_body`` of the atom bound to the ward
     #: (warded rules), ``None`` otherwise.
@@ -144,7 +151,7 @@ def _key_getter(
     return lambda binding: ()
 
 
-def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
+def _rule_constants(rule: Rule, analysis: RuleAnalysis, from_binding: bool) -> _RuleConstants:
     body_vars = set(rule.body_variables())
     head_vars = rule.head_variables()
     computed = rule.computed_variables()
@@ -165,6 +172,15 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
         )
         if rule.aggregate.contributors:
             contributor_key = _key_getter(rule.aggregate.contributors)
+    head_templates = None
+    if from_binding:
+        nulls = {v: (2, i) for i, v in enumerate(existentials)}
+        head_templates = tuple(
+            (atom.predicate, tuple([
+                nulls.get(t) or ((1, t) if isinstance(t, Variable) else (0, t)) for t in atom.terms
+            ]))
+            for atom in rule.head
+        )
     return _RuleConstants(
         kind=analysis.kind,
         label=rule.label or "rule",
@@ -172,6 +188,7 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis) -> _RuleConstants:
             c for c in rule.conditions if any(v not in body_vars for v in c.variables())
         ),
         existentials=existentials,
+        head_templates=head_templates,
         dom_guards=rule.dom_guards,
         ward_index=ward_index,
         group_key=group_key,
@@ -185,16 +202,21 @@ class _RuleTable(dict):
     ``None`` for an owner that is no rule of the program, such as an EGD
     or a negative constraint."""
 
-    def __init__(self, rules: Sequence[Rule], analysis: ProgramAnalysis) -> None:
+    def __init__(self, rules: Sequence[Rule], analysis: ProgramAnalysis, compiled: Dict) -> None:
         super().__init__()
         self._rule_of = {id(rule): rule for rule in rules}
         self._analysis = analysis
+        #: The engine's compiled executors by ``id(rule)``.
+        self._compiled = compiled
 
     def __missing__(self, key: int) -> Optional[_RuleConstants]:
         rule = self._rule_of.get(key)
         if rule is None:
             return None
-        constants = self[key] = _rule_constants(rule, self._analysis.analysis_for(rule))
+        executor = self._compiled.get(key)
+        from_binding = executor is None or executor.plan.head_templates is None
+        analysis = self._analysis.analysis_for(rule)
+        constants = self[key] = _rule_constants(rule, analysis, from_binding)
         return constants
 
 
@@ -248,7 +270,7 @@ class ChaseResult:
     #: ``N``, the predicates whose facts carry a chase node: those that can
     #: reach a labelled null (:func:`~repro.core.termination.reaching`).
     #: ``None`` when every fact carries one (the resident reasoner's
-    #: engines, and strategies that ask about every head).
+    #: engines and a lazily driven stream, :meth:`ChaseEngine.keep_every_node`).
     node_reach: Optional[Set[str]] = None
     #: How many stored facts entered through :meth:`ChaseEngine.load_inputs`
     #: (the extensional ones).
@@ -433,17 +455,13 @@ class ChaseEngine:
         self.started_at: Optional[float] = None
         self.aggregates = AggregateRegistry()
         self._database = database
-        self._rules = _RuleTable(program.rules, self.analysis)
         #: ``F``, the predicates a labelled null can reach
         #: (:func:`~repro.core.termination.null_reach`): a head outside it
-        #: asks a strategy that ``admits_null_free`` nothing.  Widened by
-        #: :meth:`load_inputs` when a loaded fact brings a null outside it.
+        #: asks the strategy nothing.  Widened by :meth:`load_inputs` when a
+        #: loaded fact brings a null outside it.
         self._null_reach = null_reach(
             program.rules, {position.predicate for position in self.analysis.affected}
         )
-        node_reach = None
-        if self.strategy.admits_null_free:
-            node_reach = reaching(program.rules, self._null_reach)
         self._compiled: Dict[int, object] = {}
         if executor == "compiled":
             # Imported lazily: the engine package imports this module.
@@ -455,6 +473,7 @@ class ChaseEngine:
                 if plan is None:
                     plan = compile_rule_join_plan(rule)
                 self._compiled[id(rule)] = CompiledRuleExecutor(plan)
+        self._rules = _RuleTable(program.rules, self.analysis, self._compiled)
         self._register_aggregated_positions()
         #: The run's state, built once: store, node map and round count.
         self.result = ChaseResult(
@@ -463,7 +482,7 @@ class ChaseEngine:
             strategy=self.strategy,
             aggregates=self.aggregates,
             executor=executor,
-            node_reach=node_reach,
+            node_reach=reaching(program.rules, self._null_reach),
         )
 
     # ------------------------------------------------------------------ setup
@@ -755,9 +774,7 @@ class ChaseEngine:
             for binding, used_facts in self.match_body(rule, store, seed, round_index):
                 if tick is not None:
                     tick()
-                produced.extend(
-                    self.fire_binding(rule, binding, used_facts, store, node_of, result)
-                )
+                self.fire_binding(rule, binding, used_facts, store, node_of, result, produced)
         return produced
 
     def _apply_rule_compiled(
@@ -767,9 +784,10 @@ class ChaseEngine:
 
         The executor already evaluated every comparison that only needs body
         slots, ticked the governor once per full match and dropped the
-        matches whose head rows are all stored; each remaining match goes
-        straight to :meth:`fire_slots`, with the store and the node map
-        bound once per rule application.
+        matches whose head rows are all stored.  Once per rule: a plan with
+        head templates hands each remaining match's slots to
+        :meth:`fire_slots`; any other checks its residual conditions and
+        ``Dom`` guards on the match's binding and calls :meth:`fire_binding`.
         """
         result = self.result
         store = result.store
@@ -783,74 +801,66 @@ class ChaseEngine:
             # Seed plan i seeds from body atom i: only the given one runs.
             seed_lists = [()] * len(plan.seed_plans)
             seed_lists[seed[0]] = seed[1]
-        fire = self.fire_slots
-        for slots, used_facts in executor.matches(
+        matches = executor.matches(
             store, round_index, result=result, tick=tick, seed_lists=seed_lists
-        ):
-            fire(rule, plan, slots, used_facts, store, node_of, result, produced)
+        )
+        templates = plan.head_templates
+        if templates is not None:
+            existentials = plan.existentials
+            fire = self.fire_slots
+            for slots, used_facts in matches:
+                fire(rule, templates, existentials, slots, used_facts, store, node_of, result,
+                     produced)
+            return produced
+        variables = plan.variables
+        residual = plan.residual_conditions
+        rules = self._rules
+        dom_guards_hold = self._dom_guards_hold
+        fire = self.fire_binding
+        for slots, used_facts in matches:
+            binding = dict(zip(variables, slots))
+            if residual and not all(c.holds(binding) for c in residual):
+                continue
+            if dom_guards_hold(rules[id(rule)].dom_guards, binding, store):
+                fire(rule, binding, used_facts, store, node_of, result, produced)
         return produced
 
     def fire_slots(
         self,
         rule: Rule,
-        plan,
-        slots: List[Term],
+        templates,
+        existentials: Sequence[Variable],
+        values,
         used_facts: List[Fact],
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
         result: ChaseResult,
         produced: List[Fact],
     ) -> None:
-        """Fire ``rule`` on one full body match held in a slot array.
+        """Fire ``rule`` on one full body match; admitted facts are appended
+        to ``produced``.
 
-        The one slots→fire kernel; admitted facts are appended to
-        ``produced``.
-        Rules whose plan has head templates (no assignments, aggregation,
-        post conditions, ``Dom`` guards or residual conditions) instantiate
-        their heads positionally, without a dict binding; the rest build the
-        binding once, check the residual conditions and ``Dom`` guards and go
-        through :meth:`fire_binding`.  Both branches draw fresh nulls in the
-        same order.  ``slots``/``used_facts`` may be the matcher's live
-        arrays: they are only read before this call returns.
+        The one admission loop of every executor.  ``templates`` holds one
+        ``(predicate, entries)`` per head atom: kind 1 reads
+        ``values[payload]`` (a plan's slot array and slot indices, or a full
+        binding and variables), kind 2 takes fresh null ``payload`` (one
+        drawn per existential first) and kind 0 is the ground ``payload``.
+        A stored row is skipped; only a head in ``N`` gets a chase node and
+        only one in ``F`` asks the strategy (module docstring).
+        ``values``/``used_facts`` are only read before this call returns.
         """
-        head_templates = plan.head_templates
-        if head_templates is None:  # not plan.simple_fire
-            variables = plan.variables
-            binding = {variables[i]: slots[i] for i in range(len(variables))}
-            residual = plan.residual_conditions
-            if residual and not all(c.holds(binding) for c in residual):
-                return
-            if not self._dom_guards_hold(self._rules[id(rule)].dom_guards, binding, store):
-                return
-            produced.extend(
-                self.fire_binding(rule, binding, used_facts, store, node_of, result)
-            )
-            return
+        nulls = tuple([self.null_factory.fresh() for _ in existentials]) if existentials else ()
         strategy = self.strategy
-        admit = strategy.admit
-        # Heads outside ``reach`` are admitted without asking (module
-        # docstring of repro.core.termination), and heads outside
-        # ``node_reach`` without a node (module docstring).
-        reach = self._null_reach if strategy.admits_null_free else None
+        reach = self._null_reach
         node_reach = result.node_reach
-        if plan.existentials:
-            nulls = tuple(self.null_factory.fresh() for _ in plan.existentials)
-        else:
-            nulls = ()
         constants = parents = None
         contains_row = store.contains_row
-        for predicate, entries in head_templates:
+        for predicate, entries in templates:
             result.candidate_facts += 1
-            # Entry kinds from repro.engine.plan: 1 = HEAD_SLOT, 2 = HEAD_NULL,
-            # 0 = HEAD_GROUND (payload is the term itself).
-            terms = tuple(
-                [
-                    slots[payload]
-                    if kind == 1
-                    else (nulls[payload] if kind == 2 else payload)
-                    for kind, payload in entries
-                ]
-            )
+            terms = tuple([
+                values[payload] if kind == 1 else (nulls[payload] if kind == 2 else payload)
+                for kind, payload in entries
+            ])
             if contains_row(predicate, terms):
                 continue
             head_fact = Fact.from_ground(predicate, terms)
@@ -859,8 +869,8 @@ class ChaseEngine:
                     constants = self._rules[id(rule)]
                     parents = self._parents(used_facts, result)
                 node = derived_node(head_fact, constants, parents)
-                if reach is None or predicate in reach:
-                    if not admit(node):
+                if predicate in reach:
+                    if not strategy.admit(node):
                         continue
                 else:
                     strategy.stats.admitted += 1
@@ -969,52 +979,23 @@ class ChaseEngine:
         store: FactStore,
         node_of: Dict[Fact, ChaseNode],
         result: ChaseResult,
-    ) -> List[Fact]:
-        """Fire ``rule`` on a full body ``binding``; returns the admitted facts.
+        produced: List[Fact],
+    ) -> None:
+        """Fire ``rule`` on a full body ``binding``; admitted facts are
+        appended to ``produced``.
 
-        This is the one dict-binding chase-step kernel: the computed values
-        (:meth:`computed_binding`), fresh-null generation, forest metadata
-        and the termination check all happen here.  The naive executor
-        calls it directly; every compiled-plan driver reaches it through
-        :meth:`fire_slots`, so all executors share one firing semantics.
+        The prelude of the dict-binding path — the naive executor and the
+        compiled plans without head templates: the computed values
+        (:meth:`computed_binding`), then :meth:`fire_slots` over the full
+        binding with the rule's own head templates.
         """
         full_binding = self.computed_binding(rule, binding)
-        if full_binding is None:
-            return []
-
-        constants = self._rules[id(rule)]
-        for variable in constants.existentials:
-            full_binding[variable] = self.null_factory.fresh()
-
-        strategy = self.strategy
-        admit = strategy.admit
-        reach = self._null_reach if strategy.admits_null_free else None
-        node_reach = result.node_reach
-        produced: List[Fact] = []
-        parents = None
-
-        for head_atom in rule.head:
-            head_fact = self.instantiate_head(head_atom, full_binding)
-            result.candidate_facts += 1
-            if head_fact in store:
-                continue
-            predicate = head_fact.predicate
-            if node_reach is None or predicate in node_reach:
-                if parents is None:
-                    parents = self._parents(used_facts, result)
-                node = derived_node(head_fact, constants, parents)
-                if reach is None or predicate in reach:
-                    if not admit(node):
-                        continue
-                else:
-                    strategy.stats.admitted += 1
-                node_of[head_fact] = node
-            else:
-                strategy.stats.admitted += 1
-            store.add(head_fact)
-            result.chase_steps += 1
-            produced.append(head_fact)
-        return produced
+        if full_binding is not None:
+            constants = self._rules[id(rule)]
+            self.fire_slots(
+                rule, constants.head_templates, constants.existentials, full_binding,
+                used_facts, store, node_of, result, produced,
+            )
 
     def computed_binding(
         self, rule: Rule, binding: Dict[Variable, Term]
@@ -1022,8 +1003,8 @@ class ChaseEngine:
         """``binding`` plus the rule's assignments and aggregate, or ``None``
         when a computation fails or a post condition rejects the result.
 
-        The prelude of every chase step: :meth:`fire_binding` and the chase
-        baselines of :mod:`repro.baselines` share it.
+        :meth:`fire_binding` and the chase baselines of
+        :mod:`repro.baselines` share it.
         """
         full_binding = dict(binding)
         try:
@@ -1042,7 +1023,9 @@ class ChaseEngine:
         return full_binding
 
     def instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
-        """The fact a head ``atom`` becomes under a full ``binding``."""
+        """The fact a head ``atom`` becomes under a full ``binding`` (the
+        chase baselines of :mod:`repro.baselines`; the chase itself fills
+        heads in :meth:`fire_slots`)."""
         terms: List[Term] = []
         for term in atom.terms:
             if isinstance(term, Variable):

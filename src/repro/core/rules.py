@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .atoms import Atom, Fact, Predicate
 from .conditions import AggregateSpec, Assignment, Comparison
@@ -373,31 +373,3 @@ class Annotation:
     def __str__(self) -> str:
         inner = ", ".join(repr(a) for a in self.arguments)
         return f"@{self.name}({inner})."
-
-
-def make_rule(
-    body: Sequence[Atom],
-    head: Sequence[Atom],
-    conditions: Sequence[Comparison] = (),
-    assignments: Sequence[Assignment] = (),
-    aggregate: Optional[AggregateSpec] = None,
-    label: str = "",
-) -> Rule:
-    """Convenience constructor mirroring the dataclass with sequence inputs."""
-    return Rule(
-        body=tuple(body),
-        head=tuple(head),
-        conditions=tuple(conditions),
-        assignments=tuple(assignments),
-        aggregate=aggregate,
-        label=label,
-    )
-
-
-def program_from_rules(rules: Iterable[Rule], outputs: Iterable[str] = ()) -> Program:
-    """Build a program from rules, labelling them ``r1 .. rn`` in order."""
-    program = Program()
-    for rule in rules:
-        program.add_rule(rule)
-    program.outputs = set(outputs)
-    return program

@@ -14,24 +14,21 @@ implemented here are:
   check);
 * :class:`UnboundedStrategy` — performs no pruning beyond exact-duplicate
   elimination; only usable on programs guaranteed to terminate (e.g. plain
-  Datalog) and by baselines implementing their own checks;
-* :class:`DepthBoundedStrategy` — a defensive cap on the warded-forest /
-  derivation depth, used to guard experiments against mis-specified rule
-  sets.
+  Datalog) and by baselines implementing their own checks.
 
 All strategies expose counters (isomorphism checks performed, facts pruned)
 used by the Figure-7 ablation benchmark.
 
-**Where no null can reach.**  The chase asks a strategy about a head only
-when a labelled null can reach its predicate (the termination state of "The
-Space-Efficient Core of Vadalog" is kept only where nulls can appear).
-:func:`null_reach` computes that set, ``F``: the predicates holding an
-affected position (where an existential puts a null, or a rule carries one)
-and the predicates of any loaded fact that holds a null, closed forward
-along the rules — a rule reading or writing a predicate of ``F`` puts all
-its heads in ``F``, and so does every rule sharing its label.  A strategy
-whose ``admits_null_free`` is true admits every fact outside ``F``, so the
-chase counts such a fact as admitted without the call:
+**Where no null can reach.**  The chase asks a strategy only about heads a
+labelled null can reach (the termination state of "The Space-Efficient
+Core of Vadalog" is kept only where nulls can appear).  :func:`null_reach`
+computes that set, ``F``: the predicates holding an affected position
+(where an existential puts a null, or a rule carries one) and the
+predicates of any loaded fact that holds a null, closed forward along the
+rules — a rule reading or writing a predicate of ``F`` puts all its heads
+in ``F``, and so does every rule sharing its label.  The chase counts a
+fact outside ``F`` as admitted without the call, which every strategy here
+would have answered the same way:
 
 * Every fact outside ``F`` is ground, and so is each of its ancestors,
   which lies outside ``F`` too: a rule with a body fact in ``F`` has its
@@ -51,8 +48,6 @@ chase counts such a fact as admitted without the call:
 * Whether a stop-provenance lies *within* the provenance of a fact
   outside ``F`` changes only the ``horizontal_skips`` counter, never the
   decision: the fact is admitted either way.
-* :class:`DepthBoundedStrategy` rejects by provenance length, ground
-  facts too, so it sees every head.
 
 Since no strategy reads a node outside ``F`` and a node's forest metadata
 is read off its parents' nodes, the chase gives a derived fact a node only
@@ -63,7 +58,7 @@ reach ``F``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Sequence, Set
 
 from .atoms import Fact
 from .forests import ChaseNode
@@ -172,13 +167,13 @@ def reaching(rules: Sequence[Rule], targets: Iterable[str]) -> Set[str]:
 
 
 class TerminationStrategy:
-    """Interface of a termination strategy (the ``check_termination`` oracle)."""
+    """Interface of a termination strategy (the ``check_termination`` oracle).
+
+    :meth:`admit` sees only new heads in ``F`` (:func:`null_reach`); the
+    chase counts every other new head as admitted (module docstring).
+    """
 
     name = "abstract"
-    #: Whether :meth:`admit` admits every fact no labelled null can reach
-    #: (outside :func:`null_reach`), so the chase may count it as admitted
-    #: without asking.  ``False`` keeps every call.
-    admits_null_free = False
 
     def __init__(self) -> None:
         self.stats = TerminationStats()
@@ -233,7 +228,6 @@ class WardedTerminationStrategy(TerminationStrategy):
     """
 
     name = "warded"
-    admits_null_free = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -325,7 +319,6 @@ class TrivialIsomorphismStrategy(TerminationStrategy):
     """
 
     name = "trivial-isomorphism"
-    admits_null_free = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -352,49 +345,18 @@ class UnboundedStrategy(TerminationStrategy):
     """No pruning beyond exact duplicates (the chase engine already removes those)."""
 
     name = "unbounded"
-    admits_null_free = True
 
     def admit(self, node: ChaseNode) -> bool:
         return self._record(True)
 
 
-class DepthBoundedStrategy(TerminationStrategy):
-    """Cap the linear-forest depth of derivations; wraps another strategy.
-
-    Used defensively by experiment harnesses: the inner strategy decides as
-    usual, but any derivation deeper than ``max_depth`` in the linear forest
-    is cut.
-    """
-
-    name = "depth-bounded"
-
-    def __init__(self, max_depth: int, inner: Optional[TerminationStrategy] = None) -> None:
-        super().__init__()
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self.max_depth = max_depth
-        self.inner = inner or UnboundedStrategy()
-
-    def register_input(self, node: ChaseNode) -> None:
-        self.inner.register_input(node)
-
-    def admit(self, node: ChaseNode) -> bool:
-        if len(node.provenance) > self.max_depth:
-            return self._record(False)
-        return self._record(self.inner.admit(node))
-
-
-def strategy_by_name(name: str, **kwargs) -> TerminationStrategy:
+def strategy_by_name(name: str) -> TerminationStrategy:
     """Factory used by the benchmark harness and the public API."""
     registry = {
         "warded": WardedTerminationStrategy,
         "trivial-isomorphism": TrivialIsomorphismStrategy,
         "unbounded": UnboundedStrategy,
     }
-    if name == "depth-bounded":
-        return DepthBoundedStrategy(**kwargs)
     if name not in registry:
-        raise ValueError(
-            f"unknown termination strategy {name!r}; known: {', '.join(registry)} , depth-bounded"
-        )
-    return registry[name](**kwargs)
+        raise ValueError(f"unknown termination strategy {name!r}; known: {', '.join(registry)}")
+    return registry[name]()

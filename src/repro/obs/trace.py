@@ -79,9 +79,6 @@ class Span:
             return 0.0
         return self.t_end - self.t_start
 
-    def bump(self, counter: str, amount: Union[int, float] = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-
     def to_record(self) -> Dict[str, Any]:
         """Plain-dict form — picklable, JSON-serialisable, id-free enough
         to be re-parented by :meth:`Tracer.adopt` in another process."""

@@ -35,7 +35,7 @@ from repro.core.atoms import fact
 from repro.core.chase import ChaseEngine, run_chase
 from repro.core.forests import ChaseNode
 from repro.core.parser import parse_program
-from repro.core.termination import DepthBoundedStrategy, WardedTerminationStrategy
+from repro.core.termination import WardedTerminationStrategy
 from repro.engine.incremental import ResidentReasoner
 from repro.engine.reasoner import VadalogReasoner
 from repro.engine.record_managers import DataSourceRecordManager
@@ -275,13 +275,6 @@ class TestWhichFactsCarryANode:
         assert chase.node_reach is None
         assert Counter(n.fact for n in chase.nodes) == Counter(chase.store.facts())
         assert {"G", "H"} <= {f.predicate for f in chase.node_of}
-
-    def test_a_strategy_that_asks_about_every_head_gets_every_node(self):
-        program = parse_program(self.GROUND)
-        strategy = DepthBoundedStrategy(max_depth=50)
-        result = run_chase(program, [fact("R", *row) for row in self.EDGES], strategy=strategy)
-        assert result.node_reach is None
-        assert len(result.node_of) == len(result.derived_facts()) + 6
 
     def test_derived_facts_follow_the_store_across_loads(self):
         # Inputs entering after rounds have run take later slots: the

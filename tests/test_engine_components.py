@@ -156,17 +156,22 @@ class TestScheduler:
 
 
 class TestFireSlotsKernel:
-    """Every compiled-plan driver fires through ``ChaseEngine.fire_slots``."""
+    """Every executor fires through ``ChaseEngine.fire_slots``, from a plan's
+    slot array or from a binding ``fire_binding`` completed."""
 
     PROGRAM = """
     @output("Gen"). @output("Scaled"). @output("Blocked"). @output("Never").
+    @output("Sum"). @output("W").
     Gen(X, Z) :- Src(X, N).
     Scaled(X, V) :- Src(X, N), Dom(X), N > 1, V = N * 10.
     Blocked(X, Z) :- Gen(X, Z), Dom(Z).
     Never(X, V) :- Src(X, N), Dom(Y), Y > 0, V = N * 10.
+    Sum(S) :- Src(X, N), S = msum(N, <X>).
+    W(X, V, Z) :- Src(X, N), V = N * 10.
     """
     DATABASE = {"Src": [("a", 1), ("b", 2), ("c", 3)]}
-    OUTPUTS = ("Gen", "Scaled", "Blocked", "Never")
+    OUTPUTS = ("Gen", "Scaled", "Blocked", "Never", "Sum", "W")
+    EXECUTORS = ("compiled", "naive", "streaming")
 
     @staticmethod
     def patterns(result, predicate):
@@ -183,11 +188,13 @@ class TestFireSlotsKernel:
         }
         # The simple existential rule takes the head-template branch; the
         # others build a binding: assignment + Dom guard, a Dom guard alone,
-        # and a residual condition (over the Dom-only variable Y, which no
-        # match binds, so the rule can never fire).
+        # a residual condition (over the Dom-only variable Y, which no match
+        # binds, so the rule can never fire), an aggregate, and an
+        # assignment next to an existential.  So the binding's templates
+        # hold every entry kind: variable, null, ground and computed.
         assert plans["Gen"].simple_fire
-        assert not plans["Scaled"].simple_fire
-        assert not plans["Blocked"].simple_fire
+        for predicate in ("Scaled", "Blocked", "Sum", "W"):
+            assert not plans[predicate].simple_fire, predicate
         assert plans["Never"].residual_conditions
 
         expected = {
@@ -195,13 +202,29 @@ class TestFireSlotsKernel:
             "Scaled": [("b", 20), ("c", 30)],
             "Blocked": [],  # Dom rejects the labelled null
             "Never": [],
+            "Sum": [(6,)],
+            "W": [("a", 10, "_"), ("b", 20, "_"), ("c", 30, "_")],
         }
-        for executor in ("compiled", "streaming"):
+        for executor in self.EXECUTORS:
             result = VadalogReasoner(self.PROGRAM, executor=executor).reason(
                 database=self.DATABASE
             )
             got = {p: self.patterns(result, p) for p in self.OUTPUTS}
             assert got == expected, executor
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["P(X, Y) :- Q(X), Dom(Y).", "P(X, Y) :- Q(X), Y > 3."],
+        ids=["dom-guard", "condition"],
+    )
+    def test_unsafe_heads_derive_nothing(self, rule):
+        # Y is bound by no body atom: a Dom guard on it never holds, and a
+        # condition on it (Y is then existential) rejects every match.
+        for executor in self.EXECUTORS:
+            reasoner = VadalogReasoner(f'@output("P"). {rule}', executor=executor)
+            result = reasoner.reason(database={"Q": [(1,), (5,)]})
+            assert result.status == "complete", executor
+            assert result.chase.facts("P") == (), executor
 
 
 class TestTerminationWrappers:

@@ -133,23 +133,16 @@ class MonotonicAggregate:
 
 
 class AggregateRegistry:
-    """Aggregation state for a whole program: one evaluator per aggregate rule.
+    """The aggregated positions of a whole program.
 
     The registry enforces the constraint of Section 5 that a predicate
     position computed by an aggregation is always computed by the *same*
-    aggregation function.
+    aggregation function.  Each aggregate rule's :class:`MonotonicAggregate`
+    belongs to the chase engine that fires it.
     """
 
     def __init__(self) -> None:
-        self._evaluators: Dict[str, MonotonicAggregate] = {}
         self._position_functions: Dict[Tuple[str, int], str] = {}
-
-    def evaluator_for(self, rule_label: str, spec: AggregateSpec) -> MonotonicAggregate:
-        evaluator = self._evaluators.get(rule_label)
-        if evaluator is None:
-            evaluator = MonotonicAggregate(spec)
-            self._evaluators[rule_label] = evaluator
-        return evaluator
 
     def register_position(self, predicate: str, index: int, function: str) -> None:
         """Check and record that ``predicate[index]`` is computed by ``function``."""
@@ -165,6 +158,3 @@ class AggregateRegistry:
 
     def aggregated_positions(self) -> Dict[Tuple[str, int], str]:
         return dict(self._position_functions)
-
-    def evaluators(self) -> Dict[str, MonotonicAggregate]:
-        return dict(self._evaluators)

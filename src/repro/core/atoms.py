@@ -6,17 +6,21 @@ paper).  A *fact* is a ground atom, i.e. an atom whose terms are constants
 or labelled nulls.  The paper (and this code base) uses atom/tuple/fact
 interchangeably for ground atoms.
 
-Facts additionally carry the chase metadata required by the termination
-strategy of Section 3.4 (generating-rule kind, linear-forest root, warded-
-forest root and linear provenance); that metadata lives in
-:class:`repro.core.chase.ChaseFact` to keep this module purely about the
+**A fact is its tuple.**  An :class:`Atom` is the tuple ``(predicate,
+terms)`` with the two items named: it equals that plain tuple and hashes
+as it does, in C, since every term is one object per value
+(:mod:`repro.core.terms`).  ``len`` and iteration are the tuple's (two
+items); read the terms through ``terms``.  The chase metadata of Section
+3.4 (generating rule, forest roots and provenance) lives in the chase
+node of :mod:`repro.core.forests`, so this module stays purely about the
 logical objects.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .terms import (
     Constant,
@@ -51,41 +55,26 @@ class Position:
         return f"{self.predicate}[{self.index}]"
 
 
-class Atom:
-    """An atom ``R(t1, ..., tn)`` over constants, nulls and variables."""
+class Atom(tuple):
+    """An atom ``R(t1, ..., tn)`` over constants, nulls and variables: the
+    tuple ``(predicate, terms)``."""
 
-    __slots__ = ("predicate", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, predicate: str, terms: Sequence[Term | object]) -> None:
-        self.predicate = predicate
-        self.terms: Tuple[Term, ...] = tuple(make_term(t) for t in terms)
-        self._hash = hash((self.predicate, self.terms))
+    #: The predicate name (a ``str``) and the terms (a tuple of ``Term``).
+    predicate = property(operator.itemgetter(0))
+    terms = property(operator.itemgetter(1))
 
-    # -- basic protocol ----------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Atom)
-            and self.predicate == other.predicate
-            and self.terms == other.terms
-        )
+    def __new__(cls, predicate: str, terms: Sequence[Term | object]) -> "Atom":
+        return tuple.__new__(cls, (predicate, tuple(map(make_term, terms))))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt, not restored: the cached hash is one of this process's
-        # interned terms.
-        return self.__class__, (self.predicate, self.terms)
+    def __getnewargs__(self):
+        # Pickling and copying rebuild through ``__new__`` from both items.
+        return tuple(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(str(t) for t in self.terms)
         return f"{self.predicate}({inner})"
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms)
 
     # -- inspection --------------------------------------------------------
     @property
@@ -160,27 +149,24 @@ class Fact(Atom):
 
     __slots__ = ()
 
-    def __init__(self, predicate: str, terms: Sequence[Term | object]) -> None:
-        super().__init__(predicate, terms)
+    def __new__(cls, predicate: str, terms: Sequence[Term | object]) -> "Fact":
+        self = super().__new__(cls, predicate, terms)
         for term in self.terms:
             if isinstance(term, Variable):
                 raise ValueError(
                     f"fact {predicate} contains variable {term.name}; facts must be ground"
                 )
+        return self
 
     @classmethod
     def from_ground(cls, predicate: str, terms: Tuple[Term, ...]) -> "Fact":
-        """Hot-path constructor: ``terms`` must already be ground ``Term``s.
+        """Hot-path constructor: ``terms`` must already be a tuple of ground ``Term``s.
 
-        Skips the per-term coercion and groundness validation of ``__init__``;
+        Skips the per-term coercion and groundness validation of ``__new__``;
         used by the compiled executor, which instantiates heads from slot
         values that are ground by construction.
         """
-        obj = cls.__new__(cls)
-        obj.predicate = predicate
-        obj.terms = terms
-        obj._hash = hash((predicate, terms))
-        return obj
+        return tuple.__new__(cls, (predicate, terms))
 
     @property
     def has_nulls(self) -> bool:

@@ -79,7 +79,7 @@ from typing import (
     Tuple,
 )
 
-from .aggregates import AggregateRegistry
+from .aggregates import AggregateRegistry, MonotonicAggregate
 from .atoms import Atom, Fact
 from .conditions import AggregateSpec
 from .expressions import ExpressionError
@@ -136,6 +136,8 @@ class _RuleConstants(NamedTuple):
     #: Binding → the values of the aggregate's contributors, ``None``
     #: without contributors.
     contributor_key: Optional[Callable[[Dict[Variable, Term]], Tuple[Term, ...]]]
+    #: The rule's own aggregate state, ``None`` without an aggregate.
+    aggregate: Optional[MonotonicAggregate]
 
 
 def _key_getter(
@@ -164,8 +166,9 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis, from_binding: bool) -> _
         at = [i for i, atom in enumerate(body) if atom is analysis.ward]
         at = at or [i for i, atom in enumerate(body) if atom == analysis.ward]
         ward_index = at[0] if at else None
-    group_key = contributor_key = None
+    group_key = contributor_key = aggregate = None
     if rule.aggregate is not None:
+        aggregate = MonotonicAggregate(rule.aggregate)
         aggregated = rule.aggregate.variable
         group_key = _key_getter(
             [v for v in head_vars if v != aggregated and v not in existentials]
@@ -193,6 +196,7 @@ def _rule_constants(rule: Rule, analysis: RuleAnalysis, from_binding: bool) -> _
         ward_index=ward_index,
         group_key=group_key,
         contributor_key=contributor_key,
+        aggregate=aggregate,
     )
 
 
@@ -1000,27 +1004,27 @@ class ChaseEngine:
     def computed_binding(
         self, rule: Rule, binding: Dict[Variable, Term]
     ) -> Optional[Dict[Variable, Term]]:
-        """``binding`` plus the rule's assignments and aggregate, or ``None``
-        when a computation fails or a post condition rejects the result.
+        """``binding`` extended in place with the rule's assignments and
+        aggregate, or ``None`` when a computation fails or a post condition
+        rejects the result; the caller hands over a binding nothing else reads.
 
         :meth:`fire_binding` and the chase baselines of
         :mod:`repro.baselines` share it.
         """
-        full_binding = dict(binding)
         try:
             for assignment in rule.assignments:
-                full_binding[assignment.variable] = assignment.compute(full_binding)
+                binding[assignment.variable] = assignment.compute(binding)
             if rule.aggregate is not None:
-                aggregate_value = self._aggregate_value(rule, rule.aggregate, full_binding)
+                aggregate_value = self._aggregate_value(rule, rule.aggregate, binding)
                 if aggregate_value is None:
                     return None
-                full_binding[rule.aggregate.variable] = aggregate_value
+                binding[rule.aggregate.variable] = aggregate_value
         except ExpressionError:
             return None
         for condition in self._rules[id(rule)].post_conditions:
-            if not condition.holds(full_binding):
+            if not condition.holds(binding):
                 return None
-        return full_binding
+        return binding
 
     def instantiate_head(self, atom: Atom, binding: Dict[Variable, Term]) -> Fact:
         """The fact a head ``atom`` becomes under a full ``binding`` (the
@@ -1043,10 +1047,9 @@ class ChaseEngine:
     def _aggregate_value(
         self, rule: Rule, spec: AggregateSpec, binding: Dict[Variable, Term]
     ) -> Optional[Term]:
-        evaluator = self.aggregates.evaluator_for(rule.label or str(id(rule)), spec)
         constants = self._rules[id(rule)]
-        # Groups and contributors are keyed by the terms themselves: a
-        # constant by identity (one object per type and value), a null by ident.
+        # Groups and contributors are keyed by the terms themselves, each one
+        # object per value (a constant per type and value, a null per ident).
         group_key = constants.group_key(binding)
         if Null in map(type, group_key):
             # Group-by arguments must be non-null (Section 5 constraint 1).
@@ -1066,7 +1069,7 @@ class ChaseEngine:
             if spec.function not in ("mcount", "munion"):
                 return None
             value = ("null", value.ident)
-        return Constant(evaluator.update(group_key, contributor_key, value))
+        return Constant(constants.aggregate.update(group_key, contributor_key, value))
 
     # ------------------------------------------------------------ constraints
     def check_violations(self) -> None:

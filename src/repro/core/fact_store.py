@@ -8,9 +8,10 @@ persistent pre-computed index.  A position's index is built from the
 predicate's extent the first time something probes it, and from then on
 every insert extends it; a position nothing probes costs nothing.
 
-The indexes are keyed by the terms themselves (constants, nulls): terms
-cache their hash at construction (:mod:`repro.core.terms`), so a probe costs
-one dictionary lookup and no tuple allocation.  On top of the full indexes
+The indexes are keyed by the terms themselves (constants, nulls): each
+term is one object per value and hashes by identity, in C
+(:mod:`repro.core.terms`), so a probe costs one dictionary lookup and no
+tuple allocation.  On top of the full indexes
 the store keeps **per-round delta lists** (:meth:`begin_round`), indexed per
 position on first probe too, used by the compiled rule executors for
 semi-naive evaluation, plus the insertion round of every fact so executors

@@ -12,9 +12,10 @@ This module provides immutable, hashable Python representations of each of
 these symbol classes plus small utilities (fresh-name generators and
 substitution application) used throughout the reasoner.
 
-**One object per constant and per variable.**  ``Constant(v)`` returns the
-one constant of ``v`` and ``Variable(name)`` the one variable of ``name``,
-so both compare and hash by identity (``object.__eq__`` and
+**One object per constant, per variable and per null.**  ``Constant(v)``
+returns the one constant of ``v``, ``Variable(name)`` the one variable of
+``name`` and ``Null(ident)`` the one labelled null of ``ident``, so all
+three compare and hash by identity (``object.__eq__`` and
 ``object.__hash__``, in C): every join probe, dedup-map test and fact hash
 over a terms tuple runs without a Python-level call.  Constants are
 *typed* (Section 5, "Data Types"): a constant is its Python type together
@@ -28,12 +29,9 @@ made.  Pickling, ``copy.copy`` and ``copy.deepcopy`` return the same object.
 The tables are bounded: a miss takes one lock and re-checks, and once the
 tables have doubled since the last sweep, it sweeps them, dropping every
 entry that no other object holds (``sys.getrefcount``).  A hit takes no
-lock; a dictionary read or deletion is atomic under the GIL, so a
-constant somebody holds is never dropped, and one that nobody holds can be
-made afresh without two live objects of one value ever existing.
-
-A :class:`Null` keeps value equality: two nulls are equal when their
-identifiers are.
+lock; a dictionary read or deletion is atomic under the GIL, so a term
+somebody holds is never dropped, and one that nobody holds can be made
+afresh without two live objects of one value ever existing.
 """
 
 from __future__ import annotations
@@ -41,16 +39,15 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Tuple, Union
 
 
 class Term:
     """Abstract base class of all term kinds.
 
-    Terms are immutable and hashable.  Constants and variables are interned
-    and compare by identity, nulls compare by identifier.  The concrete
-    subclasses are :class:`Constant`, :class:`Variable` and :class:`Null`.
+    Terms are immutable and hashable.  Every term is interned and compares
+    by identity.  The concrete subclasses are :class:`Constant`,
+    :class:`Variable` and :class:`Null`.
     """
 
     __slots__ = ()
@@ -74,10 +71,12 @@ class Term:
 
 
 #: The intern tables: one per scalar value type (keyed by the value), one
-#: for tuples and frozensets (keyed by :func:`_tagged`), one for variables.
+#: for tuples and frozensets (keyed by :func:`_tagged`), one for variables
+#: (keyed by name) and one for nulls (keyed by identifier).
 _constants: Dict[type, Dict[Any, "Constant"]] = {}
 _composites: Dict[Any, "Constant"] = {}
 _variables: Dict[str, "Variable"] = {}
+_nulls: Dict[int, "Null"] = {}
 _lock = threading.Lock()
 #: Entries in the tables (those the last sweep kept plus those added
 #: since), and the count that starts the next sweep: twice what the last
@@ -122,7 +121,7 @@ def _sweep() -> None:
     probe = object()
     unheld = sys.getrefcount(probe)  # what a term held by this frame alone reads
     live = 0
-    for table in (_composites, _variables, *_constants.values()):
+    for table in (_composites, _variables, _nulls, *_constants.values()):
         for key in list(table):
             term = table[key]
             if sys.getrefcount(term) <= unheld + 1:
@@ -208,43 +207,41 @@ class Variable(Term):
         return self.name
 
 
-#: The slot descriptors the miss path fills in (``__setattr__`` refuses).
-_VALUE = Constant.value
-_NAME = Variable.name
-
-
-@dataclass(frozen=True, slots=True, eq=False)
 class Null(Term):
     """A labelled null ``ν_i`` introduced by the chase for an existential.
 
-    Nulls carry an integer identifier.  Two nulls are the same labelled null
-    iff their identifiers coincide.  The optional ``origin`` records the
-    Skolem term the null stands for (used by the Skolemized baselines and by
-    the harmful-join elimination machinery); it does not take part in
-    equality.
+    Nulls carry an integer identifier, one object per identifier: two nulls
+    are the same labelled null iff they are the same object.
     """
 
+    __slots__ = ("ident",)
     ident: int
-    _hash: int = field(init=False, repr=False, default=0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("n", self.ident)))
+    def __new__(cls, ident: int) -> "Null":
+        found = _nulls.get(ident)
+        if found is not None:
+            return found
+        return _intern(_nulls, ident, Null, _IDENT, ident)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Null:
-            return self.ident == other.ident
-        return NotImplemented
+    def __reduce__(self):
+        return Null, (self.ident,)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: nulls are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Null({self.ident})"
 
     def __str__(self) -> str:
         return f"_:n{self.ident}"
+
+
+#: The slot descriptors the miss path fills in (``__setattr__`` refuses).
+_VALUE = Constant.value
+_NAME = Variable.name
+_IDENT = Null.ident
 
 
 Value = Union[Constant, Null]

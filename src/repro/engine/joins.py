@@ -220,13 +220,11 @@ def render_kernel(plan) -> str:
                 emit(depth, f"if rget({fact}, 0) >= round_index:")
                 emit(depth + 1, "continue")
             emit(depth, f"{terms} = {fact}.terms")
-            # ``is not`` first: equal constants are one object, so only two
-            # distinct objects of one labelled null reach ``Null.__eq__``.
             pairs = [(f"{terms}[{pos}]", name) for pos, name in consts]
             pairs += [(f"{terms}[{pos}]", f"s{slot}") for pos, slot in step.bound_checks]
             pairs += [(f"{terms}[{pos}]", f"{terms}[{p0}]") for pos, p0 in step.same_checks]
             checks = [f"len({terms}) != {step.arity}"]
-            checks += [f"{a} is not {b} and {a} != {b}" for a, b in pairs]
+            checks += [f"{a} is not {b}" for a, b in pairs]
             emit(depth, f"if {' or '.join(checks)}:")
             emit(depth + 1, "continue")
             for pos, slot in step.writes:

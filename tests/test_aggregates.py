@@ -11,6 +11,7 @@ from repro.core.aggregates import (
 )
 from repro.core.conditions import AggregateSpec
 from repro.core.expressions import var
+from repro.core.parser import parse_program
 from repro.core.terms import Variable
 from repro.engine.reasoner import reason
 
@@ -130,14 +131,22 @@ class TestRegistry:
         with pytest.raises(AggregateError):
             registry.register_position("Q", 1, "mcount")
 
-    def test_evaluator_reuse_per_rule(self):
-        registry = AggregateRegistry()
-        s = spec("msum")
-        assert registry.evaluator_for("r1", s) is registry.evaluator_for("r1", s)
-        assert registry.evaluator_for("r1", s) is not registry.evaluator_for("r2", s)
-
 
 class TestEndToEnd:
+    def test_rules_sharing_a_label_aggregate_apart(self):
+        # Each aggregate rule has its own state, whatever its label says.
+        program = parse_program("""
+        @output("S"). @output("T").
+        S(X, V) :- A(X, W), V = msum(W, <W>).
+        T(X, V) :- B(X, W), V = msum(W, <W>).
+        """)
+        program.rules = [rule.with_label("same") for rule in program.rules]
+        database = {"A": [("a", 1), ("a", 2)], "B": [("a", 10)]}
+        for executor in ("compiled", "naive", "streaming"):
+            result = reason(program, database=database, executor=executor)
+            assert result.ground_tuples("S") == {("a", 3)}
+            assert result.ground_tuples("T") == {("a", 10)}
+
     def test_example_10_through_the_reasoner(self):
         program = """
         @output("Q").

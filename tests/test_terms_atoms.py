@@ -97,6 +97,8 @@ class TestAtoms:
         assert atom("P", 1, 2) == atom("P", 1, 2)
         assert atom("P", 1, 2) != atom("P", 2, 1)
         assert hash(atom("P", 1)) == hash(atom("P", 1))
+        assert fact("P", 1) == ("P", (Constant(1),))
+        assert hash(fact("P", 1)) == hash(("P", (Constant(1),)))
 
     def test_atom_variables_deduplicated_in_order(self):
         a = Atom("P", (Variable("X"), Variable("Y"), Variable("X")))
@@ -166,7 +168,9 @@ class TestTypedConstants:
     def test_equal_values_share_one_object(self):
         assert Constant("acme") is Constant("ac" + "me")
         assert Variable("X") is Variable("X")
+        assert Null(3) is Null(3)
         assert hash(Constant(7)) == object.__hash__(Constant(7))
+        assert hash(Null(3)) == object.__hash__(Null(3))
 
     @pytest.mark.parametrize("first, second", [((1,), (1.0,)), ((1.0,), (1,))])
     def test_composite_keeps_element_types_whatever_the_order(self, first, second):
@@ -188,6 +192,8 @@ class TestTypedConstants:
             Constant(1).value = 2
         with pytest.raises(AttributeError):
             Variable("X").name = "Y"
+        with pytest.raises(AttributeError):
+            Null(0).ident = 1
 
     def test_parser_numerals_match_their_own_type(self):
         program = """
@@ -258,11 +264,15 @@ class TestInternTables:
 
     def test_tables_stay_bounded_and_keep_what_is_held(self):
         held = [Constant(f"held-{i}") for i in range(100)]
+        held_nulls = [Null(-1 - i) for i in range(100)]
         for i in range(6 * terms._SWEEP_FLOOR):
             Constant(f"unheld-{i}")
+            Null(-1000 - i)
         left = sum(1 for value in terms._constants[str] if value.startswith("unheld-"))
         assert left <= 2 * terms._SWEEP_FLOOR
+        assert sum(1 for ident in terms._nulls if ident <= -1000) <= 2 * terms._SWEEP_FLOOR
         assert all(Constant(f"held-{i}") is c for i, c in enumerate(held))
+        assert all(Null(-1 - i) is n for i, n in enumerate(held_nulls))
 
     def test_threads_get_one_object_per_value(self):
         # More threads than cores, a short switch interval, and enough
@@ -296,7 +306,7 @@ class TestInternTables:
         assert all(Constant(v) is c for v, c in zip(values, results[0]))
 
     @pytest.mark.parametrize(
-        "term", [Constant(3), Constant("a"), Constant((1.0, "b")), Variable("X")]
+        "term", [Constant(3), Constant("a"), Constant((1.0, "b")), Variable("X"), Null(5)]
     )
     def test_pickle_and_copy_return_the_same_object(self, term):
         assert pickle.loads(pickle.dumps(term)) is term
@@ -306,8 +316,10 @@ class TestInternTables:
     def test_a_fact_pickled_by_another_process_hashes_as_here(self):
         script = (
             "import pickle, sys\n"
-            "from repro.core.atoms import fact\n"
-            "sys.stdout.buffer.write(pickle.dumps(fact('P', 3, 'a', (1.0,))))\n"
+            "from repro.core.atoms import Fact, fact\n"
+            "from repro.core.terms import Null\n"
+            "held = fact('P', 3, 'a', (1.0,)), Fact('Q', (Null(7), 'b'))\n"
+            "sys.stdout.buffer.write(pickle.dumps(held))\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="1")
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -315,9 +327,11 @@ class TestInternTables:
         child = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60
         )
-        restored = pickle.loads(child.stdout)
+        restored, with_null = pickle.loads(child.stdout)
         assert restored.terms[0] is Constant(3) and restored.terms[2] is Constant((1.0,))
         assert restored in {fact("P", 3, "a", (1.0,))}
+        assert with_null.terms[0] is Null(7)
+        assert with_null in {Fact("Q", (Null(7), "b"))}
 
 
 #: Registry scenarios whose runs must not depend on where terms live in
@@ -329,9 +343,11 @@ ORDER_SCENARIOS = ("iwarded-synthG", "company-control", "ds-er-fusion")
 def run_profile_lines(padding: int) -> list:
     """One line per scenario and executor: its chase counters, a digest of
     the store's facts in order (labelled nulls by identifier) and a digest
-    of the answers in order.  ``padding`` throwaway constants are made and
-    held first, so every later term sits at another address."""
+    of the answers in order.  ``padding`` throwaway constants and as many
+    throwaway nulls are made and held first, so every later term sits at
+    another address."""
     held = [Constant(f"padding-{i}") for i in range(padding)]
+    held += [Null(-1 - i) for i in range(padding)]
 
     def digest(facts) -> str:
         text = "\n".join(f"{f.predicate}{tuple(map(repr, f.terms))}" for f in facts)
@@ -352,14 +368,14 @@ def run_profile_lines(padding: int) -> list:
                 f"{name} {executor} {counters} "
                 f"{digest(result.chase.store.facts())} {digest(result.answers.facts())}"
             )
-    assert len(held) == padding
+    assert len(held) == 2 * padding
     return lines
 
 
 def test_runs_do_not_depend_on_term_addresses():
-    # Constants and variables hash by identity, so a set of terms or facts
-    # iterates in address order.  Two fresh processes, the second with its
-    # terms at shifted addresses, must agree on every counter and order.
+    # Terms hash by identity, so a set of terms or facts iterates in
+    # address order.  Two fresh processes, the second with its terms at
+    # shifted addresses, must agree on every counter and order.
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(

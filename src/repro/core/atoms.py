@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .terms import (
@@ -203,3 +204,16 @@ def group_by_predicate(facts: Iterable[Fact]) -> Dict[str, list]:
     for f in facts:
         grouped.setdefault(f.predicate, []).append(f)
     return grouped
+
+
+def _holds_null(fact: Fact) -> bool:
+    return Null in set(map(type, fact[1]))
+
+
+def null_bearing(facts: Sequence[Fact]) -> int:
+    """How many of ``facts`` hold a labelled null (``has_nulls``).  One pass
+    over all their terms settles the common case, none, without a Python
+    call per fact."""
+    if Null not in set(map(type, chain.from_iterable(map(operator.itemgetter(1), facts)))):
+        return 0
+    return sum(map(_holds_null, facts))

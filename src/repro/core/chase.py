@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import itemgetter
 from typing import (
     Callable,
@@ -102,6 +103,9 @@ from .termination import (
 )
 from .wardedness import ProgramAnalysis, RuleAnalysis, RuleKind, analyse_program
 from ..testing.faults import fault_point
+
+#: A fact's predicate: a fact is the tuple ``(predicate, terms)``.
+_predicate_of = itemgetter(0)
 
 #: One rule of a seeded round (:meth:`ChaseEngine.continue_rounds`): the
 #: rule, the index of its seed atom in ``rule.relational_body`` and the
@@ -552,21 +556,25 @@ class ChaseEngine:
         node_of = result.node_of
         store.current_round = result.rounds
         register = self.strategy.register_input
-        add = store.add
         start = store.next_slot
         loaded: List[Fact] = []
-        for fact in facts:
-            if not add(fact):
+        # Each run of one predicate's facts enters the store in bulk.
+        for predicate, run in groupby(facts, _predicate_of):
+            nulls = store.null_facts(predicate)
+            added = store.load(predicate, run)
+            loaded += added
+            if store.null_facts(predicate) == nulls:
                 continue
-            if fact.has_nulls:
+            for fact in added:
+                if not fact.has_nulls:
+                    continue
                 node = node_of[fact] = input_node(fact)
                 register(node)
-                if fact.predicate not in self._null_reach:
+                if predicate not in self._null_reach:
                     rules = self.program.rules
-                    self._null_reach = null_reach(rules, {*self._null_reach, fact.predicate})
+                    self._null_reach = null_reach(rules, {*self._null_reach, predicate})
                     if result.node_reach is not None:
                         result.node_reach |= reaching(rules, self._null_reach)
-            loaded.append(fact)
         if loaded:
             # The added facts took one run of slots; it extends the last
             # load's when nothing was derived in between.

@@ -17,22 +17,26 @@ position on first probe too, used by the compiled rule executors for
 semi-naive evaluation, plus the insertion round of every fact so executors
 can restrict probes to earlier rounds.
 
-Every write goes through :meth:`FactStore.add` or :meth:`FactStore.remove`,
-and each bumps the store's mutation epoch.  :meth:`FactStore.snapshot`
-returns a :class:`StoreSnapshot`, the epoch-guarded read view the resident
-reasoning service answers queries through: a read after a later write
-raises :class:`StaleSnapshotError` instead of seeing a half-applied update.
+Every write goes through :meth:`FactStore.add`, :meth:`FactStore.load` (a
+run of one predicate's facts in bulk, the input load) or
+:meth:`FactStore.remove`, and each bumps the store's mutation epoch.
+:meth:`FactStore.snapshot` returns a :class:`StoreSnapshot`, the
+epoch-guarded read view the resident reasoning service answers queries
+through: a read after a later write raises :class:`StaleSnapshotError`
+instead of seeing a half-applied update.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .atoms import Atom, Fact
+from .atoms import Atom, Fact, null_bearing
 from .terms import Constant, Null, Term, Variable
 
 _EMPTY: Tuple[Fact, ...] = ()
+_terms_of = itemgetter(1)
 
 #: One position's index: term -> the facts holding it there, in slot order.
 PositionIndex = Dict[Term, List[Fact]]
@@ -90,6 +94,15 @@ class FactStore:
     store — inserts extend it, removals shrink it, and it outlives its
     predicate's last fact — so a reference bound once stays the live index.
 
+    **Dedup maps on first need.**  Each predicate's dedup map ``{terms:
+    slot}`` answers membership.  :meth:`load` bulk-inserts a predicate with
+    no fact yet and keeps no map for it; the first :meth:`add`,
+    :meth:`rows`, :meth:`contains_row`, ``in``, :meth:`remove` or
+    :meth:`index_of_row` on that predicate builds it from the loaded run of
+    slots, as :meth:`index` builds a position's index on first probe.  An
+    extensional relation that no rule derives and nothing tests membership
+    of (a bound ``Own`` feeding only rule bodies) never costs one.
+
     **Layout readers.**  Besides this class, only the generated join kernels
     of :mod:`repro.engine.joins` read the store's layout: :meth:`index` (a
     probed position's buckets) and :meth:`rows` (a head predicate's dedup
@@ -108,6 +121,9 @@ class FactStore:
         # compiled fire path has not turned into Fact objects yet.  The slot
         # is the fact's position in ``_facts``.
         self._rows: Dict[str, Dict[Tuple[Term, ...], int]] = {}
+        # predicate -> the run of slots ``(start, stop)`` that :meth:`load`
+        # filled without a dedup map; :meth:`_map_loaded` maps it on first need.
+        self._unmapped: Dict[str, Tuple[int, int]] = {}
         # Incremented on every mutation; snapshots record it and refuse
         # reads once it moved on (see :class:`StoreSnapshot`).
         self._epoch: int = 0
@@ -144,8 +160,8 @@ class FactStore:
         terms = fact.terms
         rows = self._rows.get(predicate)
         if rows is None:
-            rows = self._rows[predicate] = {}
-        elif terms in rows:
+            rows = self.rows(predicate)
+        if terms in rows:
             return False
         self._epoch += 1
         rows[terms] = len(self._facts)
@@ -177,6 +193,59 @@ class FactStore:
         self._live += 1
         return True
 
+    def load(self, predicate: str, facts: Iterable[Fact]) -> List[Fact]:
+        """Insert a run of ``predicate``'s facts; returns the ones added, in order.
+
+        Equivalent to :meth:`add` on each fact in turn — slots, extent,
+        built indexes, null counts, active domain, insertion rounds and
+        epoch come out the same — but a predicate with no fact and no dedup
+        map yet is filled in bulk: in-batch duplicates are dropped with a
+        temporary set and no dedup map is kept until a reader needs one
+        (class docstring).  A populated predicate takes :meth:`add` per
+        fact.
+        """
+        if predicate in self._rows or predicate in self._by_predicate:
+            add = self.add
+            return [fact for fact in facts if add(fact)]
+        loaded = list(facts)
+        if len(set(map(_terms_of, loaded))) != len(loaded):
+            seen: Set[Tuple[Term, ...]] = set()
+            unique = []
+            for fact in loaded:
+                if fact[1] not in seen:
+                    seen.add(fact[1])
+                    unique.append(fact)
+            loaded = unique
+        if not loaded:
+            return loaded
+        self._epoch += len(loaded)
+        start = len(self._facts)
+        self._facts.extend(loaded)
+        self._unmapped[predicate] = (start, len(self._facts))
+        self._facts_cache = None
+        if self.current_round:
+            self._round_of.update(dict.fromkeys(loaded, self.current_round))
+        self._by_predicate[predicate] = loaded[:]
+        built = self._position_index.get(predicate)
+        if built:
+            for position, index in built.items():
+                for fact in loaded:
+                    terms = fact[1]
+                    if position < len(terms):
+                        bucket = index.get(terms[position])
+                        if bucket is None:
+                            index[terms[position]] = [fact]
+                        else:
+                            bucket.append(fact)
+        nulls = null_bearing(loaded)
+        if nulls:
+            self._null_facts[predicate] = nulls
+        if self._domain_counts is not None:
+            for fact in loaded:
+                _count_constants(self._domain_counts, fact, 1)
+        self._live += len(loaded)
+        return loaded
+
     def remove(self, fact: Fact) -> bool:
         """Retract a fact; returns ``False`` when it is not in the store.
 
@@ -196,6 +265,8 @@ class FactStore:
         """
         predicate = fact.predicate
         rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._map_loaded(predicate)
         slot = None if rows is None else rows.get(fact.terms)
         if slot is None:
             return False
@@ -245,6 +316,8 @@ class FactStore:
     # -- inspection ----------------------------------------------------------
     def __contains__(self, fact: Fact) -> bool:
         rows = self._rows.get(fact.predicate)
+        if rows is None:
+            rows = self._map_loaded(fact.predicate)
         return rows is not None and fact.terms in rows
 
     def contains_row(self, predicate: str, terms: Tuple[Term, ...]) -> bool:
@@ -255,15 +328,32 @@ class FactStore:
         first.
         """
         rows = self._rows.get(predicate)
+        if rows is None:
+            rows = self._map_loaded(predicate)
         return rows is not None and terms in rows
 
     def rows(self, predicate: str) -> Dict[Tuple[Term, ...], int]:
-        """The live dedup map ``{terms: slot}`` of ``predicate``, made empty
-        for a predicate with no fact yet; the generated kernels bind it once
+        """The live dedup map ``{terms: slot}`` of ``predicate``: built here
+        from the slots :meth:`load` filled if it has none yet, made empty for
+        a predicate with no fact yet.  The generated kernels bind it once
         and test head rows with ``in``."""
         rows = self._rows.get(predicate)
         if rows is None:
-            rows = self._rows[predicate] = {}
+            rows = self._map_loaded(predicate)
+            if rows is None:
+                rows = self._rows[predicate] = {}
+        return rows
+
+    def _map_loaded(self, predicate: str) -> Optional[Dict[Tuple[Term, ...], int]]:
+        """The dedup map of a predicate that has none, built from the run of
+        slots :meth:`load` filled; ``None`` when it filled none."""
+        if predicate not in self._unmapped:
+            return None
+        start, stop = self._unmapped.pop(predicate)
+        # Nothing removed a fact of the run: a removal builds the map first.
+        rows = self._rows[predicate] = dict(
+            zip(map(_terms_of, self._facts[start:stop]), range(start, stop))
+        )
         return rows
 
     def __len__(self) -> int:
@@ -301,7 +391,13 @@ class FactStore:
         tombstones, it never compacts), so :meth:`fact_at` resolves a
         position handed out earlier to the same fact.
         """
-        return self._rows[predicate][terms]
+        try:
+            return self._rows[predicate][terms]
+        except KeyError:
+            rows = self._map_loaded(predicate)
+            if rows is None:
+                raise
+            return rows[terms]
 
     def predicates(self) -> Tuple[str, ...]:
         return tuple(self._by_predicate)

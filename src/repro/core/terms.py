@@ -39,7 +39,8 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from typing import Any, Dict, Iterable, Mapping, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 
 class Term:
@@ -242,6 +243,8 @@ class Null(Term):
 _VALUE = Constant.value
 _NAME = Variable.name
 _IDENT = Null.ident
+#: The intern table a value goes to is its ``__class__``'s.
+_class_of = attrgetter("__class__")
 
 
 Value = Union[Constant, Null]
@@ -299,6 +302,34 @@ def make_term(value: Any) -> Term:
     if isinstance(value, Term):
         return value
     return Constant(value)
+
+
+def constant_rows(rows: Sequence[Tuple[Any, ...]]) -> List[Tuple[Constant, ...]]:
+    """``tuple(map(Constant, row))`` for each of a page of rows, one intern
+    pass per column.
+
+    A column whose values share one scalar type reads that type's table at
+    C speed; only its values missing there, and the columns of mixed or
+    composite type, go through :class:`Constant`.  Rows of unequal (or no)
+    length convert one by one.
+    """
+    if len(set(map(len, rows))) != 1 or not rows[0]:
+        return [tuple(map(Constant, row)) for row in rows]
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(_class_of, column))
+        table = _constants.get(kinds.pop()) if len(kinds) == 1 else None
+        if table is None:
+            columns.append(list(map(Constant, column)))
+            continue
+        found = list(map(table.get, column))
+        if None in found:
+            found = [
+                term if term is not None else Constant(value)
+                for term, value in zip(found, column)
+            ]
+        columns.append(found)
+    return list(zip(*columns))
 
 
 def constants_of(terms: Iterable[Term]) -> Tuple[Constant, ...]:

@@ -21,10 +21,12 @@ Annotations are "@"-prefixed facts that inject behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.atoms import Fact
+from ..core.atoms import Fact, null_bearing
 from ..core.query import AnswerSet
 from ..core.rules import Annotation, Program
 from ..storage.datasources import DataSource, DataSourceError, Pushdown, create_datasource
@@ -207,7 +209,9 @@ def write_output_bindings(
 
     Only null-free (certain) tuples are written — labelled nulls have no
     faithful external representation; skipped rows are counted in the
-    source's ``rows_skipped_nulls`` statistic.  When ``requested_outputs``
+    source's ``rows_skipped_nulls`` statistic.  Each source is handed the
+    rows as an iterator it consumes as it writes, so no list of them is
+    built; both counts are of what it consumed.  When ``requested_outputs``
     is given (the run's ``reason(outputs=…)`` selection), bound predicates
     *outside* that selection are left untouched — the run never extracted
     their answers, so writing would wipe the external relation.  Returns
@@ -218,13 +222,33 @@ def write_output_bindings(
         if requested_outputs is not None and predicate not in requested_outputs:
             continue
         facts = answers.facts_by_predicate.get(predicate, [])
-        rows = [fact.values() for fact in facts if not fact.has_nulls]
-        source.stats.rows_skipped_nulls += len(facts) - len(rows)
         try:
-            written[predicate] = source.write_rows(rows)
+            written[predicate] = source.write_rows(_writeback_rows(facts, source.stats))
         except DataSourceError as exc:
             raise AnnotationError(str(exc)) from exc
     return written
+
+
+_terms_of = itemgetter(1)
+_value_of = attrgetter("value")
+
+
+def _writeback_rows(facts: Sequence[Fact], stats) -> Iterator[Tuple[object, ...]]:
+    """The values of the null-free ``facts``, lazily; a fact holding a
+    labelled null is counted in ``stats.rows_skipped_nulls`` as it is
+    passed over."""
+    if not null_bearing(facts):
+        # No null anywhere: each fact's values without a Python call per fact.
+        return map(tuple, map(map, repeat(_value_of), map(_terms_of, facts)))
+    return _skipping_nulls(facts, stats)
+
+
+def _skipping_nulls(facts: Sequence[Fact], stats) -> Iterator[Tuple[object, ...]]:
+    for fact in facts:
+        if fact.has_nulls:
+            stats.rows_skipped_nulls += 1
+        else:
+            yield fact.values()
 
 
 def _term_sort_key(term) -> Tuple[int, str, object]:

@@ -219,7 +219,7 @@ def render_kernel(plan) -> str:
                 uses.add("rget")
                 emit(depth, f"if rget({fact}, 0) >= round_index:")
                 emit(depth + 1, "continue")
-            emit(depth, f"{terms} = {fact}.terms")
+            emit(depth, f"{terms} = {fact}[1]")
             pairs = [(f"{terms}[{pos}]", name) for pos, name in consts]
             pairs += [(f"{terms}[{pos}]", f"s{slot}") for pos, slot in step.bound_checks]
             pairs += [(f"{terms}[{pos}]", f"{terms}[{p0}]") for pos, p0 in step.same_checks]

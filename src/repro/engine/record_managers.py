@@ -7,20 +7,25 @@ relational databases, APIs) and turn streaming input data into facts
 databases and loose facts, :class:`DataSourceRecordManager` bridges
 to the pluggable datasource layer of
 :mod:`repro.storage.datasources` (SQLite/CSV/JSONL behind ``@bind``): it
-streams lazily from the source's cursor — no *rows* are read until the
-first fact is pulled, so sources the streaming driver prunes by the
-backward slice never scan their backend (SQLite binds do get an eager schema-validation
-peek at resolution time) — and carries the predicate's compiled
+streams lazily from the source's cursor a page at a time — no *rows* are
+read until the first fact is pulled, so sources the streaming driver
+prunes by the backward slice never scan their backend (SQLite binds do get
+an eager schema-validation peek at resolution time), and each pull reads
+and converts one page of rows (the source cache's ``page_size``) — and
+carries the predicate's compiled
 :class:`~repro.storage.datasources.Pushdown` into the scan.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from ..core.atoms import Fact
-from ..core.terms import Constant
+from ..core.terms import constant_rows
 from ..storage.database import Database
+
+_new_tuple = tuple.__new__
 
 
 class RecordManager:
@@ -45,8 +50,10 @@ class DataSourceRecordManager(RecordManager):
 
     Each row becomes a :class:`Fact` of interned constants (one object per
     type and value, see :mod:`repro.core.terms`), so ``1``, ``1.0`` and
-    ``True`` stay distinct, exactly as the rows held them.  The source's
-    page cache keeps the facts the converter built, so they are the one
+    ``True`` stay distinct, exactly as the rows held them.  Rows are
+    converted a page at a time, with one intern pass per column of the
+    page (:func:`~repro.core.terms.constant_rows`).  The source's page
+    cache keeps the pages of facts the converter built, so they are the one
     copy of the relation in memory, and a repeated stream (a second
     ``reason()``) yields those same facts without building a term.
     """
@@ -59,8 +66,11 @@ class DataSourceRecordManager(RecordManager):
     def stream(self) -> Iterator[Fact]:
         predicate = self.predicate
 
-        def convert(row: Tuple[object, ...]) -> Fact:
-            return Fact.from_ground(predicate, tuple(map(Constant, row)))
+        def convert(rows: List[Tuple[object, ...]]) -> List[Fact]:
+            # Fact.from_ground on each row, without a Python call per row.
+            return list(
+                map(_new_tuple, repeat(Fact), zip(repeat(predicate), constant_rows(rows)))
+            )
 
         return self.source.scan(self.pushdown, convert)
 

@@ -23,19 +23,22 @@ Every source keeps :class:`SourceStats` counters (scans, rows scanned vs.
 relation size, cache traffic, rows written) and serves repeated scans from
 a per-source :class:`RowPageCache` — an LRU cache of result pages keyed by
 the pushdown that produced them, so a reasoner that is run twice (or an
-executor that re-reads an input) does not re-hit the backend.  A scan
-given a row converter (the record manager's row → fact step) yields and
-caches the converted items, so the facts a load built are the cache's
-one copy of the relation and a repeated load does not rebuild them.
+executor that re-reads an input) does not re-hit the backend.  Backends
+are read a page at a time (SQLite with ``fetchmany``), and a scan given a
+page converter (the record manager's rows → facts step) yields and caches
+the converted pages, so the facts a load built are the cache's one copy of
+the relation and a repeated load does not rebuild them.
 
-Row scans are *lazy*: ``scan()`` is a generator and backends read rows
-only as they are pulled, which is what lets the streaming pipeline avoid
-reading relations its backward slice pruned.  The one deliberately eager
-step is SQLite *schema validation*: resolving a ``@bind`` opens the file
-for a ``PRAGMA`` peek so that missing tables, missing mapped columns and
-arity mismatches fail fast at binding time rather than mid-chase.  Writing
-is supported for every backend so that ``@output`` predicates bound to a
-source are written back after reasoning.
+Row scans are *lazy*: ``scan()`` is a generator and backends read a page
+only when its first row is pulled, which is what lets the
+streaming pipeline avoid reading relations its backward slice pruned.  The
+one deliberately eager step is SQLite *schema validation*: resolving a
+``@bind`` opens the file for a ``PRAGMA`` peek so that missing tables,
+missing mapped columns and arity mismatches fail fast at binding time
+rather than mid-chase.  Writing is supported for every backend so that
+``@output`` predicates bound to a source are written back after reasoning;
+``write_rows`` consumes its rows as it writes them, so a writeback builds
+no list of them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import operator
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -270,7 +273,15 @@ class RowPageCache:
         pages = [
             list(rows[i : i + self.page_size])
             for i in range(0, len(rows), self.page_size)
-        ] or [[]]
+        ]
+        return self.put_pages(key, pages, stats, converted)
+
+    def put_pages(
+        self, key: Tuple, pages: List[List[object]], stats: SourceStats, converted: bool = False
+    ) -> bool:
+        """Admit a completed scan result as the pages it was read in, kept
+        as they are; returns False when they cannot fit."""
+        pages = pages or [[]]
         if len(pages) > self.max_pages:
             return False
         if key in self._entries:
@@ -321,22 +332,27 @@ class DataSource:
     def scan(
         self,
         pushdown: Optional[Pushdown] = None,
-        convert: Optional[Callable[[Tuple[object, ...]], object]] = None,
+        convert: Optional[Callable[[List[Tuple[object, ...]]], List[object]]] = None,
     ) -> Iterator[object]:
         """Stream the relation's rows, restricted by ``pushdown``.
 
-        Lazy: nothing is read until the first row is pulled.  A completed
-        scan is admitted to the page cache; subsequent scans with the same
-        pushdown are served from memory without touching the backend.
+        Lazy: nothing is read until the first row is pulled, and the
+        backend is read a page (the cache's ``page_size`` rows) at a time,
+        when the first row of the page is pulled.  A completed scan is
+        admitted to the page cache as the pages it was read in; subsequent
+        scans with the same pushdown are served from memory without
+        touching the backend.
 
-        ``convert``, when given, turns each row into the item the scan
-        yields, and the cache keeps those items, not the rows: a later
-        converting scan yields the very same objects.  A converted item
-        gives its row back through ``values()`` (a :class:`Fact` does), so
-        a scan without ``convert`` still yields raw tuples whichever kind
-        of scan filled the cache.  A converting scan that finds raw rows
-        cached is a miss: it reads the backend again and its converted
-        items replace the entry.
+        ``convert``, when given, turns each page of rows into the page of
+        items the scan yields (the record manager's rows → facts step, one
+        call per page), and the cache keeps those pages, not the rows: a
+        later converting scan yields the very same objects.  A converted
+        item gives its row back through ``values()`` (a :class:`Fact`
+        does), so a scan without ``convert`` still yields raw tuples
+        whichever kind of scan filled the cache.  A converting scan that
+        finds raw rows cached is a miss: it reads the backend again and its
+        converted pages replace the entry.  ``rows_emitted`` counts a page's
+        rows when the scan reaches it.
         """
         if pushdown is not None and pushdown.is_empty():
             pushdown = None
@@ -351,12 +367,11 @@ class DataSource:
         if cached is not None and (cached.converted or convert is None):
             self.stats.cache_served_scans += 1
             self.stats.page_hits += len(cached.pages)
-            items = chain.from_iterable(cached.pages)
-            if cached.converted and convert is None:
-                items = (item.values() for item in items)
-            for item in items:
-                self.stats.rows_emitted += 1
-                yield item
+            for page in cached.pages:
+                if cached.converted and convert is None:
+                    page = [item.values() for item in page]
+                self.stats.rows_emitted += len(page)
+                yield from page
             if tracer is not None:
                 self._emit_scan_span(
                     tracer,
@@ -370,23 +385,21 @@ class DataSource:
         self.stats.page_misses += 1
         scanned_before = self.stats.rows_scanned
         emitted_before = self.stats.rows_emitted
-        # Buffer for cache admission only while the result can still fit the
-        # page budget; a scan larger than the whole cache is streamed through
-        # without being retained (the memory bound stays the cache budget).
-        budget = self._cache.page_size * self._cache.max_pages
-        kept: Optional[List[object]] = []
-        items = self._scan_resilient(pushdown)
-        if convert is not None:
-            items = map(convert, items)
-        for item in items:
-            self.stats.rows_emitted += 1
+        # Keep the pages for cache admission only while they can still fit
+        # the page budget; a scan larger than the whole cache is streamed
+        # through without being retained (the memory bound stays the budget).
+        kept: Optional[List[List[object]]] = []
+        for page in self._scan_resilient(pushdown):
+            if convert is not None:
+                page = convert(page)
+            self.stats.rows_emitted += len(page)
             if kept is not None:
-                kept.append(item)
-                if len(kept) > budget:
+                kept.append(page)
+                if len(kept) > self._cache.max_pages:
                     kept = None
-            yield item
+            yield from page
         if kept is not None:
-            self._cache.put(key, kept, self.stats, converted=convert is not None)
+            self._cache.put_pages(key, kept, self.stats, converted=convert is not None)
         if tracer is not None:
             self._emit_scan_span(
                 tracer,
@@ -427,12 +440,13 @@ class DataSource:
             counters={"rows_emitted": emitted, "rows_scanned": scanned},
         )
 
-    def _scan_resilient(self, pushdown: Optional[Pushdown]) -> Iterator[Tuple[object, ...]]:
-        """Backend scan wrapped in retry-with-exponential-backoff.
+    def _scan_resilient(self, pushdown: Optional[Pushdown]) -> Iterator[List[Tuple[object, ...]]]:
+        """Backend page scan wrapped in retry-with-exponential-backoff.
 
         Transient failures (``retry_policy.retry_on``, by default
-        :meth:`transient_errors`) restart the backend scan; rows
-        already handed to the consumer are skipped on the restarted pass —
+        :meth:`transient_errors`) restart the backend scan; the rows of the
+        pages already handed to the consumer are skipped on the restarted
+        pass (and read again, so ``rows_scanned`` counts them twice) —
         backend scans are deterministic, so resume-by-skip neither drops nor
         duplicates rows.  Exhausting the retry budget raises a
         :class:`DataSourceError` chained to the last transient error.
@@ -447,12 +461,14 @@ class DataSource:
                     "datasource.scan", predicate=self.predicate, attempt=attempt
                 )
                 skip = emitted
-                for row in self._scan_rows(pushdown):
+                for page in self._scan_pages(pushdown, self._cache.page_size):
                     if skip:
-                        skip -= 1
-                        continue
-                    emitted += 1
-                    yield row
+                        if skip >= len(page):
+                            skip -= len(page)
+                            continue
+                        page, skip = page[skip:], 0
+                    emitted += len(page)
+                    yield page
                 return
             except retry_on as exc:
                 attempt += 1
@@ -494,6 +510,18 @@ class DataSource:
         )
         tracer.metrics.counter("source.retries").inc()
 
+    def _scan_pages(
+        self, pushdown: Optional[Pushdown], size: int
+    ) -> Iterator[List[Tuple[object, ...]]]:
+        """The backend's rows in non-empty pages of at most ``size`` rows:
+        :meth:`_scan_rows` cut into pages, unless the backend reads pages."""
+        rows = self._scan_rows(pushdown)
+        while True:
+            page = list(islice(rows, size))
+            if not page:
+                return
+            yield page
+
     def _scan_rows(self, pushdown: Optional[Pushdown]) -> Iterator[Tuple[object, ...]]:
         raise NotImplementedError
 
@@ -506,7 +534,10 @@ class DataSource:
 
     # -- writing ---------------------------------------------------------------
     def write_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        """Replace the relation's content with ``rows``; returns rows written."""
+        """Replace the relation's content with ``rows``; returns rows written.
+
+        ``rows`` may be a one-shot iterator: it is consumed once, as the
+        rows are written, and the count is what it yielded."""
         raise DataSourceError(
             f"{self.kind} source for {self.predicate!r} does not support writing"
         )
@@ -601,14 +632,15 @@ class CsvDataSource(DataSource):
         self.stats.relation_rows = raw
 
     def write_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        rows = [tuple(row) for row in rows]
+        count = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("w", newline="") as handle:
             writer = csv.writer(handle, delimiter=self.delimiter)
             for row in rows:
                 writer.writerow(row)
-        self.stats.relation_rows = len(rows)
-        return self._note_written(len(rows))
+                count += 1
+        self.stats.relation_rows = count
+        return self._note_written(count)
 
 
 class JsonlDataSource(DataSource):
@@ -680,7 +712,7 @@ class JsonlDataSource(DataSource):
         self.stats.relation_rows = raw
 
     def write_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        rows = [tuple(row) for row in rows]
+        count = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("w") as handle:
             for row in rows:
@@ -688,8 +720,9 @@ class JsonlDataSource(DataSource):
                     handle.write(json.dumps(dict(zip(self.columns, row))) + "\n")
                 else:
                     handle.write(json.dumps(list(row)) + "\n")
-        self.stats.relation_rows = len(rows)
-        return self._note_written(len(rows))
+                count += 1
+        self.stats.relation_rows = count
+        return self._note_written(count)
 
 
 class SQLiteDataSource(DataSource):
@@ -789,7 +822,12 @@ class SQLiteDataSource(DataSource):
         residual = tuple(c for c in pushdown.constraints if c not in native)
         return native, (Pushdown(residual) if residual else None)
 
-    def _scan_rows(self, pushdown: Optional[Pushdown]) -> Iterator[Tuple[object, ...]]:
+    def _scan_pages(
+        self, pushdown: Optional[Pushdown], size: int
+    ) -> Iterator[List[Tuple[object, ...]]]:
+        """The table's rows, ``size`` at a time through ``fetchmany``: the
+        driver's row tuples are the page, unless a column is fixed by the
+        pushdown (rebuilt client-side) or a residual constraint filters it."""
         native, residual = self._split_pushdown(pushdown)
         with self._connect() as connection:
             columns = self._columns or self._table_columns(connection)
@@ -829,23 +867,40 @@ class SQLiteDataSource(DataSource):
             if where_parts:
                 sql += " WHERE " + " AND ".join(where_parts)
             cursor = connection.execute(sql, params)
-            for fetched in cursor:
-                self.stats.rows_scanned += 1
-                row_values: List[object] = [None] * len(columns)
-                for out_pos, i in enumerate(selected):
-                    row_values[i] = fetched[out_pos]
-                for pos, value in fixed.items():
-                    row_values[pos] = value
-                row = tuple(row_values)
-                if residual is None or residual.matches(row):
-                    yield row
+            while True:
+                page = cursor.fetchmany(size)
+                if not page:
+                    return
+                self.stats.rows_scanned += len(page)
+                if fixed:
+                    page = [self._rebuilt(fetched, selected, fixed) for fetched in page]
+                if residual is not None:
+                    page = [row for row in page if residual.matches(row)]
+                if page:
+                    yield page
+
+    def _rebuilt(
+        self, fetched: Tuple[object, ...], selected: List[int], fixed: Dict[int, object]
+    ) -> Tuple[object, ...]:
+        """A full row from the ``selected`` columns fetched and the ``fixed`` ones."""
+        row_values: List[object] = [None] * len(self._columns)
+        for out_pos, i in enumerate(selected):
+            row_values[i] = fetched[out_pos]
+        for pos, value in fixed.items():
+            row_values[pos] = value
+        return tuple(row_values)
 
     # -- writing ---------------------------------------------------------------
     def write_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        rows = [tuple(row) for row in rows]
+        rows = iter(rows)
         arity = self.arity
         if arity is None:
-            arity = len(rows[0]) if rows else len(self._columns or ())
+            first = next(rows, None)
+            if first is None:
+                arity = len(self._columns or ())
+            else:
+                arity = len(first)
+                rows = chain((first,), rows)
         if not arity:
             raise DataSourceError(
                 f"sqlite source for {self.predicate!r}: cannot infer the table "
@@ -860,16 +915,14 @@ class SQLiteDataSource(DataSource):
             connection.execute(f'DROP TABLE IF EXISTS "{self.table}"')
             connection.execute(f'CREATE TABLE "{self.table}" ({column_ddl})')
             placeholders = ", ".join("?" for _ in columns)
-            prepared = [
-                tuple(int(v) if isinstance(v, bool) else v for v in row)
-                for row in rows
-            ]
-            connection.executemany(
-                f'INSERT INTO "{self.table}" VALUES ({placeholders})', prepared
-            )
+            # The rows are bound as they are pulled; sqlite3 binds a bool as
+            # the integer it is, so True is stored as 1.
+            count = connection.executemany(
+                f'INSERT INTO "{self.table}" VALUES ({placeholders})', rows
+            ).rowcount
         self._columns = columns
-        self.stats.relation_rows = len(rows)
-        return self._note_written(len(rows))
+        self.stats.relation_rows = count
+        return self._note_written(count)
 
 
 # ---------------------------------------------------------------------------

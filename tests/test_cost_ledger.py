@@ -45,16 +45,31 @@ def test_two_runs_count_the_same_calls():
     assert ledger.violations(first, second) == []
 
 
-def _report(reason=1000, setup=100, admitted=5):
+def _report(reason=1000, setup=100, admitted=5, peak=2048):
     phase = lambda total: {"total": total, "functions": {"f": total}}  # noqa: E731
     return {
         "w": {
             "setup": phase(setup),
             "reason": phase(reason),
             "counters": {"strategy_admitted": admitted},
-            "memory": {"peak_bytes": 2048, "live_blocks": 10},
+            "memory": {"peak_bytes": peak, "live_blocks": 10},
         }
     }
+
+
+def test_compare_fails_on_a_memory_rise():
+    ledger = _ledger()
+    base = _report(peak=100_000)
+    assert ledger.violations(base, _report(peak=101_000)) == []
+    assert ledger.violations(base, _report(peak=50_000)) == []
+    risen = _report(peak=101_001)
+    assert ledger.violations(base, risen) == ["w reason peak 100000 -> 101001 bytes (+1.0%)"]
+    assert ledger.violations(base, risen, ["memory"]) == []
+    assert ledger.violations(base, risen, ["memory@w"]) == []
+    assert len(ledger.violations(base, risen, ["memory@other", "reason"])) == 1
+    # A report without the memory pass (an older ledger) is not gated on it.
+    del risen["w"]["memory"]
+    assert ledger.violations(base, risen) == []
 
 
 def test_compare_fails_on_a_rise_or_a_moved_counter(tmp_path):

@@ -530,6 +530,72 @@ class TestWriteback:
         assert (tmp_path / "control.jsonl").read_text().strip() == '["a", "b"]'
 
 
+def writable_source(kind, directory, name, arity=None):
+    """A fresh, empty writeback target of ``kind`` named ``name``."""
+    if kind == "memory":
+        return InMemoryDataSource("P", [], arity=arity)
+    if kind == "csv":
+        return CsvDataSource("P", directory / f"{name}.csv", arity=arity)
+    if kind == "jsonl":
+        return JsonlDataSource("P", directory / f"{name}.jsonl", arity=arity)
+    return SQLiteDataSource("P", directory / f"{name}.db", create=True, arity=arity)
+
+
+WRITABLE_KINDS = ("memory", "csv", "jsonl", "sqlite")
+
+
+class TestStreamedWriteback:
+    """``write_rows`` consumes a one-shot iterator as it writes."""
+
+    ROWS = [("a", 1), ("b", 2.5), ("c", True), ("a", 1)]
+
+    @pytest.mark.parametrize("kind", WRITABLE_KINDS)
+    def test_generator_writes_what_a_list_writes(self, tmp_path, kind):
+        listed = writable_source(kind, tmp_path, "listed")
+        streamed = writable_source(kind, tmp_path, "streamed")
+        assert listed.write_rows(list(self.ROWS)) == 4
+        assert streamed.write_rows(row for row in self.ROWS) == 4
+        assert list(streamed.scan()) == list(listed.scan())
+        for stats in (listed.stats, streamed.stats):
+            assert (stats.rows_written, stats.relation_rows) == (4, 4)
+
+    @pytest.mark.parametrize("kind", WRITABLE_KINDS)
+    def test_empty_generator_writes_an_empty_relation(self, tmp_path, kind):
+        listed = writable_source(kind, tmp_path, "listed", arity=2)
+        streamed = writable_source(kind, tmp_path, "streamed", arity=2)
+        assert listed.write_rows([]) == streamed.write_rows(iter(())) == 0
+        assert list(listed.scan()) == list(streamed.scan()) == []
+        for stats in (listed.stats, streamed.stats):
+            assert (stats.rows_written, stats.relation_rows) == (0, 0)
+
+    @pytest.mark.parametrize("rows", [[], iter(())], ids=["list", "generator"])
+    def test_empty_sqlite_write_without_arity_still_raises(self, tmp_path, rows):
+        source = writable_source("sqlite", tmp_path, "out")
+        with pytest.raises(DataSourceError, match="cannot infer the table schema"):
+            source.write_rows(rows)
+        assert source.stats.rows_written == 0
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl", "sqlite"])
+    def test_null_answers_skipped_among_certain_ones(self, tmp_path, kind):
+        location = {"csv": "out.csv", "jsonl": "out.jsonl", "sqlite": "out.db"}[kind]
+        if kind == "sqlite":
+            with sqlite3.connect(str(tmp_path / location)) as conn:
+                conn.execute('CREATE TABLE "WorksIn" (c0, c1)')
+        program = f"""
+        @bind("WorksIn", "{kind}", "{location}").
+        @output("WorksIn").
+        WorksIn(E, D) :- Employee(E).
+        WorksIn(B, "hq") :- Boss(B).
+        """
+        result = VadalogReasoner(program, base_path=str(tmp_path)).reason(
+            database={"Employee": [("e1",), ("e2",)], "Boss": [("b1",)]}
+        )
+        stats = result.source_stats["WorksIn"]
+        assert (stats["rows_written"], stats["rows_skipped_nulls"]) == (1, 2)
+        backend = {"csv": CsvDataSource, "jsonl": JsonlDataSource, "sqlite": SQLiteDataSource}
+        assert list(backend[kind]("WorksIn", tmp_path / location).scan()) == [("b1", "hq")]
+
+
 # ---------------------------------------------------------------------------
 # Error paths and the retry policy (robustness layer)
 # ---------------------------------------------------------------------------
@@ -574,6 +640,20 @@ class TestRetryPolicy:
         assert rows == [(i, i + 1) for i in range(10)]
         assert source.stats.retries == 1
         assert source.stats.retry_giveups == 0
+
+    def test_failure_past_a_page_resumes_at_the_next_page(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("".join(f"{i},{i + 1}\n" for i in range(2500)))
+        source = FlakyCsvDataSource(
+            "E", path, fail_after_rows=1500, retry_policy=self.fast_policy()
+        )
+        rows = source.scan()
+        assert next(rows) == (0, 1)  # the first page of 1 024 rows is handed out
+        assert list(rows) == [(i, i + 1) for i in range(1, 2500)]
+        assert source.stats.retries == 1
+        # The restarted pass reads the handed-out page again and counts it.
+        assert source.stats.rows_scanned == 1500 + 2500
+        assert source.stats.rows_emitted == 2500
 
     def test_retry_exhaustion_raises_datasource_error(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -169,6 +169,12 @@ class TestFactStoreRemove:
         positions = [(p, i) for p, arity in sorted(self.PREDICATES.items()) for i in range(arity)]
         probe_rng = random.Random(1000 + seed)
         first_probe = {pair: probe_rng.choice((0, 60, 150, 280, 400)) for pair in positions}
+        # ``load`` runs go to P, Q, R and to fresh predicates, some with a
+        # position probed before their first fact; a fresh run keeps no
+        # dedup map until a reader (the readers step, an add, a removal or
+        # a full check) asks for it.
+        arities = dict(self.PREDICATES)
+        check_rng = random.Random(2000 + seed)
         live = {}  # fact -> slot; dict order is insertion order
         rounds = {}  # fact -> round it entered in
         next_slot = 0
@@ -176,10 +182,17 @@ class TestFactStoreRemove:
         delta = []
         current_round = 0
 
-        def random_fact():
-            predicate = rng.choice(sorted(self.PREDICATES))
-            arity = self.PREDICATES[predicate]
+        def random_fact(predicate=None):
+            predicate = predicate or rng.choice(sorted(arities))
+            arity = arities[predicate]
             return Fact(predicate, [rng.choice(self.TERMS) for _ in range(arity)])
+
+        def enter(candidate):
+            nonlocal next_slot
+            live[candidate] = next_slot
+            rounds[candidate] = current_round
+            next_slot += 1
+            since_round.append(candidate)
 
         # The active domain is built on first request and maintained from
         # then on: first ask for it before, during or after the steps.
@@ -189,14 +202,50 @@ class TestFactStoreRemove:
                 assert store._domain_counts is None
                 store.active_domain()
             roll = rng.random()
-            if roll < 0.5 or not live:
+            if roll < 0.4 or not live:
                 candidate = random_fact()
                 assert store.add(candidate) == (candidate not in live)
                 if candidate not in live:
-                    live[candidate] = next_slot
-                    rounds[candidate] = current_round
-                    next_slot += 1
-                    since_round.append(candidate)
+                    enter(candidate)
+            elif roll < 0.5:
+                if rng.random() < 0.5:
+                    predicate = f"L{len(arities)}"
+                    arities[predicate] = rng.choice((1, 2))
+                    if rng.random() < 0.5:
+                        store.index(predicate, 0)
+                        first_probe[(predicate, 0)] = step
+                else:
+                    predicate = rng.choice(sorted(arities))
+                fresh = predicate not in store._rows and not any(
+                    f.predicate == predicate for f in live
+                )
+                batch = [random_fact(predicate) for _ in range(rng.randrange(6))]
+                batch += rng.sample(batch, min(len(batch), 2))  # in-batch duplicates
+                added = []
+                for candidate in batch:
+                    if candidate not in live:
+                        enter(candidate)
+                        added.append(candidate)
+                assert store.load(predicate, iter(batch)) == added
+                if fresh and added:
+                    assert predicate not in store._rows and predicate in store._unmapped
+            elif roll < 0.55:
+                # One reader; on a freshly loaded predicate it builds the map.
+                probe = rng.choice(list(live)) if rng.random() < 0.7 else random_fact()
+                reader = rng.choice(("in", "contains_row", "index_of_row", "rows"))
+                if reader == "in":
+                    assert (probe in store) == (probe in live)
+                elif reader == "contains_row":
+                    assert store.contains_row(probe.predicate, probe.terms) == (probe in live)
+                elif reader == "index_of_row" and probe in live:
+                    assert store.index_of_row(probe.predicate, probe.terms) == live[probe]
+                elif reader == "index_of_row":
+                    with pytest.raises(KeyError):
+                        store.index_of_row(probe.predicate, probe.terms)
+                else:
+                    assert store.rows(probe.predicate) == {
+                        f.terms: slot for f, slot in live.items() if f.predicate == probe.predicate
+                    }
             elif roll < 0.9:
                 # Mostly a live fact (often a re-added one), sometimes absent.
                 victim = rng.choice(list(live)) if rng.random() < 0.85 else random_fact()
@@ -212,8 +261,14 @@ class TestFactStoreRemove:
                 store.begin_round(current_round, delta)
             delta = [f for f in delta if f in live]
             probed = {pair for pair, first in first_probe.items() if first <= step}
-            self.check(store, live, rounds, delta, domain=step >= domain_from, probed=probed)
-        self.check(store, live, rounds, delta, domain=True, probed=set(positions))
+            self.check(
+                store, live, rounds, delta, domain=step >= domain_from, probed=probed,
+                arities=arities, maps=check_rng.random() < 0.3,
+            )
+        probed = set(positions) | {pair for pair in first_probe if pair[0] not in self.PREDICATES}
+        self.check(
+            store, live, rounds, delta, domain=True, probed=probed, arities=arities, maps=True
+        )
 
     def test_built_index_outlives_its_predicate(self):
         store = FactStore([fact("P", "a", 1)])
@@ -224,8 +279,14 @@ class TestFactStoreRemove:
         assert store.index("P", 0) is index and index == {Constant("b"): [fact("P", "b", 2)]}
         assert built_positions(store) == {"P": (0,)}
 
-    def check(self, store, live, rounds, delta, domain, probed):
+    def check(self, store, live, rounds, delta, domain, probed, arities=PREDICATES, maps=True):
+        """``store`` against the model; ``maps=False`` reads no dedup map,
+        so a predicate ``load`` filled keeps none."""
+        unmapped = set(store._unmapped)
+
         def slots(bucket):
+            if not maps:
+                return [live[f] for f in bucket]
             return [store.index_of_row(f.predicate, f.terms) for f in bucket]
 
         def ordered(bucket):
@@ -243,12 +304,13 @@ class TestFactStoreRemove:
         else:
             assert store._domain_counts is None
         for f, slot in live.items():
-            assert f in store and store.contains_row(f.predicate, f.terms)
-            assert store.index_of_row(f.predicate, f.terms) == slot
+            if maps:
+                assert f in store and store.contains_row(f.predicate, f.terms)
+                assert store.index_of_row(f.predicate, f.terms) == slot
             assert store.fact_at(slot) == f
             assert store.round_of(f) == rounds[f]
         assert set(store.null_predicates()) == {f.predicate for f in facts if f.has_nulls}
-        for predicate, arity in self.PREDICATES.items():
+        for predicate, arity in arities.items():
             extent = [f for f in facts if f.predicate == predicate]
             assert list(store.by_predicate(predicate)) == extent
             assert store.count(predicate) == len(extent)
@@ -281,6 +343,10 @@ class TestFactStoreRemove:
                 for f in extent:
                     model.setdefault(f.terms[position], []).append(f)
                 assert index == model
+        if not maps:
+            assert set(store._unmapped) == unmapped
+            return
+        assert not store._unmapped
         gone = Fact("P", (Constant(99), Constant(99)))
         assert gone not in store
         with pytest.raises(KeyError):
@@ -335,6 +401,35 @@ class TestFactStoreRemove:
         # tuple per fact one more.
         assert len(store) == 10_000
         assert blocks / len(facts) < 1.1
+
+    def test_blocks_per_loaded_fact(self):
+        """Memory by count: the same facts through ``load`` keep no dedup
+        map, and so no slot number per fact, until a reader asks for it."""
+        facts = [fact("P", i, i % 100, i % 7) for i in range(10_000)]
+        store = FactStore()
+
+        def blocks(after, before):
+            return sum(
+                stat.count_diff
+                for stat in after.compare_to(before, "filename")
+                if "fact_store" in str(stat.traceback)
+            )
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            assert store.load("P", facts + facts[:10]) == facts
+            store.index("P", 1)
+            loaded = tracemalloc.take_snapshot()
+            assert store.contains_row("P", facts[-1].terms)
+            mapped = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 10_000
+        assert blocks(loaded, before) / len(facts) < 0.1
+        # The first reader builds the map: a slot number per fact.
+        assert blocks(mapped, loaded) / len(facts) > 0.9
+        assert store.index_of_row("P", facts[1234].terms) == 1234
 
 
 class TestProbedIndexes:

@@ -21,11 +21,13 @@ the same call counts and counters; the traced memory repeats to within
     python tools/cost_ledger.py compare base.json head.json   # exact deltas
 
 ``compare`` is a gate: it exits 1 when a set-up or reasoning total rises by
-more than 1 % (:data:`TOTAL_BOUND`) or a chase counter moves, on any
-workload, unless ``--expect`` names the move: ``reason`` or ``setup`` for a
-total, ``counter:NAME`` for a counter, each optionally ``@WORKLOAD`` for
-one workload only (``--expect counter:strategy_admitted@iwarded.chase``).
-Memory is printed, not gated.
+more than 1 % (:data:`TOTAL_BOUND`), the reasoning phase's traced peak
+rises by more than 1 % (:data:`MEMORY_BOUND`) or a chase counter moves, on
+any workload, unless ``--expect`` names the move: ``reason`` or ``setup``
+for a total, ``memory`` for the peak, ``counter:NAME`` for a counter, each
+optionally ``@WORKLOAD`` for one workload only (``--expect
+counter:strategy_admitted@iwarded.chase``).  Live blocks are printed, not
+gated.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ inputs = _load_inputs()
 
 #: The largest rise of a set-up or reasoning total ``compare`` passes.
 TOTAL_BOUND = 0.01
+#: The largest rise of the reasoning phase's traced peak ``compare`` passes;
+#: the peak repeats to within a few hundred bytes.
+MEMORY_BOUND = 0.01
 
 #: Prints the modules ``import repro`` loads in a bare interpreter.
 IMPORTS = (
@@ -250,8 +255,9 @@ def violations(
     base: Dict[str, object], head: Dict[str, object], expect: Iterable[str] = ()
 ) -> List[str]:
     """The moves ``compare`` fails on: a set-up or reasoning total up by
-    more than :data:`TOTAL_BOUND`, or a counter that moved, on a workload
-    both reports hold, unless ``expect`` names it (module docstring)."""
+    more than :data:`TOTAL_BOUND`, a reasoning peak up by more than
+    :data:`MEMORY_BOUND`, or a counter that moved, on a workload both
+    reports hold, unless ``expect`` names it (module docstring)."""
     expected = set(expect)
 
     def named(move: str, workload: str) -> bool:
@@ -263,6 +269,11 @@ def violations(
             b, h = base[workload][phase]["total"], head[workload][phase]["total"]
             if _change(b, h) > TOTAL_BOUND and not named(phase, workload):
                 found.append(f"{workload} {phase} total {b} -> {h} ({_change(b, h):+.1%})")
+        memory_b, memory_h = base[workload].get("memory"), head[workload].get("memory")
+        if memory_b and memory_h:
+            b, h = memory_b["peak_bytes"], memory_h["peak_bytes"]
+            if _change(b, h) > MEMORY_BOUND and not named("memory", workload):
+                found.append(f"{workload} reason peak {b} -> {h} bytes ({_change(b, h):+.1%})")
         counters_b, counters_h = base[workload]["counters"], head[workload]["counters"]
         for key in sorted(set(counters_b) | set(counters_h)):
             moved = counters_b.get(key) != counters_h.get(key)
@@ -281,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.add_argument("head", type=Path)
         parser.add_argument(
             "--expect", action="append", default=[], metavar="MOVE",
-            help="a move the change intends: reason, setup or counter:NAME, "
+            help="a move the change intends: reason, setup, memory or counter:NAME, "
             "optionally @WORKLOAD (repeatable)",
         )
         args = parser.parse_args(argv[1:])

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .terms import (
     Constant,
@@ -145,6 +145,13 @@ class Atom(tuple):
         return bindings
 
 
+#: The getters of :attr:`Atom.predicate` and :attr:`Atom.terms`: other
+#: modules read an atom's layout through these (and build facts through
+#: :class:`Fact`), the generated join kernels' ``f[1]`` aside.
+predicate_of = Atom.predicate.fget
+terms_of = Atom.terms.fget
+
+
 class Fact(Atom):
     """A ground atom: every term is a constant or a labelled null."""
 
@@ -168,6 +175,13 @@ class Fact(Atom):
         values that are ground by construction.
         """
         return tuple.__new__(cls, (predicate, terms))
+
+    @classmethod
+    def from_ground_rows(
+        cls, predicate: str, rows: Iterable[Tuple[Term, ...]]
+    ) -> List["Fact"]:
+        """:meth:`from_ground` on each of ``rows``, without a Python call per row."""
+        return list(map(tuple.__new__, repeat(cls), zip(repeat(predicate), rows)))
 
     @property
     def has_nulls(self) -> bool:
@@ -204,16 +218,3 @@ def group_by_predicate(facts: Iterable[Fact]) -> Dict[str, list]:
     for f in facts:
         grouped.setdefault(f.predicate, []).append(f)
     return grouped
-
-
-def _holds_null(fact: Fact) -> bool:
-    return Null in set(map(type, fact[1]))
-
-
-def null_bearing(facts: Sequence[Fact]) -> int:
-    """How many of ``facts`` hold a labelled null (``has_nulls``).  One pass
-    over all their terms settles the common case, none, without a Python
-    call per fact."""
-    if Null not in set(map(type, chain.from_iterable(map(operator.itemgetter(1), facts)))):
-        return 0
-    return sum(map(_holds_null, facts))

@@ -81,7 +81,7 @@ from typing import (
 )
 
 from .aggregates import AggregateRegistry, MonotonicAggregate
-from .atoms import Atom, Fact
+from .atoms import Atom, Fact, predicate_of
 from .conditions import AggregateSpec
 from .expressions import ExpressionError
 from .fact_store import FactStore
@@ -103,9 +103,6 @@ from .termination import (
 )
 from .wardedness import ProgramAnalysis, RuleAnalysis, RuleKind, analyse_program
 from ..testing.faults import fault_point
-
-#: A fact's predicate: a fact is the tuple ``(predicate, terms)``.
-_predicate_of = itemgetter(0)
 
 #: One rule of a seeded round (:meth:`ChaseEngine.continue_rounds`): the
 #: rule, the index of its seed atom in ``rule.relational_body`` and the
@@ -558,8 +555,9 @@ class ChaseEngine:
         register = self.strategy.register_input
         start = store.next_slot
         loaded: List[Fact] = []
-        # Each run of one predicate's facts enters the store in bulk.
-        for predicate, run in groupby(facts, _predicate_of):
+        # Each run of one predicate's facts enters the store through one
+        # load; only a run that brought a null is walked for chase nodes.
+        for predicate, run in groupby(facts, predicate_of):
             nulls = store.null_facts(predicate)
             added = store.load(predicate, run)
             loaded += added

@@ -17,26 +17,24 @@ position on first probe too, used by the compiled rule executors for
 semi-naive evaluation, plus the insertion round of every fact so executors
 can restrict probes to earlier rounds.
 
-Every write goes through :meth:`FactStore.add`, :meth:`FactStore.load` (a
-run of one predicate's facts in bulk, the input load) or
-:meth:`FactStore.remove`, and each bumps the store's mutation epoch.
-:meth:`FactStore.snapshot` returns a :class:`StoreSnapshot`, the
-epoch-guarded read view the resident reasoning service answers queries
-through: a read after a later write raises :class:`StaleSnapshotError`
-instead of seeing a half-applied update.
+Every write goes through :meth:`FactStore.add` (which
+:meth:`FactStore.load`, the input load of a run of one predicate's facts,
+calls per fact) or :meth:`FactStore.remove`, and each bumps the store's
+mutation epoch.  :meth:`FactStore.snapshot` returns a
+:class:`StoreSnapshot`, the epoch-guarded read view the resident reasoning
+service answers queries through: a read after a later write raises
+:class:`StaleSnapshotError` instead of seeing a half-applied update.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .atoms import Atom, Fact, null_bearing
+from .atoms import Atom, Fact, terms_of
 from .terms import Constant, Null, Term, Variable
 
 _EMPTY: Tuple[Fact, ...] = ()
-_terms_of = itemgetter(1)
 
 #: One position's index: term -> the facts holding it there, in slot order.
 PositionIndex = Dict[Term, List[Fact]]
@@ -95,13 +93,13 @@ class FactStore:
     predicate's last fact — so a reference bound once stays the live index.
 
     **Dedup maps on first need.**  Each predicate's dedup map ``{terms:
-    slot}`` answers membership.  :meth:`load` bulk-inserts a predicate with
-    no fact yet and keeps no map for it; the first :meth:`add`,
+    slot}`` answers membership.  When :meth:`load` fills a predicate that
+    had no fact yet, it drops the map its adds built; the first :meth:`add`,
     :meth:`rows`, :meth:`contains_row`, ``in``, :meth:`remove` or
     :meth:`index_of_row` on that predicate builds it from the loaded run of
     slots, as :meth:`index` builds a position's index on first probe.  An
     extensional relation that no rule derives and nothing tests membership
-    of (a bound ``Own`` feeding only rule bodies) never costs one.
+    of (a bound ``Own`` feeding only rule bodies) keeps none past its load.
 
     **Layout readers.**  Besides this class, only the generated join kernels
     of :mod:`repro.engine.joins` read the store's layout: :meth:`index` (a
@@ -194,57 +192,23 @@ class FactStore:
         return True
 
     def load(self, predicate: str, facts: Iterable[Fact]) -> List[Fact]:
-        """Insert a run of ``predicate``'s facts; returns the ones added, in order.
+        """:meth:`add` each of a run of ``predicate``'s facts; returns the
+        ones added, in order.
 
-        Equivalent to :meth:`add` on each fact in turn — slots, extent,
-        built indexes, null counts, active domain, insertion rounds and
-        epoch come out the same — but a predicate with no fact and no dedup
-        map yet is filled in bulk: in-batch duplicates are dropped with a
-        temporary set and no dedup map is kept until a reader needs one
-        (class docstring).  A populated predicate takes :meth:`add` per
-        fact.
+        When ``predicate`` had no fact and no dedup map before the run, the
+        map the adds built is dropped again and the run of slots they took
+        is noted instead, so the predicate keeps no map until a reader needs
+        one (class docstring).  Nothing can have bound a map that did not
+        exist before the run.
         """
-        if predicate in self._rows or predicate in self._by_predicate:
-            add = self.add
-            return [fact for fact in facts if add(fact)]
-        loaded = list(facts)
-        if len(set(map(_terms_of, loaded))) != len(loaded):
-            seen: Set[Tuple[Term, ...]] = set()
-            unique = []
-            for fact in loaded:
-                if fact[1] not in seen:
-                    seen.add(fact[1])
-                    unique.append(fact)
-            loaded = unique
-        if not loaded:
-            return loaded
-        self._epoch += len(loaded)
+        fresh = predicate not in self._rows and predicate not in self._by_predicate
         start = len(self._facts)
-        self._facts.extend(loaded)
-        self._unmapped[predicate] = (start, len(self._facts))
-        self._facts_cache = None
-        if self.current_round:
-            self._round_of.update(dict.fromkeys(loaded, self.current_round))
-        self._by_predicate[predicate] = loaded[:]
-        built = self._position_index.get(predicate)
-        if built:
-            for position, index in built.items():
-                for fact in loaded:
-                    terms = fact[1]
-                    if position < len(terms):
-                        bucket = index.get(terms[position])
-                        if bucket is None:
-                            index[terms[position]] = [fact]
-                        else:
-                            bucket.append(fact)
-        nulls = null_bearing(loaded)
-        if nulls:
-            self._null_facts[predicate] = nulls
-        if self._domain_counts is not None:
-            for fact in loaded:
-                _count_constants(self._domain_counts, fact, 1)
-        self._live += len(loaded)
-        return loaded
+        add = self.add
+        added = [fact for fact in facts if add(fact)]
+        if fresh and added:
+            del self._rows[predicate]
+            self._unmapped[predicate] = (start, len(self._facts))
+        return added
 
     def remove(self, fact: Fact) -> bool:
         """Retract a fact; returns ``False`` when it is not in the store.
@@ -352,7 +316,7 @@ class FactStore:
         start, stop = self._unmapped.pop(predicate)
         # Nothing removed a fact of the run: a removal builds the map first.
         rows = self._rows[predicate] = dict(
-            zip(map(_terms_of, self._facts[start:stop]), range(start, stop))
+            zip(map(terms_of, self._facts[start:stop]), range(start, stop))
         )
         return rows
 

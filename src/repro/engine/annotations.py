@@ -21,12 +21,10 @@ Annotations are "@"-prefixed facts that inject behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.atoms import Fact, null_bearing
+from ..core.atoms import Fact
 from ..core.query import AnswerSet
 from ..core.rules import Annotation, Program
 from ..storage.datasources import DataSource, DataSourceError, Pushdown, create_datasource
@@ -229,21 +227,10 @@ def write_output_bindings(
     return written
 
 
-_terms_of = itemgetter(1)
-_value_of = attrgetter("value")
-
-
 def _writeback_rows(facts: Sequence[Fact], stats) -> Iterator[Tuple[object, ...]]:
     """The values of the null-free ``facts``, lazily; a fact holding a
     labelled null is counted in ``stats.rows_skipped_nulls`` as it is
     passed over."""
-    if not null_bearing(facts):
-        # No null anywhere: each fact's values without a Python call per fact.
-        return map(tuple, map(map, repeat(_value_of), map(_terms_of, facts)))
-    return _skipping_nulls(facts, stats)
-
-
-def _skipping_nulls(facts: Sequence[Fact], stats) -> Iterator[Tuple[object, ...]]:
     for fact in facts:
         if fact.has_nulls:
             stats.rows_skipped_nulls += 1

@@ -18,14 +18,11 @@ carries the predicate's compiled
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from ..core.atoms import Fact
 from ..core.terms import constant_rows
 from ..storage.database import Database
-
-_new_tuple = tuple.__new__
 
 
 class RecordManager:
@@ -67,10 +64,7 @@ class DataSourceRecordManager(RecordManager):
         predicate = self.predicate
 
         def convert(rows: List[Tuple[object, ...]]) -> List[Fact]:
-            # Fact.from_ground on each row, without a Python call per row.
-            return list(
-                map(_new_tuple, repeat(Fact), zip(repeat(predicate), constant_rows(rows)))
-            )
+            return Fact.from_ground_rows(predicate, constant_rows(rows))
 
         return self.source.scan(self.pushdown, convert)
 

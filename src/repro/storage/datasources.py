@@ -267,20 +267,11 @@ class RowPageCache:
         return entry
 
     def put(
-        self, key: Tuple, rows: Sequence[object], stats: SourceStats, converted: bool = False
-    ) -> bool:
-        """Admit a completed scan result; returns False when it cannot fit."""
-        pages = [
-            list(rows[i : i + self.page_size])
-            for i in range(0, len(rows), self.page_size)
-        ]
-        return self.put_pages(key, pages, stats, converted)
-
-    def put_pages(
         self, key: Tuple, pages: List[List[object]], stats: SourceStats, converted: bool = False
     ) -> bool:
-        """Admit a completed scan result as the pages it was read in, kept
-        as they are; returns False when they cannot fit."""
+        """Admit a completed scan result as the pages it was read in (each
+        of ``page_size`` items but the last), kept as they are; returns
+        False when they cannot fit."""
         pages = pages or [[]]
         if len(pages) > self.max_pages:
             return False
@@ -297,6 +288,16 @@ class RowPageCache:
     def invalidate(self) -> None:
         self._entries.clear()
         self._total_pages = 0
+
+
+def _paged(rows: Iterable[object], size: int) -> Iterator[List[object]]:
+    """``rows`` cut into pages of ``size`` (the last may be short, none is empty)."""
+    rows = iter(rows)
+    while True:
+        page = list(islice(rows, size))
+        if not page:
+            return
+        yield page
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +400,7 @@ class DataSource:
                     kept = None
             yield from page
         if kept is not None:
-            self._cache.put_pages(key, kept, self.stats, converted=convert is not None)
+            self._cache.put(key, kept, self.stats, converted=convert is not None)
         if tracer is not None:
             self._emit_scan_span(
                 tracer,
@@ -460,13 +461,13 @@ class DataSource:
                 fault_point(
                     "datasource.scan", predicate=self.predicate, attempt=attempt
                 )
-                skip = emitted
-                for page in self._scan_pages(pushdown, self._cache.page_size):
-                    if skip:
-                        if skip >= len(page):
-                            skip -= len(page)
-                            continue
-                        page, skip = page[skip:], 0
+                size = self._cache.page_size
+                pages = self._scan_pages(pushdown, size)
+                if emitted:
+                    # The rows already handed on are read again and dropped;
+                    # the rest is cut into full pages again.
+                    pages = _paged(islice(chain.from_iterable(pages), emitted, None), size)
+                for page in pages:
                     emitted += len(page)
                     yield page
                 return
@@ -513,14 +514,10 @@ class DataSource:
     def _scan_pages(
         self, pushdown: Optional[Pushdown], size: int
     ) -> Iterator[List[Tuple[object, ...]]]:
-        """The backend's rows in non-empty pages of at most ``size`` rows:
-        :meth:`_scan_rows` cut into pages, unless the backend reads pages."""
-        rows = self._scan_rows(pushdown)
-        while True:
-            page = list(islice(rows, size))
-            if not page:
-                return
-            yield page
+        """The backend's rows in pages of ``size`` rows (the last may be
+        short, none is empty): :meth:`_scan_rows` cut into pages, unless the
+        backend reads pages."""
+        return _paged(self._scan_rows(pushdown), size)
 
     def _scan_rows(self, pushdown: Optional[Pushdown]) -> Iterator[Tuple[object, ...]]:
         raise NotImplementedError
@@ -827,7 +824,8 @@ class SQLiteDataSource(DataSource):
     ) -> Iterator[List[Tuple[object, ...]]]:
         """The table's rows, ``size`` at a time through ``fetchmany``: the
         driver's row tuples are the page, unless a column is fixed by the
-        pushdown (rebuilt client-side) or a residual constraint filters it."""
+        pushdown (rebuilt client-side) or a residual constraint filters it
+        (the rows that pass are cut into full pages again)."""
         native, residual = self._split_pushdown(pushdown)
         with self._connect() as connection:
             columns = self._columns or self._table_columns(connection)
@@ -867,17 +865,23 @@ class SQLiteDataSource(DataSource):
             if where_parts:
                 sql += " WHERE " + " AND ".join(where_parts)
             cursor = connection.execute(sql, params)
-            while True:
-                page = cursor.fetchmany(size)
-                if not page:
-                    return
-                self.stats.rows_scanned += len(page)
-                if fixed:
-                    page = [self._rebuilt(fetched, selected, fixed) for fetched in page]
-                if residual is not None:
-                    page = [row for row in page if residual.matches(row)]
-                if page:
-                    yield page
+            pages = self._fetched(cursor, size, selected, fixed)
+            if residual is not None:
+                pages = _paged(filter(residual.matches, chain.from_iterable(pages)), size)
+            yield from pages
+
+    def _fetched(
+        self, cursor, size: int, selected: List[int], fixed: Dict[int, object]
+    ) -> Iterator[List[Tuple[object, ...]]]:
+        """The cursor's rows, ``size`` at a time, counted in ``rows_scanned``."""
+        while True:
+            page = cursor.fetchmany(size)
+            if not page:
+                return
+            self.stats.rows_scanned += len(page)
+            if fixed:
+                page = [self._rebuilt(fetched, selected, fixed) for fetched in page]
+            yield page
 
     def _rebuilt(
         self, fetched: Tuple[object, ...], selected: List[int], fixed: Dict[int, object]

@@ -226,11 +226,25 @@ class TestPageCache:
         assert list(source.scan()) == [("a", "b"), ("b", "c")]
         assert source.stats.cache_served_scans == 0
 
+    def test_residual_filtered_scan_is_cached_in_full_pages(self, tmp_path):
+        # 70 000 rows fill more than the cache's 64 pages of 1 024; the string
+        # ordering is filtered Python-side and one row in 1 000 passes it, so
+        # every page fetched holds a match.
+        rows = [(i, "z" if i % 1000 == 0 else "a", 0.5) for i in range(70_000)]
+        source = SQLiteDataSource("Own", make_sqlite(tmp_path / "data.db", rows=rows))
+        residual = Pushdown(((1, ">", "m"),))
+        matches = rows[::1000]
+        assert list(source.scan(residual)) == matches
+        assert list(source.scan(residual)) == matches
+        assert source.stats.cache_served_scans == 1
+        assert source.stats.page_hits == 1  # one full page, not one per fetch
+        assert source.stats.rows_scanned == 70_000
+
     def test_lru_eviction_counts_pages(self):
         cache = RowPageCache(page_size=2, max_pages=2)
         stats = InMemoryDataSource("P", []).stats
-        cache.put(("a",), [(1,), (2,), (3,)], stats)  # 2 pages
-        cache.put(("b",), [(4,)], stats)  # 1 page -> evicts ("a",)
+        cache.put(("a",), [[(1,), (2,)], [(3,)]], stats)  # 2 pages
+        cache.put(("b",), [[(4,)]], stats)  # 1 page -> evicts ("a",)
         assert cache.get(("a",)) is None
         assert cache.get(("b",)) is not None
         assert stats.pages_evicted == 2
@@ -654,6 +668,9 @@ class TestRetryPolicy:
         # The restarted pass reads the handed-out page again and counts it.
         assert source.stats.rows_scanned == 1500 + 2500
         assert source.stats.rows_emitted == 2500
+        # The resumed pass is cut into full pages again: 2 500 rows are 3.
+        assert list(source.scan()) == [(i, i + 1) for i in range(2500)]
+        assert source.stats.page_hits == 3
 
     def test_retry_exhaustion_raises_datasource_error(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -169,12 +169,13 @@ class TestFactStoreRemove:
         positions = [(p, i) for p, arity in sorted(self.PREDICATES.items()) for i in range(arity)]
         probe_rng = random.Random(1000 + seed)
         first_probe = {pair: probe_rng.choice((0, 60, 150, 280, 400)) for pair in positions}
-        # ``load`` runs go to P, Q, R and to fresh predicates, some with a
-        # position probed before their first fact; a fresh run keeps no
-        # dedup map until a reader (the readers step, an add, a removal or
-        # a full check) asks for it.
+        # Besides the add / remove / round steps, some steps also ``load`` a
+        # run (in-batch duplicates included) into P, Q, R or a fresh
+        # predicate, some with a position probed before their first fact, or
+        # read one fact; a fresh run keeps no dedup map until a reader (the
+        # reader step, an add or a removal) asks for it.
         arities = dict(self.PREDICATES)
-        check_rng = random.Random(2000 + seed)
+        extra_rng = random.Random(2000 + seed)
         live = {}  # fact -> slot; dict order is insertion order
         rounds = {}  # fact -> round it entered in
         next_slot = 0
@@ -201,13 +202,8 @@ class TestFactStoreRemove:
             if step == domain_from:
                 assert store._domain_counts is None
                 store.active_domain()
-            roll = rng.random()
-            if roll < 0.4 or not live:
-                candidate = random_fact()
-                assert store.add(candidate) == (candidate not in live)
-                if candidate not in live:
-                    enter(candidate)
-            elif roll < 0.5:
+            extra = extra_rng.random()
+            if extra < 0.1:
                 if rng.random() < 0.5:
                     predicate = f"L{len(arities)}"
                     arities[predicate] = rng.choice((1, 2))
@@ -229,7 +225,7 @@ class TestFactStoreRemove:
                 assert store.load(predicate, iter(batch)) == added
                 if fresh and added:
                     assert predicate not in store._rows and predicate in store._unmapped
-            elif roll < 0.55:
+            elif extra < 0.15 and live:
                 # One reader; on a freshly loaded predicate it builds the map.
                 probe = rng.choice(list(live)) if rng.random() < 0.7 else random_fact()
                 reader = rng.choice(("in", "contains_row", "index_of_row", "rows"))
@@ -246,6 +242,12 @@ class TestFactStoreRemove:
                     assert store.rows(probe.predicate) == {
                         f.terms: slot for f, slot in live.items() if f.predicate == probe.predicate
                     }
+            roll = rng.random()
+            if roll < 0.5 or not live:
+                candidate = random_fact()
+                assert store.add(candidate) == (candidate not in live)
+                if candidate not in live:
+                    enter(candidate)
             elif roll < 0.9:
                 # Mostly a live fact (often a re-added one), sometimes absent.
                 victim = rng.choice(list(live)) if rng.random() < 0.85 else random_fact()
@@ -263,12 +265,12 @@ class TestFactStoreRemove:
             probed = {pair for pair, first in first_probe.items() if first <= step}
             self.check(
                 store, live, rounds, delta, domain=step >= domain_from, probed=probed,
-                arities=arities, maps=check_rng.random() < 0.3,
+                arities=arities,
             )
+        for predicate in list(store._unmapped):
+            store.rows(predicate)
         probed = set(positions) | {pair for pair in first_probe if pair[0] not in self.PREDICATES}
-        self.check(
-            store, live, rounds, delta, domain=True, probed=probed, arities=arities, maps=True
-        )
+        self.check(store, live, rounds, delta, domain=True, probed=probed, arities=arities)
 
     def test_built_index_outlives_its_predicate(self):
         store = FactStore([fact("P", "a", 1)])
@@ -279,15 +281,17 @@ class TestFactStoreRemove:
         assert store.index("P", 0) is index and index == {Constant("b"): [fact("P", "b", 2)]}
         assert built_positions(store) == {"P": (0,)}
 
-    def check(self, store, live, rounds, delta, domain, probed, arities=PREDICATES, maps=True):
-        """``store`` against the model; ``maps=False`` reads no dedup map,
-        so a predicate ``load`` filled keeps none."""
+    def check(self, store, live, rounds, delta, domain, probed, arities=PREDICATES):
+        """``store`` against the model.  It reads no dedup map of a
+        predicate that ``load`` left without one (and asserts it stays so);
+        a fact of such a predicate is found at its slot through ``fact_at``."""
         unmapped = set(store._unmapped)
 
         def slots(bucket):
-            if not maps:
-                return [live[f] for f in bucket]
-            return [store.index_of_row(f.predicate, f.terms) for f in bucket]
+            return [
+                live[f] if f.predicate in unmapped else store.index_of_row(f.predicate, f.terms)
+                for f in bucket
+            ]
 
         def ordered(bucket):
             return slots(bucket) == sorted(set(slots(bucket)))
@@ -304,7 +308,7 @@ class TestFactStoreRemove:
         else:
             assert store._domain_counts is None
         for f, slot in live.items():
-            if maps:
+            if f.predicate not in unmapped:
                 assert f in store and store.contains_row(f.predicate, f.terms)
                 assert store.index_of_row(f.predicate, f.terms) == slot
             assert store.fact_at(slot) == f
@@ -343,14 +347,12 @@ class TestFactStoreRemove:
                 for f in extent:
                     model.setdefault(f.terms[position], []).append(f)
                 assert index == model
-        if not maps:
-            assert set(store._unmapped) == unmapped
-            return
-        assert not store._unmapped
-        gone = Fact("P", (Constant(99), Constant(99)))
-        assert gone not in store
-        with pytest.raises(KeyError):
-            store.index_of_row(gone.predicate, gone.terms)
+        for predicate in set(arities) - unmapped:
+            gone = Fact(predicate, (Constant(99),) * arities[predicate])
+            assert gone not in store
+            with pytest.raises(KeyError):
+                store.index_of_row(gone.predicate, gone.terms)
+        assert set(store._unmapped) == unmapped
 
     def test_removal_compares_no_facts(self, monkeypatch):
         """Cost by count: 500 removals out of a 5 000-fact predicate."""
